@@ -10,10 +10,12 @@ Three kinds of source text:
 
              q a[,a2...] -> p b[,b2...] M[,M2...]
 
-         with moves in {L, R, S}.  Duplicate (state, reads) lines make the
-         machine nondeterministic.  A ``kind: dfa`` or ``kind: nfa`` header
-         switches to finite-automaton parsing with ``alphabet:`` and lines
-         ``q a -> p`` (an NFA may repeat a left-hand side).
+         with moves in {L, R, S}.  Duplicate (state, reads) lines, or
+         lines of equal rank that one scan matches with no more specific
+         line deciding it, make the machine nondeterministic.  A ``kind:
+         dfa`` or ``kind: nfa`` header switches to finite-automaton parsing
+         with ``alphabet:`` and lines ``q a -> p`` (an NFA may repeat a
+         left-hand side).
 
 ``prf``  prefix expressions: ``Z k``, ``S``, ``P k i``, ``C f (g1, ..., gl)``,
          ``R (g, h)``, ``Mu g``, and ``def name = term`` bindings; a defined

@@ -6,6 +6,17 @@ symbol), a write position may be `*` (leave the scanned symbol alone),
 and moves are L, R or S (stay).  When several entries match a scanned
 vector the most specific one (fewest wildcards) wins.
 
+A machine is ``deterministic`` exactly when no scan vector over the tape
+alphabet matches two or more targets of the highest matching rank: one
+entry with several targets, or two entries of equal rank that a scan
+matches both and that no more specific entry overrides.  `run` refuses a
+nondeterministic machine (see `transform.nd_run`), so a deterministic one
+never meets an ambiguous transition.
+
+`validate_machine` indexes the table by state; one resolver (`resolve`,
+memoized per state on the symbols under the tapes the state reads) serves
+`run`, `step`, `successors` and the compilers that read a table.
+
 Tape modes: ``semi_infinite`` protects cell 0 (an L move there is a stuck
 halt), ``two_way`` allows negative cells.
 """
@@ -13,6 +24,7 @@ halt), ``two_way`` allows negative cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FuelExhausted, NonEncodable, ValidationError
@@ -20,6 +32,7 @@ from .errors import FuelExhausted, NonEncodable, ValidationError
 BLANK = "_"
 WILD = "*"
 MOVES = ("L", "R", "S")
+_MOVE_SET = frozenset(MOVES)
 
 SEMI_INFINITE = "semi_infinite"
 TWO_WAY = "two_way"
@@ -118,12 +131,88 @@ class MachineSpec:
     delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]
     tape_mode: str = SEMI_INFINITE
     deterministic: bool = True
+    # built by validate_machine
+    index: Optional["RuleIndex"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "accept", frozenset(self.accept))
         object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
         object.__setattr__(self, "tape_alphabet", frozenset(self.tape_alphabet))
+
+
+# A resolved transition: (next_state, writes, shifts).  writes holds the
+# (tape, symbol) pairs that may change a cell; shifts holds the (tape, -1|+1)
+# head moves; stay moves and `*` writes leave no entry.
+Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[Tuple[int, int], ...]]
+
+
+class RuleIndex:
+    """A machine's rules grouped by state, and the resolver's memo.
+
+    ``states`` maps a state to its read vectors, whose targets are in
+    ``delta``: tuples of strings, which the garbage collector stops
+    tracking, so indexing a big machine brings on no extra full
+    collections.  ``memo`` fills lazily, for visited states only: it maps a
+    state to ``(reads, known)``, where ``reads`` are the tapes some rule of
+    the state reads (not `*`; no rule looks at another tape) and ``known``
+    maps the symbols scanned on them, joined into one string (symbols are
+    single characters), to the resolved steps.  Nothing here refers back to
+    the machine, so a dropped machine is freed at once."""
+
+    __slots__ = ("states", "delta", "memo")
+
+    def __init__(self, states: Dict[str, Tuple[Tuple[str, ...], ...]],
+                 delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]):
+        self.states = states
+        self.delta = delta
+        self.memo: Dict[str, Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]] = {}
+
+    def lookup(self, state: str) -> Optional[Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]]:
+        """``(reads, known)`` of a state, or None when it has no rules."""
+        entry = self.memo.get(state)
+        if entry is None and state in self.states:
+            keys = self.states[state]
+            reads = sorted({t for key in keys for t, r in enumerate(key) if r != WILD})
+            entry = self.memo[state] = (tuple(reads), {})
+        return entry
+
+    def resolve(self, state: str, syms: str) -> Tuple[Step, ...]:
+        """Steps of the most specific rules of ``state`` (which has rules)
+        matching ``syms``."""
+        known = self.lookup(state)[1]
+        hit = known.get(syms)
+        if hit is None:
+            hit = known[syms] = self._match(state, syms)
+        return hit
+
+    def _match(self, state: str, syms: str) -> Tuple[Step, ...]:
+        reads, keys = self.memo[state][0], self.states[state]
+        best: List[Target] = []
+        best_rank = -1
+        for key in keys:
+            rank = 0
+            for t, c in zip(reads, syms):
+                r = key[t]
+                if r == WILD:
+                    continue
+                if r != c:
+                    break
+                rank += 1
+            else:
+                if rank > best_rank:
+                    best_rank, best = rank, list(self.delta[state, key])
+                elif rank == best_rank:
+                    best.extend(self.delta[state, key])
+        scanned = dict(zip(reads, syms))
+        return tuple(
+            (
+                nxt,
+                tuple((t, w) for t, w in enumerate(writes) if w != WILD and w != scanned.get(t)),
+                tuple((t, -1 if mv == "L" else 1) for t, mv in enumerate(moves) if mv != "S"),
+            )
+            for nxt, writes, moves in best
+        )
 
 
 def make_machine(
@@ -163,17 +252,17 @@ def make_machine(
 
 
 def _vec(v, k: int) -> Tuple[str, ...]:
-    if isinstance(v, str):
-        t = tuple(v)
-    else:
-        t = tuple(v)
+    t = tuple(v)
     if len(t) != k:
         raise ValidationError(f"vector {v!r} has length {len(t)}, machine has {k} tapes")
     return t
 
 
 def validate_machine(spec: MachineSpec) -> MachineSpec:
-    """Check every MachineSpec invariant; classify det/nondet."""
+    """Check every MachineSpec invariant, build the per-state rule index and
+    classify det/nondet: a machine is deterministic unless some scan vector
+    matches two or more targets of the highest matching rank, which is
+    exactly when `run` would find the transition ambiguous."""
     if spec.tapes < 1:
         raise ValidationError("machine needs at least one tape")
     if spec.tape_mode not in (SEMI_INFINITE, TWO_WAY):
@@ -194,14 +283,16 @@ def validate_machine(spec: MachineSpec) -> MachineSpec:
     if not spec.accept <= spec.states:
         raise ValidationError("accept states must be declared states")
     deterministic = True
+    symbols = spec.tape_alphabet | {WILD}
+    by_state: Dict[str, List[Tuple[str, ...]]] = {}  # state -> its read vectors
     for (state, reads), targets in spec.delta.items():
         if state not in spec.states:
             raise ValidationError(f"transition from undeclared state {state!r}")
         if len(reads) != spec.tapes:
             raise ValidationError(f"read vector {reads!r} does not match tape count")
-        for r in reads:
-            if r != WILD and r not in spec.tape_alphabet:
-                raise ValidationError(f"read symbol {r!r} outside tape alphabet")
+        if not symbols.issuperset(reads):
+            bad = next(r for r in reads if r not in symbols)
+            raise ValidationError(f"read symbol {bad!r} outside tape alphabet")
         if len(targets) > 1:
             deterministic = False
         for nxt, writes, moves in targets:
@@ -209,107 +300,148 @@ def validate_machine(spec: MachineSpec) -> MachineSpec:
                 raise ValidationError(f"transition into undeclared state {nxt!r}")
             if len(writes) != spec.tapes or len(moves) != spec.tapes:
                 raise ValidationError("write/move vectors must match tape count")
-            for w in writes:
-                if w != WILD and w not in spec.tape_alphabet:
-                    raise ValidationError(f"write symbol {w!r} outside tape alphabet")
-            for mv in moves:
-                if mv not in MOVES:
-                    raise ValidationError(f"move {mv!r} is not one of {MOVES}")
-    return replace(spec, deterministic=deterministic)
+            if not symbols.issuperset(writes):
+                bad = next(w for w in writes if w not in symbols)
+                raise ValidationError(f"write symbol {bad!r} outside tape alphabet")
+            if not _MOVE_SET.issuperset(moves):
+                bad = next(mv for mv in moves if mv not in MOVES)
+                raise ValidationError(f"move {bad!r} is not one of {MOVES}")
+        keys = by_state.get(state)
+        if keys is None:
+            by_state[state] = [reads]
+        else:
+            keys.append(reads)
+    states = {}
+    blind = str.maketrans(dict.fromkeys(spec.tape_alphabet, "#"))
+    for state, keys in by_state.items():
+        keys = states[state] = tuple(keys)
+        # with one tape, distinct keys of equal rank never match one scan
+        if deterministic and spec.tapes > 1 and _may_overlap(keys, blind):
+            deterministic = not _overlap(keys, spec.tape_alphabet)
+    return replace(spec, deterministic=deterministic, index=RuleIndex(states, spec.delta))
+
+
+def _may_overlap(keys: Tuple[Tuple[str, ...], ...], blind: dict) -> bool:
+    """A quick test, false when no two ``keys`` can match one scan at equal
+    rank: that takes two keys of equal rank that read different tapes.
+    ``blind`` translates every tape symbol to "#"."""
+    if len({key.count(WILD) for key in keys}) == len(keys):
+        return False
+    shapes = {"".join(key).translate(blind) for key in keys}
+    return len({shape.count("#") for shape in shapes}) < len(shapes)
+
+
+def _overlap(keys: List[Tuple[str, ...]], alphabet: frozenset) -> bool:
+    """True when some scan matches two keys of the highest matching rank."""
+    ranked = [(len(key) - key.count(WILD), key) for key in keys]
+    for i, (rank, a) in enumerate(ranked):
+        for rank_b, b in ranked[i + 1 :]:
+            meet = _unify(a, b) if rank_b == rank else None
+            if meet is None:
+                continue
+            above = [key for r, key in ranked if r > rank and _unify(key, meet) is not None]
+            if not _covered(meet, above, alphabet):
+                return True
+    return False
+
+
+def _unify(a: Tuple[str, ...], b: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
+    """The key matching exactly the scans both keys match, or None."""
+    out = []
+    for x, y in zip(a, b):
+        if x == WILD:
+            out.append(y)
+        elif y == WILD or x == y:
+            out.append(x)
+        else:
+            return None
+    return tuple(out)
+
+
+def _covered(meet: Tuple[str, ...], above: List[Tuple[str, ...]], alphabet: frozenset) -> bool:
+    """Whether every scan matching ``meet`` matches some key in ``above``
+    (each of which unifies with ``meet``).  Only the tapes where ``meet`` is
+    `*` and some key of ``above`` is not can tell scans apart, and there a
+    symbol no key names stands for all such symbols."""
+    free = sorted({t for key in above for t, r in enumerate(key) if r != WILD and meet[t] == WILD})
+    choices = []
+    for t in free:
+        named = sorted({key[t] for key in above} - {WILD})
+        choices.append(named + sorted(alphabet.difference(named))[:1])
+    for pick in product(*choices):
+        scan = dict(zip(free, pick))
+        if not any(all(r == WILD or meet[t] != WILD or scan[t] == r for t, r in enumerate(key))
+                   for key in above):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Execution
 
 
-def _by_state(spec: MachineSpec):
-    """Delta entries grouped by source state (cached on the spec)."""
-    cached = getattr(spec, "_state_index", None)
-    if cached is None:
-        cached = {}
-        for (s, reads), targets in spec.delta.items():
-            cached.setdefault(s, []).append((reads, targets))
-        object.__setattr__(spec, "_state_index", cached)
-    return cached
+def _rules_of(spec: MachineSpec) -> RuleIndex:
+    if spec.index is None:
+        raise ValidationError(f"machine {spec.name!r} was not validated; see validate_machine")
+    return spec.index
 
 
-def _match(spec: MachineSpec, state: str, scanned: Tuple[str, ...]) -> Tuple[Target, ...]:
-    """Targets of the most specific delta entries matching the scan."""
-    best: List[Target] = []
-    best_rank = -1
-    for reads, targets in _by_state(spec).get(state, ()):
-        rank = 0
-        ok = True
-        for r, c in zip(reads, scanned):
-            if r == WILD:
-                continue
-            if r != c:
-                ok = False
-                break
-            rank += 1
-        if not ok:
-            continue
-        if rank > best_rank:
-            best_rank, best = rank, list(targets)
-        elif rank == best_rank:
-            best.extend(targets)
-    return tuple(best)
+def resolve(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Tuple[Step, ...]:
+    """Resolved steps of the most specific rules of ``state`` matching the
+    full scan vector ``scanned``; only the tapes the state reads are looked
+    at, and the answer is memoized per state."""
+    index = _rules_of(spec)
+    entry = index.lookup(state)
+    if entry is None:
+        return ()
+    return index.resolve(state, "".join([scanned[t] for t in entry[0]]))
 
 
-def _apply(
-    spec: MachineSpec,
-    target: Target,
-    tapes: Tuple[Tape, ...],
-    heads: Tuple[int, ...],
-    scanned: Tuple[str, ...],
-):
-    """Write/move for one target; returns (state, tapes, heads) or None if stuck."""
-    nxt, writes, moves = target
-    new_tapes = []
-    new_heads = []
-    for i in range(spec.tapes):
-        sym = scanned[i] if writes[i] == WILD else writes[i]
-        t = tapes[i] if sym == scanned[i] else tapes[i].write(heads[i], sym)
-        h = heads[i]
-        if moves[i] == "L":
-            if spec.tape_mode == SEMI_INFINITE and h == 0:
-                return None  # stuck: cell 0 is protected
-            h -= 1
-        elif moves[i] == "R":
-            h += 1
-        new_tapes.append(t)
-        new_heads.append(h)
-    return nxt, tuple(new_tapes), tuple(new_heads)
+def resolve_one(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Optional[Step]:
+    """The single resolved step for a scan (None when the state has no
+    matching rule); more than one is a ValidationError."""
+    steps = resolve(spec, state, scanned)
+    if len(steps) > 1:
+        raise _ambiguous(spec, state, scanned)
+    return steps[0] if steps else None
+
+
+def _ambiguous(spec: MachineSpec, state: str, scanned: Sequence[str]) -> ValidationError:
+    return ValidationError(
+        f"ambiguous transition in {spec.name!r} at state {state!r} reading {tuple(scanned)}"
+    )
+
+
+def _apply(spec: MachineSpec, c: Configuration, s: Step) -> Optional[Configuration]:
+    """The configuration after step ``s``; None if it moves a head left off
+    protected cell 0 (a stuck halt, nothing written)."""
+    nxt, writes, shifts = s
+    if spec.tape_mode == SEMI_INFINITE and any(d < 0 and c.heads[t] == 0 for t, d in shifts):
+        return None
+    tapes = list(c.tapes)
+    for t, sym in writes:
+        tapes[t] = tapes[t].write(c.heads[t], sym)
+    heads = list(c.heads)
+    for t, d in shifts:
+        heads[t] += d
+    return Configuration(nxt, tuple(tapes), tuple(heads), c.steps_taken + 1)
 
 
 def successors(spec: MachineSpec, c: Configuration) -> List[Configuration]:
     """All next configurations (empty when halted)."""
-    scanned = c.scanned()
     out = []
-    for target in _match(spec, c.state, scanned):
-        applied = _apply(spec, target, c.tapes, c.heads, scanned)
-        if applied is not None:
-            nxt, tapes, heads = applied
-            out.append(Configuration(nxt, tapes, heads, c.steps_taken + 1))
+    for s in resolve(spec, c.state, c.scanned()):
+        n = _apply(spec, c, s)
+        if n is not None:
+            out.append(n)
     return out
 
 
 def step(spec: MachineSpec, c: Configuration) -> Optional[Configuration]:
     """One deterministic step; None means Halted (no applicable entry, or a
     protected-cell left move)."""
-    scanned = c.scanned()
-    targets = _match(spec, c.state, scanned)
-    if not targets:
-        return None
-    if len(targets) > 1:
-        raise ValidationError(
-            f"ambiguous transition in {spec.name!r} at state {c.state!r} reading {scanned}"
-        )
-    applied = _apply(spec, targets[0], c.tapes, c.heads, scanned)
-    if applied is None:
-        return None
-    nxt, tapes, heads = applied
-    return Configuration(nxt, tapes, heads, c.steps_taken + 1)
+    s = resolve_one(spec, c.state, c.scanned())
+    return None if s is None else _apply(spec, c, s)
 
 
 def initial_configuration(
@@ -336,23 +468,87 @@ def run(
     start: Optional[Configuration] = None,
 ) -> Outcome:
     """Run a deterministic machine on ``word`` (tape 1, head at its first
-    symbol); Accept as soon as the state is accepting."""
+    symbol); Accept as soon as the state is accepting.
+
+    The tapes live in mutable buffers, one list of cells and one origin per
+    tape, always covering the head's cell; Configurations are built only at
+    exit, or after every step when ``want_trace`` is set."""
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
+    index = _rules_of(spec)
+    memo = index.memo
     c = start if start is not None else initial_configuration(spec, [word])
+    state, heads = c.state, list(c.heads)
+    origins = [min(t.origin, h) for t, h in zip(c.tapes, heads)]
+    cells = []
+    for t, h, o in zip(c.tapes, heads, origins):
+        buf = [BLANK] * (t.origin - o) + list(t.cells)
+        buf.extend(BLANK * (h - o + 1 - len(buf)))
+        cells.append(buf)
+    guard = spec.tape_mode == SEMI_INFINITE
+    accept = spec.accept
     trace = [c] if want_trace else None
-    for _ in range(fuel):
-        if c.state in spec.accept:
-            return Outcome(ACCEPT, c, tuple(trace) if trace else None)
-        n = step(spec, c)
-        if n is None:
-            return Outcome(REJECT, c, tuple(trace) if trace else None)
-        c = n
+    steps = 0
+    tag = FUEL_EXHAUSTED
+    while True:
+        if state in accept:
+            tag = ACCEPT
+            break
+        if steps >= fuel:
+            break
+        entry = memo.get(state)
+        if entry is None:
+            entry = index.lookup(state)
+            if entry is None:
+                tag = REJECT
+                break
+        reads, known = entry
+        if len(reads) == 1:
+            t = reads[0]
+            key = cells[t][heads[t] - origins[t]]
+        else:
+            key = "".join([cells[t][heads[t] - origins[t]] for t in reads])
+        todo = known.get(key)
+        if todo is None:
+            todo = index.resolve(state, key)
+        if len(todo) != 1:
+            if todo:
+                scanned = [buf[h - o] for buf, h, o in zip(cells, heads, origins)]
+                raise _ambiguous(spec, state, scanned)
+            tag = REJECT
+            break
+        nxt, writes, shifts = todo[0]
+        if guard:
+            stuck = False
+            for t, d in shifts:
+                if d < 0 and heads[t] == 0:
+                    stuck = True
+            if stuck:
+                tag = REJECT  # cell 0 is protected
+                break
+        for t, sym in writes:
+            cells[t][heads[t] - origins[t]] = sym
+        for t, d in shifts:
+            h = heads[t] = heads[t] + d
+            buf = cells[t]
+            i = h - origins[t]
+            if i == len(buf):
+                buf.append(BLANK)
+            elif i < 0:
+                grow = len(buf) + 1  # amortize a long walk left
+                buf[:0] = BLANK * grow
+                origins[t] -= grow
+        state = nxt
+        steps += 1
         if trace is not None:
-            trace.append(c)
-    if c.state in spec.accept:
-        return Outcome(ACCEPT, c, tuple(trace) if trace else None)
-    return Outcome(FUEL_EXHAUSTED, c, tuple(trace) if trace else None)
+            trace.append(_snapshot(state, cells, origins, heads, c.steps_taken + steps))
+    final = _snapshot(state, cells, origins, heads, c.steps_taken + steps)
+    return Outcome(tag, final, tuple(trace) if trace else None)
+
+
+def _snapshot(state, cells, origins, heads, steps_taken) -> Configuration:
+    tapes = tuple(_canon_tape(o, "".join(buf)) for buf, o in zip(cells, origins))
+    return Configuration(state, tapes, tuple(heads), steps_taken)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .prf import (
     por,
     stdlib,
 )
-from .tm import BLANK, MachineSpec, _match
+from .tm import BLANK, MachineSpec, resolve_one
 
 _DIGIT = {BLANK: 0, "0": 1, "1": 2}
 _GLYPH = {0: BLANK, 1: "0", 2: "1"}
@@ -140,12 +140,12 @@ def machine_tables(m: MachineSpec) -> Dict[str, PrfExpr]:
         if state in m.accept:
             continue  # halted: defaults apply
         for sym, si in _DIGIT.items():
-            targets = _match(m, state, (sym,))
-            if not targets:
+            s = resolve_one(m, state, (sym,))
+            if s is None:
                 continue
-            nxt, (w,), (mv,) = targets[0]
-            wd = _DIGIT[w if w != "*" else sym]
-            av = {"L": 0, "R": 1, "S": 2}[mv]
+            nxt, writes, shifts = s
+            wd = _DIGIT[writes[0][1] if writes else sym]
+            av = 2 if not shifts else 0 if shifts[0][1] < 0 else 1  # L, R, S
             entries.append((idx[state], si, av, wd, idx[nxt]))
 
     q_, s_ = Proj(2, 1), Proj(2, 2)

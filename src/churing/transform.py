@@ -16,12 +16,11 @@ from .tm import (
     FUEL_EXHAUSTED,
     REJECT,
     SEMI_INFINITE,
-    WILD,
     Configuration,
     MachineSpec,
     Outcome,
-    _match,
     initial_configuration,
+    resolve_one,
     run,
     step,
     successors,
@@ -119,14 +118,16 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
                     return None  # a (k+1)-th dot cannot occur
                 return ("g", q, vec + (undot[sym],)), sym, "R"
             if sym == HASH and len(vec) == k:
-                targets = _match(m, q, vec)
-                if not targets:
+                s = resolve_one(m, q, vec)
+                if s is None:
                     return None  # host halts without accepting
-                nxt, writes, moves = targets[0]
-                resolved = tuple(
-                    vec[i] if writes[i] == WILD else writes[i] for i in range(k)
-                )
-                wm = tuple(zip(resolved, moves))
+                nxt, writes, shifts = s
+                syms, moves = list(vec), [0] * k
+                for t, w in writes:
+                    syms[t] = w
+                for t, d in shifts:
+                    moves[t] = d
+                wm = tuple(zip(syms, moves))
                 return ("rw", ("u", nxt, wm, 0), 0), HASH, "S"
             return st, sym, "R"
         # --- update pass: per segment, write and move the dot
@@ -137,10 +138,10 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
                     return ("rw", ("g", q, ()), 0), HASH, "S"
                 return ("u", q, wm, i + 1), HASH, "R"
             if sym in undot and 1 <= i <= k:
-                w, mv = wm[i - 1]
-                if mv == "S":
+                w, d = wm[i - 1]
+                if d == 0:
                     return ("useek", q, wm, i), dot[w], "R"
-                if mv == "R":
+                if d > 0:
                     return ("udotR", q, wm, i), w, "R"
                 return ("udotL", q, wm, i), w, "L"
             return st, sym, "R"
@@ -199,7 +200,7 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
     start = ("init",)
     names: Dict[tuple, str] = {start: "s0"}
     order: List[tuple] = [start]
-    rules: List[tuple] = []
+    delta: Dict = {}
     queue = deque([start])
     while queue:
         st = queue.popleft()
@@ -214,14 +215,11 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
                 names[nxt] = f"s{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
-            rules.append((names[st], (sym,), names[nxt], (w,), (mv,)))
+            delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
 
     accept = frozenset(
         names[st] for st in order if st[0] == "g" and st[2] == () and st[1] in m.accept
     )
-    delta: Dict = {}
-    for s, r, n, w, mv in rules:
-        delta.setdefault((s, r), []).append((n, w, mv))
     spec = MachineSpec(
         name=f"{m.name}_single",
         states=frozenset(names.values()),
@@ -230,7 +228,7 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
         input_alphabet=m.input_alphabet,
         tape_alphabet=frozenset(alphabet),
         tapes=1,
-        delta={kk: tuple(v) for kk, v in delta.items()},
+        delta=delta,
         tape_mode=SEMI_INFINITE,
     )
     return validate_machine(spec)
@@ -266,13 +264,6 @@ def next_address(a: str, b: int) -> str:
     return "1" * (len(digits) + 1)
 
 
-def _branching(m: MachineSpec) -> int:
-    by_state: Dict[str, int] = {}
-    for (s, _), targets in m.delta.items():
-        by_state[s] = by_state.get(s, 0) + len(targets)
-    return max(by_state.values(), default=1)
-
-
 def _sorted_successors(m: MachineSpec, c: Configuration) -> List[Configuration]:
     return sorted(
         successors(m, c),
@@ -281,43 +272,37 @@ def _sorted_successors(m: MachineSpec, c: Configuration) -> List[Configuration]:
 
 
 def nd_run(m: MachineSpec, word: str, max_depth: int, node_fuel: int = 10**7) -> str:
-    """Breadth-first search of the computation tree, visiting nodes in the
-    shortlex order of their address strings and replaying each address from
-    the root.  Returns Accept or NotFound."""
-    b = 1 if m.deterministic else max(_branching(m), 1)
+    """Breadth-first search of the computation tree to depth ``max_depth``,
+    one frontier level at a time.  Within a level the nodes lie in the
+    shortlex order of their address strings (`next_address` over the sorted
+    successors).  A configuration (state, heads, tapes) seen before is not
+    expanded again: its subtree was already searched to at least the same
+    depth.  ``node_fuel`` bounds the number of nodes expanded, i.e.
+    successor computations.  Returns Accept or NotFound."""
     root = initial_configuration(m, [word])
     if root.state in m.accept:
         return ACCEPT
+    seen = {(root.state, root.heads, root.tapes)}
+    frontier = [root]
     spent = 0
-    addr = ""
-    level_had_live = True
-    while True:
-        prev_len = len(addr)
-        addr = next_address(addr, b)
-        if len(addr) > max_depth:
-            return NOT_FOUND
-        if len(addr) > prev_len and prev_len > 0:
-            # every address of the previous length died early: any longer
-            # path would extend a dead prefix, so the tree is exhausted
-            if not level_had_live:
-                return NOT_FOUND
-            level_had_live = False
-        c: Optional[Configuration] = root
-        dead = False
-        for ch in addr:
+    for _ in range(max_depth):
+        level = []
+        for c in frontier:
             spent += 1
             if spent > node_fuel:
                 return NOT_FOUND
-            succs = _sorted_successors(m, c)
-            d = int(ch)
-            if d > len(succs):
-                dead = True
-                break
-            c = succs[d - 1]
-        if not dead:
-            level_had_live = True
-            if c.state in m.accept:
-                return ACCEPT
+            for n in _sorted_successors(m, c):
+                key = (n.state, n.heads, n.tapes)
+                if key in seen:
+                    continue
+                if n.state in m.accept:
+                    return ACCEPT
+                seen.add(key)
+                level.append(n)
+        if not level:
+            return NOT_FOUND
+        frontier = level
+    return NOT_FOUND
 
 
 # ---------------------------------------------------------------------------

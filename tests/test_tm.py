@@ -109,3 +109,72 @@ def test_step_is_pure():
     n1 = step(m, c)
     n2 = step(m, c)
     assert n1 == n2 and c.steps_taken == 0
+
+
+def _two_tape_overlap():
+    """Rules of equal rank that the scan (a, _) matches both."""
+    return make_machine(name="overlap", states=["q", "A", "B"], initial="q",
+                        accept=["A"], input_alphabet=["a"],
+                        tape_alphabet=["a", "_"], tapes=2,
+                        rules=[("q", "a*", "A", "**", "SS"),
+                               ("q", "*_", "B", "**", "SS")])
+
+
+def test_equal_rank_overlap_is_nondeterministic():
+    from churing.transform import to_single_tape
+    m = _two_tape_overlap()
+    assert not m.deterministic
+    with pytest.raises(ValidationError, match="requires a deterministic machine"):
+        run(m, "a", fuel=10)
+    with pytest.raises(ValidationError, match="deterministic"):
+        to_single_tape(m)
+
+
+def test_overlap_covered_by_a_more_specific_rule_stays_deterministic():
+    # BR1's v_cmp reads |,*,*,*,*,* and *,*,*,|,*,* at equal rank; the rule
+    # |,*,*,|,*,* decides every scan both match.
+    from churing.lam_to_tm import build_machine
+    assert build_machine("BR1").deterministic
+
+
+def test_overlap_cover_must_name_every_symbol():
+    # (a,*,*) and (*,a,*) overlap on (a,a,x); rules (a,a,x) decide it only
+    # when they name every x of the tape alphabet.
+    gamma = ["a", "b", "_"]
+
+    def machine(covered):
+        rules = [("q", "a**", "q", "***", "RSS"), ("q", "*a*", "q", "***", "SRS")]
+        rules += [("q", "aa" + x, "q", "***", "SSR") for x in covered]
+        return make_machine(name="cover", states=["q"], initial="q", accept=[],
+                            input_alphabet=["a", "b"], tape_alphabet=gamma,
+                            tapes=3, rules=rules)
+
+    assert machine(gamma).deterministic
+    assert not machine(["a", "b"]).deterministic
+
+
+def test_concrete_states_skip_the_overlap_check(monkeypatch):
+    import churing.tm as tm
+    from churing.formats import parse
+    from churing.transform import to_single_tape
+    from conftest import corpus_text
+
+    single = to_single_tape(parse("tm", corpus_text("copier.tm")))
+
+    def refuse(*_):
+        raise AssertionError("overlap check ran on concrete keys")
+
+    monkeypatch.setattr(tm, "_overlap", refuse)
+    rules = [("q", x + y, "q", "**", "RR") for x in "ab_" for y in "ab_"]
+    m = make_machine(name="grid", states=["q"], initial="q", accept=[],
+                     input_alphabet=["a", "b"], tape_alphabet=["a", "b", "_"],
+                     tapes=2, rules=rules)
+    assert m.deterministic
+    assert tm.validate_machine(single).deterministic
+
+
+def test_unvalidated_machine_is_refused():
+    from dataclasses import replace
+    m = replace(zeros_then_ones(), index=None)
+    with pytest.raises(ValidationError, match="not validated"):
+        run(m, "01", fuel=100)

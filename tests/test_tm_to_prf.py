@@ -130,3 +130,15 @@ def test_source_machine_guardrails():
                         tape_alphabet=["0", "x", "_"], tapes=1, rules=[])
     with pytest.raises(ValidationError):
         compile_tm_to_prf(wide)
+
+
+def test_machine_tables_refuse_ambiguous_targets():
+    # deterministic=True forged onto a machine whose one entry has two targets
+    from dataclasses import replace
+    from churing.tm import make_machine
+    m = make_machine(name="two", states=["a", "b", "c"], initial="a", accept=["c"],
+                     input_alphabet=["1"], tape_alphabet=["0", "1", "_"], tapes=1,
+                     rules=[("a", "1", "b", "1", "R"), ("a", "1", "c", "0", "R")])
+    assert not m.deterministic
+    with pytest.raises(ValidationError, match="ambiguous"):
+        machine_tables(replace(m, deterministic=True))

@@ -1,8 +1,12 @@
 """Machine transformations: single-tape squeeze, NDTM search, combinators."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import tm_reference as ref
 
 from churing.errors import NotADecider, ValidationError
 from churing.formats import parse
@@ -79,6 +83,53 @@ def test_nd_run_matches_brute_force():
             got = nd_run(m, w, max_depth=12)
             want = _brute_force_accepts(m, w, 12)
             assert (got == "Accept") == want, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from("01_*"), st.sampled_from("pqra"),
+                          st.sampled_from("01_*"), st.sampled_from("LRS")), max_size=8),
+       st.text(alphabet="01", max_size=4), st.integers(0, 6))
+def test_nd_run_matches_brute_force_on_generated_machines(rules, word, depth):
+    m = make_machine(name="gen", states="pqra", initial="p", accept=["a"],
+                     input_alphabet="01", tape_alphabet="01_", tapes=1, rules=rules)
+    level = [initial_configuration(m, [word])]
+    want = False
+    for _ in range(depth + 1):
+        if any(c.state == "a" for c in level):
+            want = True
+            break
+        level = [n for c in level for n in ref.successors(m, c)]
+    assert (nd_run(m, word, max_depth=depth) == "Accept") == want
+
+
+def test_nd_run_guesser_depth_ten_is_fast():
+    m = _g11()
+    started = time.perf_counter()
+    assert nd_run(m, "010101011", max_depth=10) == "Accept"
+    assert nd_run(m, "010101010", max_depth=10) == "NotFound"
+    assert time.perf_counter() - started < 0.2
+
+
+def test_nd_run_node_fuel_counts_nodes_expanded():
+    # a walker that accepts at depth 5: five expansions (root and depths 1..4)
+    # find it, where replaying every address from the root took 1+2+...+5
+    m = make_machine(name="walk", states=["w", "a"], initial="w", accept=["a"],
+                     input_alphabet=["1"], tape_alphabet=["1", "_"], tapes=1,
+                     rules=[("w", "1", "w", "1", "R"), ("w", "_", "a", "_", "S")])
+    assert nd_run(m, "1111", max_depth=5, node_fuel=5) == "Accept"
+    assert nd_run(m, "1111", max_depth=5, node_fuel=4) == "NotFound"
+    assert nd_run(m, "1111", max_depth=4) == "NotFound"
+
+
+def test_single_tape_refuses_ambiguous_targets():
+    # deterministic=True forged onto a machine with an equal-rank overlap
+    from dataclasses import replace
+    m = make_machine(name="overlap", states=["q", "A", "B"], initial="q",
+                     accept=["A"], input_alphabet=["a"], tape_alphabet=["a", "_"],
+                     tapes=2, rules=[("q", "a*", "A", "**", "SS"),
+                                     ("q", "*_", "B", "**", "SS")])
+    with pytest.raises(ValidationError, match="ambiguous"):
+        to_single_tape(replace(m, deterministic=True))
 
 
 def test_nd_run_on_deterministic_machine():
