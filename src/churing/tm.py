@@ -285,6 +285,7 @@ def validate_machine(spec: MachineSpec) -> MachineSpec:
     deterministic = True
     symbols = spec.tape_alphabet | {WILD}
     by_state: Dict[str, List[Tuple[str, ...]]] = {}  # state -> its read vectors
+    multi: List[Tuple[str, Tuple[str, ...]]] = []  # keys with several targets
     for (state, reads), targets in spec.delta.items():
         if state not in spec.states:
             raise ValidationError(f"transition from undeclared state {state!r}")
@@ -294,7 +295,7 @@ def validate_machine(spec: MachineSpec) -> MachineSpec:
             bad = next(r for r in reads if r not in symbols)
             raise ValidationError(f"read symbol {bad!r} outside tape alphabet")
         if len(targets) > 1:
-            deterministic = False
+            multi.append((state, reads))
         for nxt, writes, moves in targets:
             if nxt not in spec.states:
                 raise ValidationError(f"transition into undeclared state {nxt!r}")
@@ -311,10 +312,13 @@ def validate_machine(spec: MachineSpec) -> MachineSpec:
             by_state[state] = [reads]
         else:
             keys.append(reads)
-    states = {}
+    states = {state: tuple(keys) for state, keys in by_state.items()}
+    # several targets on one key are ambiguous unless more specific keys
+    # override every scan it matches
+    if any(_exposed(reads, states[state], spec.tape_alphabet) for state, reads in multi):
+        deterministic = False
     blind = str.maketrans(dict.fromkeys(spec.tape_alphabet, "#"))
-    for state, keys in by_state.items():
-        keys = states[state] = tuple(keys)
+    for state, keys in states.items():
         # with one tape, distinct keys of equal rank never match one scan
         if deterministic and spec.tapes > 1 and _may_overlap(keys, blind):
             deterministic = not _overlap(keys, spec.tape_alphabet)
@@ -343,6 +347,13 @@ def _overlap(keys: List[Tuple[str, ...]], alphabet: frozenset) -> bool:
             if not _covered(meet, above, alphabet):
                 return True
     return False
+
+
+def _exposed(key: Tuple[str, ...], keys: Tuple[Tuple[str, ...], ...], alphabet: frozenset) -> bool:
+    """True when some scan matches ``key`` and no more specific key of ``keys``."""
+    rank = len(key) - key.count(WILD)
+    above = [k for k in keys if len(k) - k.count(WILD) > rank and _unify(k, key) is not None]
+    return not _covered(key, above, alphabet)
 
 
 def _unify(a: Tuple[str, ...], b: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:

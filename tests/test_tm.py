@@ -153,6 +153,26 @@ def test_overlap_cover_must_name_every_symbol():
     assert not machine(["a", "b"]).deterministic
 
 
+def test_several_targets_count_only_where_no_specific_rule_overrides():
+    # The wildcard key has two targets, but a concrete rule for every tape
+    # symbol overrides it, so no scan reaches them.
+    def machine(named):
+        rules = [("q", "*", "q", "*", "L"), ("q", "*", "r", "*", "L")]
+        rules += [("q", x, "r", "*", "R") for x in named]
+        return make_machine(name="shadow", states=["q", "r"], initial="q",
+                            accept=["r"], input_alphabet=["a"],
+                            tape_alphabet=["a", "_"], tapes=1, rules=rules)
+
+    m = machine(["a", "_"])
+    assert m.deterministic
+    assert run(m, "a", fuel=10).tag == "Accept"
+    assert not machine(["a"]).deterministic
+    concrete = make_machine(name="dup", states=["q"], initial="q", accept=[],
+                            input_alphabet=["a"], tape_alphabet=["a", "_"], tapes=1,
+                            rules=[("q", "a", "q", "a", "R"), ("q", "a", "q", "a", "R")])
+    assert not concrete.deterministic
+
+
 def test_concrete_states_skip_the_overlap_check(monkeypatch):
     import churing.tm as tm
     from churing.formats import parse
