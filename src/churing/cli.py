@@ -197,9 +197,8 @@ def _cmd_run(args) -> int:
         return _outcome_exit(out.tag)
     if args.model == "prf":
         e = _load(args.file, "prf")
-        vals = [int(a) for a in (args.args or [])]
         try:
-            print(evaluate(e, vals, fuel))
+            print(evaluate(e, args.args or [], fuel))
             return EXIT_OK
         except FuelExhausted:
             print("FuelExhausted")
@@ -316,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("model", choices=["tm", "prf", "lam"])
     r.add_argument("file")
     r.add_argument("--input", help="input word (tm)")
-    r.add_argument("--args", nargs="*", help="numeric arguments (prf)")
+    r.add_argument("--args", nargs="*", type=int, help="numeric arguments (prf)")
     r.add_argument("--apply", help="terms to apply (lam)")
     r.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     r.add_argument("--trace", action="store_true")
@@ -366,7 +365,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except FuelExhausted as ex:
         print(f"fuel exhausted: {ex}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except FileNotFoundError as ex:
+    except OSError as ex:  # missing file, a directory, no permission
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR
 

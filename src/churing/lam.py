@@ -4,6 +4,30 @@ order reduction, Church numerals and the combinator library.
 Reduction strategy is leftmost-outermost throughout; ``normalize`` finds
 the normal form whenever one exists, so ``beta_eq`` verdicts are as
 strong as a fuel-bounded procedure can be.
+
+``substitute`` and ``beta_step`` are the small reference reducer: one
+leftmost-outermost contraction, done by copying the term.  ``normalize``
+performs the same contractions, in the same order, on a strong
+call-by-name environment machine (P. Cregut, "Strongly reducing variants
+of the Krivine abstract machine", HOSC 2007):
+
+- the term is converted once to de Bruijn indices; free variables keep
+  their names;
+- the machine runs closures (term, environment) against an explicit
+  argument stack, the environment a linked list.  An abstraction that meets
+  an argument is one contraction and binds it; an abstraction with no
+  argument is entered under a fresh neutral level;
+- an argument that is a variable is pushed as that variable's binding, not
+  as a closure over the variable, so no chain of variable closures builds
+  up (Omega would otherwise walk a chain as long as its run);
+- a neutral head (a level or a free name) has its arguments normalized
+  left to right from an explicit task stack, and the result is read back to
+  named terms, each binder named by its depth.
+
+There is no sharing: a closure is never updated in place, so an argument
+used twice is reduced twice, just as substitution copies it.  Sharing
+(call-by-need) would change the contraction count, and fuel counts
+leftmost-outermost contractions.
 """
 
 from __future__ import annotations
@@ -13,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import Fuel, FuelExhausted, NotANumeral, ValidationError
+from .errors import FuelExhausted, NotANumeral, ValidationError
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
@@ -101,13 +125,22 @@ def has_hole(t: Term) -> bool:
 
 
 def free_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.param}
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    return frozenset()
+    out = set()
+    bound: dict = {}  # name -> number of enclosing binders of that name
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if not bound.get(t.name):
+                out.add(t.name)
+        elif isinstance(t, App):
+            todo += (t.arg, t.fn)
+        elif isinstance(t, Abs):
+            bound[t.param] = bound.get(t.param, 0) + 1
+            todo += (t.param, t.body)  # the name marks leaving the binder
+        elif type(t) is str:
+            bound[t] -= 1
+    return frozenset(out)
 
 
 def bound_vars(t: Term) -> frozenset:
@@ -223,44 +256,146 @@ def is_normal_form(t: Term) -> bool:
 class NormalizeResult:
     term: Term
     normal: bool
+    contractions: int = 0  # contractions performed; the fuel when not normal
 
 
-def _whnf_shallow(t: Term, fuel: Fuel) -> Term:
-    # Head reduction loop used after a contraction re-exposes a spine.
-    while True:
-        if isinstance(t, App):
-            f = _whnf_shallow(t.fn, fuel)
-            if isinstance(f, Abs):
-                fuel.spend()
-                t = substitute(f.body, f.param, t.arg)
-                continue
-            return t if f is t.fn else App(f, t.arg)
-        return t
+# Marks an application to rebuild in the iterative traversals below.
+_APPLY = object()
+# The machine's code: an int is a bound variable (0 = innermost binder), a
+# str a free variable, (_ABS, body) an abstraction, (_APP, fn, arg) an
+# application.
+_ABS, _APP = 0, 1
+_CLOSE = object()  # read-back task: wrap the last result in its binder
 
 
-def _norm(t: Term, fuel: Fuel) -> Term:
-    # Normal order: reduce the head to whnf, then normalize spine left to
-    # right.  Performs contractions in exactly leftmost-outermost order,
-    # spending one unit per contraction, matching iterated beta_step.
-    t = _whnf_shallow(t, fuel)
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.param, _norm(t.body, fuel))
-    if isinstance(t, App):
-        return App(_norm(t.fn, fuel), _norm(t.arg, fuel))
-    raise ValidationError("cannot normalize a context hole")
+def _to_code(t: Term):
+    """De Bruijn code of a hole-free term, and its free variable names."""
+    scope: dict = {}  # name -> depth of its innermost binder
+    free = set()
+    out: list = []
+    todo: list = [t]
+    depth = 0
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is Var:
+            d = scope.get(t.name)
+            if d is None:
+                free.add(t.name)
+                out.append(t.name)
+            else:
+                out.append(depth - 1 - d)
+        elif tt is App:
+            todo += (_APPLY, t.arg, t.fn)
+        elif tt is Abs:
+            todo += ((t.param, scope.get(t.param)), t.body)
+            scope[t.param] = depth
+            depth += 1
+        elif t is _APPLY:
+            a = out.pop()
+            out[-1] = (_APP, out[-1], a)
+        elif tt is tuple:  # leaving a binder
+            name, outer = t
+            if outer is None:
+                del scope[name]
+            else:
+                scope[name] = outer
+            depth -= 1
+            out[-1] = (_ABS, out[-1])
+        else:
+            raise ValidationError("normalize expects a hole-free term")
+    return out[0], free
+
+
+def _run_machine(code, free: set, fuel: int):
+    """Normal form of the code and the fuel left; raises FuelExhausted when
+    a contraction is due and no fuel is left.
+
+    Values on the argument stack, in environments and on the task stack are
+    closures (code, env), neutral levels (int) and free names (str); an
+    environment is None or (value, next)."""
+    supply = (n for n in (f"x{i}" for i in itertools.count(1)) if n not in free)
+    binders: list = []  # (name, Var) of the binder at each depth
+    free_var = {name: Var(name) for name in free}
+    tasks: list = [(code, None)]
+    results: list = []
+    depth = 0
+    while tasks:
+        v = tasks.pop()
+        if v is _APPLY:
+            a = results.pop()
+            results[-1] = App(results[-1], a)
+            continue
+        if v is _CLOSE:
+            depth -= 1
+            results[-1] = Abs(binders[depth][0], results[-1])
+            continue
+        if type(v) is not tuple:
+            results.append(binders[v][1] if type(v) is int else free_var[v])
+            continue
+        t, env = v
+        stack: list = []
+        while True:
+            if type(t) is tuple:
+                if t[0]:  # application: push the argument
+                    a = t[2]
+                    if type(a) is int:  # the variable's binding itself
+                        e = env
+                        while a:
+                            e = e[1]
+                            a -= 1
+                        stack.append(e[0])
+                    elif type(a) is str:
+                        stack.append(a)
+                    else:
+                        stack.append((a, env))
+                    t = t[1]
+                elif stack:  # a redex: contract it by binding the argument
+                    if not fuel:
+                        raise FuelExhausted("budget exhausted")
+                    fuel -= 1
+                    env = (stack.pop(), env)
+                    t = t[1]
+                else:  # no argument: go under the binder
+                    if depth == len(binders):
+                        name = next(supply)
+                        binders.append((name, Var(name)))
+                    tasks.append(_CLOSE)
+                    env = (depth, env)
+                    depth += 1
+                    t = t[1]
+            elif type(t) is int:
+                e = env
+                while t:
+                    e = e[1]
+                    t -= 1
+                t = e[0]
+                if type(t) is tuple:
+                    t, env = t
+                else:
+                    head = binders[t][1] if type(t) is int else free_var[t]
+                    break
+            else:
+                head = free_var[t]
+                break
+        # a neutral head: normalize its arguments, first argument first
+        results.append(head)
+        for a in stack:
+            tasks += (_APPLY, a)
+    return results[0], fuel
 
 
 def normalize(t: Term, fuel: int = 10_000) -> NormalizeResult:
-    if has_hole(t):
-        raise ValidationError("normalize expects a hole-free term")
-    budget = Fuel(fuel + 1)
-    budget.spend()  # reserve so that exactly `fuel` contractions are allowed
+    """Leftmost-outermost normal form of t when it needs at most ``fuel``
+    contractions; otherwise t itself, marked not normal."""
+    code, free = _to_code(t)
+    if fuel < 0:
+        raise ValidationError("fuel must be non-negative")
     try:
-        return NormalizeResult(_norm(t, budget), True)
+        nf, left = _run_machine(code, free, fuel)
     except FuelExhausted:
-        return NormalizeResult(t, False)
+        return NormalizeResult(t, False, fuel)
+    return NormalizeResult(nf, True, fuel - left)
 
 
 EQUAL = "equal"
@@ -449,16 +584,29 @@ def canonical_binders(t: Term) -> Term:
             if cand not in fv:
                 return cand
 
-    def go(t: Term, env: dict) -> Term:
+    env: dict = {}  # name -> new name of its innermost binder
+    out: list = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
         if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, App):
-            return App(go(t.fn, env), go(t.arg, env))
-        if isinstance(t, Abs):
-            fresh = next_binder()
-            env2 = dict(env)
-            env2[t.param] = fresh
-            return Abs(fresh, go(t.body, env2))
-        return t
-
-    return go(t, {})
+            out.append(Var(env.get(t.name, t.name)))
+        elif isinstance(t, App):
+            todo += (_APPLY, t.arg, t.fn)
+        elif isinstance(t, Abs):
+            fresh = next_binder()  # numbered on entry: pre-order
+            todo += ((t.param, env.get(t.param), fresh), t.body)
+            env[t.param] = fresh
+        elif t is _APPLY:
+            a = out.pop()
+            out[-1] = App(out[-1], a)
+        elif type(t) is tuple:  # leaving a binder
+            name, outer, fresh = t
+            if outer is None:
+                del env[name]
+            else:
+                env[name] = outer
+            out[-1] = Abs(fresh, out[-1])
+        else:
+            out.append(t)
+    return out[0]

@@ -197,7 +197,7 @@ def _const_expr(n: int, k: int) -> PrfExpr:
     # built one by one: S(S(...Z_k...))
     e: PrfExpr = Zero(k)
     for _ in range(n):
-        e = Compose(Succ(), (e,)) if k != 1 else Compose(Succ(), (e,))
+        e = Compose(Succ(), (e,))
     return e
 
 

@@ -102,7 +102,7 @@ def recursion_gadget_check(which: str) -> dict:
 
     X, Y = Var("X"), Var("Y")
     n = church_encode
-    D, Q, R, T, P, I, S = (combinator(c) for c in "DQRTPIS")
+    D, Q, R, P = (combinator(c) for c in "DQRP")
     checks = []
     if which == "D":
         checks.append(("D X Y 0 = X", beta_eq(app(D, X, Y, n(0)), X)))
@@ -129,7 +129,6 @@ def recursion_gadget_check(which: str) -> dict:
     elif which == "P":
         zero_fn = lam(["z"], n(0))
         checks.append(("P X Y = Y when X Y = 0", beta_eq(app(P, zero_fn, Y), Y)))
-        one_fn = lam(["z"], n(1))
         # P X Y = P X (S Y) when X Y = m+1: compare one unfolding on a
         # concrete terminating search: X y = 1 - sg-like step never zero is
         # divergent, so instead use X = \z. D 1 0 z (zero exactly at 1)

@@ -75,6 +75,23 @@ def test_malformed_source_is_an_error(tmp_path):
     assert cli(["run", "tm", str(f), "--input", ""]) == 3
 
 
+def test_non_integer_argument_is_an_error(capsys):
+    assert cli(["run", "prf", _c("succ.prf"), "--args", "abc"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_is_an_error(capsys):
+    assert cli(["run", "prf", str(CORPUS)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_lam_deep_numeral(tmp_path, capsys):
+    f = tmp_path / "deep.lam"
+    f.write_text("def x = #100000\n")
+    assert cli(["run", "lam", str(f)]) == 0
+    assert capsys.readouterr().out.strip() == "#100000"
+
+
 def test_usage_error_exits_three():
     assert cli(["run", "nosuchmodel", "x"]) == 3
     assert cli(["frobnicate"]) == 3

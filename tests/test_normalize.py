@@ -1,0 +1,146 @@
+"""normalize against the reference reducer, iterated beta_step: the same
+contraction count and an alpha-equal normal form on generated terms, the
+lambda corpus and the compiled stdlib; fuel semantics; a flat cost per
+contraction."""
+
+import itertools
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from churing.errors import ValidationError
+from churing.formats import parse_lam
+from churing.lam import (
+    HOLE, Abs, App, NormalizeResult, Term, Var, alpha_eq, app, beta_step,
+    church_encode, combinator, normalize,
+)
+from churing.prf import Compose, Mu, Succ, Zero, arity_check, stdlib, stdlib_names
+from churing.prf_to_lam import compile_prf_to_lambda
+
+
+def _nodes(t: Term) -> int:
+    stack, n = [t], 0
+    while stack:
+        x = stack.pop()
+        n += 1
+        if isinstance(x, App):
+            stack += [x.fn, x.arg]
+        elif isinstance(x, Abs):
+            stack.append(x.body)
+    return n
+
+
+def check_against_reference(t: Term, cap: int = 2000, max_nodes: int = 20_000) -> int:
+    """Iterate beta_step from t.  If it reaches the normal form after n
+    contractions, normalize(t, n) must reach an alpha-equal one counting n
+    contractions, and normalize(t, n - 1) must not.  If it stops first (cap
+    contractions, or a term past max_nodes), normalize with that much fuel
+    must not reach a normal form.  Returns the contractions done."""
+    u, n = t, 0
+    while n < cap and _nodes(u) <= max_nodes:
+        nxt = beta_step(u)
+        if nxt is None:
+            r = normalize(t, n)
+            assert r.normal and r.contractions == n
+            assert alpha_eq(r.term, u)
+            if n:
+                assert not normalize(t, n - 1).normal
+            return n
+        u, n = nxt, n + 1
+    r = normalize(t, n)
+    assert not r.normal and r.contractions == n and r.term is t
+    return n
+
+
+# --- three sets of terms -----------------------------------------------
+
+_names = st.sampled_from(["x", "y", "z", "x1"])  # x1 is also a binder name of the machine
+_terms = st.recursive(
+    _names.map(Var),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub)),
+    max_leaves=14,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_terms)
+def test_generated_terms_match_reference(t):
+    check_against_reference(t)
+
+
+def test_corpus_terms_match_reference(corpus_dir):
+    defs = []
+    for p in sorted(corpus_dir.glob("*.lam")):
+        d = parse_lam(p.read_text())
+        defs += d.values() if isinstance(d, dict) else [d]
+    assert len(defs) >= 15
+    checked = sum(check_against_reference(t) for t in defs)
+    for a, b, c in itertools.product(defs, repeat=3):
+        checked += check_against_reference(app(a, b, c), cap=500)
+    assert checked > 10_000
+
+
+# Small arguments: iterated beta_step copies the whole term per step, so
+# larger ones take seconds each.
+_SMALL_ARGS = {1: [(0,), (1,), (2,)], 2: [(0, 0), (0, 1), (1, 0), (1, 1)]}
+_HEAVY = {"div", "divides", "exp", "extract", "mod", "prime"}
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_compiled_stdlib_matches_reference(name):
+    e = stdlib(name)
+    term = compile_prf_to_lambda(e)
+    args = _SMALL_ARGS[arity_check(e)]
+    if name in _HEAVY:
+        args = args[:1]
+    for a in args:
+        check_against_reference(app(term, *map(church_encode, a)), cap=5000)
+
+
+# --- fuel semantics ------------------------------------------------------
+
+def test_exhaustion_returns_the_input_term():
+    t = combinator("OMEGA")
+    r = normalize(t, 7)
+    assert r.term is t and not r.normal and r.contractions == 7
+
+
+def test_zero_fuel_and_negative_fuel():
+    i = combinator("I")
+    assert normalize(i, 0).normal
+    assert not normalize(App(i, i), 0).normal
+    with pytest.raises(ValidationError):
+        normalize(i, -1)
+
+
+def test_holes_are_refused():
+    with pytest.raises(ValidationError):
+        normalize(App(combinator("I"), HOLE))
+
+
+def test_two_argument_result_still_builds():
+    assert NormalizeResult(Var("x"), True).contractions == 0
+
+
+# --- flat cost per contraction --------------------------------------------
+# Bounds are loose: a normalizer whose cost per contraction grows with the
+# count (a chain of variable closures, or copying by substitution) misses
+# them by far.
+
+def test_omega_cost_is_flat():
+    start = time.perf_counter()
+    for fuel in (10 ** 3, 10 ** 4, 10 ** 5):  # a quadratic normalizer stops early
+        r = normalize(combinator("OMEGA"), fuel)
+        assert not r.normal and r.contractions == fuel
+        assert time.perf_counter() - start < 2.0
+
+
+def test_divergent_mu_cost_is_flat():
+    term = compile_prf_to_lambda(Mu(Compose(Succ(), (Zero(2),))))
+    applied = App(term, church_encode(2))
+    start = time.perf_counter()
+    for fuel in (10 ** 3, 10 ** 4):
+        r = normalize(applied, fuel)
+        assert not r.normal and r.contractions == fuel
+        assert time.perf_counter() - start < 0.5
