@@ -133,7 +133,10 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
             row["prf"] = evaluate(prf, pt, fuel)
         except (FuelExhausted, ChuringError):
             row["prf"] = None
-        got = run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape)
+        try:
+            got = run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape)
+        except ChuringError:  # e.g. the halted tape holds no numeral
+            got = None
         row["tm"] = got if isinstance(got, int) else None
         try:
             row["lam"] = _eval_lam(lam, pt, fuel)
@@ -372,3 +375,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -37,9 +37,9 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ParseError
-from .lam import Abs, App, Term, Var, canonical_binders, church_encode
-from .prf import (Compose, Mu, Named, PrimRec, Proj, Succ, Zero, arity_check,
-                  const, stdlib, stdlib_names)
+from .lam import Abs, App, Term, Var, church_encode, render
+from .prf import (Compose, Mu, Named, PrimRec, Proj, Succ, Zero, const, stdlib,
+                  stdlib_names)
 from .prf import PrfExpr
 from .tm import BLANK, MachineSpec, SEMI_INFINITE, TWO_WAY, make_machine
 from .transform import Dfa, Nfa
@@ -333,7 +333,6 @@ def parse_prf(text: str) -> Union[PrfExpr, Dict[str, PrfExpr]]:
         e = _parse_prf_term(ts, {})
         if ts.peek() is not None:
             raise ts.error("trailing tokens after term")
-        arity_check(e)
         return e
     env: Dict[str, PrfExpr] = {}
     while ts.peek() is not None:
@@ -343,7 +342,6 @@ def parse_prf(text: str) -> Union[PrfExpr, Dict[str, PrfExpr]]:
         if name in env:
             raise ts.error(f"duplicate definition of {name!r}")
         body = _parse_prf_term(ts, env)
-        arity_check(body)
         env[name] = _with_native(name, body)
     return env
 
@@ -471,30 +469,11 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
     return env
 
 
-def _print_lam_term(t: Term, ctx: str = "top") -> str:
-    # ctx: "top" needs no parens; "fn" is the left of an application
-    # (abstractions need parens); "arg" is the right (abs and apps need them).
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        params = []
-        while isinstance(t, Abs):
-            params.append(t.param)
-            t = t.body
-        s = "\\" + " ".join(params) + ". " + _print_lam_term(t, "top")
-        return s if ctx == "top" else f"({s})"
-    if isinstance(t, App):
-        s = _print_lam_term(t.fn, "fn") + " " + _print_lam_term(t.arg, "arg")
-        return s if ctx in ("top", "fn") else f"({s})"
-    raise ParseError(f"cannot print {t!r}", line=1, column=1)
-
-
 def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
     if isinstance(obj, dict):
-        lines = [f"def {name} = {_print_lam_term(canonical_binders(t))}"
-                 for name, t in obj.items()]
+        lines = [f"def {name} = {render(t)}" for name, t in obj.items()]
         return "\n".join(lines) + "\n"
-    return _print_lam_term(canonical_binders(obj)) + "\n"
+    return render(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------

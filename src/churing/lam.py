@@ -544,32 +544,48 @@ def render(t: Term) -> str:
     return _render(canonical_binders(t))
 
 
-def _render(t: Term, top: bool = True) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Hole):
-        return "[]"
-    if isinstance(t, Abs):
-        params = []
-        while isinstance(t, Abs):
-            params.append(t.param)
-            t = t.body
-        s = "\\" + " ".join(params) + ". " + _render(t)
-        return s if top else f"({s})"
-    # application spine, left associated
-    parts = []
-    cur = t
-    while isinstance(cur, App):
-        parts.append(cur.arg)
-        cur = cur.fn
-    parts.append(cur)
-    parts.reverse()
-    rendered = []
-    for i, p in enumerate(parts):
-        atom = isinstance(p, (Var, Hole))
-        head_app = i == 0 and isinstance(p, App)
-        rendered.append(_render(p, top=False) if (atom or head_app) else "(" + _render(p) + ")")
-    return " ".join(rendered)
+def _render(t: Term) -> str:
+    """Application spines are left associated; an abstraction at the head of
+    a spine and any non-atomic argument are parenthesized.  Iterative: each
+    term is printed in place, and what follows it waits on a stack of terms
+    and literal text."""
+    out: list = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        while True:
+            cls = type(t)
+            if cls is str:
+                out.append(t)
+            elif cls is Var:
+                out.append(t.name)
+            elif cls is Abs:
+                params = []
+                while type(t) is Abs:
+                    params.append(t.param)
+                    t = t.body
+                out.append("\\" + " ".join(params) + ". ")
+                continue
+            elif cls is App:
+                while type(t) is App:  # arguments pushed last one first
+                    a = t.arg
+                    if type(a) is Var:
+                        todo.append(" " + a.name)
+                    elif type(a) is Hole:
+                        todo.append(" []")
+                    else:
+                        todo += (")", a, " (")
+                    t = t.fn
+                if type(t) is Abs:
+                    out.append("(")
+                    todo.append(")")
+                continue
+            elif cls is Hole:
+                out.append("[]")
+            else:
+                raise ValidationError(f"cannot print {t!r}")
+            break
+    return "".join(out)
 
 
 def canonical_binders(t: Term) -> Term:

@@ -8,71 +8,109 @@ like 2^w * 3^q * 5^p, so this matters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import Fuel, GuardExceeded, ValidationError
+from .errors import Fuel, FuelExhausted, GuardExceeded, ValidationError
 
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Every node checks its own arity when it is built, from the arities its
+# children already hold, so a malformed expression cannot be constructed and
+# the check costs O(1) per node however much of the expression is shared.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrfExpr:
-    __slots__ = ()
-
-    @property
-    def arity(self) -> int:
-        return arity_check(self)
+    arity: int = field(init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+def _set_arity(e: PrfExpr, k: int) -> None:
+    object.__setattr__(e, "arity", k)
+
+
+@dataclass(frozen=True, slots=True)
 class Zero(PrfExpr):
     k: int
-    __slots__ = ("k",)
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValidationError(f"Zero arity must be >= 0, got {self.k}")
+        _set_arity(self, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Succ(PrfExpr):
-    __slots__ = ()
+    def __post_init__(self):
+        _set_arity(self, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj(PrfExpr):
     k: int
     i: int
-    __slots__ = ("k", "i")
+
+    def __post_init__(self):
+        if not 1 <= self.i <= self.k:
+            raise ValidationError(f"Proj({self.k},{self.i}): need 1 <= i <= k")
+        _set_arity(self, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compose(PrfExpr):
     g: PrfExpr
     hs: Tuple[PrfExpr, ...]
-    __slots__ = ("g", "hs")
 
     def __post_init__(self):
-        object.__setattr__(self, "hs", tuple(self.hs))
+        hs = tuple(self.hs)
+        object.__setattr__(self, "hs", hs)
+        ag = arity_check(self.g)
+        if ag != len(hs):
+            raise ValidationError(
+                f"Compose: outer function has arity {ag} but got {len(hs)} inner functions"
+            )
+        if not hs:
+            raise ValidationError("Compose needs at least one inner function")
+        arities = [arity_check(h) for h in hs]
+        if len(set(arities)) != 1:
+            raise ValidationError(f"Compose: inner arities differ: {arities}")
+        _set_arity(self, arities[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimRec(PrfExpr):
     """f(x, 0) = g(x); f(x, m+1) = h(x, m, f(x, m))."""
 
     g: PrfExpr
     h: PrfExpr
-    __slots__ = ("g", "h")
+
+    def __post_init__(self):
+        ag = arity_check(self.g)
+        ah = arity_check(self.h)
+        if ah != ag + 2:
+            raise ValidationError(
+                f"PrimRec: arity(h) = {ah} but must equal arity(g) + 2 = {ag + 2}"
+            )
+        _set_arity(self, ag + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mu(PrfExpr):
     """Least y with g(x, y) = 0 and g(x, d) defined-nonzero for d < y."""
 
     g: PrfExpr
-    __slots__ = ("g",)
+
+    def __post_init__(self):
+        ag = arity_check(self.g)
+        if ag < 1:
+            raise ValidationError("Mu: inner function needs arity >= 1")
+        _set_arity(self, ag - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Named(PrfExpr):
     """A derived function carrying its pure-constructor definition.
 
@@ -84,46 +122,15 @@ class Named(PrfExpr):
     definition: PrfExpr
     native: Optional[Callable] = field(default=None, compare=False)
 
+    def __post_init__(self):
+        _set_arity(self, arity_check(self.definition))
+
 
 def arity_check(e: PrfExpr) -> int:
-    """Arity of e, or ValidationError naming the offending subexpression."""
-    if isinstance(e, Zero):
-        if e.k < 0:
-            raise ValidationError(f"Zero arity must be >= 0, got {e.k}")
-        return e.k
-    if isinstance(e, Succ):
-        return 1
-    if isinstance(e, Proj):
-        if not 1 <= e.i <= e.k:
-            raise ValidationError(f"Proj({e.k},{e.i}): need 1 <= i <= k")
-        return e.k
-    if isinstance(e, Compose):
-        ag = arity_check(e.g)
-        if ag != len(e.hs):
-            raise ValidationError(
-                f"Compose: outer function has arity {ag} but got {len(e.hs)} inner functions"
-            )
-        if not e.hs:
-            raise ValidationError("Compose needs at least one inner function")
-        arities = [arity_check(h) for h in e.hs]
-        if len(set(arities)) != 1:
-            raise ValidationError(f"Compose: inner arities differ: {arities}")
-        return arities[0]
-    if isinstance(e, PrimRec):
-        ag = arity_check(e.g)
-        ah = arity_check(e.h)
-        if ah != ag + 2:
-            raise ValidationError(
-                f"PrimRec: arity(h) = {ah} but must equal arity(g) + 2 = {ag + 2}"
-            )
-        return ag + 1
-    if isinstance(e, Mu):
-        ag = arity_check(e.g)
-        if ag < 1:
-            raise ValidationError("Mu: inner function needs arity >= 1")
-        return ag - 1
-    if isinstance(e, Named):
-        return arity_check(e.definition)
+    """Arity of e, or ValidationError if e is not an expression node.  The
+    nodes check themselves when built, so this is a field read."""
+    if isinstance(e, PrfExpr):
+        return e.arity
     raise ValidationError(f"unknown node {e!r}")
 
 
@@ -154,39 +161,132 @@ def evaluate(e: PrfExpr, args: Sequence[int], fuel) -> int:
         raise ValidationError(f"arity mismatch: expected {k} args, got {len(args)}")
     if any(a < 0 for a in args):
         raise ValidationError("arguments must be naturals")
-    return _eval(e, tuple(args), fuel)
+    return _compile(e, fuel)(tuple(args))
 
 
-def _eval(e: PrfExpr, args: tuple, fuel: Fuel) -> int:
-    fuel.spend()
-    if isinstance(e, Zero):
-        return 0
-    if isinstance(e, Succ):
-        return args[0] + 1
-    if isinstance(e, Proj):
-        return args[e.i - 1]
-    if isinstance(e, Named):
-        if e.native is not None:
-            return e.native(*args)
-        return _eval(e.definition, args, fuel)
+def _children(e: PrfExpr) -> Tuple[PrfExpr, ...]:
     if isinstance(e, Compose):
-        inner = tuple(_eval(h, args, fuel) for h in e.hs)
-        return _eval(e.g, inner, fuel)
+        return (e.g,) + e.hs
     if isinstance(e, PrimRec):
-        xs, m = args[:-1], args[-1]
-        acc = _eval(e.g, xs, fuel)
-        for i in range(m):
-            acc = _eval(e.h, xs + (i, acc), fuel)
-        return acc
+        return (e.g, e.h)
     if isinstance(e, Mu):
-        xs = args
-        y = 0
-        while True:
-            fuel.spend()  # one unit per probe on top of the inner evaluation
-            if _eval(e.g, xs + (y,), fuel) == 0:
-                return y
-            y += 1
-    raise ValidationError(f"unknown node {e!r}")
+        return (e.g,)
+    if isinstance(e, Named) and e.native is None:
+        return (e.definition,)
+    return ()
+
+
+def _compile(root: PrfExpr, fuel: Fuel) -> Callable[[tuple], int]:
+    """One closure per distinct node reachable from root (children first, so
+    a shared subexpression is compiled once), each spending one unit of fuel
+    when called.  The closures live only as long as this evaluation."""
+    done = {}
+    todo = [root]
+    while todo:
+        e = todo[-1]
+        if id(e) in done:
+            todo.pop()
+            continue
+        pending = [c for c in _children(e) if id(c) not in done]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        done[id(e)] = _closure(e, [done[id(c)] for c in _children(e)], fuel)
+    return done[id(root)]
+
+
+def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
+    if isinstance(e, Zero):
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return 0
+    elif isinstance(e, Succ):
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return args[0] + 1
+    elif isinstance(e, Proj):
+        i = e.i - 1
+
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return args[i]
+    elif isinstance(e, Named) and e.native is not None:
+        native = e.native
+
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return native(*args)
+    elif isinstance(e, Named):
+        body, = kids
+
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return body(args)
+    elif isinstance(e, Compose):
+        g, hs = kids[0], tuple(kids[1:])
+        if len(hs) == 1:
+            h1, = hs
+
+            def run(args):
+                fuel.remaining -= 1
+                if fuel.remaining < 0:
+                    raise FuelExhausted("budget exhausted")
+                return g((h1(args),))
+        elif len(hs) == 2:
+            h1, h2 = hs
+
+            def run(args):
+                fuel.remaining -= 1
+                if fuel.remaining < 0:
+                    raise FuelExhausted("budget exhausted")
+                return g((h1(args), h2(args)))
+        else:
+            def run(args):
+                fuel.remaining -= 1
+                if fuel.remaining < 0:
+                    raise FuelExhausted("budget exhausted")
+                return g(tuple([h(args) for h in hs]))
+    elif isinstance(e, PrimRec):
+        g, h = kids
+
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            xs = args[:-1]
+            acc = g(xs)
+            for i in range(args[-1]):
+                acc = h(xs + (i, acc))
+            return acc
+    elif isinstance(e, Mu):
+        g, = kids
+
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            y = 0
+            while True:
+                fuel.remaining -= 1  # one unit per probe on top of the inner evaluation
+                if fuel.remaining < 0:
+                    raise FuelExhausted("budget exhausted")
+                if g(args + (y,)) == 0:
+                    return y
+                y += 1
+    else:
+        raise ValidationError(f"unknown node {e!r}")
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -205,75 +305,70 @@ def const(n: int, k: int = 1) -> PrfExpr:
     return Named(f"const{n}/{k}", _const_expr(n, k), native=lambda *xs, _n=n: _n)
 
 
-def _named(name, defn, native=None):
-    arity_check(defn)
-    return Named(name, defn, native=native)
-
-
 def _mk_add() -> Named:
     defn = PrimRec(Proj(1, 1), Compose(Succ(), (Proj(3, 3),)))
-    return _named("add", defn, native=lambda m, n: m + n)
+    return Named("add", defn, native=lambda m, n: m + n)
 
 
 def _mk_mul() -> Named:
-    add = _mk_add()
+    add = stdlib("add")
     defn = PrimRec(Zero(1), Compose(add, (Proj(3, 1), Proj(3, 3))))
-    return _named("mul", defn, native=lambda m, n: m * n)
+    return Named("mul", defn, native=lambda m, n: m * n)
 
 
 def _mk_exp() -> Named:
-    mul = _mk_mul()
+    mul = stdlib("mul")
     defn = PrimRec(const(1, 1), Compose(mul, (Proj(3, 1), Proj(3, 3))))
-    return _named("exp", defn, native=lambda m, n: m**n)
+    return Named("exp", defn, native=lambda m, n: m**n)
 
 
 def _mk_pred() -> Named:
     defn = PrimRec(Zero(0), Proj(2, 1))
-    return _named("pred", defn, native=lambda n: max(n - 1, 0))
+    return Named("pred", defn, native=lambda n: max(n - 1, 0))
 
 
 def _mk_sg() -> Named:
     defn = PrimRec(Zero(0), Compose(Succ(), (Zero(2),)))
-    return _named("sg", defn, native=lambda n: 1 if n else 0)
+    return Named("sg", defn, native=lambda n: 1 if n else 0)
 
 
 def _mk_monus() -> Named:
-    pred = _mk_pred()
+    pred = stdlib("pred")
     defn = PrimRec(Proj(1, 1), Compose(pred, (Proj(3, 3),)))
-    return _named("monus", defn, native=lambda m, n: max(m - n, 0))
+    return Named("monus", defn, native=lambda m, n: max(m - n, 0))
 
 
 def _mk_absdiff() -> Named:
-    add, monus = _mk_add(), _mk_monus()
+    add, monus = stdlib("add"), stdlib("monus")
     swapped = Compose(monus, (Proj(2, 2), Proj(2, 1)))
     defn = Compose(add, (monus, swapped))
-    return _named("absdiff", defn, native=lambda m, n: abs(m - n))
+    return Named("absdiff", defn, native=lambda m, n: abs(m - n))
 
 
 def _mk_eq() -> Named:
-    sg, monus, absdiff = _mk_sg(), _mk_monus(), _mk_absdiff()
+    sg, monus, absdiff = stdlib("sg"), stdlib("monus"), stdlib("absdiff")
     defn = Compose(monus, (const(1, 2), Compose(sg, (absdiff,))))
-    return _named("eq", defn, native=lambda m, n: 1 if m == n else 0)
+    return Named("eq", defn, native=lambda m, n: 1 if m == n else 0)
 
 
 def _mk_lt() -> Named:
-    sg, monus = _mk_sg(), _mk_monus()
+    sg, monus = stdlib("sg"), stdlib("monus")
     defn = Compose(sg, (Compose(monus, (Proj(2, 2), Proj(2, 1))),))
-    return _named("lt", defn, native=lambda m, n: 1 if m < n else 0)
+    return Named("lt", defn, native=lambda m, n: 1 if m < n else 0)
 
 
 def pnot(p: PrfExpr) -> PrfExpr:
     """1 - chi_P."""
     k = arity_check(p)
-    return Compose(_mk_monus(), (const(1, k), p))
+    return Compose(stdlib("monus"), (const(1, k), p))
 
 
 def pand(p: PrfExpr, q: PrfExpr) -> PrfExpr:
-    return Compose(_mk_mul(), (p, q))
+    return Compose(stdlib("mul"), (p, q))
 
 
 def por(p: PrfExpr, q: PrfExpr) -> PrfExpr:
-    return Compose(_mk_sg(), (Compose(_mk_add(), (p, q)),))
+    return Compose(stdlib("sg"), (Compose(stdlib("add"), (p, q)),))
 
 
 def bounded_sum(g: PrfExpr) -> PrfExpr:
@@ -282,7 +377,7 @@ def bounded_sum(g: PrfExpr) -> PrfExpr:
     k = kp1 - 1
     projs = tuple(Proj(k + 2, j) for j in range(1, k + 1))
     g_at_succ = Compose(g, projs + (Compose(Succ(), (Proj(k + 2, k + 1),)),))
-    h = Compose(_mk_add(), (Proj(k + 2, k + 2), g_at_succ))
+    h = Compose(stdlib("add"), (Proj(k + 2, k + 2), g_at_succ))
     return PrimRec(Zero(k), h)
 
 
@@ -291,7 +386,7 @@ def bounded_prod(g: PrfExpr) -> PrfExpr:
     k = kp1 - 1
     projs = tuple(Proj(k + 2, j) for j in range(1, k + 1))
     g_at_succ = Compose(g, projs + (Compose(Succ(), (Proj(k + 2, k + 1),)),))
-    h = Compose(_mk_mul(), (Proj(k + 2, k + 2), g_at_succ))
+    h = Compose(stdlib("mul"), (Proj(k + 2, k + 2), g_at_succ))
     return PrimRec(const(1, k) if k else const(1, 0), h)
 
 
@@ -304,7 +399,7 @@ def exists_le(r: PrfExpr) -> PrfExpr:
     """T(x, n) iff R(x, i) for some 1 <= i <= n: 1 - prod(1 - R)."""
     kp1 = arity_check(r)
     return Compose(
-        _mk_monus(), (const(1, kp1), bounded_prod(pnot(r)))
+        stdlib("monus"), (const(1, kp1), bounded_prod(pnot(r)))
     )
 
 
@@ -324,7 +419,7 @@ def cases(fs: Sequence[PrfExpr], rs: Sequence[PrfExpr]) -> PrfExpr:
     arities = {arity_check(e) for e in list(fs) + list(rs)}
     if len(arities) != 1:
         raise ValidationError(f"cases: arities differ: {sorted(arities)}")
-    add = _mk_add()
+    add = stdlib("add")
     terms = [pand(f, r) for f, r in zip(fs, rs)]
     out = terms[0]
     for t in terms[1:]:
@@ -347,7 +442,7 @@ def bounded_mu(r: PrfExpr) -> PrfExpr:
     r_at_succ_y = Compose(r, projs + (Compose(Succ(), (y_,)),))
     succ_y = Compose(Succ(), (y_,))
     h = Compose(
-        _mk_add(),
+        stdlib("add"),
         (
             pand(found_below, acc),
             pand(pand(pnot(found_below), r_at_succ_y), succ_y),
@@ -357,7 +452,7 @@ def bounded_mu(r: PrfExpr) -> PrfExpr:
 
 
 def _mk_divides() -> Named:
-    eq, mul = _mk_eq(), _mk_mul()
+    eq, mul = stdlib("eq"), stdlib("mul")
     # divides(d, m) = [m = 0] or exists 1 <= q <= m with q*d = m
     witness = Compose(eq, (Compose(mul, (Proj(3, 3), Proj(3, 1))), Proj(3, 2)))
     m_is_zero = Compose(eq, (Zero(2), Proj(2, 2)))
@@ -369,11 +464,11 @@ def _mk_divides() -> Named:
             return 1 if m == 0 else 0
         return 1 if m % d == 0 else 0
 
-    return _named("divides", defn, native=native)
+    return Named("divides", defn, native=native)
 
 
 def _mk_prime() -> Named:
-    lt, eq, divides = _mk_lt(), _mk_eq(), _mk_divides()
+    lt, eq, divides = stdlib("lt"), stdlib("eq"), stdlib("divides")
     # prime(n): n > 1 and every 1 <= d <= n dividing n is 1 or n
     d_ok = por(
         pnot(Compose(divides, (Proj(2, 2), Proj(2, 1)))),
@@ -387,30 +482,30 @@ def _mk_prime() -> Named:
             return 0
         return 1 if all(n % d for d in range(2, int(n**0.5) + 1)) else 0
 
-    return _named("prime", defn, native=native)
+    return Named("prime", defn, native=native)
 
 
 def _mk_div() -> Named:
     # floor division, with n // 0 = 0; the pure form is a bounded search
-    lt, mul = _mk_lt(), _mk_mul()
+    lt, mul = stdlib("lt"), stdlib("mul")
     # div(m, d) = mu q <= m [ m < (q+1)*d ]  (0 when d = 0 since m < 0*d fails)
     over = Compose(
         lt,
         (Proj(3, 1), Compose(mul, (Compose(Succ(), (Proj(3, 3),)), Proj(3, 2)))),
     )
     defn = Compose(bounded_mu(over), (Proj(2, 1), Proj(2, 2), Proj(2, 1)))
-    return _named("div", defn, native=lambda m, d: m // d if d else 0)
+    return Named("div", defn, native=lambda m, d: m // d if d else 0)
 
 
 def _mk_mod() -> Named:
-    monus, mul, div = _mk_monus(), _mk_mul(), _mk_div()
+    monus, mul, div = stdlib("monus"), stdlib("mul"), stdlib("div")
     defn = Compose(monus, (Proj(2, 1), Compose(mul, (div, Proj(2, 2)))))
-    return _named("mod", defn, native=lambda m, d: m % d if d else m)
+    return Named("mod", defn, native=lambda m, d: m % d if d else m)
 
 
 def _mk_extract() -> Named:
     """extract(p, m) = largest e with p^e | m (0 for degenerate inputs)."""
-    divides, ex = _mk_divides(), _mk_exp()
+    divides, ex = stdlib("divides"), stdlib("exp")
     # bounded mu over e <= m of NOT( p^(e+1) | m ), i.e. first e whose
     # successor power fails to divide
     p_pow = Compose(ex, (Proj(3, 1), Compose(Succ(), (Proj(3, 3),))))
@@ -426,19 +521,21 @@ def _mk_extract() -> Named:
             e += 1
         return e
 
-    return _named("extract", defn, native=native)
+    return Named("extract", defn, native=native)
 
 
 def _mk_pow2() -> Named:
-    return _named("pow2", Compose(_mk_exp(), (const(2, 1), Proj(1, 1))), native=lambda n: 2**n)
+    defn = Compose(stdlib("exp"), (const(2, 1), Proj(1, 1)))
+    return Named("pow2", defn, native=lambda n: 2**n)
 
 
 def _mk_pow3() -> Named:
-    return _named("pow3", Compose(_mk_exp(), (const(3, 1), Proj(1, 1))), native=lambda n: 3**n)
+    defn = Compose(stdlib("exp"), (const(3, 1), Proj(1, 1)))
+    return Named("pow3", defn, native=lambda n: 3**n)
 
 
 _BUILDERS = {
-    "id": lambda: _named("id", Proj(1, 1), native=lambda x: x),
+    "id": lambda: Named("id", Proj(1, 1), native=lambda x: x),
     "add": _mk_add,
     "mul": _mk_mul,
     "exp": _mk_exp,
@@ -458,7 +555,10 @@ _BUILDERS = {
 }
 
 
+@functools.cache
 def stdlib(name: str) -> PrfExpr:
+    """The library function of that name.  Nodes are immutable, so every
+    call, and every library definition that uses it, shares one tree."""
     try:
         return _BUILDERS[name]()
     except KeyError:

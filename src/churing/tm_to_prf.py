@@ -136,7 +136,7 @@ def machine_tables(m: MachineSpec) -> Dict[str, PrfExpr]:
     _check_source(m)
     idx, r = state_indices(m)
     entries = []  # (qi, si, action_val, write_digit, next_idx)
-    for state in m.states:
+    for state in idx:  # index order, so the output does not depend on set order
         if state in m.accept:
             continue  # halted: defaults apply
         for sym, si in _DIGIT.items():

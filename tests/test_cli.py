@@ -1,5 +1,8 @@
 """Exit-code contract and report formats of the command line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from churing.cli import cli
 
 CORPUS = Path(__file__).parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _c(name):
@@ -92,6 +96,16 @@ def test_run_lam_deep_numeral(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "#100000"
 
 
+def test_run_lam_deep_non_numeral(tmp_path, capsys):
+    # the normal form is 100000 applications of q deep; printing it needs
+    # no recursion
+    f = tmp_path / "deep.lam"
+    f.write_text("def x = #100000 q\n")
+    assert cli(["run", "lam", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("\\x1. q (q (q ") and out.endswith("x1" + ")" * 99999 + "\n")
+
+
 def test_usage_error_exits_three():
     assert cli(["run", "nosuchmodel", "x"]) == 3
     assert cli(["frobnicate"]) == 3
@@ -138,6 +152,21 @@ def test_compile_tm_to_prf(tmp_path, capsys):
     assert cli(["run", "prf", str(out), "--args", "2",
                 "--fuel", "100000000"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_compile_tm_to_prf_is_byte_stable(tmp_path):
+    # the text must not depend on the order of a set of states
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"succ-{seed}.prf"
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "churing.cli", "compile", "--from", "tm", "--to", "prf",
+             _c("succ.tm"), "-o", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
 
 
 def test_compile_lam_to_tm_suite(tmp_path, capsys):
@@ -204,6 +233,29 @@ def test_equiv_grid_counterexample(tmp_path, capsys):
     assert "counterexample: (0,)" in err
 
 
+def test_equiv_non_numeric_machine(capsys):
+    # flipper halts with tapes that are no unary numeral on some points;
+    # those cells are unknown, and the disagreement at 1 is still reported
+    assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("flipper.tm"),
+                "--lam", _c("combinators.lam"), "--grid", "0..2"]) == 1
+    captured = capsys.readouterr()
+    assert "2;tm;?" in captured.out.splitlines()
+    assert "counterexample: (1,)" in captured.err
+
+
 def test_equiv_bad_grid(tmp_path):
     assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("succ.tm"),
                 "--lam", _c("example_term.lam"), "--grid", "zap"]) == 3
+
+
+# --- python -m churing.cli ---------------------------------------------
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "churing.cli", "run", "prf", _c("succ.prf"), "--args", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "3\n")
+    proc = subprocess.run([sys.executable, "-m", "churing.cli", "check", "nosuchfile.prf"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
