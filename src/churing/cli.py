@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ChuringError, FuelExhausted, ParseError, ValidationError
+from .errors import ChuringError, FuelExhausted, NonEncodable, ParseError, ValidationError
 from .formats import parse, print_source
 from .lam import Term, app, church_decode, church_encode, normalize, render
 from .lam_to_tm import build_machine
@@ -135,7 +135,7 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
             row["prf"] = None
         try:
             got = run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape)
-        except ChuringError:  # e.g. the halted tape holds no numeral
+        except NonEncodable:  # the halted tape holds no numeral
             got = None
         row["tm"] = got if isinstance(got, int) else None
         try:

@@ -161,42 +161,16 @@ def evaluate(e: PrfExpr, args: Sequence[int], fuel) -> int:
         raise ValidationError(f"arity mismatch: expected {k} args, got {len(args)}")
     if any(a < 0 for a in args):
         raise ValidationError("arguments must be naturals")
-    return _compile(e, fuel)(tuple(args))
+    return _compile(e, fuel, {})(tuple(args))
 
 
-def _children(e: PrfExpr) -> Tuple[PrfExpr, ...]:
-    if isinstance(e, Compose):
-        return (e.g,) + e.hs
-    if isinstance(e, PrimRec):
-        return (e.g, e.h)
-    if isinstance(e, Mu):
-        return (e.g,)
-    if isinstance(e, Named) and e.native is None:
-        return (e.definition,)
-    return ()
-
-
-def _compile(root: PrfExpr, fuel: Fuel) -> Callable[[tuple], int]:
-    """One closure per distinct node reachable from root (children first, so
-    a shared subexpression is compiled once), each spending one unit of fuel
-    when called.  The closures live only as long as this evaluation."""
-    done = {}
-    todo = [root]
-    while todo:
-        e = todo[-1]
-        if id(e) in done:
-            todo.pop()
-            continue
-        pending = [c for c in _children(e) if id(c) not in done]
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
-        done[id(e)] = _closure(e, [done[id(c)] for c in _children(e)], fuel)
-    return done[id(root)]
-
-
-def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
+def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
+    """The closure for e, each spending one unit of fuel when called.  ``done``
+    maps id(node) to its closure, so a shared subexpression is compiled once;
+    the closures live only as long as this evaluation."""
+    run = done.get(id(e))
+    if run is not None:
+        return run
     if isinstance(e, Zero):
         def run(args):
             fuel.remaining -= 1
@@ -226,7 +200,7 @@ def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
                 raise FuelExhausted("budget exhausted")
             return native(*args)
     elif isinstance(e, Named):
-        body, = kids
+        body = _compile(e.definition, fuel, done)
 
         def run(args):
             fuel.remaining -= 1
@@ -234,31 +208,16 @@ def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
                 raise FuelExhausted("budget exhausted")
             return body(args)
     elif isinstance(e, Compose):
-        g, hs = kids[0], tuple(kids[1:])
-        if len(hs) == 1:
-            h1, = hs
+        g = _compile(e.g, fuel, done)
+        hs = tuple(_compile(h, fuel, done) for h in e.hs)
 
-            def run(args):
-                fuel.remaining -= 1
-                if fuel.remaining < 0:
-                    raise FuelExhausted("budget exhausted")
-                return g((h1(args),))
-        elif len(hs) == 2:
-            h1, h2 = hs
-
-            def run(args):
-                fuel.remaining -= 1
-                if fuel.remaining < 0:
-                    raise FuelExhausted("budget exhausted")
-                return g((h1(args), h2(args)))
-        else:
-            def run(args):
-                fuel.remaining -= 1
-                if fuel.remaining < 0:
-                    raise FuelExhausted("budget exhausted")
-                return g(tuple([h(args) for h in hs]))
+        def run(args):
+            fuel.remaining -= 1
+            if fuel.remaining < 0:
+                raise FuelExhausted("budget exhausted")
+            return g(tuple([h(args) for h in hs]))
     elif isinstance(e, PrimRec):
-        g, h = kids
+        g, h = _compile(e.g, fuel, done), _compile(e.h, fuel, done)
 
         def run(args):
             fuel.remaining -= 1
@@ -270,7 +229,7 @@ def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
                 acc = h(xs + (i, acc))
             return acc
     elif isinstance(e, Mu):
-        g, = kids
+        g = _compile(e.g, fuel, done)
 
         def run(args):
             fuel.remaining -= 1
@@ -286,6 +245,7 @@ def _closure(e: PrfExpr, kids: list, fuel: Fuel) -> Callable[[tuple], int]:
                 y += 1
     else:
         raise ValidationError(f"unknown node {e!r}")
+    done[id(e)] = run
     return run
 
 

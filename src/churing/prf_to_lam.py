@@ -36,9 +36,7 @@ def _binders(base: str, n: int) -> List[str]:
 
 
 def compile_prf_to_lambda(e: PrfExpr) -> Term:
-    e = expand(e)
-    arity_check(e)
-    return _compile(e)
+    return _compile(expand(e))
 
 
 def _compile(e: PrfExpr) -> Term:

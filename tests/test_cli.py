@@ -243,6 +243,15 @@ def test_equiv_non_numeric_machine(capsys):
     assert "counterexample: (1,)" in captured.err
 
 
+def test_equiv_machine_with_too_few_tapes(tmp_path):
+    # a binary function cannot be run on a one-tape machine: a usage error,
+    # not a grid of unknown cells that could read as agreement
+    f = tmp_path / "add.prf"
+    f.write_text("R (P 1 1, C S (P 3 3))\n")
+    assert cli(["equiv", "--prf", str(f), "--tm", _c("succ.tm"),
+                "--lam", _c("example_term.lam"), "--grid", "0..1"]) == 3
+
+
 def test_equiv_bad_grid(tmp_path):
     assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("succ.tm"),
                 "--lam", _c("example_term.lam"), "--grid", "zap"]) == 3
