@@ -46,32 +46,63 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term:
+    """A term compares and hashes by structure, walking it with an explicit
+    stack, so a term too deep for recursion (a large Church numeral) works."""
+
     __slots__ = ()
 
+    def _preorder(self) -> list:
+        """The nodes in pre-order: a variable's name, 1 and the parameter for
+        an abstraction, 2 for an application, 3 for a hole."""
+        out: list = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            cls = type(t)
+            if cls is Var:
+                out.append(t.name)
+            elif cls is App:
+                out.append(2)
+                todo += (t.arg, t.fn)
+            elif cls is Abs:
+                out += (1, t.param)
+                todo.append(t.body)
+            else:
+                out.append(3)
+        return out
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
     __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Abs(Term):
     param: str
     body: Term
     __slots__ = ("param", "body")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     fn: Term
     arg: Term
     __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hole(Term):
     """Context hole.  Only legal inside contexts, never in reducible terms."""
 
@@ -590,7 +621,11 @@ def _render(t: Term) -> str:
 
 def canonical_binders(t: Term) -> Term:
     """Rename every binder to x1, x2, ... in traversal order, avoiding the
-    free variables; alpha-equal terms print identically."""
+    free variables; alpha-equal terms print identically.
+
+    Afterwards every binder has its own name and none is a free variable,
+    so substituting a subterm textually captures nothing: the machine BR1
+    (`lam_to_tm.br1_on_tm`, `lam_to_tm.reduce_on_tm`) relies on this."""
     fv = free_vars(t)
     counter = itertools.count(1)
 

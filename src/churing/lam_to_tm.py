@@ -19,16 +19,15 @@ separates list entries, and ``@`` marks a context hole.
          verdict 0/1 on tape 2
     BR1  contract the leftmost redex once (input tape 1, result tape 5)
 
-`reduce_on_tm` drives NF and BR1 in a loop, refreshing bound variables on the
-host between machine runs so BR1's textual substitution is capture-free.
+`reduce_on_tm` drives NF and BR1 in a loop, renaming bound variables apart on
+the host between machine runs so BR1's textual substitution is capture-free.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FuelExhausted, ValidationError, WireParseError
-from .lam import Abs, App, Hole, Term, Var, free_vars, fresh_name
-from .tm import BLANK, MachineSpec, Outcome, make_machine, run
+from .lam import Abs, App, Hole, Term, Var, canonical_binders
+from .tm import BLANK, MachineSpec, Outcome, Rules, run
 
 # Wire glyphs.  MARK is the rewind anchor planted at cell 0 of work tapes,
 # DOT_V / DOT_P are "remembered position" variants of v and (.
@@ -147,43 +146,10 @@ def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
     return t
 
 
-# ---------------------------------------------------------------------------
-# Rule builder shared by the machine suite
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Suite:
-    """Accumulates sparse wildcard rules and assembles a MachineSpec."""
-
-    tapes: int
-    extra_symbols: Tuple[str, ...] = ()
-    rules: List[tuple] = field(default_factory=list)
-
-    def rule(self, state, reads: dict, nxt, writes: dict = None, moves: dict = None):
-        """Add one rule; reads/writes/moves map 1-based tape -> symbol/move."""
-        writes = writes or {}
-        moves = moves or {}
-        rd = tuple(reads.get(i, "*") for i in range(1, self.tapes + 1))
-        wr = tuple(writes.get(i, "*") for i in range(1, self.tapes + 1))
-        mv = tuple(moves.get(i, "S") for i in range(1, self.tapes + 1))
-        self.rules.append((state, rd, nxt, wr, mv))
-
-    def build(self, name: str, initial: str, accept) -> MachineSpec:
-        alphabet = frozenset(WIRE_SYMBOLS) | frozenset(self.extra_symbols) | {BLANK}
-        states = {initial, *accept}
-        for state, _, nxt, _, _ in self.rules:
-            states.add(state)
-            states.add(nxt)
-        return make_machine(
-            name=name,
-            states=states,
-            rules=self.rules,
-            initial=initial,
-            accept=accept,
-            tapes=self.tapes,
-            input_alphabet=frozenset(WIRE_SYMBOLS),
-            tape_alphabet=alphabet,
-        )
+def _wire_machine(b: Rules, name: str, initial: str, *extra: str) -> MachineSpec:
+    """A suite machine: input over the wire glyphs, tapes over those, the
+    blank and ``extra``, accepting in ``acc``."""
+    return b.machine(name, initial, {"acc"}, WIRE_SYMBOLS, {*WIRE_SYMBOLS, BLANK, *extra})
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +157,7 @@ class _Suite:
 # ---------------------------------------------------------------------------
 
 def _v_machine() -> MachineSpec:
-    b = _Suite(tapes=2, extra_symbols=(MARK, DOT_V))
+    b = Rules()
     R, L = "R", "L"
     # init: anchor tape 2.
     b.rule("init", {}, "scan", writes={2: MARK}, moves={2: R})
@@ -201,8 +167,7 @@ def _v_machine() -> MachineSpec:
     b.rule("scan", {1: BLANK}, "fin")
     b.rule("scan", {}, "scan", moves={1: R})
     # rewind the list tape to its anchor.
-    b.rule("rw2", {2: MARK}, "entry", moves={2: R})
-    b.rule("rw2", {}, "rw2", moves={2: L})
+    b.rewind(2, MARK, "rw2", "entry")
     # entry: at the start of a list entry (or the blank past the last one).
     b.rule("entry", {2: VAR}, "cmp", moves={2: R})
     b.rule("entry", {2: BLANK}, "ap_rewind")
@@ -212,8 +177,7 @@ def _v_machine() -> MachineSpec:
     b.rule("cmp", {2: SEP}, "found")               # both ended: match
     b.rule("cmp", {2: BAR}, "sk_rewind")           # entry longer
     # mismatch: rewind tape 1 to the marked v, skip tape 2 to the next entry.
-    b.rule("sk_rewind", {1: DOT_V}, "sk_next", moves={1: R})
-    b.rule("sk_rewind", {}, "sk_rewind", moves={1: L})
+    b.rewind(1, DOT_V, "sk_rewind", "sk_next")
     b.rule("sk_next", {2: SEP}, "entry", moves={2: R})
     b.rule("sk_next", {}, "sk_next", moves={2: R})
     # append: rewind tape 1, copy v + bars to the list, close with '#'.
@@ -229,7 +193,7 @@ def _v_machine() -> MachineSpec:
     # finish: blank out the anchor so tape 2 holds exactly the list.
     b.rule("fin", {2: MARK}, "acc", writes={2: BLANK})
     b.rule("fin", {}, "fin", moves={2: L})
-    return b.build("V", "init", ["acc"])
+    return _wire_machine(b, "V", "init", MARK, DOT_V)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +201,7 @@ def _v_machine() -> MachineSpec:
 # ---------------------------------------------------------------------------
 
 def _cf_machine() -> MachineSpec:
-    b = _Suite(tapes=3, extra_symbols=(DOT_P, DOT_V))
+    b = Rules()
     R, L = "R", "L"
     # init: dot the filler's first cell so it can be rewound (a term starts
     # with '(' or 'v').
@@ -263,7 +227,7 @@ def _cf_machine() -> MachineSpec:
     b.rule("fin", {2: DOT_P}, "acc", writes={2: LP})
     b.rule("fin", {2: DOT_V}, "acc", writes={2: VAR})
     b.rule("fin", {}, "fin", moves={2: L})
-    return b.build("CF", "init", ["acc"])
+    return _wire_machine(b, "CF", "init", DOT_P, DOT_V)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +235,7 @@ def _cf_machine() -> MachineSpec:
 # ---------------------------------------------------------------------------
 
 def _cbv_machine() -> MachineSpec:
-    b = _Suite(tapes=5, extra_symbols=(DOT_V,))
+    b = Rules()
     R, L = "R", "L"
     # init: dot the first cell of x and y (both are single variables).
     b.rule("i1", {1: VAR}, "i2", writes={1: DOT_V})
@@ -295,8 +259,7 @@ def _cbv_machine() -> MachineSpec:
         if s != VAR:
             b.rule("body", {4: s}, "body", writes={5: s}, moves={4: R, 5: R})
     # compare the marked body variable with x (tape 1).
-    b.rule("x_rw", {1: DOT_V}, "x_cmp", moves={1: R})
-    b.rule("x_rw", {}, "x_rw", moves={1: L})
+    b.rewind(1, DOT_V, "x_rw", "x_cmp")
     b.rule("x_cmp", {1: BAR, 4: BAR}, "x_cmp", moves={1: R, 4: R})
     b.rule("x_cmp", {1: BAR}, "mm_rw")      # x longer: mismatch
     b.rule("x_cmp", {4: BAR}, "mm_rw")      # x shorter: mismatch
@@ -322,7 +285,7 @@ def _cbv_machine() -> MachineSpec:
     b.rule("fin1", {}, "fin1", moves={1: L})
     b.rule("fin2", {2: DOT_V}, "acc", writes={2: VAR})
     b.rule("fin2", {}, "fin2", moves={2: L})
-    return b.build("CBV", "i1", ["acc"])
+    return _wire_machine(b, "CBV", "i1", DOT_V)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +295,12 @@ def _cbv_machine() -> MachineSpec:
 def _ae_machine() -> MachineSpec:
     # render_with_names numbers binders canonically, so literal equality of
     # rendered wires decides alpha-equivalence of the underlying terms.
-    b = _Suite(tapes=3)
+    b = Rules()
     for s in WIRE_SYMBOLS:
         b.rule("a0", {1: s, 2: s}, "a0", moves={1: "R", 2: "R"})
     b.rule("a0", {1: BLANK, 2: BLANK}, "acc", writes={3: "1"})
     b.rule("a0", {}, "acc", writes={3: "0"})
-    b.extra_symbols = ("0", "1")
-    return b.build("AE", "a0", ["acc"])
+    return _wire_machine(b, "AE", "a0", "0", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +309,14 @@ def _ae_machine() -> MachineSpec:
 
 def _nf_machine() -> MachineSpec:
     # A wire contains a redex iff it contains the substring "((L".
-    b = _Suite(tapes=2, extra_symbols=("0", "1"))
+    b = Rules()
     R = "R"
     for state, on_lp in (("n0", "n1"), ("n1", "n2"), ("n2", "n2")):
         b.rule(state, {1: LP}, on_lp, moves={1: R})
         b.rule(state, {1: BLANK}, "acc", writes={2: "1"})
         b.rule(state, {}, "n0", moves={1: R})
     b.rule("n2", {1: LAM}, "acc", writes={2: "0"})
-    return b.build("NF", "n0", ["acc"])
+    return _wire_machine(b, "NF", "n0", "0", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +329,9 @@ def _br1_machine() -> MachineSpec:
     Tapes: 1 input, 2 function body with holes for the bound variable,
     3 argument, 4 binder bars, 5 result, 6 unary parenthesis-depth counter.
     The input must have all-distinct binders disjoint from its free
-    variables; the host freshening pass in reduce_on_tm guarantees that.
+    variables; `canonical_binders`, run on the host first, guarantees that.
     """
-    b = _Suite(tapes=6, extra_symbols=(MARK, DOT_V))
+    b = Rules()
     R, L = "R", "L"
     b.rule("init", {}, "s0",
            writes={i: MARK for i in (2, 3, 4, 5, 6)},
@@ -399,8 +361,7 @@ def _br1_machine() -> MachineSpec:
     for s in (LAM, DOT):
         b.rule("mcopy", {1: s}, "mcopy", writes={2: s}, moves={1: R, 2: R})
     # compare the marked variable with the binder on tape 4.
-    b.rule("v_rw", {4: MARK}, "v_cmp", moves={4: R})
-    b.rule("v_rw", {}, "v_rw", moves={4: L})
+    b.rewind(4, MARK, "v_rw", "v_cmp")
     b.rule("v_cmp", {1: BAR, 4: BAR}, "v_cmp", moves={1: R, 4: R})
     b.rule("v_cmp", {1: BAR}, "v_mm")
     b.rule("v_cmp", {4: BAR}, "v_mm")
@@ -427,15 +388,13 @@ def _br1_machine() -> MachineSpec:
     # n_end: tape 1 sits on the ')' that closes the redex; skip it.
     b.rule("n_end", {1: RP}, "f_rw2", moves={1: R})
     # -- fill: result += M with each hole replaced by N --
-    b.rule("f_rw2", {2: MARK}, "fill", moves={2: R})
-    b.rule("f_rw2", {}, "f_rw2", moves={2: L})
+    b.rewind(2, MARK, "f_rw2", "fill")
     b.rule("fill", {2: HOLE_GLYPH}, "f_rw3")
     b.rule("fill", {2: BLANK}, "sfx")
     for s in WIRE_SYMBOLS:
         if s != HOLE_GLYPH:
             b.rule("fill", {2: s}, "fill", writes={5: s}, moves={2: R, 5: R})
-    b.rule("f_rw3", {3: MARK}, "f_arg", moves={3: R})
-    b.rule("f_rw3", {}, "f_rw3", moves={3: L})
+    b.rewind(3, MARK, "f_rw3", "f_arg")
     b.rule("f_arg", {3: BLANK}, "fill", moves={2: R})
     for s in WIRE_SYMBOLS:
         b.rule("f_arg", {3: s}, "f_arg", writes={5: s}, moves={3: R, 5: R})
@@ -445,53 +404,24 @@ def _br1_machine() -> MachineSpec:
         b.rule("sfx", {1: s}, "sfx", writes={5: s}, moves={1: R, 5: R})
     b.rule("fin", {5: MARK}, "acc", writes={5: BLANK})
     b.rule("fin", {}, "fin", moves={5: L})
-    return b.build("BR1", "init", ["acc"])
+    return _wire_machine(b, "BR1", "init", MARK, DOT_V)
 
 
-_BUILDERS = {
-    "V": _v_machine,
-    "CF": _cf_machine,
-    "CBV": _cbv_machine,
-    "AE": _ae_machine,
-    "NF": _nf_machine,
-    "BR1": _br1_machine,
-}
+SUITE = ("V", "CF", "CBV", "AE", "NF", "BR1")
+_BUILDERS = dict(zip(SUITE, (_v_machine, _cf_machine, _cbv_machine, _ae_machine,
+                             _nf_machine, _br1_machine)))
 
 
 def build_machine(name: str) -> MachineSpec:
-    """Machine suite entry point; name is one of V, CF, CBV, AE, NF, BR1."""
+    """Machine suite entry point; name is one of `SUITE`."""
     if name not in _BUILDERS:
-        raise ValidationError(f"unknown machine {name!r}; choose from {sorted(_BUILDERS)}")
+        raise ValidationError(f"unknown machine {name!r}; choose from {sorted(SUITE)}")
     return _BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------
 # Driving the machines from the host
 # ---------------------------------------------------------------------------
-
-def freshen(t: Term) -> Term:
-    """Rename every binder to a globally fresh name.
-
-    Afterwards the bound variables are all distinct and disjoint from the
-    free variables, which is what BR1's textual substitution requires.
-    """
-    avoid = set(free_vars(t))
-
-    def go(t: Term, env: dict) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, App):
-            return App(go(t.fn, env), go(t.arg, env))
-        if isinstance(t, Abs):
-            nb = fresh_name("b", avoid)
-            avoid.add(nb)
-            env2 = dict(env)
-            env2[t.param] = nb
-            return Abs(nb, go(t.body, env2))
-        return t
-
-    return go(t, {})
-
 
 def _run_wire(spec: MachineSpec, word: str, fuel: int) -> Outcome:
     out = run(spec, word, fuel=fuel)
@@ -511,10 +441,11 @@ def nf_on_tm(t: Term, fuel: int = 1_000_000) -> bool:
 def br1_on_tm(t: Term, fuel: int = 1_000_000) -> Term:
     """One leftmost contraction of t, computed by the BR1 machine.
 
-    t is freshened first; the result is alpha-equal to beta_step(t) when t
-    has a redex, and alpha-equal to t otherwise.
+    t's binders are renamed apart first (`canonical_binders`); the result
+    is alpha-equal to beta_step(t) when t has a redex, and alpha-equal to t
+    otherwise.
     """
-    wire, names = render_with_names(freshen(t))
+    wire, names = render_with_names(canonical_binders(t))
     out = _run_wire(build_machine("BR1"), wire, fuel)
     return parse_wire(out.final.tapes[4].content(), names)
 
@@ -523,15 +454,16 @@ def reduce_on_tm(t: Term, fuel: int = 200,
                  machine_fuel: int = 2_000_000) -> Term:
     """Normalize t by iterating the NF and BR1 machines.
 
-    Each round freshens the binders on the host, asks NF whether the wire is
-    normal, and if not lets BR1 contract the leftmost redex.  fuel bounds the
+    Each round renames the binders apart on the host (`canonical_binders`),
+    asks NF whether the wire is normal, and if not lets BR1 contract the
+    leftmost redex.  fuel bounds the
     number of contractions; exceeding it raises FuelExhausted.
     """
     nfm = build_machine("NF")
     br = build_machine("BR1")
     cur = t
     for _ in range(fuel + 1):
-        cur = freshen(cur)
+        cur = canonical_binders(cur)
         wire, names = render_with_names(cur)
         out = _run_wire(nfm, wire, machine_fuel)
         if out.final.tapes[1].content() == "1":

@@ -120,10 +120,6 @@ def recursion_gadget_check(which: str) -> dict:
             lhs = app(R, X, Y, n(m + 1))
             rhs = app(Y, n(m), app(R, X, Y, n(m)))
             checks.append((f"R X Y {m+1} = Y {m} (R X Y {m})", beta_eq(lhs, rhs)))
-    elif which == "T":
-        # T underpins P; check through P's two laws with concrete X
-        zero_fn = lam(["z"], n(0))
-        checks.append(("P (K 0) Y = Y", beta_eq(app(P, zero_fn, Y), Y)))
     elif which == "P":
         zero_fn = lam(["z"], n(0))
         checks.append(("P X Y = Y when X Y = 0", beta_eq(app(P, zero_fn, Y), Y)))

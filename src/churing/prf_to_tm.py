@@ -13,14 +13,15 @@ translator requires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from .errors import ValidationError
 from .prf import Compose, Mu, PrfExpr, PrimRec, Proj, Succ, Zero, arity_check, expand
-from .tm import BLANK, WILD, MachineSpec, validate_machine
+from .tm import BLANK, MachineSpec, Rules
 
 MARK = "^"
+_UNARY = frozenset({"0", "1"})
 MAX_TAPES = 16
 
 
@@ -33,40 +34,19 @@ class NumericLayout:
 
 
 # ---------------------------------------------------------------------------
-# Rule builder over sparse per-tape actions
+# Unary gadgets over the sparse rule builder
 
 
-class _Builder:
-    def __init__(self):
-        self.rules: List[tuple] = []  # (state, reads, nxt, writes, moves) sparse dicts
-        self.n = 0
-        self.max_tape = 0
-
-    def fresh(self) -> str:
-        self.n += 1
-        return f"g{self.n}"
-
-    def note_tape(self, *ts: int):
-        for t in ts:
-            self.max_tape = max(self.max_tape, t)
-
-    def rule(self, state, reads: dict, nxt, writes: dict = None, moves: dict = None):
-        self.rules.append((state, dict(reads), nxt, dict(writes or {}), dict(moves or {})))
-
-    # -- gadgets; each wires entry -> exit and keeps heads at cell 1 --------
-
-    def rewind(self, t: int, entry: str, exit_: str):
-        self.note_tape(t)
-        self.rule(entry, {t: MARK}, exit_, {}, {t: "R"})
-        self.rule(entry, {}, entry, {}, {t: "L"})
+class _Builder(Rules):
+    """Gadgets; each wires entry -> exit and keeps heads at cell 1."""
 
     def erase(self, t: int, entry: str, exit_: str):
         sweep, back = self.fresh(), self.fresh()
-        self.rewind(t, entry, sweep)
+        self.rewind(t, MARK, entry, sweep)
         for s in ("0", "1"):
             self.rule(sweep, {t: s}, sweep, {t: BLANK}, {t: "R"})
         self.rule(sweep, {t: BLANK}, back, {}, {})
-        self.rewind(t, back, exit_)
+        self.rewind(t, MARK, back, exit_)
 
     def write_zero(self, t: int, entry: str, exit_: str):
         put = self.fresh()
@@ -75,28 +55,28 @@ class _Builder:
 
     def append_one(self, t: int, entry: str, exit_: str):
         look, scan, back = self.fresh(), self.fresh(), self.fresh()
-        self.rewind(t, entry, look)
+        self.rewind(t, MARK, entry, look)
         self.rule(look, {t: "0"}, exit_, {t: "1"}, {})
         self.rule(look, {t: BLANK}, exit_, {t: "1"}, {})
         self.rule(look, {t: "1"}, scan, {}, {t: "R"})
         self.rule(scan, {t: "1"}, scan, {}, {t: "R"})
         self.rule(scan, {t: BLANK}, back, {t: "1"}, {})
-        self.rewind(t, back, exit_)
+        self.rewind(t, MARK, back, exit_)
 
     def copy(self, src: int, dst: int, entry: str, exit_: str):
         pre, loop, back1, back2 = (self.fresh() for _ in range(4))
         self.erase(dst, entry, pre)
-        self.rewind(src, pre, loop)
+        self.rewind(src, MARK, pre, loop)
         for s in ("0", "1"):
             self.rule(loop, {src: s}, loop, {dst: s}, {src: "R", dst: "R"})
         self.rule(loop, {src: BLANK}, back1, {}, {})
-        self.rewind(src, back1, back2)
-        self.rewind(dst, back2, exit_)
+        self.rewind(src, MARK, back1, back2)
+        self.rewind(dst, MARK, back2, exit_)
 
     def equal(self, a: int, b: int, entry: str, eq_exit: str, ne_exit: str):
         cmp_, ready = self.fresh(), self.fresh()
-        self.rewind(a, entry, ready)
-        self.rewind(b, ready, cmp_)
+        self.rewind(a, MARK, entry, ready)
+        self.rewind(b, MARK, ready, cmp_)
         eq1, eq2 = self.fresh(), self.fresh()
         ne1, ne2 = self.fresh(), self.fresh()
         self.rule(cmp_, {a: "1", b: "1"}, cmp_, {}, {a: "R", b: "R"})
@@ -105,14 +85,14 @@ class _Builder:
         for ra, rb in [("0", "1"), ("1", "0"), ("0", BLANK), (BLANK, "0"),
                        ("1", BLANK), (BLANK, "1")]:
             self.rule(cmp_, {a: ra, b: rb}, ne1, {}, {})
-        self.rewind(a, eq1, eq2)
-        self.rewind(b, eq2, eq_exit)
-        self.rewind(a, ne1, ne2)
-        self.rewind(b, ne2, ne_exit)
+        self.rewind(a, MARK, eq1, eq2)
+        self.rewind(b, MARK, eq2, eq_exit)
+        self.rewind(a, MARK, ne1, ne2)
+        self.rewind(b, MARK, ne2, ne_exit)
 
     def is_zero(self, t: int, entry: str, zero_exit: str, nonzero_exit: str):
         look = self.fresh()
-        self.rewind(t, entry, look)
+        self.rewind(t, MARK, entry, look)
         self.rule(look, {t: "0"}, zero_exit, {}, {})
         self.rule(look, {t: "1"}, nonzero_exit, {}, {})
 
@@ -208,107 +188,48 @@ def compile_prf_to_tm(e: PrfExpr) -> Tuple[MachineSpec, NumericLayout]:
 
     b = _Builder()
     out = k + 1
-    b.note_tape(out)
     alloc = _Alloc(k + 2)
-    body_entry, body_exit = "g_body", "g_done"
-    _emit(b, alloc, e, list(range(1, k + 1)), out, body_entry, body_exit)
-    tapes = max(b.max_tape, out)
-    return _assemble(b, tapes, k, out, body_entry, body_exit, f"prf_{_describe(e)}")
+    _emit(b, alloc, e, list(range(1, k + 1)), out, "g_body", "g_done")
+    body, b.rules = b.rules, []
+    every = range(1, alloc.high + 1)  # the highest tape the body names
+    # init: step every head to cell 0, plant markers, step back
+    b.rule("i0", {}, "i1", None, dict.fromkeys(every, "L"))
+    b.rule("i1", {}, "g_body", dict.fromkeys(every, MARK), dict.fromkeys(every, "R"))
+    b.rules += body
+    # finish: rewind everything, erase the markers, accept
+    cur = "g_done"
+    for t in every:
+        b.rewind(t, MARK, cur, f"f_rw{t}")
+        cur = f"f_rw{t}"
+    b.rule(cur, {}, "f_mark", None, dict.fromkeys(every, "L"))
+    b.rule("f_mark", {}, "acc", dict.fromkeys(every, BLANK), dict.fromkeys(every, "R"))
+    m = b.machine(f"prf_{_describe(e)}", "i0", {"acc"}, _UNARY, _UNARY | {MARK, BLANK})
+    return m, NumericLayout(k, tuple(range(1, k + 1)), out, tuple(range(k + 2, m.tapes + 1)))
 
 
 def _zero_machine(k: int) -> MachineSpec:
     """Minimal machine for a bare constant-zero function: heads never move,
     a single write of "0" on the (virgin) output tape suffices."""
-    out = k + 1
-    reads = tuple(WILD if t != out else BLANK for t in range(1, out + 1))
-    writes = tuple(WILD if t != out else "0" for t in range(1, out + 1))
-    stays = ("S",) * out
-    return validate_machine(MachineSpec(
-        name=f"prf_zero{k}",
-        states=frozenset({"s0", "acc"}),
-        initial="s0",
-        accept=frozenset({"acc"}),
-        input_alphabet=frozenset({"0", "1"}),
-        tape_alphabet=frozenset({"0", "1", BLANK}),
-        tapes=out,
-        delta={("s0", reads): (("acc", writes, stays),)},
-    ))
-
-
-def _assemble(b: _Builder, tapes: int, k: int, out: int, body_entry: str,
-              body_exit: str, name: str) -> Tuple[MachineSpec, NumericLayout]:
-    # init: step every head to cell 0, plant markers, step back
-    init_rules = [
-        ("i0", {}, "i1", {}, {t: "L" for t in range(1, tapes + 1)}),
-        ("i1", {}, body_entry, {t: MARK for t in range(1, tapes + 1)},
-         {t: "R" for t in range(1, tapes + 1)}),
-    ]
-    # finish: rewind everything, erase the markers, accept
-    fin_rules = []
-    cur = body_exit
-    for t in range(1, tapes + 1):
-        nxt = f"f_rw{t}"
-        fin_rules.append((cur, {t: MARK}, nxt, {}, {t: "R"}))
-        fin_rules.append((cur, {}, cur, {}, {t: "L"}))
-        cur = nxt
-    fin_rules.append((cur, {}, "f_mark", {}, {t: "L" for t in range(1, tapes + 1)}))
-    fin_rules.append(
-        ("f_mark", {}, "acc", {t: BLANK for t in range(1, tapes + 1)},
-         {t: "R" for t in range(1, tapes + 1)})
-    )
-
-    def full(d: dict, default: str) -> Tuple[str, ...]:
-        return tuple(d.get(t, default) for t in range(1, tapes + 1))
-
-    flat = []
-    states = {"acc"}
-    for state, reads, nxt, writes, moves in init_rules + b.rules + fin_rules:
-        flat.append((state, full(reads, WILD), nxt, full(writes, WILD), full(moves, "S")))
-        states.add(state)
-        states.add(nxt)
-    delta: Dict = {}
-    for s, r, n, w, mv in flat:
-        delta.setdefault((s, r), []).append((n, w, mv))
-    spec = MachineSpec(
-        name=name,
-        states=frozenset(states),
-        initial="i0",
-        accept=frozenset({"acc"}),
-        input_alphabet=frozenset({"0", "1"}),
-        tape_alphabet=frozenset({"0", "1", MARK, BLANK}),
-        tapes=tapes,
-        delta={kk: tuple(v) for kk, v in delta.items()},
-    )
-    layout = NumericLayout(
-        arity=k,
-        argument_tapes=tuple(range(1, k + 1)),
-        output_tape=out,
-        scratch_tapes=tuple(range(k + 2, tapes + 1)),
-    )
-    return validate_machine(spec), layout
+    b = Rules()
+    b.rule("s0", {k + 1: BLANK}, "acc", {k + 1: "0"})
+    return b.machine(f"prf_zero{k}", "s0", {"acc"}, _UNARY, _UNARY | {BLANK})
 
 
 def succ_machine() -> MachineSpec:
     """Successor on a single tape over {0,1,_}: flip a lone 0 to 1, else
     append a 1 to the block of ones; halt with the head back on cell 1."""
-    return validate_machine(MachineSpec(
-        name="succ",
-        states=frozenset({"s0", "s1", "s2", "acc"}),
-        initial="s0",
-        accept=frozenset({"acc"}),
-        input_alphabet=frozenset({"0", "1"}),
-        tape_alphabet=frozenset({"0", "1", BLANK}),
-        tapes=1,
-        delta={
-            ("s0", ("0",)): ((("acc", ("1",), ("S",))),),
-            ("s0", (BLANK,)): ((("acc", ("1",), ("S",))),),
-            ("s0", ("1",)): ((("s1", ("1",), ("R",))),),
-            ("s1", ("1",)): ((("s1", ("1",), ("R",))),),
-            ("s1", (BLANK,)): ((("s2", ("1",), ("L",))),),
-            ("s2", ("1",)): ((("s2", ("1",), ("L",))),),
-            ("s2", (BLANK,)): ((("acc", (BLANK,), ("R",))),),
-        },
-    ))
+    b = Rules()
+    for state, read, nxt, write, move in [
+        ("s0", "0", "acc", "1", "S"),
+        ("s0", BLANK, "acc", "1", "S"),
+        ("s0", "1", "s1", "1", "R"),
+        ("s1", "1", "s1", "1", "R"),
+        ("s1", BLANK, "s2", "1", "L"),
+        ("s2", "1", "s2", "1", "L"),
+        ("s2", BLANK, "acc", BLANK, "R"),
+    ]:
+        b.rule(state, {1: read}, nxt, {1: write}, {1: move})
+    return b.machine("succ", "s0", {"acc"}, _UNARY, _UNARY | {BLANK})
 
 
 def _describe(e: PrfExpr) -> str:

@@ -13,6 +13,7 @@ matches both and that no more specific entry overrides.  `run` refuses a
 nondeterministic machine (see `transform.nd_run`), so a deterministic one
 never meets an ambiguous transition.
 
+`Rules` builds a sparse table rule by rule; `make_machine` validates it.
 `validate_machine` indexes the table by state; one resolver (`resolve`,
 memoized per state on the symbols under the tapes the state reads) serves
 `run`, `step`, `successors` and the compilers that read a table.
@@ -230,13 +231,11 @@ def make_machine(
 
     Each rule is (state, reads, next_state, writes, moves); for a 1-tape
     machine the vectors may be given as plain strings of length 1.
+    `validate_machine` checks the vector lengths.
     """
     delta: Dict[Tuple[str, Tuple[str, ...]], List[Target]] = {}
     for state, reads, nxt, writes, moves in rules:
-        reads_t = _vec(reads, tapes)
-        writes_t = _vec(writes, tapes)
-        moves_t = _vec(moves, tapes)
-        delta.setdefault((state, reads_t), []).append((nxt, writes_t, moves_t))
+        delta.setdefault((state, tuple(reads)), []).append((nxt, tuple(writes), tuple(moves)))
     spec = MachineSpec(
         name=name,
         states=frozenset(states),
@@ -251,11 +250,52 @@ def make_machine(
     return validate_machine(spec)
 
 
-def _vec(v, k: int) -> Tuple[str, ...]:
-    t = tuple(v)
-    if len(t) != k:
-        raise ValidationError(f"vector {v!r} has length {len(t)}, machine has {k} tapes")
-    return t
+class Rules:
+    """Sparse rules of a machine under construction (the multitape tables of
+    Sipser, Introduction to the Theory of Computation, Thm 3.16).
+
+    A rule maps 1-based tapes to the symbols it reads and writes and the
+    moves it makes; a tape it does not name reads `*`, writes `*` and stays.
+    Rules with equal state and reads become one key with several targets,
+    in the order given."""
+
+    def __init__(self):
+        # (state, reads, next_state, writes, moves); reads, writes, moves are dicts
+        self.rules: List[tuple] = []
+        self.n = 0
+
+    def rule(self, state: str, reads: dict, nxt: str,
+             writes: Optional[dict] = None, moves: Optional[dict] = None) -> None:
+        self.rules.append((state, reads, nxt, writes or {}, moves or {}))
+
+    def fresh(self) -> str:
+        """A new state name: g1, g2, ..."""
+        self.n += 1
+        return f"g{self.n}"
+
+    def rewind(self, t: int, mark: str, entry: str, exit_: str) -> None:
+        """From ``entry``, move tape ``t`` left to ``mark``, then one cell
+        right, into ``exit_``."""
+        self.rule(entry, {t: mark}, exit_, None, {t: "R"})
+        self.rule(entry, {}, entry, None, {t: "L"})
+
+    def machine(self, name: str, initial: str, accept: Iterable[str],
+                input_alphabet: Iterable[str], tape_alphabet: Iterable[str]) -> MachineSpec:
+        """The validated machine.  It has as many tapes as the highest tape
+        a rule names, and its states are ``initial``, ``accept`` and every
+        state a rule names."""
+        rules = self.rules
+        tapes = max([t for r in rules for part in (r[1], r[3], r[4]) for t in part] or [1])
+        wild, stay = (WILD,) * tapes, ("S",) * tapes
+
+        def full(d: dict, base: Tuple[str, ...]) -> Tuple[str, ...]:
+            return tuple([d.get(t, base[0]) for t in range(1, tapes + 1)]) if d else base
+
+        flat = [(state, full(reads, wild), nxt, full(writes, wild), full(moves, stay))
+                for state, reads, nxt, writes, moves in rules]
+        states = {initial, *accept, *(r[0] for r in rules), *(r[2] for r in rules)}
+        return make_machine(name, states, initial, accept, input_alphabet, tape_alphabet,
+                            tapes, flat)
 
 
 def validate_machine(spec: MachineSpec) -> MachineSpec:
@@ -458,8 +498,15 @@ def step(spec: MachineSpec, c: Configuration) -> Optional[Configuration]:
 def initial_configuration(
     spec: MachineSpec, words: Sequence[str], heads: Optional[Sequence[int]] = None
 ) -> Configuration:
+    """Word i on tape i from cell 0, heads at ``heads`` (default cell 0).
+
+    Without ``heads`` this is the start on an input word: ``words[0]``
+    must be over the input alphabet.  Every word is over the tape alphabet."""
     if len(words) > spec.tapes:
         raise ValidationError(f"{len(words)} input words for {spec.tapes} tapes")
+    if heads is None and words and not spec.input_alphabet.issuperset(words[0]):
+        bad = next(ch for ch in words[0] if ch not in spec.input_alphabet)
+        raise ValidationError(f"input symbol {bad!r} outside input alphabet")
     tapes = []
     for i in range(spec.tapes):
         w = words[i] if i < len(words) else ""
@@ -584,8 +631,7 @@ def decode_unary(word: str) -> int:
 
 def numeric_start(spec: MachineSpec, args: Sequence[int]) -> Configuration:
     words = [BLANK + encode_unary(a) for a in args]
-    c = initial_configuration(spec, words)
-    return replace(c, heads=(1,) * spec.tapes)
+    return initial_configuration(spec, words, (1,) * spec.tapes)
 
 
 def run_numeric(

@@ -43,6 +43,12 @@ _DOT_POOL = "abcdefghijklmnoprstuvw"
 # reachable control states materialize.
 
 
+def _dots(m: MachineSpec) -> Dict[str, str]:
+    """The dotted glyph of each tape symbol of ``m``."""
+    pool = [c for c in _DOT_POOL if c not in m.tape_alphabet and c != HASH]
+    return {s: pool[i] for i, s in enumerate(sorted(m.tape_alphabet))}
+
+
 def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
     if not m.deterministic:
         raise ValidationError("to_single_tape requires a deterministic machine")
@@ -55,11 +61,9 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
     if len(m.tape_alphabet) > 6:
         raise ValidationError("to_single_tape is limited to 6 tape symbols")
 
-    gamma = sorted(m.tape_alphabet)
-    pool = [c for c in _DOT_POOL if c not in m.tape_alphabet and c != HASH]
-    dot = {s: pool[i] for i, s in enumerate(gamma)}
+    dot = _dots(m)
     undot = {v: k for k, v in dot.items()}
-    alphabet = set(gamma) | set(dot.values()) | {HASH}
+    alphabet = set(dot) | set(dot.values()) | {HASH}
     k = m.tapes
 
     def control(st: tuple, sym: str):
@@ -238,9 +242,7 @@ def single_tape_segments(host: MachineSpec, c: Configuration) -> List[str]:
     """Split a compiled machine's tape back into the host's per-tape
     contents (dots removed, blanks trimmed).  ``host`` is the multitape
     machine the compiled one came from."""
-    gamma = sorted(host.tape_alphabet)
-    pool = [ch for ch in _DOT_POOL if ch not in host.tape_alphabet and ch != HASH]
-    undot = {pool[i]: s for i, s in enumerate(gamma)}
+    undot = {v: k for k, v in _dots(host).items()}
     raw = c.tapes[0].content()
     parts = raw.split(HASH)[1:-1]
     return ["".join(undot.get(ch, ch) for ch in p).strip(BLANK) for p in parts]

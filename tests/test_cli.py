@@ -29,6 +29,12 @@ def test_run_tm_reject(capsys):
     assert capsys.readouterr().out.strip() == "Reject"
 
 
+def test_run_tm_word_outside_input_alphabet(capsys):
+    assert cli(["run", "tm", _c("copier.tm"), "--input", "a_b"]) == 3
+    assert "outside input alphabet" in capsys.readouterr().err
+    assert cli(["transform", "--nd-run", _c("contains11_guesser.tm"), "--input", "012"]) == 3
+
+
 def test_run_tm_fuel_exhausted(capsys):
     assert cli(["run", "tm", _c("onon.tm"), "--input", "0011",
                 "--fuel", "2"]) == 2

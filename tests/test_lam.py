@@ -1,7 +1,11 @@
 """Lambda core: substitution, normal order, Church numerals, combinators."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,3 +173,24 @@ def test_numeral_normal_forms(n):
     t = church_encode(n)
     assert is_normal_form(t)
     assert church_decode(t) == n
+
+
+def test_deep_terms_compare_and_hash():
+    # recursing once per node would overflow the C stack here, a crash
+    # rather than an exception, so the check runs in a child process
+    code = ("from churing.lam import church_encode as c\n"
+            "a, b = c(10**5), c(10**5)\n"
+            "assert a == b and hash(a) == hash(b) and a != c(10**5 - 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_term_equality_is_structural():
+    assert Var("x") == Var("x") and Var("x") != Var("y")
+    assert Abs("x", Var("x")) != Abs("y", Var("y"))  # equal up to alpha only
+    assert App(Var("f"), Var("a")) == App(Var("f"), Var("a"))
+    assert App(Var("f"), Var("a")) != App(Var("a"), Var("f"))
+    assert Var("x") != Abs("x", Var("x")) and Var("x") != "x"
+    assert len({church_encode(3), church_encode(3), church_encode(4)}) == 2

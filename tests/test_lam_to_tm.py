@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from churing.errors import FuelExhausted, ValidationError, WireParseError
 from churing.lam import (
-    Abs, App, Term, Var, alpha_eq, beta_step, bound_vars, church_decode,
-    church_encode, free_vars, is_normal_form, lam, normalize,
+    Abs, App, Term, Var, alpha_eq, beta_step, bound_vars, canonical_binders,
+    church_decode, church_encode, free_vars, is_normal_form, lam, normalize,
 )
 from churing.lam_to_tm import (
-    build_machine, br1_on_tm, freshen, nf_on_tm, parse_wire, reduce_on_tm,
+    build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
     render_term, render_with_names,
 )
 from churing.tm import run
@@ -112,7 +112,7 @@ def test_nf_machine_agrees_with_host():
 def test_br1_single_contraction():
     for t in _terms():
         stepped = br1_on_tm(t)
-        f = freshen(t)
+        f = canonical_binders(t)
         want = beta_step(f) or f
         assert alpha_eq(stepped, want), t
 
@@ -161,9 +161,9 @@ def _count_abs(t: Term) -> int:
     return 0
 
 
-def test_freshen_keeps_alpha_class_and_separates_binders():
+def test_canonical_binders_keeps_alpha_class_and_separates_binders():
     for t in _terms():
-        f = freshen(t)
+        f = canonical_binders(t)
         assert alpha_eq(f, t)
         assert free_vars(f) == free_vars(t)
         # all binders pairwise distinct and apart from the free variables

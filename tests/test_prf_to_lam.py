@@ -96,7 +96,7 @@ def test_mu_divergence_exhausts_fuel():
 
 
 def test_recursion_gadgets():
-    for g in "DQRTP":
+    for g in "DQRP":
         report = recursion_gadget_check(g)
         assert report["all_equal"], report
 

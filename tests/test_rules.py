@@ -1,0 +1,110 @@
+"""The sparse rule builder (`tm.Rules`) and the machines built with it."""
+
+import hashlib
+
+import pytest
+
+from churing.errors import ValidationError
+from churing.formats import parse, print_source
+from churing.lam_to_tm import SUITE, build_machine
+from churing.prf import Zero, stdlib, stdlib_names
+from churing.prf_to_tm import compile_prf_to_tm
+from churing.tm import BLANK, WILD, MachineSpec, Rules
+from churing.transform import to_single_tape
+
+from conftest import CORPUS
+
+
+def test_unnamed_tapes_read_and_write_wildcards_and_stay():
+    b = Rules()
+    b.rule("q", {2: "a"}, "r", {3: "b"}, {1: "R"})
+    m = b.machine("m", "q", ["r"], ["a"], ["a", "b", BLANK])
+    assert m.delta == {("q", (WILD, "a", WILD)): (("r", (WILD, WILD, "b"), ("R", "S", "S")),)}
+
+
+def test_tape_count_and_states_are_inferred():
+    b = Rules()
+    b.rule("q", {}, b.fresh(), None, {4: "R"})
+    b.rewind(2, "^", "g1", "done")
+    m = b.machine("m", "q", ["acc"], ["a"], ["a", "^", BLANK])
+    assert m.tapes == 4
+    assert m.states == {"q", "g1", "done", "acc"}
+    assert list(m.delta) == [("q", (WILD,) * 4), ("g1", (WILD, "^", WILD, WILD)),
+                             ("g1", (WILD,) * 4)]
+    assert m.deterministic
+
+
+def test_repeated_key_makes_a_nondeterministic_machine():
+    b = Rules()
+    b.rule("q", {1: "a"}, "r", moves={1: "R"})
+    b.rule("q", {1: "a"}, "s", moves={1: "R"})
+    m = b.machine("m", "q", ["r"], ["a"], ["a", BLANK])
+    assert m.delta[("q", ("a",))] == (("r", (WILD,), ("R",)), ("s", (WILD,), ("R",)))
+    assert not m.deterministic
+
+
+def test_machine_is_validated():
+    b = Rules()
+    b.rule("q", {1: "z"}, "r")
+    with pytest.raises(ValidationError, match="outside tape alphabet"):
+        b.machine("m", "q", ["r"], ["a"], ["a", BLANK])
+
+
+# SHA-256 (first 16 hex digits) of print_source("tm", ...), recorded before
+# the compilers shared one builder; the printed machines must not change.
+PINNED = {
+    "suite:V": "9fef32e7f12124f6",
+    "suite:CF": "96c6fbc2e0b56250",
+    "suite:CBV": "08fe3f4ed3f26745",
+    "suite:AE": "3d237815e8122bfc",
+    "suite:NF": "5b2aabd634d0b963",
+    "suite:BR1": "e37e7070fafc297f",
+    "prf:absdiff": "c62989af38f525b4",
+    "prf:add": "c17787cd823a52e8",
+    "prf:eq": "3e0587848b275b47",
+    "prf:exp": "245febdb833bd039",
+    "prf:id": "824782aa9ebb027a",
+    "prf:lt": "21e2e2a155b85228",
+    "prf:monus": "ffa6003d0408b508",
+    "prf:mul": "edcc8cb28d46a055",
+    "prf:pow2": "f80c444cbb5c3cf6",
+    "prf:pow3": "2193e4acdd15f7e0",
+    "prf:pred": "5a4de563e9e11562",
+    "prf:sg": "d975efd320e9b983",
+    "prf:Zero(0)": "f1753ff125afd3cc",
+    "prf:Zero(1)": "aeb5efb33f597bad",
+    "prf:Zero(2)": "4a6342486f6fdf4f",
+    "prf:Zero(3)": "23fccc744e435f47",
+    "single:copier.tm": "3cd6e29608b55d6e",
+    "single:ends1.tm": "08041826d91c028b",
+    "single:eraser.tm": "6085f37b6809f77f",
+    "single:flipper.tm": "9b2a7e88f720fdf0",
+    "single:identity.tm": "70b45bce94cd55ca",
+    "single:onon.tm": "93946e674c6a5fef",
+    "single:succ.tm": "7ec93b6f52d30044",
+    "single:zero2_compiled.tm": "de853e254f340d5f",
+}
+
+
+def _digest(m: MachineSpec) -> str:
+    return hashlib.sha256(print_source("tm", m).encode()).hexdigest()[:16]
+
+
+def test_printed_machines_are_pinned():
+    got = {f"suite:{n}": _digest(build_machine(n)) for n in SUITE}
+    for n in sorted(stdlib_names()):
+        try:
+            got[f"prf:{n}"] = _digest(compile_prf_to_tm(stdlib(n))[0])
+        except ValidationError:  # needs more tapes than the compiler allows
+            pass
+    for k in range(4):
+        got[f"prf:Zero({k})"] = _digest(compile_prf_to_tm(Zero(k))[0])
+    for f in sorted(CORPUS.glob("*.tm")):
+        m = parse("tm", f.read_text())
+        if not isinstance(m, MachineSpec):
+            continue
+        try:
+            got[f"single:{f.name}"] = _digest(to_single_tape(m))
+        except ValidationError:  # too many tapes or symbols, or nondeterministic
+            pass
+    assert got == PINNED

@@ -198,3 +198,26 @@ def test_unvalidated_machine_is_refused():
     m = replace(zeros_then_ones(), index=None)
     with pytest.raises(ValidationError, match="not validated"):
         run(m, "01", fuel=100)
+
+
+def test_word_outside_input_alphabet_is_refused():
+    from churing.formats import parse
+    from churing.transform import decide_combine, dovetail_decide, nd_run, to_single_tape
+    from conftest import corpus_text
+
+    copier = parse("tm", corpus_text("copier.tm"))
+    single = to_single_tape(copier)
+    for m in (copier, single):
+        with pytest.raises(ValidationError, match="outside input alphabet"):
+            run(m, "a_b", fuel=1000)
+        with pytest.raises(ValidationError, match="outside input alphabet"):
+            initial_configuration(m, ["c"])
+    with pytest.raises(ValidationError, match="outside input alphabet"):
+        nd_run(copier, "a_b", max_depth=5)
+    with pytest.raises(ValidationError, match="outside input alphabet"):
+        dovetail_decide(copier, single, "ab_", fuel=100)
+    with pytest.raises(ValidationError, match="outside input alphabet"):
+        decide_combine("complement", copier, None, "_", fuel=100)
+    assert run(copier, "ab", fuel=1000).tag == run(single, "ab", fuel=100_000).tag == "Accept"
+    # the unary convention still starts with a blank cell 0
+    assert run_numeric(identity_numeric(), [3], fuel=10) == 3

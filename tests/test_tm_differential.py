@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import tm_reference as ref
 from churing.errors import ValidationError
 from churing.formats import parse
-from churing.lam import Abs, App, Var, lam
-from churing.lam_to_tm import build_machine, freshen, render_with_names
+from churing.lam import Abs, App, Var, canonical_binders, lam
+from churing.lam_to_tm import build_machine, render_with_names
 from churing.prf import arity_check, stdlib, stdlib_names
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
@@ -105,7 +105,7 @@ def _suite_wires():
     terms = [x, lam(["x"], x), App(lam(["x"], x), lam(["y"], y)),
              App(lam(["x"], App(x, x)), lam(["y"], y)),
              lam(["x", "y"], App(y, x)), App(App(lam(["x", "y"], x), y), Abs("z", Var("z")))]
-    return [render_with_names(freshen(t))[0] for t in terms]
+    return [render_with_names(canonical_binders(t))[0] for t in terms]
 
 
 @pytest.mark.parametrize("name", ["V", "CF", "CBV", "AE", "NF", "BR1"])
