@@ -27,9 +27,9 @@ from .lam_to_tm import SUITE, build_machine
 from .prf import arity_check, evaluate
 from .prf_to_lam import compile_prf_to_lambda
 from .prf_to_tm import compile_prf_to_tm, layout_report
-from .tm import run
+from .tm import MachineSpec, run
 from .tm_to_prf import compile_tm_to_prf
-from .transform import nd_run, to_single_tape
+from .transform import Dfa, dfa_accepts, nd_run, nfa_accepts, to_single_tape
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
 
@@ -54,6 +54,14 @@ def _load(path: str, kind: Optional[str] = None):
     return obj
 
 
+def _load_machine(path: str) -> MachineSpec:
+    """A Turing machine from a .tm file; a DFA or NFA there is an input error."""
+    m = _load(path, "tm")
+    if not isinstance(m, MachineSpec):
+        raise ValidationError(f"{path} holds a finite automaton, not a Turing machine")
+    return m
+
+
 def _outcome_exit(tag: str) -> int:
     return {"Accept": EXIT_OK, "Reject": EXIT_NEGATIVE,
             "FuelExhausted": EXIT_INCONCLUSIVE}[tag]
@@ -63,6 +71,11 @@ def _cmd_run(args) -> int:
     fuel = args.fuel
     if args.model == "tm":
         m = _load(args.file, "tm")
+        if not isinstance(m, MachineSpec):  # a DFA or an NFA decides the word
+            accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
+            tag = "Accept" if accepts(m, args.input or "") else "Reject"
+            print(tag)
+            return _outcome_exit(tag)
         out = run(m, args.input or "", fuel=fuel, want_trace=args.trace)
         if args.trace and out.trace:
             for c in out.trace:
@@ -128,7 +141,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    m = _load(args.file, "tm")
+    m = _load_machine(args.file)
     if args.single_tape:
         print(print_source("tm", to_single_tape(m)), end="")
         return EXIT_OK
@@ -148,7 +161,7 @@ def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
 
 def _cmd_equiv(args) -> int:
     e = _load(args.prf, "prf")
-    m = _load(args.tm, "tm")
+    m = _load_machine(args.tm)
     t = _load(args.lam, "lam")
     report = equiv_grid(e, m, t, _parse_grid(args.grid, arity_check(e)),
                         fuel=args.fuel)

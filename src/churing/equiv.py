@@ -6,11 +6,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChuringError, FuelExhausted, NonEncodable
 from .lam import Term, app, church_decode, church_encode, normalize
-from .prf import PrfExpr, arity_check, evaluate
+from .prf import PrfExpr, Succ, arity_check, evaluate, expand
 from .prf_to_tm import compile_prf_to_tm
 from .tm import MachineSpec, run_numeric
 from .tm_to_prf import compile_tm_to_prf
-from .transform import to_single_tape
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -80,10 +79,10 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
 
     A point is Agree when every model that completed returned the same
     number, Disagree when two completed results differ, and Inconclusive when
-    nothing completed.  For unary functions the report gains a ``roundtrip``
-    column: the compiled machine is squeezed to one tape and translated back
-    to a recursive function before evaluating — skipped silently for
-    functions whose compiled machine does not fit the one-tape translator.
+    nothing completed.  For bare S, the one function whose compiled machine
+    has a single tape, the report gains a ``roundtrip`` column: that machine
+    translated back to a recursive function.  A squeezed multitape machine
+    carries separators and dotted glyphs, which `tm_to_prf` does not code.
 
     ``tm_output_tape`` names the machine's result tape; by default tape k+1
     when the machine has more than k tapes (the compiled-machine layout),
@@ -93,11 +92,8 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     if tm_output_tape is None:
         tm_output_tape = k + 1 if tm.tapes > k else 1
     rt: Optional[PrfExpr] = None
-    if k == 1:
-        try:
-            rt = compile_tm_to_prf(to_single_tape(compile_prf_to_tm(prf)[0]))
-        except ChuringError:
-            rt = None
+    if k == 1 and isinstance(expand(prf), Succ):  # the one compiled machine of one tape
+        rt = compile_tm_to_prf(compile_prf_to_tm(prf)[0])
 
     results: Dict[Tuple[int, ...], Dict[str, Optional[int]]] = {}
     verdicts: Dict[Tuple[int, ...], str] = {}

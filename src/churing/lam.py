@@ -189,23 +189,6 @@ def analyze(t: Term) -> dict:
     return {"FV": free_vars(t), "BV": bound_vars(t), "Sub": frozenset(subterms(t))}
 
 
-def fill_context(context: Term, filler: Term) -> Term:
-    """Replace every hole with ``filler`` verbatim; capture is permitted."""
-    if has_hole(filler):
-        raise ValidationError("filler must be hole-free")
-
-    def go(c: Term) -> Term:
-        if isinstance(c, Hole):
-            return filler
-        if isinstance(c, Abs):
-            return Abs(c.param, go(c.body))
-        if isinstance(c, App):
-            return App(go(c.fn), go(c.arg))
-        return c
-
-    return go(context)
-
-
 # ---------------------------------------------------------------------------
 # Alpha congruence and substitution
 

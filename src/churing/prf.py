@@ -331,16 +331,6 @@ def por(p: PrfExpr, q: PrfExpr) -> PrfExpr:
     return Compose(stdlib("sg"), (Compose(stdlib("add"), (p, q)),))
 
 
-def bounded_sum(g: PrfExpr) -> PrfExpr:
-    """f(x, n) = sum_{i=1..n} g(x, i); g has arity k+1, f has arity k+1."""
-    kp1 = arity_check(g)
-    k = kp1 - 1
-    projs = tuple(Proj(k + 2, j) for j in range(1, k + 1))
-    g_at_succ = Compose(g, projs + (Compose(Succ(), (Proj(k + 2, k + 1),)),))
-    h = Compose(stdlib("add"), (Proj(k + 2, k + 2), g_at_succ))
-    return PrimRec(Zero(k), h)
-
-
 def bounded_prod(g: PrfExpr) -> PrfExpr:
     kp1 = arity_check(g)
     k = kp1 - 1

@@ -16,9 +16,10 @@ from .tm import (
     FUEL_EXHAUSTED,
     REJECT,
     SEMI_INFINITE,
+    WILD,
     Configuration,
     MachineSpec,
-    Outcome,
+    _rules_of,
     initial_configuration,
     resolve_one,
     run,
@@ -33,38 +34,71 @@ NOT_FOUND = "NotFound"
 # pool of glyphs for the dotted (head-marking) copies of tape symbols
 _DOT_POOL = "abcdefghijklmnoprstuvw"
 
+# control states of a squeezed machine beyond which to_single_tape gives up
+MAX_STATES = 200_000
+
 
 # ---------------------------------------------------------------------------
 # Multitape -> single tape
-#
-# Layout: #w1#w2#...#wk#  with exactly one dotted symbol per segment marking
-# that tape's head.  The compiler emits an explicit transition table; states
-# are generated lazily by exploring a host-level control function, so only
-# reachable control states materialize.
 
 
 def _dots(m: MachineSpec) -> Dict[str, str]:
-    """The dotted glyph of each tape symbol of ``m``."""
-    pool = [c for c in _DOT_POOL if c not in m.tape_alphabet and c != HASH]
+    """The dotted glyph of each tape symbol of ``m``; a ValidationError when
+    the single-tape layout cannot represent ``m``'s tapes."""
+    if HASH in m.tape_alphabet:
+        raise ValidationError(f"tape symbol {HASH!r} is the single-tape separator")
+    pool = [c for c in _DOT_POOL if c not in m.tape_alphabet]
+    if len(pool) < len(m.tape_alphabet):
+        raise ValidationError(f"{len(m.tape_alphabet)} tape symbols need more dotted "
+                              f"glyphs than the {len(pool)} left in the pool")
     return {s: pool[i] for i, s in enumerate(sorted(m.tape_alphabet))}
 
 
-def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
+def to_single_tape(m: MachineSpec) -> MachineSpec:
+    """An equivalent one-tape machine for a deterministic semi-infinite
+    multitape machine (Sipser, Introduction to the Theory of Computation,
+    Thm 3.13); a one-tape machine is returned as it is.
+
+    Layout: ``#w1#w2#...#wk#`` from cell 0, one segment per tape, with
+    exactly one dotted symbol per segment marking that tape's head.  The
+    machine first rewrites its input ``w`` into ``#w#_#...#_#`` and dots the
+    first cell of every segment.  Each host step is then two passes from
+    cell 0, each followed by a rewind to cell 0:
+
+    - gather: walk right to the last ``#``, recording the dotted symbol of
+      every tape the host state reads (`RuleIndex.lookup`); other tapes get
+      a placeholder that no rule looks at.  For the tapes the state may move
+      left it also records whether the dot sits on its segment's first
+      cell.  At the last ``#`` the host step is resolved; no rule, or a left
+      move of such a head, halts there, with nothing written (the stuck
+      halt at cell 0).
+    - update: per segment, write the step's symbol (a tape it does not write
+      keeps its own) and move the dot.  A dot moved right past its segment's
+      end grows the segment: a dotted blank takes the ``#`` cell and the rest
+      of the tape shifts one cell right, up to and including the last ``#``.
+
+    The control state keys only on what the host state reads and the step
+    writes, so the state count follows the host's rules, not |Gamma|^k.  The
+    machine accepts when it enters the gather pass of an accepting state.
+    Refused with a ValidationError: a nondeterministic or two-way machine,
+    ``#`` in the tape alphabet, more tape symbols than dotted glyphs, and a
+    machine needing more than MAX_STATES control states."""
     if not m.deterministic:
         raise ValidationError("to_single_tape requires a deterministic machine")
     if m.tape_mode != SEMI_INFINITE:
         raise ValidationError("to_single_tape handles semi_infinite machines only")
     if m.tapes == 1:
         return m
-    if m.tapes > 3:
-        raise ValidationError("to_single_tape is limited to 3 tapes")
-    if len(m.tape_alphabet) > 6:
-        raise ValidationError("to_single_tape is limited to 6 tape symbols")
 
     dot = _dots(m)
     undot = {v: k for k, v in dot.items()}
     alphabet = set(dot) | set(dot.values()) | {HASH}
     k = m.tapes
+    index = _rules_of(m)
+    reads = {q: index.lookup(q)[0] for q in index.states}
+    lefts = {q: {t for key in keys for _, _, moves in m.delta[q, key]
+                 for t, mv in enumerate(moves) if mv == "L"}
+             for q, keys in index.states.items()}
 
     def control(st: tuple, sym: str):
         """(next_state, write, move) for the compiled machine, or None."""
@@ -108,91 +142,71 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
             if sym == HASH:
                 if j < k:
                     return ("dotn", j), HASH, "R"
-                return ("rw", ("g", m.initial, ()), 0), HASH, "S"
+                return ("rw", ("g", m.initial, (), (), False), 0), HASH, "S"
             return st, sym, "R"
         if kind == "dotn":
             if sym == HASH or sym in undot:
                 return None
             return ("dots", st[1] + 1), dot[sym], "R"
-        # --- gather pass: collect the k dotted symbols left to right
+        # --- gather pass: vec holds the read symbols of the tapes passed,
+        # edges the left-moving tapes whose dot is on a first cell, and
+        # first whether the head is on the first cell of such a tape
         if kind == "g":
-            q, vec = st[1], st[2]
+            q, vec, edges, first = st[1], st[2], st[3], st[4]
+            if q in m.accept:
+                return None  # the host run stops here, accepting
+            t = len(vec)
             if sym in undot:
-                if len(vec) >= k:
+                if t >= k:
                     return None  # a (k+1)-th dot cannot occur
-                return ("g", q, vec + (undot[sym],)), sym, "R"
-            if sym == HASH and len(vec) == k:
+                got = undot[sym] if t in reads.get(q, ()) else WILD
+                return ("g", q, vec + (got,), edges + (t,) * first, False), sym, "R"
+            if sym == HASH and t == k:
                 s = resolve_one(m, q, vec)
-                if s is None:
-                    return None  # host halts without accepting
+                if s is None or any(d < 0 and u in edges for u, d in s[2]):
+                    return None  # host halts: no rule, or stuck at cell 0
                 nxt, writes, shifts = s
-                syms, moves = list(vec), [0] * k
-                for t, w in writes:
-                    syms[t] = w
-                for t, d in shifts:
-                    moves[t] = d
-                wm = tuple(zip(syms, moves))
+                w, d = dict(writes), dict(shifts)
+                wm = tuple((w.get(t), d.get(t, 0)) for t in range(k))
                 return ("rw", ("u", nxt, wm, 0), 0), HASH, "S"
-            return st, sym, "R"
-        # --- update pass: per segment, write and move the dot
+            return ("g", q, vec, edges, sym == HASH and t in lefts.get(q, ())), sym, "R"
+        # --- update pass: per segment, write and move the dot; wm holds
+        # (symbol or None for the scanned one, move) per tape
         if kind == "u":
             q, wm, i = st[1], st[2], st[3]
             if sym == HASH:
                 if i == k:
-                    return ("rw", ("g", q, ()), 0), HASH, "S"
+                    return ("rw", ("g", q, (), (), False), 0), HASH, "S"
                 return ("u", q, wm, i + 1), HASH, "R"
-            if sym in undot and 1 <= i <= k:
+            if sym in undot and i >= 1:
                 w, d = wm[i - 1]
+                w = undot[sym] if w is None else w
                 if d == 0:
-                    return ("useek", q, wm, i), dot[w], "R"
-                if d > 0:
-                    return ("udotR", q, wm, i), w, "R"
-                return ("udotL", q, wm, i), w, "L"
+                    return st, dot[w], "R"
+                return ("udot", q, wm, i), w, "R" if d > 0 else "L"
             return st, sym, "R"
-        # rest of a segment whose dot was already placed this pass
-        if kind == "useek":
+        # the cell the dot moved to
+        if kind == "udot":
             q, wm, i = st[1], st[2], st[3]
-            if sym == HASH:
-                if i == k:
-                    return ("rw", ("g", q, ()), 0), HASH, "S"
-                return ("u", q, wm, i + 1), HASH, "R"
-            return st, sym, "R"
-        if kind == "udotR":
-            q, wm, i = st[1], st[2], st[3]
-            if sym == HASH:
-                # segment must grow: drop a dotted blank here and shift the
-                # rest of the tape one cell right
-                return ("ucarry", q, wm, i, HASH), dot[BLANK], "R"
             if sym in undot:
                 return None  # cannot happen: dot was just removed
-            return ("useek", q, wm, i), dot[sym], "R"
-        if kind == "udotL":
-            q, wm, i = st[1], st[2], st[3]
-            if sym == HASH:
-                return None  # host head fell off the left edge: stuck halt
-            if sym in undot:
-                return None
-            return ("useek", q, wm, i), dot[sym], "R"
+            if sym != HASH:
+                return ("u", q, wm, i), dot[sym], "R"
+            # segment must grow: drop a dotted blank here and shift the
+            # rest of the tape one cell right, counting separators
+            return ("ucarry", q, wm, i, HASH, i), dot[BLANK], "R"
         if kind == "ucarry":
-            q, wm, i, c = st[1], st[2], st[3], st[4]
-            if sym == BLANK and c == HASH:
-                # the shifted suffix ended at the final separator
-                return ("rw", ("uskip", q, wm, i, 0), 0), c, "S"
-            if sym == BLANK:
-                return ("ucarryend", q, wm, i), c, "R"
-            return ("ucarry", q, wm, i, sym), c, "R"
-        if kind == "ucarryend":
-            q, wm, i = st[1], st[2], st[3]
-            if sym == BLANK:
-                return ("rw", ("uskip", q, wm, i, 0), 0), sym, "S"
-            return None
+            q, wm, i, c, j = st[1], st[2], st[3], st[4], st[5]
+            if c == HASH and j == k:  # the last separator lands here
+                return ("rw", ("uskip", q, wm, i, 0), 0), HASH, "S"
+            return ("ucarry", q, wm, i, sym, j + (sym == HASH)), c, "R"
         # after a growth shift: skip ahead to segment i+1 and resume
         if kind == "uskip":
             q, wm, i, j = st[1], st[2], st[3], st[4]
             if sym == HASH:
                 if j + 1 == i + 1:
                     if i == k:  # segment k grew; the pass is complete
-                        return ("rw", ("g", q, ()), 0), HASH, "S"
+                        return ("rw", ("g", q, (), (), False), 0), HASH, "S"
                     return ("u", q, wm, i + 1), HASH, "R"
                 if j + 1 > k:
                     return None
@@ -214,16 +228,15 @@ def to_single_tape(m: MachineSpec, max_states: int = 200_000) -> MachineSpec:
                 continue
             nxt, w, mv = res
             if nxt not in names:
-                if len(names) >= max_states:
-                    raise ValidationError("single-tape compilation exceeded state budget")
+                if len(names) >= MAX_STATES:
+                    raise ValidationError(f"single-tape compilation of {m.name!r} needs "
+                                          f"more than MAX_STATES = {MAX_STATES} states")
                 names[nxt] = f"s{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
             delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
 
-    accept = frozenset(
-        names[st] for st in order if st[0] == "g" and st[2] == () and st[1] in m.accept
-    )
+    accept = frozenset(names[st] for st in order if st[0] == "g" and st[1] in m.accept)
     spec = MachineSpec(
         name=f"{m.name}_single",
         states=frozenset(names.values()),

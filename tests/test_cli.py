@@ -35,6 +35,16 @@ def test_run_tm_word_outside_input_alphabet(capsys):
     assert cli(["transform", "--nd-run", _c("contains11_guesser.tm"), "--input", "012"]) == 3
 
 
+def test_run_tm_decides_with_an_automaton(capsys):
+    assert cli(["run", "tm", _c("even_as.tm"), "--input", "aba"]) == 0
+    assert cli(["run", "tm", _c("even_as.tm"), "--input", "ab"]) == 1
+    assert cli(["run", "tm", _c("contains11_nfa.tm"), "--input", "0110"]) == 0
+    assert cli(["run", "tm", _c("contains11_nfa.tm"), "--input", "0101"]) == 1
+    assert capsys.readouterr().out.split() == ["Accept", "Reject", "Accept", "Reject"]
+    assert cli(["run", "tm", _c("even_as.tm"), "--input", "abc"]) == 3
+    assert "outside the DFA alphabet" in capsys.readouterr().err
+
+
 def test_run_tm_fuel_exhausted(capsys):
     assert cli(["run", "tm", _c("onon.tm"), "--input", "0011",
                 "--fuel", "2"]) == 2
@@ -196,6 +206,26 @@ def test_transform_single_tape(tmp_path, capsys):
     assert "tapes: 1" in text
 
 
+def test_transform_single_tape_of_a_compiled_machine(capsys):
+    assert cli(["transform", "--single-tape", _c("add_compiled.tm")]) == 0
+    assert "tapes: 1" in capsys.readouterr().out
+
+
+def test_transform_single_tape_refuses_a_separator_symbol(tmp_path, capsys):
+    # the suite machines use "#", which the text format cannot read back
+    # (it starts a comment) and the single-tape layout cannot hold
+    out = tmp_path / "suite"
+    assert cli(["compile", "--from", "lam", "--to", "tm-suite", _c("example_term.lam"),
+                "-o", str(out)]) == 0
+    assert cli(["transform", "--single-tape", f"{out}.V.tm"]) == 3
+
+
+def test_transform_refuses_an_automaton(capsys):
+    assert cli(["transform", "--single-tape", _c("even_as.tm")]) == 3
+    assert cli(["transform", "--nd-run", _c("contains11_nfa.tm"), "--input", "011"]) == 3
+    assert capsys.readouterr().err.count("not a Turing machine") == 2
+
+
 def test_transform_nd_run(capsys):
     assert cli(["transform", "--nd-run", _c("contains11_guesser.tm"),
                 "--input", "0110"]) == 0
@@ -256,6 +286,12 @@ def test_equiv_machine_with_too_few_tapes(tmp_path):
     f.write_text("R (P 1 1, C S (P 3 3))\n")
     assert cli(["equiv", "--prf", str(f), "--tm", _c("succ.tm"),
                 "--lam", _c("example_term.lam"), "--grid", "0..1"]) == 3
+
+
+def test_equiv_refuses_an_automaton(capsys):
+    assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("even_as.tm"),
+                "--lam", _c("combinators.lam"), "--grid", "0..1"]) == 3
+    assert "not a Turing machine" in capsys.readouterr().err
 
 
 def test_equiv_bad_grid(tmp_path):

@@ -142,3 +142,21 @@ def test_machine_tables_refuse_ambiguous_targets():
     assert not m.deterministic
     with pytest.raises(ValidationError, match="ambiguous"):
         machine_tables(replace(m, deterministic=True))
+
+
+def test_equiv_grid_round_trip_column_only_for_bare_successor():
+    # only S compiles to a one-tape machine over {0,1,_}; pred's machine has
+    # four tapes, and prime's does not compile (more than 16 tapes)
+    from churing.equiv import equiv_grid
+    from churing.prf import Succ, stdlib
+    from churing.prf_to_lam import compile_prf_to_lambda
+    from churing.prf_to_tm import compile_prf_to_tm
+
+    report = equiv_grid(Succ(), succ_machine(), compile_prf_to_lambda(Succ()), [(0,), (2,)])
+    assert [report.results[p]["roundtrip"] for p in report.grid] == [1, 3]
+    pred = stdlib("pred")
+    report = equiv_grid(pred, compile_prf_to_tm(pred)[0], compile_prf_to_lambda(pred), [(2,)])
+    assert report.results[(2,)] == {"prf": 1, "tm": 1, "lam": 1}
+    prime = stdlib("prime")
+    report = equiv_grid(prime, succ_machine(), compile_prf_to_lambda(prime), [(0,)], fuel=100)
+    assert "roundtrip" not in report.results[(0,)]

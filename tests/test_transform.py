@@ -10,13 +10,19 @@ import tm_reference as ref
 
 from churing.errors import NotADecider, ValidationError
 from churing.formats import parse
-from churing.tm import initial_configuration, make_machine, run, successors
+from churing.lam_to_tm import SUITE, build_machine
+from churing.prf import Proj, stdlib
+from churing.prf_to_tm import compile_prf_to_tm
+from churing.tm import (
+    BLANK, FUEL_EXHAUSTED, Configuration, MachineSpec, Tape, initial_configuration,
+    make_machine, numeric_start, run, successors,
+)
 from churing.transform import (
-    Dfa, Nfa, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
+    Dfa, Nfa, _dots, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
     next_address, nd_run, nfa_accepts, single_tape_segments, to_single_tape,
 )
 
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
 
 
 def _copier():
@@ -55,6 +61,139 @@ def test_single_tape_verdicts_ends1():
 def test_single_tape_refuses_nondeterministic():
     with pytest.raises(ValidationError):
         to_single_tape(_g11())
+
+
+# --- the squeezed machine against its host --------------------------------
+
+SINGLE_FUEL = 10 ** 6  # squeezed steps; far above what 60 host steps of 5 tapes take
+
+
+def _agrees(host: MachineSpec, single: MachineSpec, out, start=None, word=""):
+    """The squeezed run from ``start`` (default: on ``word``) halts like the
+    host run ``out``, with the host's tapes as its segments."""
+    got = run(single, word, SINGLE_FUEL, start=start)
+    assert got.tag == out.tag
+    assert single_tape_segments(host, got.final) == [t.content() for t in out.final.tapes]
+
+
+def _squeezed_start(host: MachineSpec, single: MachineSpec, c: Configuration) -> Configuration:
+    """The squeezed configuration of the host start ``c``: its tapes laid out
+    as dotted segments, at cell 0 in the state that gathers for the host's
+    initial state (found where the run on the empty word first reaches it)."""
+    dot = _dots(host)
+    blank_layout = "#" + (dot[BLANK] + "#") * host.tapes
+    trace = run(single, "", 1000, want_trace=True).trace
+    entry = next(s.state for s in trace if s.heads == (0,) and s.tapes[0].content() == blank_layout)
+    segments = []
+    for tape, h in zip(c.tapes, c.heads):
+        cells = [tape.read(p) for p in range(max(h + 1, tape.origin + len(tape.cells)))]
+        cells[h] = dot[cells[h]]
+        segments.append("".join(cells))
+    layout = "#" + "#".join(segments) + "#"
+    return Configuration(entry, (Tape.from_word(layout),), (0,))
+
+
+def test_single_tape_growth_shifts_past_blanks_of_later_segments():
+    # tape 1 grows twice while tape 2 holds a blank it walked over
+    m = make_machine(name="grow", states=["q0", "q2", "q3"], initial="q0", accept=["q3"],
+                     input_alphabet="ab", tape_alphabet="_ab", tapes=2,
+                     rules=[("q0", "**", "q2", "**", "RR"), ("q2", "**", "q3", "**", "RS")])
+    out = run(m, "", 60)
+    assert out.tag == "Accept"
+    _agrees(m, to_single_tape(m), out)
+
+
+def test_single_tape_left_move_off_cell_zero_writes_nothing():
+    m = make_machine(name="stuck", states=["q0"], initial="q0", accept=[],
+                     input_alphabet="ab", tape_alphabet="_ab", tapes=2,
+                     rules=[("q0", "**", "q0", "__", "LL")])
+    out = run(m, "a", 60)
+    assert out.tag == "Reject" and [t.content() for t in out.final.tapes] == ["a", ""]
+    _agrees(m, to_single_tape(m), out, word="a")
+
+
+@st.composite
+def _multitape_machines(draw):
+    """Deterministic machines of 2-5 tapes over {_,a,b}: each state reads a
+    subset of the tapes (maybe none), has a rule for some scans of it, and
+    writes and moves any tape, read or not."""
+    k = draw(st.integers(2, 5))
+    states = ["q0", "q1", "q2"]
+    rules = []
+    for q in states:
+        read = sorted(draw(st.sets(st.integers(0, k - 1))))
+        scans = draw(st.lists(st.tuples(*[st.sampled_from("_ab")] * len(read)),
+                              unique=True, min_size=1, max_size=4))
+        for scan in scans:
+            key = ["*"] * k
+            for t, c in zip(read, scan):
+                key[t] = c
+            rules.append((q, key, draw(st.sampled_from(states + ["acc"])),
+                          draw(st.lists(st.sampled_from("_ab*"), min_size=k, max_size=k)),
+                          draw(st.lists(st.sampled_from("LRRS"), min_size=k, max_size=k))))
+    return make_machine(name="gen", states=states + ["acc"], initial="q0", accept=["acc"],
+                        input_alphabet="ab", tape_alphabet="_ab", tapes=k, rules=rules)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_multitape_machines(), st.text(alphabet="ab", max_size=3))
+def test_single_tape_agrees_with_generated_hosts(m, word):
+    assert m.deterministic
+    out = run(m, word, 60)
+    if out.tag != FUEL_EXHAUSTED:
+        _agrees(m, to_single_tape(m), out, word=word)
+
+
+def test_single_tape_agrees_on_corpus_machines():
+    words = ["", "0", "1", "a", "b", "01", "11", "ab", "ba", "0110", "abba", "1101"]
+    checked = 0
+    for f in sorted(CORPUS.glob("*.tm")):
+        m = parse("tm", f.read_text())
+        if not isinstance(m, MachineSpec) or not m.deterministic:
+            continue
+        single = to_single_tape(m)
+        if m.tapes == 1:
+            assert single is m
+            continue
+        for w in words:
+            if not set(w) <= m.input_alphabet:
+                continue
+            out = run(m, w, 2000)
+            if out.tag != FUEL_EXHAUSTED:
+                _agrees(m, single, out, word=w)
+                checked += 1
+    assert checked == 20  # copier, zero2_compiled and add_compiled halt on every word
+
+
+@pytest.mark.parametrize("fn", ["P 1 1", "pred", "sg", "add", "monus"])
+def test_single_tape_agrees_on_compiled_functions(fn):
+    host = compile_prf_to_tm(Proj(1, 1) if fn == "P 1 1" else stdlib(fn))[0]
+    single = to_single_tape(host)
+    arity = 2 if fn in ("add", "monus") else 1
+    for args in itertools.product(range(4), repeat=arity):
+        c = numeric_start(host, args)
+        out = run(host, "", 10 ** 5, start=c)
+        assert out.tag == "Accept"
+        _agrees(host, single, out, start=_squeezed_start(host, single, c))
+
+
+def test_single_tape_of_compiled_pred_is_small():
+    assert len(to_single_tape(compile_prf_to_tm(stdlib("pred"))[0]).states) <= 5000
+
+
+def test_single_tape_refuses_what_the_layout_cannot_hold():
+    def machine(gamma):
+        return make_machine(name="m", states=["q"], initial="q", accept=["q"],
+                            input_alphabet="a", tape_alphabet=gamma, tapes=2, rules=[])
+
+    with pytest.raises(ValidationError, match="separator"):
+        to_single_tape(machine("_a#"))
+    for name in SUITE:  # every lambda machine writes "#"
+        with pytest.raises(ValidationError, match="separator"):
+            to_single_tape(build_machine(name))
+    with pytest.raises(ValidationError, match="dotted glyphs"):
+        to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+    assert to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRS")).tapes == 1  # 21 of 21
 
 
 def test_next_address_shortlex():
