@@ -10,7 +10,8 @@ Subcommands:
     check FILE
 
 Exit codes: 0 success / Accept / all-Agree, 1 Reject / Disagree,
-2 FuelExhausted / Inconclusive, 3 parse or validation error.
+2 FuelExhausted / Inconclusive, 3 parse or validation error, or input
+nested too deeply for the interpreter's recursion limit.
 """
 
 import argparse
@@ -246,8 +247,9 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except SystemExit as ex:  # argparse usage errors / --help
         return ex.code if isinstance(ex.code, int) else EXIT_ERROR
-    except (ParseError, ValidationError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except (ParseError, ValidationError, RecursionError) as ex:
+        msg = "input nested too deeply" if isinstance(ex, RecursionError) else ex
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_ERROR
     except FuelExhausted as ex:
         print(f"fuel exhausted: {ex}", file=sys.stderr)

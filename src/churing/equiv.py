@@ -73,8 +73,7 @@ def _eval_lam(t: Term, args: Sequence[int], fuel: int) -> Optional[int]:
 
 
 def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
-               grid: Sequence[Sequence[int]], fuel: int = DEFAULT_FUEL,
-               tm_output_tape: Optional[int] = None) -> EquivReport:
+               grid: Sequence[Sequence[int]], fuel: int = DEFAULT_FUEL) -> EquivReport:
     """Evaluate the same function in all three models over a grid of points.
 
     A point is Agree when every model that completed returned the same
@@ -84,13 +83,11 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     translated back to a recursive function.  A squeezed multitape machine
     carries separators and dotted glyphs, which `tm_to_prf` does not code.
 
-    ``tm_output_tape`` names the machine's result tape; by default tape k+1
-    when the machine has more than k tapes (the compiled-machine layout),
-    else tape 1.
+    The machine's result is read from tape k+1 when it has more than k
+    tapes (the compiled-machine layout), else from tape 1.
     """
     k = arity_check(prf)
-    if tm_output_tape is None:
-        tm_output_tape = k + 1 if tm.tapes > k else 1
+    tm_output_tape = k + 1 if tm.tapes > k else 1
     rt: Optional[PrfExpr] = None
     if k == 1 and isinstance(expand(prf), Succ):  # the one compiled machine of one tape
         rt = compile_tm_to_prf(compile_prf_to_tm(prf)[0])

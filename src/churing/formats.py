@@ -25,8 +25,10 @@ Three kinds of source text:
          (left-associative), parentheses, ``#n`` Church-numeral literals, and
          ``def name = term`` bindings.
 
-Comments run from ``#`` to end of line, except in ``lam`` where ``#`` starts
-a numeral and comments use ``;`` instead.
+Comments run to the end of the line.  In ``prf`` they start at ``#``; in
+``lam``, where ``#`` starts a numeral, at ``;``; in ``tm``, where ``#`` may be
+a tape symbol, only a line whose first non-blank character is ``#`` is a
+comment.
 
 `parse` returns the single object for a bare text, or a name -> object dict
 when the text consists of ``def`` bindings.  `print_source` inverts it;
@@ -60,8 +62,8 @@ def _strip_comment(line: str, comment: str) -> str:
 def _tm_lines(text: str):
     """Yield (lineno, stripped content) for non-empty, non-comment lines."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        s = _strip_comment(raw, "#").strip()
-        if s:
+        s = raw.strip()
+        if s and not s.startswith("#"):
             yield no, s
 
 

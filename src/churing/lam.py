@@ -33,13 +33,10 @@ leftmost-outermost contractions.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import FuelExhausted, NotANumeral, ValidationError
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +108,12 @@ class Hole(Term):
 
 HOLE = Hole()
 
-_fresh_counter = itertools.count(1)
-
 
 def fresh_name(base: str = "x", avoid: frozenset | set = frozenset()) -> str:
+    """The first ``base~i`` (i = 1, 2, ...) that is not in ``avoid``."""
     base = base.split("~")[0] or "x"
-    while True:
-        cand = f"{base}~{next(_fresh_counter)}"
+    for i in itertools.count(1):
+        cand = f"{base}~{i}"
         if cand not in avoid:
             return cand
 
@@ -151,10 +147,6 @@ def subterms(t: Term) -> Iterator[Term]:
             stack.append(s.fn)
 
 
-def has_hole(t: Term) -> bool:
-    return any(isinstance(s, Hole) for s in subterms(t))
-
-
 def free_vars(t: Term) -> frozenset:
     out = set()
     bound: dict = {}  # name -> number of enclosing binders of that name
@@ -175,18 +167,7 @@ def free_vars(t: Term) -> frozenset:
 
 
 def bound_vars(t: Term) -> frozenset:
-    if isinstance(t, Abs):
-        return bound_vars(t.body) | {t.param}
-    if isinstance(t, App):
-        return bound_vars(t.fn) | bound_vars(t.arg)
-    return frozenset()
-
-
-def analyze(t: Term) -> dict:
-    """FV, BV and the sub-term set of a hole-free term."""
-    if has_hole(t):
-        raise ValidationError("analyze expects a hole-free term")
-    return {"FV": free_vars(t), "BV": bound_vars(t), "Sub": frozenset(subterms(t))}
+    return frozenset(s.param for s in subterms(t) if isinstance(s, Abs))
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +175,37 @@ def analyze(t: Term) -> dict:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    def go(a, b, env_a, env_b, depth):
-        if isinstance(a, Var) and isinstance(b, Var):
-            return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
-        if isinstance(a, Abs) and isinstance(b, Abs):
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[a.param] = depth
-            eb[b.param] = depth
-            return go(a.body, b.body, ea, eb, depth + 1)
-        if isinstance(a, App) and isinstance(b, App):
-            return go(a.fn, b.fn, env_a, env_b, depth) and go(
-                a.arg, b.arg, env_a, env_b, depth
-            )
-        return isinstance(a, Hole) and isinstance(b, Hole)
-
-    return go(a, b, {}, {}, 0)
+    """Equal up to the names of binders.  Iterative: both terms are walked
+    in step on one stack, a bound variable compared by its binder's depth."""
+    scope_a: dict = {}  # name -> depth of its innermost binder
+    scope_b: dict = {}
+    depth = 0
+    todo: list = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            if scope_a.get(a.name, a.name) != scope_b.get(b.name, b.name):
+                return False
+        elif cls is App:
+            todo += ((a.arg, b.arg), (a.fn, b.fn))
+        elif cls is Abs:
+            todo += (((a.param, scope_a.get(a.param)), (b.param, scope_b.get(b.param))),
+                     (a.body, b.body))
+            scope_a[a.param] = scope_b[b.param] = depth
+            depth += 1
+        elif cls is tuple:  # leaving a binder pair
+            depth -= 1
+            for scope, (name, outer) in ((scope_a, a), (scope_b, b)):
+                if outer is None:
+                    del scope[name]
+                else:
+                    scope[name] = outer
+        elif cls is not Hole:
+            return False
+    return True
 
 
 def substitute(m: Term, x: str, n: Term) -> Term:
@@ -442,7 +438,7 @@ def church_decode(t: Term, fuel: int = 100_000) -> int:
     res = normalize(t, fuel)
     if not res.normal:
         raise FuelExhausted("term did not normalize within fuel")
-    t = canonical_binders(res.term)  # rules out shadowed binders
+    t = res.term  # read back with each binder named by its depth: none shadows
     if not (isinstance(t, Abs) and isinstance(t.body, Abs)):
         raise NotANumeral(f"not a numeral shape: {render(t)}")
     f, z = t.param, t.body.param

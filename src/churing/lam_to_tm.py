@@ -450,8 +450,10 @@ def br1_on_tm(t: Term, fuel: int = 1_000_000) -> Term:
     return parse_wire(out.final.tapes[4].content(), names)
 
 
-def reduce_on_tm(t: Term, fuel: int = 200,
-                 machine_fuel: int = 2_000_000) -> Term:
+MACHINE_FUEL = 2_000_000  # steps for one NF or BR1 run in reduce_on_tm
+
+
+def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
     """Normalize t by iterating the NF and BR1 machines.
 
     Each round renames the binders apart on the host (`canonical_binders`),
@@ -465,9 +467,9 @@ def reduce_on_tm(t: Term, fuel: int = 200,
     for _ in range(fuel + 1):
         cur = canonical_binders(cur)
         wire, names = render_with_names(cur)
-        out = _run_wire(nfm, wire, machine_fuel)
+        out = _run_wire(nfm, wire, MACHINE_FUEL)
         if out.final.tapes[1].content() == "1":
             return cur
-        out = _run_wire(br, wire, machine_fuel)
+        out = _run_wire(br, wire, MACHINE_FUEL)
         cur = parse_wire(out.final.tapes[4].content(), names)
     raise FuelExhausted(f"no beta-normal form within {fuel} contractions")

@@ -7,65 +7,60 @@ the first argument, so the compiled term permutes arguments around it);
 the mu operator uses the iterator pair T/P with the I-eating numeral
 trick: F = \\x... P (G x...) 0 I (J x...).
 
-Every binder in an emitted term is freshly generated, so compiled terms
-satisfy the all-distinct-binders convention the term-on-tape machinery
-downstream expects.
+The binders the compiler adds are named ``x~1``, ``u~2``, ... from a counter
+local to one call, so equal expressions compile to equal terms.  Binders are
+not all distinct: the combinators and numerals keep their own names, and a
+subterm used twice (G in a mu) is emitted twice.  The term-on-tape machinery
+renames binders apart itself (`lam.canonical_binders`).
 """
 
 from __future__ import annotations
 
-from typing import List
+import itertools
+from typing import Callable, List
 
 from .errors import ValidationError
-from .lam import (
-    Abs,
-    App,
-    Term,
-    Var,
-    app,
-    church_encode,
-    combinator,
-    fresh_name,
-    lam,
-)
+from .lam import Term, Var, app, church_encode, combinator, lam
 from .prf import Compose, Mu, PrfExpr, PrimRec, Proj, Succ, Zero, arity_check, expand
 
 
-def _binders(base: str, n: int) -> List[str]:
-    return [fresh_name(base, ()) for _ in range(n)]
-
-
 def compile_prf_to_lambda(e: PrfExpr) -> Term:
-    return _compile(expand(e))
+    counter = itertools.count(1)
+
+    def binders(base: str, n: int = 1) -> List[str]:
+        return [f"{base}~{next(counter)}" for _ in range(n)]
+
+    return _compile(expand(e), binders)
 
 
-def _compile(e: PrfExpr) -> Term:
+def _compile(e: PrfExpr, binders: Callable[..., List[str]]) -> Term:
     if isinstance(e, Zero):
         if e.k == 0:
             return church_encode(0)
-        xs = _binders("x", e.k)
+        xs = binders("x", e.k)
         return lam(xs, church_encode(0))
     if isinstance(e, Succ):
         return combinator("S")
     if isinstance(e, Proj):
-        xs = _binders("x", e.k)
+        xs = binders("x", e.k)
         return lam(xs, Var(xs[e.i - 1]))
     if isinstance(e, Compose):
         k = arity_check(e)
-        g = _compile(e.g)
-        hs = [_compile(h) for h in e.hs]
-        xs = _binders("x", k)
+        g = _compile(e.g, binders)
+        hs = [_compile(h, binders) for h in e.hs]
+        xs = binders("x", k)
         xv = [Var(x) for x in xs]
         return lam(xs, app(g, *[app(h, *xv) for h in hs]))
     if isinstance(e, PrimRec):
         # f(x..., u) with recursion on u; Bernays' R recurses on its first
         # argument, so wrap: \x... u. R (G x...) (\m v. H x... m v) u
         j = arity_check(e.g)
-        G = _compile(e.g)
-        H = _compile(e.h)
-        xs = _binders("x", j)
-        u = fresh_name("u", ())
-        m, v = fresh_name("m", ()), fresh_name("v", ())
+        G = _compile(e.g, binders)
+        H = _compile(e.h, binders)
+        xs = binders("x", j)
+        [u] = binders("u")
+        [m] = binders("m")
+        [v] = binders("v")
         xv = [Var(x) for x in xs]
         step = lam([m, v], app(H, *xv, Var(m), Var(v)))
         body = app(combinator("R"), app(G, *xv) if xs else G, step, Var(u))
@@ -74,16 +69,15 @@ def _compile(e: PrfExpr) -> Term:
         # H = \x... y. P (G x...) y ; J = \x... . H x... 0
         # F = \x... . P (G x...) 0 I (J x...)
         k = arity_check(e)
-        G = _compile(e.g)
-        xs = _binders("x", k)
-        y = fresh_name("y", ())
+        G = _compile(e.g, binders)
+        xs = binders("x", k)
+        [y] = binders("y")
         xv = [Var(x) for x in xs]
         P = combinator("P")
-        # separate binders for H and J keep all binders distinct
-        hx = _binders("x", k)
+        hx = binders("x", k)
         hv = [Var(x) for x in hx]
         H = lam(hx + [y], app(P, app(G, *hv), Var(y)))
-        jx = _binders("x", k)
+        jx = binders("x", k)
         jv = [Var(x) for x in jx]
         J = lam(jx, app(H, *jv, church_encode(0)))
         body = app(app(P, app(G, *xv), church_encode(0)), combinator("I"),

@@ -117,8 +117,7 @@ def enc_predicate() -> PrfExpr:
 
 def _check_source(m: MachineSpec):
     if m.tapes != 1:
-        raise ValidationError("Goedel compilation needs a single-tape machine "
-                              "(use to_single_tape first)")
+        raise ValidationError("Goedel compilation needs a single-tape machine")
     if not m.deterministic:
         raise ValidationError("Goedel compilation needs a deterministic machine")
     if not m.tape_alphabet <= {"0", "1", BLANK}:

@@ -122,6 +122,62 @@ def test_run_lam_deep_non_numeral(tmp_path, capsys):
     assert out.startswith("\\x1. q (q (q ") and out.endswith("x1" + ")" * 99999 + "\n")
 
 
+def _nested_prf(n):
+    return "C S (" * n + "P 1 1" + ")" * n + "\n"
+
+
+def _def_chain_prf(n):
+    return "def f0 = P 1 1\n" + "".join(f"def f{i} = C S (f{i - 1})\n" for i in range(1, n + 1))
+
+
+def _nested_lam(n):
+    return "(\\a. " * n + "a" + ")" * n + "\n"
+
+
+@pytest.mark.parametrize("n", [30_000, 100_000])
+@pytest.mark.parametrize("source", [_nested_prf, _def_chain_prf, _nested_lam],
+                         ids=["nested-prf", "def-chain-prf", "nested-lam"])
+def test_deep_input_exits_three(tmp_path, source, n):
+    # a crash here (stack overflow, exit 139) would take the test process
+    # down with it, so each command runs in its own process
+    kind = "lam" if source is _nested_lam else "prf"
+    f = tmp_path / f"deep.{kind}"
+    f.write_text(source(n))
+    commands = [["run", kind, str(f)] + (["--args", "1"] if kind == "prf" else [])]
+    if kind == "prf":
+        commands.append(["compile", "--from", "prf", "--to", "lam", str(f),
+                         "-o", str(tmp_path / "out.lam")])
+    if source is _def_chain_prf:
+        # every line is shallow, so the file parses; running or compiling nests
+        assert cli(["check", str(f)]) == 0
+    else:
+        commands.append(["check", str(f)])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    procs = [subprocess.Popen([sys.executable, "-m", "churing.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in commands]
+    for argv, proc in zip(commands, procs):
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (3, "error: input nested too deeply\n"), argv
+
+
+def test_shallow_nesting_still_runs(tmp_path, capsys):
+    prf, chain, lam_f = tmp_path / "n.prf", tmp_path / "c.prf", tmp_path / "n.lam"
+    prf.write_text(_nested_prf(200))
+    chain.write_text(_def_chain_prf(200))
+    lam_f.write_text(_nested_lam(100))
+    for f in (prf, chain, lam_f):
+        assert cli(["check", str(f)]) == 0
+    for f in (prf, chain):
+        assert cli(["run", "prf", str(f), "--args", "1"]) == 0
+        assert cli(["compile", "--from", "prf", "--to", "lam", str(f),
+                    "-o", str(tmp_path / "out.lam")]) == 0
+    assert cli(["run", "lam", str(lam_f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == out[5] == "201"  # run prf on each file
+    assert out[-1].startswith("\\x1 x2 ") and out[-1].endswith(" x100")
+
+
 def test_usage_error_exits_three():
     assert cli(["run", "nosuchmodel", "x"]) == 3
     assert cli(["frobnicate"]) == 3
@@ -190,7 +246,8 @@ def test_compile_lam_to_tm_suite(tmp_path, capsys):
     assert cli(["compile", "--from", "lam", "--to", "tm-suite",
                 _c("example_term.lam"), "-o", str(prefix)]) == 0
     for name in ("V", "CF", "CBV", "AE", "NF", "BR1"):
-        assert (tmp_path / f"suite.{name}.tm").exists()
+        # '#' is a tape symbol of the suite, and the files read back
+        assert cli(["check", str(tmp_path / f"suite.{name}.tm")]) == 0
 
 
 def test_compile_unknown_pair(tmp_path):

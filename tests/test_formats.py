@@ -10,8 +10,10 @@ from churing.formats import (
     print_tm,
 )
 from churing.lam import alpha_eq, church_decode
+from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import evaluate
 from churing.tm import run
+from churing.transform import to_single_tape
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -40,6 +42,29 @@ def test_tm_round_trip(path):
     m2 = parse_tm(text)
     assert m2 == m1
     assert print_tm(m2) == text  # canonical form is a fixed point
+
+
+def _hash_glyph_machines():
+    # machines whose tape alphabets hold '#'
+    copier = parse_tm((CORPUS / "copier.tm").read_text())
+    return [to_single_tape(copier)] + [build_machine(name) for name in SUITE]
+
+
+@pytest.mark.parametrize("m", _hash_glyph_machines(), ids=lambda m: m.name)
+def test_tm_with_hash_symbol_round_trip(m):
+    assert "#" in m.tape_alphabet
+    text = print_tm(m)
+    assert print_tm(parse_tm(text)) == text
+
+
+def test_tm_comment_is_a_whole_line():
+    text = print_tm(parse_tm((CORPUS / "copier.tm").read_text()))
+    lines = text.splitlines()
+    lines.insert(1, "   # a comment line, indented")
+    lines.insert(0, "# a comment line")
+    assert print_tm(parse_tm("\n".join(lines))) == text
+    with pytest.raises(ParseError):  # '#' after a transition is two more fields
+        parse_tm(text.rstrip("\n") + " # not a comment\n")
 
 
 @pytest.mark.parametrize("path", _corpus("prf"), ids=lambda p: p.name)

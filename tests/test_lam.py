@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from churing.errors import NotANumeral, ValidationError
 from churing.lam import (
-    Abs, App, Term, Var, alpha_eq, app, beta_eq, beta_step, bound_vars,
-    church_decode, church_encode, combinator, fixed_point, free_vars,
-    is_normal_form, lam, normalize, render, substitute,
+    HOLE, Abs, App, Term, Var, alpha_eq, app, beta_eq, beta_step, bound_vars,
+    canonical_binders, church_decode, church_encode, combinator, fixed_point,
+    free_vars, fresh_name, is_normal_form, lam, normalize, render, substitute,
 )
 
 
@@ -24,6 +24,11 @@ def test_substitute_avoids_capture():
     r = substitute(t, "x", Var("y"))
     assert isinstance(r, Abs) and r.param != "y"
     assert alpha_eq(r, Abs("z", Var("y")))
+
+
+def test_fresh_name_is_the_first_unused_index():
+    assert fresh_name("x") == fresh_name("x") == "x~1"
+    assert fresh_name("y~7", {"y~1", "y~2"}) == "y~3"
 
 
 def test_beta_step_is_leftmost_outermost():
@@ -154,6 +159,50 @@ def test_confluence_sampling_small_closed_terms():
                 assert alpha_eq(a, b), render(t)
                 checked += 1
     assert checked > 4000
+
+
+_names = st.sampled_from(["x", "y", "z"])
+_terms = st.recursive(
+    st.one_of(_names.map(Var), st.just(HOLE)),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub)),
+    max_leaves=8,
+)
+
+
+def _rename_every_name(t: Term, new: dict) -> Term:
+    """t with every name, bound or free, mapped through ``new``: a
+    bijection on a closed term keeps its alpha class, a merge may not."""
+    if isinstance(t, Var):
+        return Var(new.get(t.name, t.name))
+    if isinstance(t, Abs):
+        return Abs(new.get(t.param, t.param), _rename_every_name(t.body, new))
+    if isinstance(t, App):
+        return App(_rename_every_name(t.fn, new), _rename_every_name(t.arg, new))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, _terms, st.dictionaries(_names, _names))
+def test_alpha_eq_agrees_with_canonical_binders(a, b, new):
+    renamed = _rename_every_name(a, new)
+    for x, y in ((a, b), (a, renamed), (renamed, a), (a, a)):
+        assert alpha_eq(x, y) == (canonical_binders(x) == canonical_binders(y))
+
+
+def test_beta_eq_on_deep_normal_forms():
+    # the normal forms are 5000 applications deep: alpha_eq may not recurse
+    assert beta_eq(church_encode(5000), church_encode(5000)) == "equal"
+    assert beta_eq(church_encode(5000), church_encode(4999)) == "distinct"
+
+
+def test_church_decode_of_shadowed_binders():
+    f, x = Var("f"), Var("x")
+    assert church_decode(lam("f x", App(f, x))) == 1
+    assert church_decode(lam("f x", App(Abs("f", f), App(f, x)))) == 1
+    with pytest.raises(NotANumeral):
+        church_decode(lam("f f", App(f, f)))  # the inner f is the tail
+    with pytest.raises(NotANumeral):
+        church_decode(lam("f f", App(f, App(f, f))))
 
 
 def test_free_and_bound_vars():

@@ -5,7 +5,7 @@ import pytest
 from churing.errors import FuelExhausted, ValidationError
 from churing.lam import church_decode, church_encode, free_vars, normalize
 from churing.prf import (
-    Compose, Mu, PrimRec, Proj, Succ, Zero, evaluate, stdlib,
+    Compose, Mu, PrimRec, Proj, Succ, Zero, evaluate, stdlib, stdlib_names,
 )
 from churing.prf_to_lam import compile_prf_to_lambda, recursion_gadget_check
 
@@ -20,6 +20,12 @@ def _run(term, args, fuel=FUEL):
     r = normalize(t, fuel)
     assert r.normal, "term did not normalize"
     return church_decode(r.term)
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_equal_inputs_compile_to_equal_terms(name):
+    # binder names come from a counter local to the call, not the process
+    assert compile_prf_to_lambda(stdlib(name)) == compile_prf_to_lambda(stdlib(name))
 
 
 def test_compiled_terms_are_closed():

@@ -123,8 +123,11 @@ def test_source_machine_guardrails():
     two_tape = make_machine(name="t", states=["a"], initial="a", accept=["a"],
                             input_alphabet=["0"], tape_alphabet=["0", "_"],
                             tapes=2, rules=[])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         compile_tm_to_prf(two_tape)
+    # a squeezed machine carries '#' and dotted glyphs, so advising
+    # to_single_tape would only lead to the alphabet refusal below
+    assert str(err.value) == "Goedel compilation needs a single-tape machine"
     wide = make_machine(name="w", states=["a"], initial="a", accept=["a"],
                         input_alphabet=["0", "x"],
                         tape_alphabet=["0", "x", "_"], tapes=1, rules=[])
