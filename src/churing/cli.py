@@ -157,6 +157,8 @@ def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ParseError(f"grid must look like 0..4, got {spec!r}", line=1, column=1)
+    if hi < lo:
+        raise ValidationError(f"grid {spec!r} is empty")
     return [tuple(p) for p in itertools.product(range(lo, hi + 1), repeat=k)]
 
 

@@ -43,18 +43,25 @@ class WireParseError(ParseError):
     """Malformed wire string for a lambda term on tape."""
 
 
+def check_fuel(amount, what: str = "fuel") -> None:
+    """Every budget is a natural number; a budget of 0 runs out at the
+    first step, contraction or evaluation."""
+    if amount < 0:
+        raise ValidationError(f"{what} must be a natural number, got {amount}")
+
+
 class Fuel:
     """Mutable budget; every primitive operation spends one unit.
 
-    fuel must be positive.  Exhaustion raises FuelExhausted rather than
-    returning a sentinel so deeply nested evaluators unwind cleanly.
+    fuel is a natural number (`check_fuel`).  Exhaustion raises
+    FuelExhausted rather than returning a sentinel so deeply nested
+    evaluators unwind cleanly.
     """
 
     __slots__ = ("remaining",)
 
     def __init__(self, amount):
-        if amount <= 0:
-            raise ValidationError("fuel must be positive")
+        check_fuel(amount)
         self.remaining = int(amount)
 
     def spend(self, n=1):

@@ -221,28 +221,19 @@ def _print_automaton(a: Union[Dfa, Nfa]) -> str:
 # .prf
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"[(),=.\\#;]|[^\s(),=.\\#;]+")
+
+
 class _Tokens:
-    """Token stream carrying line/column for error messages."""
+    """Token stream carrying line/column for error messages: each
+    punctuation character is a token, and so is each run of other
+    non-blank characters."""
 
     def __init__(self, text: str, comment: str = "#"):
-        self.toks: List[Tuple[str, int, int]] = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = _strip_comment(raw, comment)
-            col = 0
-            while col < len(line):
-                c = line[col]
-                if c.isspace():
-                    col += 1
-                    continue
-                if c in "(),=.\\#;":
-                    self.toks.append((c, no, col + 1))
-                    col += 1
-                    continue
-                j = col
-                while j < len(line) and not line[j].isspace() and line[j] not in "(),=.\\#;":
-                    j += 1
-                self.toks.append((line[col:j], no, col + 1))
-                col = j
+        self.toks: List[Tuple[str, int, int]] = [
+            (m.group(), no, m.start() + 1)
+            for no, raw in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN.finditer(_strip_comment(raw, comment))]
         self.pos = 0
 
     def peek(self) -> Optional[str]:

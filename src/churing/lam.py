@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import FuelExhausted, NotANumeral, ValidationError
+from .errors import FuelExhausted, NotANumeral, ValidationError, check_fuel
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +398,8 @@ def _run_machine(code, free: set, fuel: int):
 def normalize(t: Term, fuel: int = 10_000) -> NormalizeResult:
     """Leftmost-outermost normal form of t when it needs at most ``fuel``
     contractions; otherwise t itself, marked not normal."""
+    check_fuel(fuel)
     code, free = _to_code(t)
-    if fuel < 0:
-        raise ValidationError("fuel must be non-negative")
     try:
         nf, left = _run_machine(code, free, fuel)
     except FuelExhausted:

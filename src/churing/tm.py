@@ -6,17 +6,20 @@ symbol), a write position may be `*` (leave the scanned symbol alone),
 and moves are L, R or S (stay).  When several entries match a scanned
 vector the most specific one (fewest wildcards) wins.
 
-A machine is ``deterministic`` exactly when no scan vector over the tape
-alphabet matches two or more targets of the highest matching rank: one
-entry with several targets, or two entries of equal rank that a scan
-matches both and that no more specific entry overrides.  `run` refuses a
-nondeterministic machine (see `transform.nd_run`), so a deterministic one
-never meets an ambiguous transition.
-
-`Rules` builds a sparse table rule by rule; `make_machine` validates it.
-`validate_machine` indexes the table by state; one resolver (`resolve`,
+A `MachineSpec` is validated when it is built, whether directly, by
+`make_machine`, by `Rules.machine` or by `dataclasses.replace`; the build
+also indexes the table by state (`RuleIndex`).  One resolver (`resolve`,
 memoized per state on the symbols under the tapes the state reads) serves
-`run`, `step`, `successors` and the compilers that read a table.
+`run`, `step`, `successors` and the compilers that read a table, and it
+decides ``deterministic`` too: a machine is deterministic exactly when no
+scan vector over the tape alphabet resolves to two or more targets of the
+highest matching rank.  The build asks the resolver about one scan per
+class of scans it cannot tell apart.  `run` refuses a nondeterministic
+machine (see `transform.nd_run`), so a deterministic one never meets an
+ambiguous transition.
+
+`Rules` builds a sparse table rule by rule; `make_machine` builds a machine
+from flat rules.
 
 Tape modes: ``semi_infinite`` protects cell 0 (an L move there is a stuck
 halt), ``two_way`` allows negative cells.
@@ -24,11 +27,11 @@ halt), ``two_way`` allows negative cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FuelExhausted, NonEncodable, ValidationError
+from .errors import FuelExhausted, NonEncodable, ValidationError, check_fuel
 
 BLANK = "_"
 WILD = "*"
@@ -122,6 +125,9 @@ FUEL_EXHAUSTED = "FuelExhausted"
 
 @dataclass(frozen=True)
 class MachineSpec:
+    """A validated machine: building one checks every invariant and derives
+    ``deterministic`` and the rule ``index``, which cannot be given."""
+
     name: str
     states: frozenset
     initial: str
@@ -131,15 +137,71 @@ class MachineSpec:
     tapes: int
     delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]
     tape_mode: str = SEMI_INFINITE
-    deterministic: bool = True
-    # built by validate_machine
-    index: Optional["RuleIndex"] = field(default=None, compare=False, repr=False)
+    deterministic: bool = field(init=False)
+    index: "RuleIndex" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "accept", frozenset(self.accept))
-        object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
-        object.__setattr__(self, "tape_alphabet", frozenset(self.tape_alphabet))
+        for attr in ("states", "accept", "input_alphabet", "tape_alphabet"):
+            object.__setattr__(self, attr, frozenset(getattr(self, attr)))
+        if self.tapes < 1:
+            raise ValidationError("machine needs at least one tape")
+        if self.tape_mode not in (SEMI_INFINITE, TWO_WAY):
+            raise ValidationError(f"unknown tape mode {self.tape_mode!r}")
+        if not self.input_alphabet <= self.tape_alphabet:
+            raise ValidationError("input alphabet must be a subset of the tape alphabet")
+        if BLANK not in self.tape_alphabet:
+            raise ValidationError("blank symbol missing from tape alphabet")
+        if BLANK in self.input_alphabet:
+            raise ValidationError("blank symbol may not appear in the input alphabet")
+        if WILD in self.tape_alphabet:
+            raise ValidationError("'*' is reserved and may not be a tape symbol")
+        for s in self.tape_alphabet:
+            if len(s) != 1:
+                raise ValidationError(f"symbols are single characters, got {s!r}")
+        if self.initial not in self.states:
+            raise ValidationError(f"initial state {self.initial!r} not declared")
+        if not self.accept <= self.states:
+            raise ValidationError("accept states must be declared states")
+        symbols = self.tape_alphabet | {WILD}
+        by_state: Dict[str, List[Tuple[str, ...]]] = {}  # state -> its read vectors
+        multi = set()  # states with a key of several targets
+        for (state, reads), targets in self.delta.items():
+            if state not in self.states:
+                raise ValidationError(f"transition from undeclared state {state!r}")
+            if len(reads) != self.tapes:
+                raise ValidationError(f"read vector {reads!r} does not match tape count")
+            if not symbols.issuperset(reads):
+                bad = next(r for r in reads if r not in symbols)
+                raise ValidationError(f"read symbol {bad!r} outside tape alphabet")
+            if len(targets) > 1:
+                multi.add(state)
+            for nxt, writes, moves in targets:
+                if nxt not in self.states:
+                    raise ValidationError(f"transition into undeclared state {nxt!r}")
+                if len(writes) != self.tapes or len(moves) != self.tapes:
+                    raise ValidationError("write/move vectors must match tape count")
+                if not symbols.issuperset(writes):
+                    bad = next(w for w in writes if w not in symbols)
+                    raise ValidationError(f"write symbol {bad!r} outside tape alphabet")
+                if not _MOVE_SET.issuperset(moves):
+                    bad = next(mv for mv in moves if mv not in MOVES)
+                    raise ValidationError(f"move {bad!r} is not one of {MOVES}")
+            keys = by_state.get(state)
+            if keys is None:
+                by_state[state] = [reads]
+            else:
+                keys.append(reads)
+        index = RuleIndex({state: tuple(keys) for state, keys in by_state.items()}, self.delta)
+        blind = str.maketrans(dict.fromkeys(self.tape_alphabet, "#"))
+        # the resolver searches the states that have a key of several
+        # targets or two keys that may match one scan at equal rank (with
+        # one tape, distinct keys of equal rank never do)
+        deterministic = not any(
+            index.ambiguous(state, self.tape_alphabet)
+            for state, keys in index.states.items()
+            if state in multi or (self.tapes > 1 and _may_overlap(keys, blind)))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "deterministic", deterministic)
 
 
 # A resolved transition: (next_state, writes, shifts).  writes holds the
@@ -215,6 +277,18 @@ class RuleIndex:
             for nxt, writes, moves in best
         )
 
+    def ambiguous(self, state: str, alphabet: frozenset) -> bool:
+        """Whether some scan resolves to more than one step in ``state``.
+        Scans are tried one per class the resolver cannot tell apart: on
+        each tape the state reads, every symbol some key names, and one
+        symbol no key names, standing for all the others."""
+        reads, keys = self.lookup(state)[0], self.states[state]
+        choices = []
+        for t in reads:
+            named = sorted({key[t] for key in keys} - {WILD})
+            choices.append(named + sorted(alphabet.difference(named))[:1])
+        return any(len(self._match(state, "".join(scan))) > 1 for scan in product(*choices))
+
 
 def make_machine(
     name: str,
@@ -231,12 +305,12 @@ def make_machine(
 
     Each rule is (state, reads, next_state, writes, moves); for a 1-tape
     machine the vectors may be given as plain strings of length 1.
-    `validate_machine` checks the vector lengths.
+    The machine checks the vector lengths when it is built.
     """
     delta: Dict[Tuple[str, Tuple[str, ...]], List[Target]] = {}
     for state, reads, nxt, writes, moves in rules:
         delta.setdefault((state, tuple(reads)), []).append((nxt, tuple(writes), tuple(moves)))
-    spec = MachineSpec(
+    return MachineSpec(
         name=name,
         states=frozenset(states),
         initial=initial,
@@ -247,7 +321,6 @@ def make_machine(
         delta={k: tuple(v) for k, v in delta.items()},
         tape_mode=tape_mode,
     )
-    return validate_machine(spec)
 
 
 class Rules:
@@ -298,73 +371,6 @@ class Rules:
                             tapes, flat)
 
 
-def validate_machine(spec: MachineSpec) -> MachineSpec:
-    """Check every MachineSpec invariant, build the per-state rule index and
-    classify det/nondet: a machine is deterministic unless some scan vector
-    matches two or more targets of the highest matching rank, which is
-    exactly when `run` would find the transition ambiguous."""
-    if spec.tapes < 1:
-        raise ValidationError("machine needs at least one tape")
-    if spec.tape_mode not in (SEMI_INFINITE, TWO_WAY):
-        raise ValidationError(f"unknown tape mode {spec.tape_mode!r}")
-    if not spec.input_alphabet <= spec.tape_alphabet:
-        raise ValidationError("input alphabet must be a subset of the tape alphabet")
-    if BLANK not in spec.tape_alphabet:
-        raise ValidationError("blank symbol missing from tape alphabet")
-    if BLANK in spec.input_alphabet:
-        raise ValidationError("blank symbol may not appear in the input alphabet")
-    if WILD in spec.tape_alphabet:
-        raise ValidationError("'*' is reserved and may not be a tape symbol")
-    for s in spec.tape_alphabet:
-        if len(s) != 1:
-            raise ValidationError(f"symbols are single characters, got {s!r}")
-    if spec.initial not in spec.states:
-        raise ValidationError(f"initial state {spec.initial!r} not declared")
-    if not spec.accept <= spec.states:
-        raise ValidationError("accept states must be declared states")
-    deterministic = True
-    symbols = spec.tape_alphabet | {WILD}
-    by_state: Dict[str, List[Tuple[str, ...]]] = {}  # state -> its read vectors
-    multi: List[Tuple[str, Tuple[str, ...]]] = []  # keys with several targets
-    for (state, reads), targets in spec.delta.items():
-        if state not in spec.states:
-            raise ValidationError(f"transition from undeclared state {state!r}")
-        if len(reads) != spec.tapes:
-            raise ValidationError(f"read vector {reads!r} does not match tape count")
-        if not symbols.issuperset(reads):
-            bad = next(r for r in reads if r not in symbols)
-            raise ValidationError(f"read symbol {bad!r} outside tape alphabet")
-        if len(targets) > 1:
-            multi.append((state, reads))
-        for nxt, writes, moves in targets:
-            if nxt not in spec.states:
-                raise ValidationError(f"transition into undeclared state {nxt!r}")
-            if len(writes) != spec.tapes or len(moves) != spec.tapes:
-                raise ValidationError("write/move vectors must match tape count")
-            if not symbols.issuperset(writes):
-                bad = next(w for w in writes if w not in symbols)
-                raise ValidationError(f"write symbol {bad!r} outside tape alphabet")
-            if not _MOVE_SET.issuperset(moves):
-                bad = next(mv for mv in moves if mv not in MOVES)
-                raise ValidationError(f"move {bad!r} is not one of {MOVES}")
-        keys = by_state.get(state)
-        if keys is None:
-            by_state[state] = [reads]
-        else:
-            keys.append(reads)
-    states = {state: tuple(keys) for state, keys in by_state.items()}
-    # several targets on one key are ambiguous unless more specific keys
-    # override every scan it matches
-    if any(_exposed(reads, states[state], spec.tape_alphabet) for state, reads in multi):
-        deterministic = False
-    blind = str.maketrans(dict.fromkeys(spec.tape_alphabet, "#"))
-    for state, keys in states.items():
-        # with one tape, distinct keys of equal rank never match one scan
-        if deterministic and spec.tapes > 1 and _may_overlap(keys, blind):
-            deterministic = not _overlap(keys, spec.tape_alphabet)
-    return replace(spec, deterministic=deterministic, index=RuleIndex(states, spec.delta))
-
-
 def _may_overlap(keys: Tuple[Tuple[str, ...], ...], blind: dict) -> bool:
     """A quick test, false when no two ``keys`` can match one scan at equal
     rank: that takes two keys of equal rank that read different tapes.
@@ -375,73 +381,15 @@ def _may_overlap(keys: Tuple[Tuple[str, ...], ...], blind: dict) -> bool:
     return len({shape.count("#") for shape in shapes}) < len(shapes)
 
 
-def _overlap(keys: List[Tuple[str, ...]], alphabet: frozenset) -> bool:
-    """True when some scan matches two keys of the highest matching rank."""
-    ranked = [(len(key) - key.count(WILD), key) for key in keys]
-    for i, (rank, a) in enumerate(ranked):
-        for rank_b, b in ranked[i + 1 :]:
-            meet = _unify(a, b) if rank_b == rank else None
-            if meet is None:
-                continue
-            above = [key for r, key in ranked if r > rank and _unify(key, meet) is not None]
-            if not _covered(meet, above, alphabet):
-                return True
-    return False
-
-
-def _exposed(key: Tuple[str, ...], keys: Tuple[Tuple[str, ...], ...], alphabet: frozenset) -> bool:
-    """True when some scan matches ``key`` and no more specific key of ``keys``."""
-    rank = len(key) - key.count(WILD)
-    above = [k for k in keys if len(k) - k.count(WILD) > rank and _unify(k, key) is not None]
-    return not _covered(key, above, alphabet)
-
-
-def _unify(a: Tuple[str, ...], b: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
-    """The key matching exactly the scans both keys match, or None."""
-    out = []
-    for x, y in zip(a, b):
-        if x == WILD:
-            out.append(y)
-        elif y == WILD or x == y:
-            out.append(x)
-        else:
-            return None
-    return tuple(out)
-
-
-def _covered(meet: Tuple[str, ...], above: List[Tuple[str, ...]], alphabet: frozenset) -> bool:
-    """Whether every scan matching ``meet`` matches some key in ``above``
-    (each of which unifies with ``meet``).  Only the tapes where ``meet`` is
-    `*` and some key of ``above`` is not can tell scans apart, and there a
-    symbol no key names stands for all such symbols."""
-    free = sorted({t for key in above for t, r in enumerate(key) if r != WILD and meet[t] == WILD})
-    choices = []
-    for t in free:
-        named = sorted({key[t] for key in above} - {WILD})
-        choices.append(named + sorted(alphabet.difference(named))[:1])
-    for pick in product(*choices):
-        scan = dict(zip(free, pick))
-        if not any(all(r == WILD or meet[t] != WILD or scan[t] == r for t, r in enumerate(key))
-                   for key in above):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Execution
-
-
-def _rules_of(spec: MachineSpec) -> RuleIndex:
-    if spec.index is None:
-        raise ValidationError(f"machine {spec.name!r} was not validated; see validate_machine")
-    return spec.index
 
 
 def resolve(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Tuple[Step, ...]:
     """Resolved steps of the most specific rules of ``state`` matching the
     full scan vector ``scanned``; only the tapes the state reads are looked
     at, and the answer is memoized per state."""
-    index = _rules_of(spec)
+    index = spec.index
     entry = index.lookup(state)
     if entry is None:
         return ()
@@ -531,9 +479,10 @@ def run(
     The tapes live in mutable buffers, one list of cells and one origin per
     tape, always covering the head's cell; Configurations are built only at
     exit, or after every step when ``want_trace`` is set."""
+    check_fuel(fuel)
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
-    index = _rules_of(spec)
+    index = spec.index
     memo = index.memo
     c = start if start is not None else initial_configuration(spec, [word])
     state, heads = c.state, list(c.heads)

@@ -15,7 +15,7 @@ each Named still carries its pure-constructor definition.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError
 from .prf import (
@@ -184,10 +184,11 @@ def _current_symbol() -> PrfExpr:
     return Named("current_symbol", _ap(mul, _ap(sg, Proj(2, 2)), raw))
 
 
-def next_configuration_expr(m: MachineSpec) -> PrfExpr:
+def next_configuration_expr(m: MachineSpec, tables: Optional[Dict[str, PrfExpr]] = None) -> PrfExpr:
     """Arity 1, packed config -> packed successor config (fixed point once
-    halted: 2^w * 3^r * 5^p)."""
-    t = machine_tables(m)
+    halted: 2^w * 3^r * 5^p).  ``tables`` are ``machine_tables(m)``, built
+    here when not given."""
+    t = tables or machine_tables(m)
     ext = stdlib("extract")
     add, mul, monus = stdlib("add"), stdlib("mul"), stdlib("monus")
     pow2, pow3, ex = stdlib("pow2"), stdlib("pow3"), stdlib("exp")
@@ -214,27 +215,26 @@ def next_configuration_expr(m: MachineSpec) -> PrfExpr:
     return Named("next_configuration", packed)
 
 
-def execute_expr(m: MachineSpec) -> PrfExpr:
+def execute_expr(m: MachineSpec, tables: Optional[Dict[str, PrfExpr]] = None) -> PrfExpr:
     """(w, t) -> packed configuration after t steps from 2^w * 3^0 * 5^1."""
     idx, _ = state_indices(m)
     pow2, mul, ex = stdlib("pow2"), stdlib("mul"), stdlib("exp")
     init = _ap(mul, _ap(mul, _ap(pow2, Proj(1, 1)),
                         _ap(ex, const(3, 1), const(idx[m.initial], 1))),
                const(5, 1))
-    step = next_configuration_expr(m)
+    step = next_configuration_expr(m, tables)
     # h(w, t, c) = step(c)
     h = _ap(step, Proj(3, 3))
     return Named("execute", PrimRec(init, h))
 
 
-def _halted_expr(m: MachineSpec) -> PrfExpr:
-    """(w, t) -> 1 iff execute(w, t) is a halting configuration: head on
-    cell 1, tape code is a numeral code, and the state table yields r."""
-    t = machine_tables(m)
+def _num_steps(m: MachineSpec, t: Dict[str, PrfExpr], exe: PrfExpr) -> PrfExpr:
+    """`num_steps_expr` over m's machine tables ``t`` and execute expression
+    ``exe``.  The halting condition on execute(w, t): head on cell 1, tape
+    code is a numeral code, and the state table yields r."""
     _, r = state_indices(m)
     ext = stdlib("extract")
     cur = _current_symbol()
-    exe = execute_expr(m)
     c = _ap(exe, Proj(2, 1), Proj(2, 2))
     w = _ap(ext, const(2, 2), c)
     q = _ap(ext, const(3, 2), c)
@@ -243,12 +243,13 @@ def _halted_expr(m: MachineSpec) -> PrfExpr:
     cond = pand(_eqc(p, 1, 2),
                 pand(_ap(enc_predicate(), w),
                      _ap(stdlib("eq"), _ap(t["next_state"], q, s), const(r, 2))))
-    return Named("halted", cond)
+    return Named("num_steps", Mu(pnot(Named("halted", cond))))
 
 
 def num_steps_expr(m: MachineSpec) -> PrfExpr:
     """w -> least t with the halting condition (mu-search, partial)."""
-    return Named("num_steps", Mu(pnot(_halted_expr(m))))
+    t = machine_tables(m)
+    return _num_steps(m, t, execute_expr(m, t))
 
 
 def _decode_expr() -> PrfExpr:
@@ -275,12 +276,13 @@ def _initial_code_expr() -> PrfExpr:
 
 def compile_tm_to_prf(m: MachineSpec) -> PrfExpr:
     """Arity-1 expression f with eval(f, n) = run_numeric(m, [n]) whenever
-    both complete."""
-    _check_source(m)
+    both complete.  The machine tables and the execute expression are
+    built once and shared by the step count and the final configuration."""
+    tables = machine_tables(m)
     ext = stdlib("extract")
-    exe = execute_expr(m)
+    exe = execute_expr(m, tables)
     w0 = _ap(_initial_code_expr(), Proj(1, 1))
-    steps = _ap(num_steps_expr(m), w0)
+    steps = _ap(_num_steps(m, tables, exe), w0)
     final_c = _ap(exe, w0, steps)
     final_w = _ap(ext, const(2, 1), final_c)
     return Named(f"tm_{m.name}", _ap(_decode_expr(), final_w))

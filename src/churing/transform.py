@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NotADecider, ValidationError
+from .errors import NotADecider, ValidationError, check_fuel
 from .tm import (
     ACCEPT,
     BLANK,
@@ -19,13 +19,11 @@ from .tm import (
     WILD,
     Configuration,
     MachineSpec,
-    _rules_of,
     initial_configuration,
     resolve_one,
     run,
     step,
     successors,
-    validate_machine,
 )
 
 HASH = "#"
@@ -94,7 +92,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     undot = {v: k for k, v in dot.items()}
     alphabet = set(dot) | set(dot.values()) | {HASH}
     k = m.tapes
-    index = _rules_of(m)
+    index = m.index
     reads = {q: index.lookup(q)[0] for q in index.states}
     lefts = {q: {t for key in keys for _, _, moves in m.delta[q, key]
                  for t, mv in enumerate(moves) if mv == "L"}
@@ -237,7 +235,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
             delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
 
     accept = frozenset(names[st] for st in order if st[0] == "g" and st[1] in m.accept)
-    spec = MachineSpec(
+    return MachineSpec(
         name=f"{m.name}_single",
         states=frozenset(names.values()),
         initial="s0",
@@ -248,7 +246,6 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
         delta=delta,
         tape_mode=SEMI_INFINITE,
     )
-    return validate_machine(spec)
 
 
 def single_tape_segments(host: MachineSpec, c: Configuration) -> List[str]:
@@ -294,6 +291,8 @@ def nd_run(m: MachineSpec, word: str, max_depth: int, node_fuel: int = 10**7) ->
     expanded again: its subtree was already searched to at least the same
     depth.  ``node_fuel`` bounds the number of nodes expanded, i.e.
     successor computations.  Returns Accept or NotFound."""
+    check_fuel(max_depth, "max_depth")
+    check_fuel(node_fuel, "node_fuel")
     root = initial_configuration(m, [word])
     if root.state in m.accept:
         return ACCEPT
@@ -363,6 +362,7 @@ def decide_combine(
 def dovetail_decide(m1: MachineSpec, m2: MachineSpec, w: str, fuel: int) -> str:
     """Interleave single steps of both recognizers: m1 accepting first means
     Accept, m2 accepting first means Reject."""
+    check_fuel(fuel)
     c1: Optional[Configuration] = initial_configuration(m1, [w])
     c2: Optional[Configuration] = initial_configuration(m2, [w])
     for _ in range(fuel + 1):

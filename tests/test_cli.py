@@ -51,6 +51,28 @@ def test_run_tm_fuel_exhausted(capsys):
     assert capsys.readouterr().out.strip() == "FuelExhausted"
 
 
+_RUN_ONE = {"tm": ["tm", _c("onon.tm"), "--input", "0011"],
+            "prf": ["prf", _c("succ.prf"), "--args", "4"],
+            "lam": ["lam", _c("example_term.lam")]}
+
+
+@pytest.mark.parametrize("model", sorted(_RUN_ONE))
+def test_run_fuel_is_a_natural_number(model, capsys):
+    # negative fuel is bad input in every model; zero fuel runs out at once
+    assert cli(["run", *_RUN_ONE[model], "--fuel", "-1"]) == 3
+    assert "fuel must be a natural number" in capsys.readouterr().err
+    assert cli(["run", *_RUN_ONE[model], "--fuel", "0"]) == 2
+    assert capsys.readouterr().out.strip() == "FuelExhausted"
+
+
+def test_nd_run_depth_is_a_natural_number(capsys):
+    assert cli(["transform", "--nd-run", _c("contains11_guesser.tm"), "--input", "011",
+                "--depth", "-1"]) == 3
+    assert "max_depth must be a natural number" in capsys.readouterr().err
+    assert cli(["transform", "--nd-run", _c("contains11_guesser.tm"), "--input", "011",
+                "--depth", "0"]) == 1
+
+
 def test_run_prf(capsys):
     assert cli(["run", "prf", _c("succ.prf"), "--args", "4"]) == 0
     assert capsys.readouterr().out.strip() == "5"
@@ -354,6 +376,15 @@ def test_equiv_refuses_an_automaton(capsys):
 def test_equiv_bad_grid(tmp_path):
     assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("succ.tm"),
                 "--lam", _c("example_term.lam"), "--grid", "zap"]) == 3
+
+
+def test_equiv_empty_grid_is_refused(capsys):
+    # an empty grid would report a vacuous agreement
+    assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("succ.tm"),
+                "--lam", _c("example_term.lam"), "--grid", "3..1"]) == 3
+    captured = capsys.readouterr()
+    assert "grid '3..1' is empty" in captured.err
+    assert captured.out == ""
 
 
 # --- python -m churing.cli ---------------------------------------------

@@ -155,3 +155,12 @@ def test_fuel_counts_are_stable():
     add = stdlib("add")
     with pytest.raises(FuelExhausted):
         evaluate(expand(add), [30, 30], 5)
+
+
+def test_fuel_is_a_natural_number():
+    from churing.errors import Fuel
+    with pytest.raises(ValidationError, match="fuel must be a natural number"):
+        evaluate(Succ(), [1], -1)
+    with pytest.raises(FuelExhausted):  # zero fuel runs out at the first evaluation
+        evaluate(Succ(), [1], Fuel(0))
+    assert evaluate(Succ(), [1], 1) == 2

@@ -175,6 +175,7 @@ def test_several_targets_count_only_where_no_specific_rule_overrides():
 
 def test_concrete_states_skip_the_overlap_check(monkeypatch):
     import churing.tm as tm
+    from dataclasses import replace
     from churing.formats import parse
     from churing.transform import to_single_tape
     from conftest import corpus_text
@@ -184,20 +185,48 @@ def test_concrete_states_skip_the_overlap_check(monkeypatch):
     def refuse(*_):
         raise AssertionError("overlap check ran on concrete keys")
 
-    monkeypatch.setattr(tm, "_overlap", refuse)
+    monkeypatch.setattr(tm.RuleIndex, "_match", refuse)
     rules = [("q", x + y, "q", "**", "RR") for x in "ab_" for y in "ab_"]
     m = make_machine(name="grid", states=["q"], initial="q", accept=[],
                      input_alphabet=["a", "b"], tape_alphabet=["a", "b", "_"],
                      tapes=2, rules=rules)
     assert m.deterministic
-    assert tm.validate_machine(single).deterministic
+    assert replace(single).deterministic
 
 
-def test_unvalidated_machine_is_refused():
+def test_machine_is_validated_when_built():
     from dataclasses import replace
-    m = replace(zeros_then_ones(), index=None)
-    with pytest.raises(ValidationError, match="not validated"):
-        run(m, "01", fuel=100)
+    from churing.tm import MachineSpec
+    m = zeros_then_ones()
+    fields = dict(name="z", states=m.states, initial=m.initial, accept=m.accept,
+                  input_alphabet=m.input_alphabet, tape_alphabet=m.tape_alphabet,
+                  tapes=1, delta=m.delta)
+    built = MachineSpec(**fields)
+    assert built.deterministic and built.index is not None
+    assert run(built, "01", fuel=100).tag == "Accept"
+    with pytest.raises(ValidationError, match="initial state 'nope' not declared"):
+        MachineSpec(**{**fields, "initial": "nope"})
+    with pytest.raises(ValidationError, match="does not match tape count"):
+        replace(m, tapes=2)
+    renamed = replace(m, name="again")
+    assert renamed.deterministic and renamed.index is not m.index
+    with pytest.raises(TypeError):
+        MachineSpec(**fields, deterministic=False)
+
+
+def test_derived_fields_cannot_be_forged():
+    # the flag and the index come from the rules, never from the caller
+    from dataclasses import replace
+    overlap = _two_tape_overlap()
+    two = make_machine(name="two", states=["a", "b", "c"], initial="a", accept=["c"],
+                       input_alphabet=["1"], tape_alphabet=["0", "1", "_"], tapes=1,
+                       rules=[("a", "1", "b", "1", "R"), ("a", "1", "c", "0", "R")])
+    for m in (overlap, two):
+        assert not m.deterministic
+        with pytest.raises(ValueError, match="init=False"):
+            replace(m, deterministic=True)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(m, index=None)
 
 
 def test_word_outside_input_alphabet_is_refused():

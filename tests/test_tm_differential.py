@@ -4,8 +4,8 @@
 tape, rebuild written tapes).  `churing.tm.run` must agree with it on the
 tag, the final configuration, `steps_taken` and the trace, on the corpus,
 the compiled stdlib, the lambda machine suite and generated machines, and
-`validate_machine` must call a machine deterministic exactly when no scan
-vector is ambiguous under the reference matcher.
+a built machine must be deterministic exactly when no scan vector is
+ambiguous under the reference matcher.
 """
 
 import itertools

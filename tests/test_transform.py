@@ -249,6 +249,18 @@ def test_nd_run_guesser_depth_ten_is_fast():
     assert time.perf_counter() - started < 0.2
 
 
+def test_nd_run_budgets_are_natural_numbers():
+    m = parse("tm", corpus_text("contains11_guesser.tm"))
+    with pytest.raises(ValidationError, match="max_depth must be a natural number"):
+        nd_run(m, "011", max_depth=-1)
+    with pytest.raises(ValidationError, match="node_fuel must be a natural number"):
+        nd_run(m, "011", max_depth=5, node_fuel=-1)
+    assert nd_run(m, "011", max_depth=5, node_fuel=0) == "NotFound"
+    assert nd_run(m, "011", max_depth=0) == "NotFound"
+    with pytest.raises(ValidationError, match="fuel must be a natural number"):
+        dovetail_decide(m, m, "011", fuel=-1)
+
+
 def test_nd_run_node_fuel_counts_nodes_expanded():
     # a walker that accepts at depth 5: five expansions (root and depths 1..4)
     # find it, where replaying every address from the root took 1+2+...+5
@@ -258,17 +270,6 @@ def test_nd_run_node_fuel_counts_nodes_expanded():
     assert nd_run(m, "1111", max_depth=5, node_fuel=5) == "Accept"
     assert nd_run(m, "1111", max_depth=5, node_fuel=4) == "NotFound"
     assert nd_run(m, "1111", max_depth=4) == "NotFound"
-
-
-def test_single_tape_refuses_ambiguous_targets():
-    # deterministic=True forged onto a machine with an equal-rank overlap
-    from dataclasses import replace
-    m = make_machine(name="overlap", states=["q", "A", "B"], initial="q",
-                     accept=["A"], input_alphabet=["a"], tape_alphabet=["a", "_"],
-                     tapes=2, rules=[("q", "a*", "A", "**", "SS"),
-                                     ("q", "*_", "B", "**", "SS")])
-    with pytest.raises(ValidationError, match="ambiguous"):
-        to_single_tape(replace(m, deterministic=True))
 
 
 def test_nd_run_on_deterministic_machine():
