@@ -135,6 +135,21 @@ def test_source_machine_guardrails():
         compile_tm_to_prf(wide)
 
 
+def test_machine_tables_refuse_ambiguous_targets():
+    # a machine whose one entry has two targets cannot be marked
+    # deterministic, so machine_tables sees it as it is and refuses it
+    from dataclasses import replace
+    from churing.tm import make_machine
+    m = make_machine(name="two", states=["a", "b", "c"], initial="a", accept=["c"],
+                     input_alphabet=["1"], tape_alphabet=["0", "1", "_"], tapes=1,
+                     rules=[("a", "1", "b", "1", "R"), ("a", "1", "c", "0", "R")])
+    assert not m.deterministic
+    with pytest.raises(ValueError, match="init=False"):
+        replace(m, deterministic=True)
+    with pytest.raises(ValidationError, match="needs a deterministic machine"):
+        machine_tables(m)
+
+
 def test_equiv_grid_round_trip_column_only_for_bare_successor():
     # only S compiles to a one-tape machine over {0,1,_}; pred's machine has
     # four tapes, and prime's does not compile (more than 16 tapes)

@@ -272,6 +272,21 @@ def test_nd_run_node_fuel_counts_nodes_expanded():
     assert nd_run(m, "1111", max_depth=4) == "NotFound"
 
 
+def test_single_tape_refuses_ambiguous_targets():
+    # a machine with an equal-rank overlap cannot be marked deterministic,
+    # so to_single_tape sees it as it is and refuses it
+    from dataclasses import replace
+    m = make_machine(name="overlap", states=["q", "A", "B"], initial="q",
+                     accept=["A"], input_alphabet=["a"], tape_alphabet=["a", "_"],
+                     tapes=2, rules=[("q", "a*", "A", "**", "SS"),
+                                     ("q", "*_", "B", "**", "SS")])
+    assert not m.deterministic
+    with pytest.raises(ValueError, match="init=False"):
+        replace(m, deterministic=True)
+    with pytest.raises(ValidationError, match="requires a deterministic machine"):
+        to_single_tape(m)
+
+
 def test_nd_run_on_deterministic_machine():
     from churing.tm import zeros_then_ones
     m = zeros_then_ones()
