@@ -39,7 +39,7 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ParseError
-from .lam import Abs, App, Term, Var, church_encode, render
+from .lam import App, Term, Var, church_encode, lam, render
 from .prf import (Compose, Mu, Named, PrimRec, Proj, Succ, Zero, const, stdlib,
                   stdlib_names)
 from .prf import PrfExpr
@@ -225,26 +225,25 @@ _TOKEN = re.compile(r"[(),=.\\#;]|[^\s(),=.\\#;]+")
 
 
 class _Tokens:
-    """Token stream carrying line/column for error messages: each
-    punctuation character is a token, and so is each run of other
-    non-blank characters."""
+    """Token stream: each punctuation character is a token, and so is each
+    run of other non-blank characters.  Tokens are plain strings; only an
+    error works out a line and column, by scanning the text again."""
 
     def __init__(self, text: str, comment: str = "#"):
-        self.toks: List[Tuple[str, int, int]] = [
-            (m.group(), no, m.start() + 1)
-            for no, raw in enumerate(text.splitlines(), start=1)
-            for m in _TOKEN.finditer(_strip_comment(raw, comment))]
+        self.text = text
+        self.comment = comment
+        self.toks: List[str] = [tok for raw in text.splitlines()
+                                for tok in _TOKEN.findall(_strip_comment(raw, comment))]
         self.pos = 0
 
     def peek(self) -> Optional[str]:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def next(self) -> str:
         if self.pos >= len(self.toks):
             raise self.error("unexpected end of input")
-        t, _, _ = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -253,13 +252,15 @@ class _Tokens:
             raise self.error(f"expected {tok!r}, got {got!r}")
 
     def error(self, msg: str) -> ParseError:
-        if self.pos < len(self.toks):
-            _, line, col = self.toks[self.pos]
-        elif self.toks:
-            _, line, col = self.toks[-1]
-        else:
-            line, col = 1, 1
-        return ParseError(msg, line=line, column=col)
+        """A ParseError at the current token, or at the last one when the
+        input has ended."""
+        n = min(self.pos, len(self.toks) - 1)
+        for no, raw in enumerate(self.text.splitlines(), start=1):
+            found = list(_TOKEN.finditer(_strip_comment(raw, self.comment)))
+            if 0 <= n < len(found):
+                return ParseError(msg, line=no, column=found[n].start() + 1)
+            n -= len(found)
+        return ParseError(msg, line=1, column=1)
 
 
 def _parse_prf_term(ts: _Tokens, env: Dict[str, PrfExpr]) -> PrfExpr:
@@ -403,51 +404,61 @@ def print_prf(obj: Union[PrfExpr, Dict[str, PrfExpr]]) -> str:
 # .lam
 # ---------------------------------------------------------------------------
 
-def _parse_lam_atom(ts: _Tokens, env: Dict[str, Term]) -> Optional[Term]:
-    tok = ts.peek()
-    if tok is None or tok in (")", ".", ",", "def", "="):
-        return None
-    if tok == "(":
-        ts.next()
-        t = _parse_lam_term(ts, env)
-        ts.expect(")")
-        return t
-    if tok == "\\":
-        ts.next()
-        params = []
-        while ts.peek() not in (".", None):
-            params.append(ts.next())
-        if not params:
-            raise ts.error("abstraction needs at least one parameter")
-        ts.expect(".")
-        body = _parse_lam_term(ts, env)
-        for p in reversed(params):
-            body = Abs(p, body)
-        return body
-    if tok == "#":
-        ts.next()
-        return church_encode(_int_tok(ts))
-    ts.next()
-    if tok in env:
-        return env[tok]
-    return Var(tok)
+_LAM_STOP = frozenset((")", ".", ",", "def", "="))  # tokens that end a term
 
 
-def _parse_lam_term(ts: _Tokens, env: Dict[str, Term]) -> Term:
-    t = _parse_lam_atom(ts, env)
+def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term]) -> Tuple[Term, int]:
+    """The term at token i, and the index after it.  An abstraction's body
+    runs to the end of the term, so one loop reads it with the atoms of an
+    application; only a parenthesis recurses.  ``scope`` maps a name to its
+    definition, or to the one Var node of that name in this parse."""
+    toks = ts.toks
+    n = len(toks)
+    t = None
+    opened = []  # (application before it, params) of each abstraction read
+    while i < n:
+        tok = toks[i]
+        if tok == "(":
+            a, ts.pos = _parse_lam_term(ts, i + 1, scope)
+            ts.expect(")")
+            i = ts.pos
+        elif tok == "\\":
+            j = i + 1
+            while j < n and toks[j] != ".":
+                j += 1
+            ts.pos = j
+            if j == i + 1:
+                raise ts.error("abstraction needs at least one parameter")
+            ts.expect(".")
+            opened.append((t, toks[i + 1:j]))
+            t, i = None, j + 1
+            continue
+        elif tok == "#":
+            ts.pos = i + 1
+            a = church_encode(_int_tok(ts))
+            i = ts.pos
+        elif tok in _LAM_STOP:
+            break
+        else:
+            a = scope.get(tok)
+            if a is None:
+                a = scope[tok] = Var(tok)
+            i += 1
+        t = a if t is None else App(t, a)
     if t is None:
+        ts.pos = i
         raise ts.error("expected a lambda term")
-    while True:
-        nxt = _parse_lam_atom(ts, env)
-        if nxt is None:
-            return t
-        t = App(t, nxt)
+    while opened:
+        fn, params = opened.pop()
+        t = lam(params, t) if fn is None else App(fn, lam(params, t))
+    return t, i
 
 
 def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
     ts = _Tokens(text, comment=";")
+    scope: Dict[str, Term] = {}
     if ts.peek() != "def":
-        t = _parse_lam_term(ts, {})
+        t, ts.pos = _parse_lam_term(ts, 0, scope)
         if ts.peek() is not None:
             raise ts.error("trailing tokens after term")
         return t
@@ -458,7 +469,8 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
         ts.expect("=")
         if name in env:
             raise ts.error(f"duplicate definition of {name!r}")
-        env[name] = _parse_lam_term(ts, env)
+        env[name], ts.pos = _parse_lam_term(ts, ts.pos, scope)
+        scope[name] = env[name]
     return env
 
 

@@ -109,13 +109,15 @@ class Hole(Term):
 HOLE = Hole()
 
 
+def _binder_names(avoid: frozenset | set, prefix: str = "x") -> Iterator[str]:
+    """prefix1, prefix2, ... skipping ``avoid``: with prefix x, the binder
+    names of `render`, `canonical_binders` and `normalize`."""
+    return (n for n in (f"{prefix}{i}" for i in itertools.count(1)) if n not in avoid)
+
+
 def fresh_name(base: str = "x", avoid: frozenset | set = frozenset()) -> str:
     """The first ``base~i`` (i = 1, 2, ...) that is not in ``avoid``."""
-    base = base.split("~")[0] or "x"
-    for i in itertools.count(1):
-        cand = f"{base}~{i}"
-        if cand not in avoid:
-            return cand
+    return next(_binder_names(avoid, (base.split("~")[0] or "x") + "~"))
 
 
 def lam(params, body: Term) -> Term:
@@ -153,15 +155,16 @@ def free_vars(t: Term) -> frozenset:
     todo: list = [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             if not bound.get(t.name):
                 out.add(t.name)
-        elif isinstance(t, App):
+        elif cls is App:
             todo += (t.arg, t.fn)
-        elif isinstance(t, Abs):
+        elif cls is Abs:
             bound[t.param] = bound.get(t.param, 0) + 1
             todo += (t.param, t.body)  # the name marks leaving the binder
-        elif type(t) is str:
+        elif cls is str:
             bound[t] -= 1
     return frozenset(out)
 
@@ -324,7 +327,7 @@ def _run_machine(code, free: set, fuel: int):
     Values on the argument stack, in environments and on the task stack are
     closures (code, env), neutral levels (int) and free names (str); an
     environment is None or (value, next)."""
-    supply = (n for n in (f"x{i}" for i in itertools.count(1)) if n not in free)
+    supply = _binder_names(free)
     binders: list = []  # (name, Var) of the binder at each depth
     free_var = {name: Var(name) for name in free}
     tasks: list = [(code, None)]
@@ -549,15 +552,16 @@ def _comb_omega() -> Term:
 
 
 def render(t: Term) -> str:
-    """Deterministic print with canonically renumbered binders."""
-    return _render(canonical_binders(t))
+    """Deterministic text of t.  Binders are renamed as they are printed,
+    and text runs in pre-order, so they get the names `canonical_binders`
+    gives: alpha-equal terms print identically.
 
-
-def _render(t: Term) -> str:
-    """Application spines are left associated; an abstraction at the head of
+    Application spines are left associated; an abstraction at the head of
     a spine and any non-atomic argument are parenthesized.  Iterative: each
-    term is printed in place, and what follows it waits on a stack of terms
-    and literal text."""
+    term is printed in place, and what follows it waits on a stack of terms,
+    literal text and binder scopes to close."""
+    supply = _binder_names(free_vars(t))
+    env: dict = {}  # name -> new name of its innermost binder
     out: list = []
     todo: list = [t]
     while todo:
@@ -567,19 +571,23 @@ def _render(t: Term) -> str:
             if cls is str:
                 out.append(t)
             elif cls is Var:
-                out.append(t.name)
+                out.append(env.get(t.name, t.name))
             elif cls is Abs:
                 params = []
+                scope = []  # (name, its outer renaming) to restore on leaving
                 while type(t) is Abs:
-                    params.append(t.param)
+                    scope.append((t.param, env.get(t.param)))
+                    env[t.param] = next(supply)
+                    params.append(env[t.param])
                     t = t.body
+                todo.append(scope)
                 out.append("\\" + " ".join(params) + ". ")
                 continue
             elif cls is App:
                 while type(t) is App:  # arguments pushed last one first
                     a = t.arg
                     if type(a) is Var:
-                        todo.append(" " + a.name)
+                        todo.append(" " + env.get(a.name, a.name))
                     elif type(a) is Hole:
                         todo.append(" []")
                     else:
@@ -589,6 +597,12 @@ def _render(t: Term) -> str:
                     out.append("(")
                     todo.append(")")
                 continue
+            elif cls is list:  # leaving the scope of a run of binders
+                for name, outer in reversed(t):
+                    if outer is None:
+                        del env[name]
+                    else:
+                        env[name] = outer
             elif cls is Hole:
                 out.append("[]")
             else:
@@ -598,21 +612,14 @@ def _render(t: Term) -> str:
 
 
 def canonical_binders(t: Term) -> Term:
-    """Rename every binder to x1, x2, ... in traversal order, avoiding the
-    free variables; alpha-equal terms print identically.
+    """A copy of t with every binder renamed x1, x2, ... in pre-order,
+    skipping the free variables; alpha-equal terms give equal copies.
+    `render` prints these names without building the copy.
 
     Afterwards every binder has its own name and none is a free variable,
     so substituting a subterm textually captures nothing: the machine BR1
     (`lam_to_tm.br1_on_tm`, `lam_to_tm.reduce_on_tm`) relies on this."""
-    fv = free_vars(t)
-    counter = itertools.count(1)
-
-    def next_binder():
-        while True:
-            cand = f"x{next(counter)}"
-            if cand not in fv:
-                return cand
-
+    supply = _binder_names(free_vars(t))
     env: dict = {}  # name -> new name of its innermost binder
     out: list = []
     todo: list = [t]
@@ -623,7 +630,7 @@ def canonical_binders(t: Term) -> Term:
         elif isinstance(t, App):
             todo += (_APPLY, t.arg, t.fn)
         elif isinstance(t, Abs):
-            fresh = next_binder()  # numbered on entry: pre-order
+            fresh = next(supply)  # numbered on entry: pre-order
             todo += ((t.param, env.get(t.param), fresh), t.body)
             env[t.param] = fresh
         elif t is _APPLY:

@@ -21,7 +21,7 @@ from typing import Callable, List
 
 from .errors import ValidationError
 from .lam import Term, Var, app, church_encode, combinator, lam
-from .prf import Compose, Mu, PrfExpr, PrimRec, Proj, Succ, Zero, arity_check, expand
+from .prf import Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero, arity_check
 
 
 def compile_prf_to_lambda(e: PrfExpr) -> Term:
@@ -30,10 +30,12 @@ def compile_prf_to_lambda(e: PrfExpr) -> Term:
     def binders(base: str, n: int = 1) -> List[str]:
         return [f"{base}~{next(counter)}" for _ in range(n)]
 
-    return _compile(expand(e), binders)
+    return _compile(e, binders)
 
 
 def _compile(e: PrfExpr, binders: Callable[..., List[str]]) -> Term:
+    if isinstance(e, Named):  # compiled in place: the tree is never copied
+        return _compile(e.definition, binders)
     if isinstance(e, Zero):
         if e.k == 0:
             return church_encode(0)

@@ -5,7 +5,7 @@ import pytest
 from churing.errors import FuelExhausted, ValidationError
 from churing.lam import church_decode, church_encode, free_vars, normalize
 from churing.prf import (
-    Compose, Mu, PrimRec, Proj, Succ, Zero, evaluate, stdlib, stdlib_names,
+    Compose, Mu, PrimRec, Proj, Succ, Zero, evaluate, expand, stdlib, stdlib_names,
 )
 from churing.prf_to_lam import compile_prf_to_lambda, recursion_gadget_check
 
@@ -26,6 +26,13 @@ def _run(term, args, fuel=FUEL):
 def test_equal_inputs_compile_to_equal_terms(name):
     # binder names come from a counter local to the call, not the process
     assert compile_prf_to_lambda(stdlib(name)) == compile_prf_to_lambda(stdlib(name))
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_named_nodes_compile_as_their_definitions(name):
+    # a Named node is compiled in place, binders numbered as in its expansion
+    e = stdlib(name)
+    assert compile_prf_to_lambda(e) == compile_prf_to_lambda(expand(e))
 
 
 def test_compiled_terms_are_closed():
