@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChuringError, FuelExhausted, NonEncodable
-from .lam import Term, app, church_decode, church_encode, normalize
+from .lam import Term, app, church_decode, church_encode
 from .prf import PrfExpr, Succ, arity_check, evaluate, expand
 from .prf_to_tm import compile_prf_to_tm
 from .tm import MachineSpec, run_numeric
@@ -64,14 +64,6 @@ class EquivReport:
         return min(bad, key=lambda p: (sum(p), p)) if bad else None
 
 
-def _eval_lam(t: Term, args: Sequence[int], fuel: int) -> Optional[int]:
-    applied = app(t, *[church_encode(a) for a in args])
-    res = normalize(applied, fuel=fuel)
-    if not res.normal:
-        return None
-    return church_decode(res.term)
-
-
 def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
                grid: Sequence[Sequence[int]], fuel: int = DEFAULT_FUEL) -> EquivReport:
     """Evaluate the same function in all three models over a grid of points.
@@ -107,7 +99,7 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
             got = None
         row["tm"] = got if isinstance(got, int) else None
         try:
-            row["lam"] = _eval_lam(lam, pt, fuel)
+            row["lam"] = church_decode(app(lam, *map(church_encode, pt)), fuel)
         except ChuringError:
             row["lam"] = None
         if rt is not None:

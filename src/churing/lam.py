@@ -21,8 +21,15 @@ of the Krivine abstract machine", HOSC 2007):
   as a closure over the variable, so no chain of variable closures builds
   up (Omega would otherwise walk a chain as long as its run);
 - a neutral head (a level or a free name) has its arguments normalized
-  left to right from an explicit task stack, and the result is read back to
-  named terms, each binder named by its depth.
+  left to right from an explicit task stack;
+- the normal form comes out as one flat list in post-order, de Bruijn
+  levels for bound variables, names for free ones, and a marker for each
+  application and each closed binder.  ``normalize`` reads it back to named
+  terms, each binder named by its depth.  ``beta_eq`` compares two such
+  lists with ``==``, which is alpha-equality of the terms (N. G. de Bruijn,
+  "Lambda calculus notation with nameless dummies", 1972), and
+  ``church_decode`` matches one against the shape of a numeral; neither
+  builds a term.
 
 There is no sharing: a closure is never updated in place, so an argument
 used twice is reduced twice, just as substitution copies it.  Sharing
@@ -43,12 +50,22 @@ from .errors import FuelExhausted, NotANumeral, ValidationError, check_fuel
 # Terms
 
 
-@dataclass(frozen=True, eq=False)
 class Term:
-    """A term compares and hashes by structure, walking it with an explicit
-    stack, so a term too deep for recursion (a large Church numeral) works."""
+    """A term is immutable, and compares and hashes by structure, walking it
+    with an explicit stack, so a term too deep for recursion (a large Church
+    numeral) works."""
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def _preorder(self) -> list:
         """The nodes in pre-order: a variable's name, 1 and the parameter for
@@ -79,32 +96,40 @@ class Term:
         return hash(tuple(self._preorder()))
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Term):
-    name: str
     __slots__ = ("name",)
 
+    def __init__(self, name: str):
+        _set_name(self, name)
 
-@dataclass(frozen=True, eq=False)
+
 class Abs(Term):
-    param: str
-    body: Term
     __slots__ = ("param", "body")
 
+    def __init__(self, param: str, body: Term):
+        _set_param(self, param)
+        _set_body(self, body)
 
-@dataclass(frozen=True, eq=False)
+
 class App(Term):
-    fn: Term
-    arg: Term
     __slots__ = ("fn", "arg")
 
+    def __init__(self, fn: Term, arg: Term):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
 
-@dataclass(frozen=True, eq=False)
+
 class Hole(Term):
     """Context hole.  Only legal inside contexts, never in reducible terms."""
 
     __slots__ = ()
 
+
+# The constructors set fields through the slot descriptors, which
+# Term.__setattr__ does not reach.
+_set_name = Var.name.__set__
+_set_param, _set_body = Abs.param.__set__, Abs.body.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 HOLE = Hole()
 
@@ -272,13 +297,13 @@ class NormalizeResult:
     contractions: int = 0  # contractions performed; the fuel when not normal
 
 
-# Marks an application to rebuild in the iterative traversals below.
+# Marks an application: a task to rebuild one in the iterative traversals
+# below, and in normal-form code the application of the two items before it.
 _APPLY = object()
 # The machine's code: an int is a bound variable (0 = innermost binder), a
 # str a free variable, (_ABS, body) an abstraction, (_APP, fn, arg) an
 # application.
 _ABS, _APP = 0, 1
-_CLOSE = object()  # read-back task: wrap the last result in its binder
 
 
 def _to_code(t: Term):
@@ -320,31 +345,29 @@ def _to_code(t: Term):
     return out[0], free
 
 
-def _run_machine(code, free: set, fuel: int):
+def _run_machine(code, fuel: int):
     """Normal form of the code and the fuel left; raises FuelExhausted when
     a contraction is due and no fuel is left.
 
+    The normal form is flat code in post-order: an int d >= 0 is the
+    variable bound at binder level d (0 = outermost), a str a free variable,
+    _APPLY applies the two items before it, and ~d closes the binder of
+    level d.  It names no binder and builds no term: equal code is
+    alpha-equal terms, compared with list ==.
+
     Values on the argument stack, in environments and on the task stack are
     closures (code, env), neutral levels (int) and free names (str); an
-    environment is None or (value, next)."""
-    supply = _binder_names(free)
-    binders: list = []  # (name, Var) of the binder at each depth
-    free_var = {name: Var(name) for name in free}
+    environment is None or (value, next).  Any other task is an item of the
+    normal form, emitted as it is popped."""
     tasks: list = [(code, None)]
-    results: list = []
+    out: list = []
     depth = 0
     while tasks:
         v = tasks.pop()
-        if v is _APPLY:
-            a = results.pop()
-            results[-1] = App(results[-1], a)
-            continue
-        if v is _CLOSE:
-            depth -= 1
-            results[-1] = Abs(binders[depth][0], results[-1])
-            continue
         if type(v) is not tuple:
-            results.append(binders[v][1] if type(v) is int else free_var[v])
+            out.append(v)
+            if type(v) is int and v < 0:  # leaving the binder of level ~v
+                depth = ~v
             continue
         t, env = v
         stack: list = []
@@ -370,10 +393,7 @@ def _run_machine(code, free: set, fuel: int):
                     env = (stack.pop(), env)
                     t = t[1]
                 else:  # no argument: go under the binder
-                    if depth == len(binders):
-                        name = next(supply)
-                        binders.append((name, Var(name)))
-                    tasks.append(_CLOSE)
+                    tasks.append(~depth)
                     env = (depth, env)
                     depth += 1
                     t = t[1]
@@ -385,29 +405,63 @@ def _run_machine(code, free: set, fuel: int):
                 t = e[0]
                 if type(t) is tuple:
                     t, env = t
-                else:
-                    head = binders[t][1] if type(t) is int else free_var[t]
+                else:  # a neutral level or a free name
                     break
             else:
-                head = free_var[t]
                 break
         # a neutral head: normalize its arguments, first argument first
-        results.append(head)
+        out.append(t)
         for a in stack:
             tasks += (_APPLY, a)
-    return results[0], fuel
+    return out, fuel
+
+
+def _normal_code(t: Term, fuel: int):
+    """The normal-form code of t, its free names and the fuel left; the code
+    is None when t needs more than ``fuel`` contractions."""
+    check_fuel(fuel)
+    code, free = _to_code(t)
+    try:
+        nf, left = _run_machine(code, fuel)
+    except FuelExhausted:
+        return None, free, 0
+    return nf, free, left
+
+
+def _read_back(nf: list, free) -> Term:
+    """The term of normal-form code, binder level d named with the (d+1)-th
+    name of `_binder_names` (free): none shadows another or a free name."""
+    supply = _binder_names(free)
+    levels: list = []  # the Var of each binder level
+    free_var: dict = {}
+    out: list = []
+    for x in nf:
+        if x is _APPLY:
+            a = out.pop()
+            out[-1] = App(out[-1], a)
+        elif type(x) is str:
+            v = free_var.get(x)
+            if v is None:
+                v = free_var[x] = Var(x)
+            out.append(v)
+        else:
+            d = x if x >= 0 else ~x
+            while len(levels) <= d:
+                levels.append(Var(next(supply)))
+            if x >= 0:
+                out.append(levels[d])
+            else:
+                out[-1] = Abs(levels[d].name, out[-1])
+    return out[0]
 
 
 def normalize(t: Term, fuel: int = 10_000) -> NormalizeResult:
     """Leftmost-outermost normal form of t when it needs at most ``fuel``
     contractions; otherwise t itself, marked not normal."""
-    check_fuel(fuel)
-    code, free = _to_code(t)
-    try:
-        nf, left = _run_machine(code, free, fuel)
-    except FuelExhausted:
+    nf, free, left = _normal_code(t, fuel)
+    if nf is None:
         return NormalizeResult(t, False, fuel)
-    return NormalizeResult(nf, True, fuel - left)
+    return NormalizeResult(_read_back(nf, free), True, fuel - left)
 
 
 EQUAL = "equal"
@@ -416,11 +470,14 @@ UNKNOWN = "unknown"
 
 
 def beta_eq(a: Term, b: Term, fuel: int = 10_000) -> str:
-    ra = normalize(a, fuel)
-    rb = normalize(b, fuel)
-    if ra.normal and rb.normal:
-        return EQUAL if alpha_eq(ra.term, rb.term) else DISTINCT
-    return UNKNOWN
+    """Whether a and b have the same normal form, each reached within
+    ``fuel`` contractions.  The normal forms are compared as de Bruijn code,
+    which is equal exactly when the named terms are alpha-equal."""
+    nf_a = _normal_code(a, fuel)[0]
+    nf_b = _normal_code(b, fuel)[0]
+    if nf_a is None or nf_b is None:
+        return UNKNOWN
+    return EQUAL if nf_a == nf_b else DISTINCT
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +494,16 @@ def church_encode(n: int) -> Term:
 
 
 def church_decode(t: Term, fuel: int = 100_000) -> int:
-    res = normalize(t, fuel)
-    if not res.normal:
+    """n when t normalizes within ``fuel`` contractions to the numeral
+    \\f x. f (... (f x)), n applications of f; its code is n zeros, a one,
+    n applications and the closing of both binders."""
+    nf, free, _ = _normal_code(t, fuel)
+    if nf is None:
         raise FuelExhausted("term did not normalize within fuel")
-    t = res.term  # read back with each binder named by its depth: none shadows
-    if not (isinstance(t, Abs) and isinstance(t.body, Abs)):
-        raise NotANumeral(f"not a numeral shape: {render(t)}")
-    f, z = t.param, t.body.param
-    body = t.body.body
-    n = 0
-    while isinstance(body, App):
-        if not (isinstance(body.fn, Var) and body.fn.name == f):
-            raise NotANumeral(f"not an iterated application: {render(t)}")
-        n += 1
-        body = body.arg
-    if not (isinstance(body, Var) and body.name == z):
-        raise NotANumeral(f"bad numeral tail: {render(t)}")
-    return n
+    n = len(nf) // 2 - 1
+    if nf == [0] * n + [1] + [_APPLY] * n + [~1, ~0]:
+        return n
+    raise NotANumeral(f"not a numeral: {render(_read_back(nf, free))}")
 
 
 def fixed_point(f: Term) -> Term:

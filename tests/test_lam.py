@@ -243,3 +243,17 @@ def test_term_equality_is_structural():
     assert App(Var("f"), Var("a")) != App(Var("a"), Var("f"))
     assert Var("x") != Abs("x", Var("x")) and Var("x") != "x"
     assert len({church_encode(3), church_encode(3), church_encode(4)}) == 2
+
+
+def test_terms_are_immutable():
+    f, a = Var("f"), Var("a")
+    t = App(f, a)
+    for target, field in ((f, "name"), (Abs("x", f), "body"), (t, "fn"), (t, "arg"),
+                          (HOLE, "name")):
+        with pytest.raises(AttributeError):
+            setattr(target, field, a)
+        with pytest.raises(AttributeError):
+            delattr(target, field)
+    assert t == App(Var("f"), Var("a")) and t.fn is f
+    assert repr(t) == "App(fn=Var(name='f'), arg=Var(name='a'))"
+    assert repr(Abs("x", HOLE)) == "Abs(param='x', body=Hole())"
