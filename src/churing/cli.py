@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .equiv import AGREE, DEFAULT_FUEL, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
-from .errors import ChuringError, FuelExhausted, ParseError, ValidationError
+from .errors import FuelExhausted, NotANumeral, ParseError, ValidationError
 from .formats import parse, print_source
 from .lam import Term, app, church_decode, normalize
 from .lam_to_tm import SUITE, build_machine
@@ -95,14 +95,13 @@ def _cmd_run(args) -> int:
     if args.apply:
         for part in parse_apply(args.apply):
             t = app(t, part)
-    res = normalize(t, fuel=fuel)
-    if not res.normal:
+    try:
+        print(f"#{church_decode(t, fuel)}")
+    except NotANumeral:  # normalized again only to print the normal form
+        print(print_source("lam", normalize(t, fuel=fuel).term), end="")
+    except FuelExhausted:
         print("FuelExhausted")
         return EXIT_INCONCLUSIVE
-    try:
-        print(f"#{church_decode(res.term)}")
-    except ChuringError:
-        print(print_source("lam", res.term), end="")
     return EXIT_OK
 
 

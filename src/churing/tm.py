@@ -18,6 +18,15 @@ class of scans it cannot tell apart.  `run` refuses a nondeterministic
 machine (see `transform.nd_run`), so a deterministic one never meets an
 ambiguous transition.
 
+`run` goes one state visit at a time: the accept check and the state's
+memo entry once per state entered, then steps until the state changes.
+Most steps of the corpus and compiled machines are sweeps, steps that keep
+the state, write nothing and move one head (`Rules.rewind` builds them).
+`run` takes a sweep as one scan along the tape, moving on while the next
+cell resolves to the very same step object (the resolver interns its
+answers).  It counts one step per cell, so the fuel runs out where it
+would step by step; a traced run takes every step singly.
+
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
 from flat rules.
 
@@ -220,16 +229,19 @@ class RuleIndex:
     state to ``(reads, known)``, where ``reads`` are the tapes some rule of
     the state reads (not `*`; no rule looks at another tape) and ``known``
     maps the symbols scanned on them, joined into one string (symbols are
-    single characters), to the resolved steps.  Nothing here refers back to
-    the machine, so a dropped machine is freed at once."""
+    single characters), to the resolved steps.  ``answers`` interns those
+    answers: equal step tuples of one index are one object, so `run` can
+    tell that two scans take the same step by identity.  Nothing here
+    refers back to the machine, so a dropped machine is freed at once."""
 
-    __slots__ = ("states", "delta", "memo")
+    __slots__ = ("states", "delta", "memo", "answers")
 
     def __init__(self, states: Dict[str, Tuple[Tuple[str, ...], ...]],
                  delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]):
         self.states = states
         self.delta = delta
         self.memo: Dict[str, Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]] = {}
+        self.answers: Dict[Tuple[Step, ...], Tuple[Step, ...]] = {}
 
     def lookup(self, state: str) -> Optional[Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]]:
         """``(reads, known)`` of a state, or None when it has no rules."""
@@ -246,7 +258,8 @@ class RuleIndex:
         known = self.lookup(state)[1]
         hit = known.get(syms)
         if hit is None:
-            hit = known[syms] = self._match(state, syms)
+            hit = self._match(state, syms)
+            hit = known[syms] = self.answers.setdefault(hit, hit)
         return hit
 
     def _match(self, state: str, syms: str) -> Tuple[Step, ...]:
@@ -478,7 +491,15 @@ def run(
 
     The tapes live in mutable buffers, one list of cells and one origin per
     tape, always covering the head's cell; Configurations are built only at
-    exit, or after every step when ``want_trace`` is set."""
+    exit, or after every step when ``want_trace`` is set.
+
+    The outer loop runs once per state entered, the inner one once per step
+    while the state stays.  Without a trace, after the first step of a
+    sweep (same state, no write, one head moved) the head moves on cell by
+    cell while the cell under it resolves to the same step: at most to the
+    buffer's end, to the fuel, and on a semi-infinite tape to cell 0, where
+    the next step meets the stuck rule.  On a tape the state does not read
+    the step cannot change, so the head jumps there at once."""
     check_fuel(fuel)
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
@@ -497,7 +518,7 @@ def run(
     trace = [c] if want_trace else None
     steps = 0
     tag = FUEL_EXHAUSTED
-    while True:
+    while True:  # one pass per state entered
         if state in accept:
             tag = ACCEPT
             break
@@ -510,45 +531,77 @@ def run(
                 tag = REJECT
                 break
         reads, known = entry
-        if len(reads) == 1:
-            t = reads[0]
-            key = cells[t][heads[t] - origins[t]]
-        else:
-            key = "".join([cells[t][heads[t] - origins[t]] for t in reads])
-        todo = known.get(key)
-        if todo is None:
-            todo = index.resolve(state, key)
-        if len(todo) != 1:
-            if todo:
-                scanned = [buf[h - o] for buf, h, o in zip(cells, heads, origins)]
-                raise _ambiguous(spec, state, scanned)
+        one = reads[0] if len(reads) == 1 else None
+        while True:  # one pass per step, or per sweep, while the state stays
+            if one is not None:
+                key = cells[one][heads[one] - origins[one]]
+            else:
+                key = "".join([cells[t][heads[t] - origins[t]] for t in reads])
+            todo = known.get(key)
+            if todo is None:
+                todo = index.resolve(state, key)
+            if len(todo) != 1:
+                if todo:
+                    scanned = [buf[h - o] for buf, h, o in zip(cells, heads, origins)]
+                    raise _ambiguous(spec, state, scanned)
+                nxt = None
+                break
+            nxt, writes, shifts = todo[0]
+            if guard:
+                for t, d in shifts:
+                    if d < 0 and heads[t] == 0:
+                        nxt = None  # cell 0 is protected
+                if nxt is None:
+                    break
+            for t, sym in writes:
+                cells[t][heads[t] - origins[t]] = sym
+            for t, d in shifts:
+                h = heads[t] = heads[t] + d
+                buf = cells[t]
+                i = h - origins[t]
+                if i == len(buf):
+                    buf.extend(BLANK * i)  # amortize a long walk right
+                elif i < 0:
+                    grow = len(buf) + 1  # and left
+                    buf[:0] = BLANK * grow
+                    origins[t] -= grow
+            steps += 1
+            if trace is not None:
+                trace.append(_snapshot(nxt, cells, origins, heads, c.steps_taken + steps))
+            if nxt != state:
+                break
+            if not writes and len(shifts) == 1 and trace is None:
+                # a sweep: move on while the cell under the head resolves
+                # to the same step, within the buffer and the fuel
+                t, d = shifts[0]
+                buf = cells[t]
+                i = start_i = heads[t] - origins[t]
+                if d > 0:
+                    stop = len(buf) - 1
+                    if stop - i > fuel - steps:
+                        stop = i + fuel - steps
+                else:  # on a semi-infinite tape, not past cell 0
+                    stop = -origins[t] if guard and origins[t] < 0 <= heads[t] else 0
+                    if i - stop > fuel - steps:
+                        stop = i - fuel + steps
+                if t not in reads:
+                    i = stop
+                elif one is not None:
+                    while i != stop and known.get(buf[i]) is todo:
+                        i += d
+                else:
+                    p = reads.index(t)
+                    pre, post = key[:p], key[p + 1:]
+                    while i != stop and known.get(pre + buf[i] + post) is todo:
+                        i += d
+                heads[t] += i - start_i
+                steps += (i - start_i) * d
+            if steps >= fuel:
+                break
+        if nxt is None:
             tag = REJECT
             break
-        nxt, writes, shifts = todo[0]
-        if guard:
-            stuck = False
-            for t, d in shifts:
-                if d < 0 and heads[t] == 0:
-                    stuck = True
-            if stuck:
-                tag = REJECT  # cell 0 is protected
-                break
-        for t, sym in writes:
-            cells[t][heads[t] - origins[t]] = sym
-        for t, d in shifts:
-            h = heads[t] = heads[t] + d
-            buf = cells[t]
-            i = h - origins[t]
-            if i == len(buf):
-                buf.append(BLANK)
-            elif i < 0:
-                grow = len(buf) + 1  # amortize a long walk left
-                buf[:0] = BLANK * grow
-                origins[t] -= grow
         state = nxt
-        steps += 1
-        if trace is not None:
-            trace.append(_snapshot(state, cells, origins, heads, c.steps_taken + steps))
     final = _snapshot(state, cells, origins, heads, c.steps_taken + steps)
     return Outcome(tag, final, tuple(trace) if trace else None)
 

@@ -1,5 +1,6 @@
 """Exit-code contract and report formats of the command line interface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from churing import lam as lam_module
 from churing.cli import cli
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -51,6 +53,42 @@ def test_run_tm_fuel_exhausted(capsys):
     assert capsys.readouterr().out.strip() == "FuelExhausted"
 
 
+_ONON_TRACE = """\
+q0 ['0011']
+q1 ['X011']
+q1 ['X011']
+q2 ['X0Y1']
+q2 ['X0Y1']
+q0 ['X0Y1']
+q1 ['XXY1']
+q1 ['XXY1']
+q2 ['XXYY']
+q2 ['XXYY']
+q0 ['XXYY']
+q4 ['XXYY']
+q4 ['XXYY']
+q5 ['XXYY']
+"""
+
+
+def test_run_tm_trace(tmp_path, capsys):
+    # pinned output: one line per configuration on stderr, the tag on stdout
+    assert cli(["run", "tm", _c("onon.tm"), "--input", "0011", "--trace"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("Accept\n", _ONON_TRACE)
+    # the squeezed copier sweeps its one tape back and forth
+    squeezed = tmp_path / "copier1.tm"
+    assert cli(["transform", "--single-tape", _c("copier.tm")]) == 0
+    squeezed.write_text(capsys.readouterr().out)
+    assert cli(["run", "tm", str(squeezed), "--input", "abba", "--trace"]) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (out, len(lines), lines[:3], lines[-1]) == (
+        "Accept\n", 357, ["s0 ['abba']", "s2 ['#bba']", "s3 ['#aba']"], "s78 ['#abbac#abbac#']")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "874d46ed1b69f9e052039b5ace247c98bf75d70ec09bf230ab10affa5370cf7d")
+
+
 _RUN_ONE = {"tm": ["tm", _c("onon.tm"), "--input", "0011"],
             "prf": ["prf", _c("succ.prf"), "--args", "4"],
             "lam": ["lam", _c("example_term.lam")]}
@@ -85,11 +123,15 @@ def test_run_prf_divergent(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "FuelExhausted"
 
 
-def test_run_lam_numeral(tmp_path, capsys):
+def test_run_lam_numeral(tmp_path, monkeypatch, capsys):
+    # a numeral is decoded by one run of the normalizing machine
+    runs = []
+    real = lam_module._run_machine
+    monkeypatch.setattr(lam_module, "_run_machine", lambda *a: runs.append(1) or real(*a))
     f = tmp_path / "t.lam"
     f.write_text("(\\m n. n m) #2 #3\n")  # 3 applied to 2 is 2^3
     assert cli(["run", "lam", str(f)]) == 0
-    assert capsys.readouterr().out.strip() == "#8"
+    assert (capsys.readouterr().out, len(runs)) == ("#8\n", 1)
 
 
 def test_run_lam_apply(tmp_path, capsys):

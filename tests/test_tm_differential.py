@@ -3,9 +3,9 @@
 `tm_reference` keeps the original semantics (rescan every rule, read every
 tape, rebuild written tapes).  `churing.tm.run` must agree with it on the
 tag, the final configuration, `steps_taken` and the trace, on the corpus,
-the compiled stdlib, the lambda machine suite and generated machines, and
-a built machine must be deterministic exactly when no scan vector is
-ambiguous under the reference matcher.
+the compiled stdlib, the lambda machine suite, generated machines and
+machines built to sweep, and a built machine must be deterministic exactly
+when no scan vector is ambiguous under the reference matcher.
 """
 
 import itertools
@@ -203,3 +203,51 @@ def test_static_determinism_is_exact(m, word):
             assert successors(m, c) == ref.successors(m, c)
             nxt.extend(ref.successors(m, c))
         level = nxt[:50]
+
+
+SWEEP_GAMMA = [BLANK, "a", "b", "#"]
+
+
+@st.composite
+def _sweep_machines(draw):
+    """Deterministic machines built to sweep.  Each acting state has a
+    default rule, reading `*` on every tape, that keeps the state, writes
+    nothing and moves one head, as `Rules.rewind` builds; its other rules
+    name exactly the tapes the state reads, which may or may not include
+    the moved one.  Some of them take the default's step by another rule."""
+    k = draw(st.integers(1, 3))
+    rules = {}
+    for q in STATES[:3]:
+        moves = ["S"] * k
+        moves[draw(st.integers(0, k - 1))] = draw(st.sampled_from("LR"))
+        rules[q, (WILD,) * k] = (q, (WILD,) * k, tuple(moves))
+        read = draw(st.sets(st.integers(0, k - 1), min_size=1))
+        for v in draw(st.lists(_vec(k, SWEEP_GAMMA), max_size=4)):
+            key = tuple(v[t] if t in read else WILD for t in range(k))
+            target = draw(st.one_of(
+                st.just((q, key, tuple(moves))),  # the default's step again
+                st.tuples(st.sampled_from(STATES), _vec(k, SWEEP_GAMMA + [WILD]),
+                          _vec(k, list(MOVES)))))
+            rules.setdefault((q, key), target)
+    mode = draw(st.sampled_from([SEMI_INFINITE, TWO_WAY]))
+    return make_machine(name="sweep", states=STATES, initial="q0", accept=["q3"],
+                        input_alphabet="ab", tape_alphabet=SWEEP_GAMMA, tapes=k,
+                        rules=[(q, key, *t) for (q, key), t in rules.items()],
+                        tape_mode=mode)
+
+
+@st.composite
+def _sweep_starts(draw, m):
+    """Words of 5 to 40 letters on every tape, each head on a letter of its
+    word, by default the last, so that a left sweep may cross the word."""
+    words = [draw(st.text(alphabet="ab#", min_size=5, max_size=40)) for _ in range(m.tapes)]
+    heads = [len(w) - 1 - draw(st.integers(0, len(w) - 1)) for w in words]
+    return initial_configuration(m, words, heads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweeps_agree(data):
+    m = data.draw(_sweep_machines())
+    assert m.deterministic
+    _fuel_sweep(m, start=data.draw(_sweep_starts(m)), cap=90)
