@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from .equiv import AGREE, DEFAULT_FUEL, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
 from .errors import FuelExhausted, NotANumeral, ParseError, ValidationError
 from .formats import parse, print_source
-from .lam import Term, app, church_decode, normalize
+from .lam import Term, app, church_decode
 from .lam_to_tm import SUITE, build_machine
 from .prf import arity_check, evaluate
 from .prf_to_lam import compile_prf_to_lambda
@@ -97,8 +97,8 @@ def _cmd_run(args) -> int:
             t = app(t, part)
     try:
         print(f"#{church_decode(t, fuel)}")
-    except NotANumeral:  # normalized again only to print the normal form
-        print(print_source("lam", normalize(t, fuel=fuel).term), end="")
+    except NotANumeral as e:
+        print(print_source("lam", e.term), end="")
     except FuelExhausted:
         print("FuelExhausted")
         return EXIT_INCONCLUSIVE

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChuringError, FuelExhausted, NonEncodable
 from .lam import Term, app, church_decode, church_encode
-from .prf import PrfExpr, Succ, arity_check, evaluate, expand
+from .prf import Named, PrfExpr, Succ, arity_check, evaluate
 from .prf_to_tm import compile_prf_to_tm
 from .tm import MachineSpec, run_numeric
 from .tm_to_prf import compile_tm_to_prf
@@ -81,7 +81,10 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     k = arity_check(prf)
     tm_output_tape = k + 1 if tm.tapes > k else 1
     rt: Optional[PrfExpr] = None
-    if k == 1 and isinstance(expand(prf), Succ):  # the one compiled machine of one tape
+    body = prf
+    while isinstance(body, Named):
+        body = body.definition
+    if k == 1 and isinstance(body, Succ):  # the one compiled machine of one tape
         rt = compile_tm_to_prf(compile_prf_to_tm(prf)[0])
 
     results: Dict[Tuple[int, ...], Dict[str, Optional[int]]] = {}

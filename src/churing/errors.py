@@ -28,7 +28,12 @@ class NonEncodable(ChuringError):
 
 
 class NotANumeral(ChuringError):
-    """A normal form does not match the shape of a Church numeral."""
+    """A normal form does not match the shape of a Church numeral; ``term``
+    is that normal form, when the decoder read it back."""
+
+    def __init__(self, message, term=None):
+        super().__init__(message)
+        self.term = term
 
 
 class NotADecider(ChuringError):

@@ -496,14 +496,16 @@ def church_encode(n: int) -> Term:
 def church_decode(t: Term, fuel: int = 100_000) -> int:
     """n when t normalizes within ``fuel`` contractions to the numeral
     \\f x. f (... (f x)), n applications of f; its code is n zeros, a one,
-    n applications and the closing of both binders."""
+    n applications and the closing of both binders.  Any other normal form
+    raises NotANumeral, which carries that normal form as ``term``."""
     nf, free, _ = _normal_code(t, fuel)
     if nf is None:
         raise FuelExhausted("term did not normalize within fuel")
     n = len(nf) // 2 - 1
     if nf == [0] * n + [1] + [_APPLY] * n + [~1, ~0]:
         return n
-    raise NotANumeral(f"not a numeral: {render(_read_back(nf, free))}")
+    term = _read_back(nf, free)
+    raise NotANumeral(f"not a numeral: {render(term)}", term)
 
 
 def fixed_point(f: Term) -> Term:

@@ -4,11 +4,22 @@ derived library (arithmetic, predicates, bounded operators).
 Recursion is always on the last argument.  Values are Python ints, which
 are arbitrary precision; the machine-to-function compiler produces codes
 like 2^w * 3^q * 5^p, so this matters.
+
+The evaluator compiles an expression to one closure per node and spends a
+unit of fuel per node evaluation and per mu probe.  A leaf (Zero, Succ, Proj,
+or a Named with a native) is computed in place by its parent, which pays the
+leaf's unit with its own; a recursion whose step is a Proj or a Zero pays all
+its steps in one charge.  Neither moves a fuel count: a leaf does nothing but
+spend its unit, so paying it early changes neither the value, nor the total
+spent, nor whether the budget runs out.  An overdrawn charge leaves the
+budget at -1, as paying unit by unit would, and a native runs only after its
+unit is paid.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -135,16 +146,27 @@ def arity_check(e: PrfExpr) -> int:
 
 
 def expand(e: PrfExpr) -> PrfExpr:
-    """Strip every Named wrapper, leaving only the five raw constructors."""
-    if isinstance(e, Named):
-        return expand(e.definition)
-    if isinstance(e, Compose):
-        return Compose(expand(e.g), tuple(expand(h) for h in e.hs))
-    if isinstance(e, PrimRec):
-        return PrimRec(expand(e.g), expand(e.h))
-    if isinstance(e, Mu):
-        return Mu(expand(e.g))
-    return e
+    """Strip every Named wrapper, leaving only the five raw constructors.  A
+    node shared in e is expanded once and stays shared in the result."""
+    done: dict = {}  # id(node) -> its expansion
+
+    def strip(e: PrfExpr) -> PrfExpr:
+        out = done.get(id(e))
+        if out is None:
+            if isinstance(e, Named):
+                out = strip(e.definition)
+            elif isinstance(e, Compose):
+                out = Compose(strip(e.g), tuple(strip(h) for h in e.hs))
+            elif isinstance(e, PrimRec):
+                out = PrimRec(strip(e.g), strip(e.h))
+            elif isinstance(e, Mu):
+                out = Mu(strip(e.g))
+            else:
+                out = e
+            done[id(e)] = out
+        return out
+
+    return strip(e)
 
 
 # ---------------------------------------------------------------------------
@@ -164,41 +186,48 @@ def evaluate(e: PrfExpr, args: Sequence[int], fuel) -> int:
     return _compile(e, fuel, {})(tuple(args))
 
 
+def _leaf(e: PrfExpr) -> Optional[Callable[[tuple], int]]:
+    """For a leaf (Zero, Succ, Proj or a Named with a native), its value as a
+    function of its arguments that spends no fuel; None for any other node."""
+    if isinstance(e, Proj):
+        return operator.itemgetter(e.i - 1)
+    if isinstance(e, Zero):
+        return lambda args: 0
+    if isinstance(e, Succ):
+        return lambda args: args[0] + 1
+    if isinstance(e, Named) and e.native is not None:
+        native = e.native
+        return lambda args: native(*args)
+    return None
+
+
+def _exhausted(fuel: Fuel):
+    """Raise for a charge that overdrew ``fuel``, leaving it at -1 as a
+    charge of one unit at a time would."""
+    fuel.remaining = -1
+    raise FuelExhausted("budget exhausted")
+
+
 def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
-    """The closure for e, each spending one unit of fuel when called.  ``done``
+    """The closure for e, spending its units of fuel when called.  ``done``
     maps id(node) to its closure, so a shared subexpression is compiled once;
-    the closures live only as long as this evaluation."""
+    the closures live only as long as this evaluation.
+
+    A Compose pays for itself and for each leaf among its outer and inner
+    functions, which it applies in place; a PrimRec does so for a leaf base.
+    A PrimRec whose step is a Proj or a Zero runs the base, pays for all n
+    steps at once and takes the step's pick from (x, n - 1, base): such a
+    step ignores the accumulator or returns it, so the last step decides."""
     run = done.get(id(e))
     if run is not None:
         return run
-    if isinstance(e, Zero):
+    leaf = _leaf(e)
+    if leaf is not None:
         def run(args):
             fuel.remaining -= 1
             if fuel.remaining < 0:
                 raise FuelExhausted("budget exhausted")
-            return 0
-    elif isinstance(e, Succ):
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return args[0] + 1
-    elif isinstance(e, Proj):
-        i = e.i - 1
-
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return args[i]
-    elif isinstance(e, Named) and e.native is not None:
-        native = e.native
-
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return native(*args)
+            return leaf(args)
     elif isinstance(e, Named):
         body = _compile(e.definition, fuel, done)
 
@@ -208,25 +237,52 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
                 raise FuelExhausted("budget exhausted")
             return body(args)
     elif isinstance(e, Compose):
-        g = _compile(e.g, fuel, done)
-        hs = tuple(_compile(h, fuel, done) for h in e.hs)
+        parts = (e.g, *e.hs)
+        leaves = [_leaf(f) for f in parts]
+        cost = 1 + len(leaves) - leaves.count(None)
+        g, *hs = [pure or _compile(f, fuel, done) for pure, f in zip(leaves, parts)]
+        if len(hs) == 1:
+            h = hs[0]
 
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return g(tuple([h(args) for h in hs]))
+            def run(args):
+                fuel.remaining -= cost
+                if fuel.remaining < 0:
+                    _exhausted(fuel)
+                return g((h(args),))
+        elif len(hs) == 2:
+            h1, h2 = hs
+
+            def run(args):
+                fuel.remaining -= cost
+                if fuel.remaining < 0:
+                    _exhausted(fuel)
+                return g((h1(args), h2(args)))
+        else:
+            def run(args):
+                fuel.remaining -= cost
+                if fuel.remaining < 0:
+                    _exhausted(fuel)
+                return g(tuple([h(args) for h in hs]))
     elif isinstance(e, PrimRec):
-        g, h = _compile(e.g, fuel, done), _compile(e.h, fuel, done)
+        base = _leaf(e.g)
+        g, cost = base or _compile(e.g, fuel, done), 1 + (base is not None)
+        step = _leaf(e.h) if isinstance(e.h, (Proj, Zero)) else None
+        h = _compile(e.h, fuel, done) if step is None else None
 
         def run(args):
-            fuel.remaining -= 1
+            fuel.remaining -= cost
             if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            xs = args[:-1]
+                _exhausted(fuel)
+            xs, n = args[:-1], args[-1]
             acc = g(xs)
-            for i in range(args[-1]):
-                acc = h(xs + (i, acc))
+            if step is None:
+                for i in range(n):
+                    acc = h(xs + (i, acc))
+            elif n:
+                fuel.remaining -= n
+                if fuel.remaining < 0:
+                    _exhausted(fuel)
+                acc = step(xs + (n - 1, acc))
             return acc
     elif isinstance(e, Mu):
         g = _compile(e.g, fuel, done)

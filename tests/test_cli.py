@@ -10,6 +10,9 @@ import pytest
 
 from churing import lam as lam_module
 from churing.cli import cli
+from churing.formats import print_source
+from churing.prf import arity_check, stdlib, stdlib_names
+from churing.prf_to_lam import compile_prf_to_lambda
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,6 +148,70 @@ def test_run_lam_divergent(tmp_path, capsys):
     f = tmp_path / "omega.lam"
     f.write_text("(\\x. x x) (\\x. x x)\n")
     assert cli(["run", "lam", str(f), "--fuel", "500"]) == 2
+
+
+def test_run_lam_non_numeral_is_normalized_once(tmp_path, monkeypatch, capsys):
+    # the normal form printed is the one the decoder read back
+    runs = []
+    real = lam_module._run_machine
+    monkeypatch.setattr(lam_module, "_run_machine", lambda *a: runs.append(1) or real(*a))
+    f = tmp_path / "t.lam"
+    f.write_text("def x = #5 q\n")
+    assert cli(["run", "lam", str(f)]) == 0
+    assert (capsys.readouterr().out, len(runs)) == ("\\x1. q (q (q (q (q x1))))\n", 1)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# stdout of `churing run lam`, recorded when a non-numeral was normalized a
+# second time to print it: each compiled stdlib function applied to #2 in
+# every argument, and the SHA-256 of the normal form each one and each corpus
+# file prints, none of them a numeral; every run exits 0
+_RUN_LAM_APPLIED = {
+    "absdiff": "#0", "add": "#4", "div": "#1", "divides": "#1", "eq": "#1", "exp": "#4",
+    "extract": "#1", "id": "#2", "lt": "#0", "mod": "#0", "monus": "#0", "mul": "#4",
+    "pow2": "#4", "pow3": "#9", "pred": "#1", "prime": "#1", "sg": "#1",
+}
+_RUN_LAM_NORMAL_FORMS = {
+    "combinators.lam": "b74ebb88b382f46f29d81ca22ada160ec28126cc087206084623275d500a80f3",
+    "example_term.lam": "98b21dd16a26831b4cf2662c67cc3bcb55a286adf1b154c4cbc0a036d138d6cb",
+    "absdiff": "aa4de666cf6a1e18454b0a41c3a1d30d382d088d6c6f1d57ef78a0a748956f29",
+    "add": "6d7f0ba5a2084117966f179baf4217cc572f3e0d3c44b0a80e65d66422570c75",
+    "div": "e0ffcb7dd06cab7acc3ea875d8bea682e9ecf8c2bd304b4c7c87133fe24a3b3d",
+    "divides": "50c3df34c97bf824828a16e536917bf27d6fd6c26abc8dd17e31b03e0c185338",
+    "eq": "7ab0f2432befe0fc6077753162e1c97eb44f573cda2e49ada44f43ee9ed768b4",
+    "exp": "0d77f84c854125988b616402d10d5c9c76ac692c064d1ac546208489678c558c",
+    "extract": "dcfd325036059e35dee35197d632674c1925e7f6c9ec94b3b5074eb1ce0a542d",
+    "id": "8cfd78e95ab3af9097913e88b5fef8aa76d4fa21635e8c1ace8a42fa091385f8",
+    "lt": "b5ead1551793a114cb0e960104da8bb518033ae39f3616159d6112fbd0635853",
+    "mod": "3825db4521ae315a1464f5534d1cc2411ad0cddda30dae926233eeb84c968ca4",
+    "monus": "e2c2aef5b3c81d7b02b9e65d6f0724a70ab7fcb3dc88d4948ec4213f2a3a8517",
+    "mul": "c65bd7c3957e11f558f18755bc0b88d24fd227be6277c0c6fccca6e807da3624",
+    "pow2": "643a3a4b0ba41a78d7c7be78242a577bc096e27173e0cda92dadecfe5186e258",
+    "pow3": "dc2be7c402b9d9f34e2d0cd2cacf4bae6e925aa07d8a92285170787ac9a06593",
+    "pred": "f89620e7fa445393a2cb637e0ecef36c02aca90f8c1e96cb7df54d2f98eb2962",
+    "prime": "3ce6749d2a947df0025fd5f963bb7f6b35cde1e4506cd8e9c2c1e8ec6f4b4884",
+    "sg": "1b850c441d752ddf97347a74cf0e92dad231537861a2a70eae146267826cb370",
+}
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_run_lam_compiled_stdlib_is_pinned(tmp_path, capsys, name):
+    f = tmp_path / f"{name}.lam"
+    f.write_text(print_source("lam", compile_prf_to_lambda(stdlib(name))))
+    args = " ".join(["#2"] * arity_check(stdlib(name)))
+    assert cli(["run", "lam", str(f), "--apply", args]) == 0
+    assert capsys.readouterr().out == _RUN_LAM_APPLIED[name] + "\n"
+    assert cli(["run", "lam", str(f)]) == 0
+    assert _sha256(capsys.readouterr().out) == _RUN_LAM_NORMAL_FORMS[name]
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.lam")), ids=lambda p: p.name)
+def test_run_lam_corpus_is_pinned(path, capsys):
+    assert cli(["run", "lam", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == _RUN_LAM_NORMAL_FORMS[path.name]
 
 
 # --- errors ------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from churing.errors import FuelExhausted, GuardExceeded, ValidationError
 from churing.prf import (
-    Compose, Mu, PrimRec, Proj, Succ, Zero, ackermann, arity_check,
+    Compose, Mu, Named, PrimRec, Proj, Succ, Zero, ackermann, arity_check,
     bounded_mu, const, evaluate, expand, exists_le, forall_le, pand, pnot,
     permute_args, stdlib, stdlib_names,
 )
@@ -155,6 +155,69 @@ def test_fuel_counts_are_stable():
     add = stdlib("add")
     with pytest.raises(FuelExhausted):
         evaluate(expand(add), [30, 30], 5)
+
+
+# value and fuel spent of the evaluations the benchmark counts, on the
+# expanded stdlib form and on S arithmetized from its compiled machine
+_PINNED_EVALUATIONS = [("div", (15, 4), 3, 131_978), ("mod", (12, 4), 0, 67_365),
+                       ("divides", (4, 30), 0, 82_286), ("S", (0,), 1, 7_431),
+                       ("S", (1,), 2, 61_478)]
+
+
+def test_benchmark_evaluation_counts_are_pinned():
+    from churing.errors import Fuel
+    from churing.prf_to_tm import compile_prf_to_tm
+    from churing.tm_to_prf import compile_tm_to_prf
+    arithmetized_s = compile_tm_to_prf(compile_prf_to_tm(Succ())[0])
+    for name, args, value, spent in _PINNED_EVALUATIONS:
+        e = arithmetized_s if name == "S" else expand(stdlib(name))
+        fuel = Fuel(FUEL)
+        assert (evaluate(e, args, fuel), FUEL - fuel.remaining) == (value, spent), name
+
+
+def _expand_tree(e):
+    # expansion as a tree walk, with no sharing
+    if isinstance(e, Named):
+        return _expand_tree(e.definition)
+    if isinstance(e, Compose):
+        return Compose(_expand_tree(e.g), tuple(_expand_tree(h) for h in e.hs))
+    if isinstance(e, PrimRec):
+        return PrimRec(_expand_tree(e.g), _expand_tree(e.h))
+    if isinstance(e, Mu):
+        return Mu(_expand_tree(e.g))
+    return e
+
+
+def _distinct_nodes(e):
+    seen, todo = {}, [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if isinstance(n, Named):
+                todo.append(n.definition)
+            elif isinstance(n, Compose):
+                todo += [n.g, *n.hs]
+            elif isinstance(n, PrimRec):
+                todo += [n.g, n.h]
+            elif isinstance(n, Mu):
+                todo.append(n.g)
+    return list(seen.values())
+
+
+def test_expand_keeps_sharing():
+    # 12 levels of Compose(add, (f, f)) over the named add: a tree of 2^12
+    # copies of add, 12 + 6 distinct nodes of which 12 + 5 are not Named
+    add = stdlib("add")
+    f = add
+    for _ in range(12):
+        f = Compose(add, (f, f))
+    out = expand(f)
+    assert out == _expand_tree(f)
+    nodes = _distinct_nodes(out)
+    assert not any(isinstance(n, Named) for n in nodes)
+    assert len(_distinct_nodes(f)) == 12 + 6
+    assert len(nodes) == 12 + 5
 
 
 def test_fuel_is_a_natural_number():

@@ -115,6 +115,81 @@ def test_generated_exprs_agree(case):
     _assert_agree(e, args, budget=2_000)
 
 
+_SWEEP_CAP = 120  # a sweep stops here, so a diverging expression ends
+
+
+def _leaf_steps(k):
+    """Every step a recursion of arity k can take that is a leaf."""
+    return [Zero(k + 1)] + [Proj(k + 1, j) for j in range(1, k + 2)]
+
+
+def _diverging(k):
+    """Mu over a function that never returns 0: arity k - 1, never defined."""
+    return Mu(Compose(Succ(), (Zero(k),)))
+
+
+@st.composite
+def _leafy_exprs(draw, k, depth=2):
+    """An expression of arity k built to reach the in-place leaves of a
+    Compose and the one-charge recursions whose step is a Proj or a Zero."""
+    kinds = ["zero"] + ["proj"] * (k >= 1) + ["succ"] * (k == 1) + ["native"] * (k == 2)
+    if depth > 0:
+        kinds += ["compose"] * 3 + ["leaf_step"] * 2 * (k >= 1) + ["diverging_base"] * (k >= 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return Zero(k)
+    if kind == "proj":
+        return Proj(k, draw(st.integers(1, k)))
+    if kind == "succ":
+        return Succ()
+    if kind == "native":
+        return draw(st.sampled_from(_NATIVES))
+    if kind == "leaf_step":
+        return PrimRec(draw(_leafy_exprs(k - 1, depth - 1)), draw(st.sampled_from(_leaf_steps(k))))
+    if kind == "diverging_base":
+        return PrimRec(_diverging(k), draw(st.sampled_from(_leaf_steps(k))))
+    outer = draw(st.sampled_from(["succ", "native", "any"]))
+    if outer == "succ":
+        g = Succ()
+    elif outer == "native":
+        g = draw(st.sampled_from(_NATIVES))
+    else:
+        g = draw(_leafy_exprs(draw(st.integers(1, 3)), depth - 1))
+    only_projs = k >= 1 and draw(st.booleans())
+    return Compose(g, tuple(
+        Proj(k, draw(st.integers(1, k))) if only_projs or (k >= 1 and draw(st.booleans()))
+        else draw(_leafy_exprs(k, depth - 1))
+        for _ in range(arity_check(g))))
+
+
+@st.composite
+def _leafy_expr_and_args(draw):
+    k = draw(st.integers(0, 3))
+    e = draw(_leafy_exprs(k))
+    return e, tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leafy_expr_and_args())
+def test_fuel_sweep_agrees(case):
+    # at every budget up to one past what the evaluation needs, the same
+    # value or the same exhaustion, and the same fuel spent
+    e, args = case
+    spent = _run(ref.evaluate, e, args, _SWEEP_CAP)[1]
+    for budget in range(min(spent, _SWEEP_CAP) + 2):
+        want = _run(ref.evaluate, e, args, budget)
+        assert _run(evaluate, e, args, budget) == want, (e, args, budget)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_leaf_step_over_a_diverging_base_runs_out(k):
+    for step in _leaf_steps(k):
+        e = PrimRec(_diverging(k), step)
+        for n in range(4):
+            for budget in range(40):
+                assert _run(evaluate, e, (1,) * (k - 1) + (n,), budget) == (None, budget + 1)
+
+
 def test_shared_subexpressions_evaluate_like_the_tree():
     f = stdlib("add").definition
     for _ in range(4):

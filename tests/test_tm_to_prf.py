@@ -154,12 +154,15 @@ def test_equiv_grid_round_trip_column_only_for_bare_successor():
     # only S compiles to a one-tape machine over {0,1,_}; pred's machine has
     # four tapes, and prime's does not compile (more than 16 tapes)
     from churing.equiv import equiv_grid
-    from churing.prf import Succ, stdlib
+    from churing.prf import Named, Succ, stdlib
     from churing.prf_to_lam import compile_prf_to_lambda
     from churing.prf_to_tm import compile_prf_to_tm
 
     report = equiv_grid(Succ(), succ_machine(), compile_prf_to_lambda(Succ()), [(0,), (2,)])
     assert [report.results[p]["roundtrip"] for p in report.grid] == [1, 3]
+    named = Named("s", Named("t", Succ()))  # S under names is still bare S
+    report = equiv_grid(named, succ_machine(), compile_prf_to_lambda(named), [(1,)])
+    assert report.results[(1,)] == {"prf": 2, "tm": 2, "lam": 2, "roundtrip": 2}
     pred = stdlib("pred")
     report = equiv_grid(pred, compile_prf_to_tm(pred)[0], compile_prf_to_lambda(pred), [(2,)])
     assert report.results[(2,)] == {"prf": 1, "tm": 1, "lam": 1}
