@@ -6,14 +6,13 @@ are arbitrary precision; the machine-to-function compiler produces codes
 like 2^w * 3^q * 5^p, so this matters.
 
 The evaluator compiles an expression to one closure per node and spends a
-unit of fuel per node evaluation and per mu probe.  A leaf (Zero, Succ, Proj,
-or a Named with a native) is computed in place by its parent, which pays the
-leaf's unit with its own; a recursion whose step is a Proj or a Zero pays all
-its steps in one charge.  Neither moves a fuel count: a leaf does nothing but
-spend its unit, so paying it early changes neither the value, nor the total
-spent, nor whether the budget runs out.  An overdrawn charge leaves the
-budget at -1, as paying unit by unit would, and a native runs only after its
-unit is paid.
+unit of fuel per node evaluation and per mu probe.  A parent computes its
+leaf children (Zero, Succ, Proj, a Named with a native) in place and pays
+their units with its own; a recursion whose step is a Proj or a Zero pays all
+its steps in one charge.  A leaf does nothing but spend its unit, so neither
+the value, the total spent nor the budget at which fuel runs out moves; an
+overdrawn charge leaves the budget at -1, as paying unit by unit would, and a
+native runs only after its unit is paid.
 """
 
 from __future__ import annotations
@@ -222,14 +221,8 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
     if run is not None:
         return run
     leaf = _leaf(e)
-    if leaf is not None:
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return leaf(args)
-    elif isinstance(e, Named):
-        body = _compile(e.definition, fuel, done)
+    if leaf is not None or isinstance(e, Named):
+        body = leaf or _compile(e.definition, fuel, done)
 
         def run(args):
             fuel.remaining -= 1
@@ -241,6 +234,8 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
         leaves = [_leaf(f) for f in parts]
         cost = 1 + len(leaves) - leaves.count(None)
         g, *hs = [pure or _compile(f, fuel, done) for pure, f in zip(leaves, parts)]
+        # One and two inner functions, most compositions, get their own closure:
+        # before Python 3.12 a list comprehension makes a function on every run.
         if len(hs) == 1:
             h = hs[0]
 
