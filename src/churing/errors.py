@@ -29,11 +29,16 @@ class NonEncodable(ChuringError):
 
 class NotANumeral(ChuringError):
     """A normal form does not match the shape of a Church numeral; ``term``
-    is that normal form, when the decoder read it back."""
+    is that normal form, when the decoder read it back.  Without a message,
+    the message is "not a numeral: <term>", rendered when it is read."""
 
-    def __init__(self, message, term=None):
+    def __init__(self, message=None, term=None):
         super().__init__(message)
         self.term = term
+
+    def __str__(self):
+        from .lam import render  # lam imports this module
+        return f"not a numeral: {render(self.term)}" if self.args[0] is None else super().__str__()
 
 
 class NotADecider(ChuringError):

@@ -504,8 +504,7 @@ def church_decode(t: Term, fuel: int = 100_000) -> int:
     n = len(nf) // 2 - 1
     if nf == [0] * n + [1] + [_APPLY] * n + [~1, ~0]:
         return n
-    term = _read_back(nf, free)
-    raise NotANumeral(f"not a numeral: {render(term)}", term)
+    raise NotANumeral(term=_read_back(nf, free))
 
 
 def fixed_point(f: Term) -> Term:

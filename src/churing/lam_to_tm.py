@@ -21,8 +21,12 @@ separates list entries, and ``@`` marks a context hole.
 
 `reduce_on_tm` drives NF and BR1 in a loop, renaming bound variables apart on
 the host between machine runs so BR1's textual substitution is capture-free.
+`build_machine` builds a new machine on every call; the drivers `reduce_on_tm`,
+`nf_on_tm` and `br1_on_tm` share one NF and one BR1 per process, built on
+first use, so the resolver memo a run fills serves every later run.
 """
 
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FuelExhausted, ValidationError, WireParseError
@@ -413,10 +417,17 @@ _BUILDERS = dict(zip(SUITE, (_v_machine, _cf_machine, _cbv_machine, _ae_machine,
 
 
 def build_machine(name: str) -> MachineSpec:
-    """Machine suite entry point; name is one of `SUITE`."""
+    """Machine suite entry point: a new machine on each call; name is one of `SUITE`."""
     if name not in _BUILDERS:
         raise ValidationError(f"unknown machine {name!r}; choose from {sorted(SUITE)}")
     return _BUILDERS[name]()
+
+
+@cache
+def _shared_machine(name: str) -> MachineSpec:
+    """The drivers' machine ``name``, built on first use and kept for the process;
+    only its resolver memo changes, bounded by its own rules and scans."""
+    return build_machine(name)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +444,20 @@ def _run_wire(spec: MachineSpec, word: str, fuel: int) -> Outcome:
 
 
 def nf_on_tm(t: Term, fuel: int = 1_000_000) -> bool:
-    """Normal-form verdict of the NF machine for t."""
-    out = _run_wire(build_machine("NF"), render_term(t), fuel)
+    """Normal-form verdict of the shared NF machine for t."""
+    out = _run_wire(_shared_machine("NF"), render_term(t), fuel)
     return out.final.tapes[1].content() == "1"
 
 
 def br1_on_tm(t: Term, fuel: int = 1_000_000) -> Term:
-    """One leftmost contraction of t, computed by the BR1 machine.
+    """One leftmost contraction of t, computed by the shared BR1 machine.
 
     t's binders are renamed apart first (`canonical_binders`); the result
     is alpha-equal to beta_step(t) when t has a redex, and alpha-equal to t
     otherwise.
     """
     wire, names = render_with_names(canonical_binders(t))
-    out = _run_wire(build_machine("BR1"), wire, fuel)
+    out = _run_wire(_shared_machine("BR1"), wire, fuel)
     return parse_wire(out.final.tapes[4].content(), names)
 
 
@@ -454,15 +465,15 @@ MACHINE_FUEL = 2_000_000  # steps for one NF or BR1 run in reduce_on_tm
 
 
 def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
-    """Normalize t by iterating the NF and BR1 machines.
+    """Normalize t by iterating the shared NF and BR1 machines.
 
     Each round renames the binders apart on the host (`canonical_binders`),
     asks NF whether the wire is normal, and if not lets BR1 contract the
-    leftmost redex.  fuel bounds the
-    number of contractions; exceeding it raises FuelExhausted.
+    leftmost redex.  fuel bounds the number of contractions; exceeding it
+    raises FuelExhausted.
     """
-    nfm = build_machine("NF")
-    br = build_machine("BR1")
+    nfm = _shared_machine("NF")
+    br = _shared_machine("BR1")
     cur = t
     for _ in range(fuel + 1):
         cur = canonical_binders(cur)

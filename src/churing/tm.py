@@ -375,7 +375,12 @@ class Rules:
         wild, stay = (WILD,) * tapes, ("S",) * tapes
 
         def full(d: dict, base: Tuple[str, ...]) -> Tuple[str, ...]:
-            return tuple([d.get(t, base[0]) for t in range(1, tapes + 1)]) if d else base
+            if not d:
+                return base
+            vec = list(base)
+            for t, s in d.items():
+                vec[t - 1] = s
+            return tuple(vec)
 
         flat = [(state, full(reads, wild), nxt, full(writes, wild), full(moves, stay))
                 for state, reads, nxt, writes, moves in rules]

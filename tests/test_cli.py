@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from churing import lam as lam_module
+from churing import formats as formats_module, lam as lam_module
 from churing.cli import cli
-from churing.formats import print_source
-from churing.prf import arity_check, stdlib, stdlib_names
+from churing.equiv import equiv_grid
+from churing.errors import NotANumeral
+from churing.formats import parse, print_source
+from churing.lam import App, Var, church_encode, lam
+from churing.prf import Succ, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -159,6 +162,27 @@ def test_run_lam_non_numeral_is_normalized_once(tmp_path, monkeypatch, capsys):
     f.write_text("def x = #5 q\n")
     assert cli(["run", "lam", str(f)]) == 0
     assert (capsys.readouterr().out, len(runs)) == ("\\x1. q (q (q (q (q x1))))\n", 1)
+
+
+def test_non_numeral_is_rendered_only_when_read(tmp_path, monkeypatch, capsys):
+    # run lam prints the normal form once; an equiv_grid cell never reads it
+    renders = []
+    for module in (lam_module, formats_module):
+        real = module.render
+        monkeypatch.setattr(module, "render",
+                            lambda t, real=real: renders.append(1) or real(t))
+    f = tmp_path / "t.lam"
+    f.write_text("def x = #5 q\n")
+    assert cli(["run", "lam", str(f)]) == 0
+    assert (capsys.readouterr().out, len(renders)) == ("\\x1. q (q (q (q (q x1))))\n", 1)
+    renders.clear()
+    report = equiv_grid(Succ(), parse("tm", Path(_c("succ.tm")).read_text()),
+                        lam(["n"], Var("q")), [(0,)])
+    assert (report.results[(0,)]["lam"], len(renders)) == (None, 0)
+    with pytest.raises(NotANumeral) as caught:
+        lam_module.church_decode(App(church_encode(2), Var("q")))
+    assert str(caught.value) == "not a numeral: \\x1. q (q x1)"
+    assert len(renders) == 1
 
 
 def _sha256(text):

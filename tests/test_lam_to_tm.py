@@ -5,16 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from churing import lam_to_tm
 from churing.errors import FuelExhausted, ValidationError, WireParseError
 from churing.lam import (
     Abs, App, Term, Var, alpha_eq, beta_step, bound_vars, canonical_binders,
     church_decode, church_encode, free_vars, is_normal_form, lam, normalize,
 )
 from churing.lam_to_tm import (
-    build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
+    SUITE, build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
     render_term, render_with_names,
 )
 from churing.tm import run
+
+from test_rules import PINNED, _digest
 
 
 def _closed_terms(size, binders=()):
@@ -151,6 +154,45 @@ def test_reduce_on_tm_matches_host_normalizer():
         if not r.normal:
             continue
         assert alpha_eq(reduce_on_tm(t, fuel=250), r.term), t
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The names `build_machine` is called with, counted from a state where
+    the drivers share no machine yet."""
+    built = []
+    real = lam_to_tm.build_machine
+    monkeypatch.setattr(lam_to_tm, "build_machine", lambda name: built.append(name) or real(name))
+    lam_to_tm._shared_machine.cache_clear()
+    yield built
+    lam_to_tm._shared_machine.cache_clear()
+
+
+def test_drivers_build_nf_and_br1_once(builds):
+    t = App(church_encode(2), church_encode(2))
+    assert church_decode(reduce_on_tm(t)) == 4
+    assert church_decode(reduce_on_tm(t)) == 4
+    assert not nf_on_tm(t)
+    assert alpha_eq(br1_on_tm(t), beta_step(t))
+    assert sorted(builds) == ["BR1", "NF"]
+
+
+def test_build_machine_builds_anew_and_shared_machines_stay_pinned(builds):
+    assert build_machine("BR1") is not build_machine("BR1")
+    reduce_on_tm(App(church_encode(2), church_encode(3)))
+    for n in ("NF", "BR1"):
+        assert _digest(lam_to_tm._shared_machine(n)) == PINNED[f"suite:{n}"]
+    assert {n: _digest(build_machine(n)) for n in SUITE} == \
+        {n: PINNED[f"suite:{n}"] for n in SUITE}
+
+
+def test_a_run_out_of_fuel_leaves_nothing_for_the_next(builds):
+    w = lam(["x"], App(Var("x"), Var("x")))
+    with pytest.raises(FuelExhausted):
+        reduce_on_tm(App(w, w), fuel=20)
+    t = App(church_encode(3), lam(["y"], App(Var("z"), Var("y"))))
+    assert alpha_eq(reduce_on_tm(t), normalize(t).term)
+    assert builds == ["NF", "BR1"]
 
 
 def _count_abs(t: Term) -> int:

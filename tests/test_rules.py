@@ -43,6 +43,38 @@ def test_repeated_key_makes_a_nondeterministic_machine():
     assert not m.deterministic
 
 
+def _reference_delta(rules, tapes):
+    """delta of sparse rules expanded one tape at a time, as a table is read."""
+    def full(d, base):
+        return tuple(d.get(t, base) for t in range(1, tapes + 1))
+
+    delta = {}
+    for state, reads, nxt, writes, moves in rules:
+        delta.setdefault((state, full(reads, WILD)), []).append(
+            (nxt, full(writes, WILD), full(moves, "S")))
+    return {k: tuple(v) for k, v in delta.items()}
+
+
+@pytest.mark.parametrize("rules, tapes", [
+    ([("q", {}, "r", {}, {})], 1),                                  # names no tape
+    ([("q", {1: "a"}, "q", {3: "b"}, {}), ("q", {}, "r", {}, {})], 3),  # top tape written
+    ([("q", {2: "a"}, "r", {}, {4: "L"}), ("r", {}, "q", {1: "b"}, {})], 4),  # top tape moved
+    ([("q", {16: "a"}, "r", {1: "b"}, {8: "R"}), ("q", {}, "q", {16: "a"}, {16: "L"})], 16),
+    ([("q", {1: "a", 2: "b"}, "r", {2: "a"}, {1: "R"}), ("q", {2: "b"}, "s", {}, {}),
+      ("q", {1: "a", 2: "b"}, "s", {1: "b"}, {2: "L"})], 2),        # a repeated key
+])
+def test_expansion_matches_a_tape_by_tape_reference(rules, tapes):
+    b = Rules()
+    for rule in rules:
+        b.rule(*rule)
+    m = b.machine("m", "q", ["r"], ["a", "b"], ["a", "b", BLANK])
+    want = _reference_delta(rules, tapes)
+    assert m.tapes == tapes
+    assert m.delta == want  # targets compare in order
+    assert list(m.delta) == list(want)
+    assert m.states == {"q", "r", *(r[2] for r in rules)}
+
+
 def test_machine_is_validated():
     b = Rules()
     b.rule("q", {1: "z"}, "r")
