@@ -28,7 +28,7 @@ from .lam_to_tm import SUITE, build_machine
 from .prf import arity_check, evaluate
 from .prf_to_lam import compile_prf_to_lambda
 from .prf_to_tm import compile_prf_to_tm, layout_report
-from .tm import MachineSpec, run
+from .tm import ACCEPT, FUEL_EXHAUSTED, REJECT, MachineSpec, run
 from .tm_to_prf import compile_tm_to_prf
 from .transform import Dfa, dfa_accepts, nd_run, nfa_accepts, to_single_tape
 
@@ -64,8 +64,7 @@ def _load_machine(path: str) -> MachineSpec:
 
 
 def _outcome_exit(tag: str) -> int:
-    return {"Accept": EXIT_OK, "Reject": EXIT_NEGATIVE,
-            "FuelExhausted": EXIT_INCONCLUSIVE}[tag]
+    return {ACCEPT: EXIT_OK, REJECT: EXIT_NEGATIVE, FUEL_EXHAUSTED: EXIT_INCONCLUSIVE}[tag]
 
 
 def _cmd_run(args) -> int:
@@ -74,7 +73,7 @@ def _cmd_run(args) -> int:
         m = _load(args.file, "tm")
         if not isinstance(m, MachineSpec):  # a DFA or an NFA decides the word
             accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
-            tag = "Accept" if accepts(m, args.input or "") else "Reject"
+            tag = ACCEPT if accepts(m, args.input or "") else REJECT
             print(tag)
             return _outcome_exit(tag)
         out = run(m, args.input or "", fuel=fuel, want_trace=args.trace)
@@ -89,7 +88,7 @@ def _cmd_run(args) -> int:
             print(evaluate(e, args.args or [], fuel))
             return EXIT_OK
         except FuelExhausted:
-            print("FuelExhausted")
+            print(FUEL_EXHAUSTED)
             return EXIT_INCONCLUSIVE
     t = _load(args.file, "lam")
     if args.apply:
@@ -100,7 +99,7 @@ def _cmd_run(args) -> int:
     except NotANumeral as e:
         print(print_source("lam", e.term), end="")
     except FuelExhausted:
-        print("FuelExhausted")
+        print(FUEL_EXHAUSTED)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -121,7 +120,7 @@ def _cmd_compile(args) -> int:
     if (src_kind, dst) not in pairs:
         print(f"no translation from {src_kind} to {dst}", file=sys.stderr)
         return EXIT_ERROR
-    obj = _load(args.file, src_kind)
+    obj = _load_machine(args.file) if src_kind == "tm" else _load(args.file, src_kind)
     if dst == "tm":
         m, layout = compile_prf_to_tm(obj)
         text = print_source("tm", m, layout_comment=layout_report(m, layout))
@@ -147,7 +146,7 @@ def _cmd_transform(args) -> int:
         return EXIT_OK
     verdict = nd_run(m, args.input or "", max_depth=args.depth)
     print(verdict)
-    return EXIT_OK if verdict == "Accept" else EXIT_NEGATIVE
+    return EXIT_OK if verdict == ACCEPT else EXIT_NEGATIVE
 
 
 def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
@@ -174,7 +173,7 @@ def _cmd_equiv(args) -> int:
     if cex is not None:
         print(f"counterexample: {cex} -> {report.results[cex]}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if report.counts.get(INCONCLUSIVE):
+    if INCONCLUSIVE in report.verdicts.values():
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Differential harness: one function evaluated in every model over a grid
 of points, with a verdict per point."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChuringError, FuelExhausted, NonEncodable
@@ -20,16 +20,9 @@ AGREE, DISAGREE, INCONCLUSIVE = "Agree", "Disagree", "Inconclusive"
 class EquivReport:
     """Per-point results of evaluating one function in every model."""
 
-    name: str
     grid: List[Tuple[int, ...]]
     results: Dict[Tuple[int, ...], Dict[str, Optional[int]]]
     verdicts: Dict[Tuple[int, ...], str]
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.counts:
-            for v in self.verdicts.values():
-                self.counts[v] = self.counts.get(v, 0) + 1
 
     def lines(self) -> List[str]:
         """Machine-readable serialization: one ``point;model;value`` line per
@@ -118,4 +111,4 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
         else:
             verdicts[pt] = DISAGREE
         results[pt] = row
-    return EquivReport("equiv", pts, results, verdicts)
+    return EquivReport(pts, results, verdicts)

@@ -29,9 +29,9 @@ first use, so the resolver memo a run fills serves every later run.
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
-from .errors import FuelExhausted, ValidationError, WireParseError
+from .errors import FuelExhausted, ValidationError, WireParseError, check_fuel
 from .lam import Abs, App, Hole, Term, Var, canonical_binders
-from .tm import BLANK, MachineSpec, Outcome, Rules, run
+from .tm import ACCEPT, BLANK, FUEL_EXHAUSTED, MachineSpec, Outcome, Rules, run
 
 # Wire glyphs.  MARK is the rewind anchor planted at cell 0 of work tapes,
 # DOT_V / DOT_P are "remembered position" variants of v and (.
@@ -436,8 +436,8 @@ def _shared_machine(name: str) -> MachineSpec:
 
 def _run_wire(spec: MachineSpec, word: str, fuel: int) -> Outcome:
     out = run(spec, word, fuel=fuel)
-    if out.tag != "Accept":
-        if out.tag == "FuelExhausted":
+    if out.tag != ACCEPT:
+        if out.tag == FUEL_EXHAUSTED:
             raise FuelExhausted(f"{spec.name} machine ran out of fuel")
         raise ValidationError(f"{spec.name} machine rejected wire {word!r}")
     return out
@@ -472,6 +472,7 @@ def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
     leftmost redex.  fuel bounds the number of contractions; exceeding it
     raises FuelExhausted.
     """
+    check_fuel(fuel)
     nfm = _shared_machine("NF")
     br = _shared_machine("BR1")
     cur = t

@@ -233,19 +233,15 @@ def succ_machine() -> MachineSpec:
 
 
 def _describe(e: PrfExpr) -> str:
-    if isinstance(e, Zero):
-        return f"zero{e.k}"
-    if isinstance(e, Succ):
-        return "succ"
+    """The name of the root of an expression `_emit` has compiled: a bare
+    Zero or Succ never gets here."""
     if isinstance(e, Proj):
         return f"proj{e.k}_{e.i}"
     if isinstance(e, Compose):
         return "compose"
     if isinstance(e, PrimRec):
         return "primrec"
-    if isinstance(e, Mu):
-        return "mu"
-    return "expr"
+    return "mu"
 
 
 def layout_report(machine: MachineSpec, layout: NumericLayout) -> str:

@@ -21,11 +21,12 @@ ambiguous transition.
 `run` goes one state visit at a time: the accept check and the state's
 memo entry once per state entered, then steps until the state changes.
 Most steps of the corpus and compiled machines are sweeps, steps that keep
-the state, write nothing and move one head (`Rules.rewind` builds them).
-`run` takes a sweep as one scan along the tape, moving on while the next
-cell resolves to the very same step object (the resolver interns its
-answers).  It counts one step per cell, so the fuel runs out where it
-would step by step; a traced run takes every step singly.
+the state, write nothing and move the head of the one tape the state reads
+(`Rules.rewind` builds them).  `run` takes a sweep as one scan along that
+tape, moving on while the next cell resolves to the very same step object
+(the resolver interns its answers).  It counts one step per cell, so the
+fuel runs out where it would step by step; every other step, and every step
+of a traced run, is taken singly.
 
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
 from flat rules.
@@ -500,11 +501,11 @@ def run(
 
     The outer loop runs once per state entered, the inner one once per step
     while the state stays.  Without a trace, after the first step of a
-    sweep (same state, no write, one head moved) the head moves on cell by
-    cell while the cell under it resolves to the same step: at most to the
-    buffer's end, to the fuel, and on a semi-infinite tape to cell 0, where
-    the next step meets the stuck rule.  On a tape the state does not read
-    the step cannot change, so the head jumps there at once."""
+    sweep (same state, no write, one head moved, on the one tape the state
+    reads) the head moves on cell by cell while the cell under it resolves
+    to the same step: at most to the buffer's end, to the fuel, and on a
+    semi-infinite tape to cell 0, where the next step meets the stuck rule.
+    Every other step is taken singly."""
     check_fuel(fuel)
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
@@ -575,9 +576,10 @@ def run(
                 trace.append(_snapshot(nxt, cells, origins, heads, c.steps_taken + steps))
             if nxt != state:
                 break
-            if not writes and len(shifts) == 1 and trace is None:
-                # a sweep: move on while the cell under the head resolves
-                # to the same step, within the buffer and the fuel
+            if not writes and len(shifts) == 1 and shifts[0][0] == one and trace is None:
+                # a sweep on the one tape the state reads: move on while the
+                # cell under the head resolves to the same step, within the
+                # buffer and the fuel
                 t, d = shifts[0]
                 buf = cells[t]
                 i = start_i = heads[t] - origins[t]
@@ -589,16 +591,8 @@ def run(
                     stop = -origins[t] if guard and origins[t] < 0 <= heads[t] else 0
                     if i - stop > fuel - steps:
                         stop = i - fuel + steps
-                if t not in reads:
-                    i = stop
-                elif one is not None:
-                    while i != stop and known.get(buf[i]) is todo:
-                        i += d
-                else:
-                    p = reads.index(t)
-                    pre, post = key[:p], key[p + 1:]
-                    while i != stop and known.get(pre + buf[i] + post) is todo:
-                        i += d
+                while i != stop and known.get(buf[i]) is todo:
+                    i += d
                 heads[t] += i - start_i
                 steps += (i - start_i) * d
             if steps >= fuel:
@@ -658,49 +652,3 @@ def run_numeric(
     if out.tag != ACCEPT:
         return out
     return decode_unary(out.final.tapes[output_tape - 1].content())
-
-
-# ---------------------------------------------------------------------------
-# Corpus machines
-
-
-def zeros_then_ones() -> MachineSpec:
-    """Decider for {0^n 1^n}: mark a 0 as X, find the matching 1, mark it Y,
-    rewind, repeat; a residue of Ys (or nothing) accepts."""
-    return make_machine(
-        name="zeros_then_ones",
-        states={"q0", "q1", "q2", "q4", "q5"},
-        initial="q0",
-        accept={"q5"},
-        input_alphabet={"0", "1"},
-        tape_alphabet={"0", "1", "X", "Y", BLANK},
-        tapes=1,
-        rules=[
-            ("q0", "0", "q1", "X", "R"),
-            ("q0", "Y", "q4", "Y", "R"),
-            ("q0", BLANK, "q5", BLANK, "R"),
-            ("q1", "0", "q1", "0", "R"),
-            ("q1", "Y", "q1", "Y", "R"),
-            ("q1", "1", "q2", "Y", "L"),
-            ("q2", "0", "q2", "0", "L"),
-            ("q2", "Y", "q2", "Y", "L"),
-            ("q2", "X", "q0", "X", "R"),
-            ("q4", "Y", "q4", "Y", "R"),
-            ("q4", BLANK, "q5", BLANK, "R"),
-        ],
-    )
-
-
-def identity_numeric() -> MachineSpec:
-    """Numeric identity: the start state already accepts, leaving tape 1 (and
-    the head position) untouched."""
-    return make_machine(
-        name="identity_numeric",
-        states={"q0"},
-        initial="q0",
-        accept={"q0"},
-        input_alphabet={"0", "1"},
-        tape_alphabet={"0", "1", BLANK},
-        tapes=1,
-        rules=[],
-    )

@@ -202,12 +202,10 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
         if kind == "uskip":
             q, wm, i, j = st[1], st[2], st[3], st[4]
             if sym == HASH:
-                if j + 1 == i + 1:
+                if j == i:
                     if i == k:  # segment k grew; the pass is complete
                         return ("rw", ("g", q, (), (), False), 0), HASH, "S"
                     return ("u", q, wm, i + 1), HASH, "R"
-                if j + 1 > k:
-                    return None
                 return ("uskip", q, wm, i, j + 1), HASH, "R"
             return st, sym, "R"
         return None

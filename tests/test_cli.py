@@ -260,6 +260,35 @@ def test_directory_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_every_command_on_every_corpus_file_keeps_the_exit_code_contract(tmp_path, capsys):
+    # each file, whatever its kind, goes through every command; equiv puts it
+    # in the slot of its kind, beside the successor in the other two
+    partner = {"prf": _c("succ.prf"), "tm": _c("succ.tm"), "lam": str(tmp_path / "succ.lam")}
+    assert cli(["compile", "--from", "prf", "--to", "lam", partner["prf"], "-o", partner["lam"]]) == 0
+    pairs = [("prf", "tm"), ("prf", "lam"), ("tm", "prf"), ("lam", "tm-suite")]
+    fuel = ["--fuel", "20000"]
+    argvs = []
+    for path in sorted(CORPUS.iterdir()):
+        f, slots = str(path), dict(partner, **{path.suffix[1:]: str(path)})
+        argvs += [["run", "tm", f, *fuel], ["run", "prf", f, "--args", "1", *fuel],
+                  ["run", "lam", f, *fuel], ["transform", "--single-tape", f],
+                  ["transform", "--nd-run", f], ["check", f],
+                  ["equiv", "--prf", slots["prf"], "--tm", slots["tm"], "--lam", slots["lam"],
+                   "--grid", "0..1", *fuel]]
+        argvs += [["compile", "--from", src, "--to", dst, f, "-o", str(tmp_path / f"out.{dst}")]
+                  for src, dst in pairs]
+    broken = []
+    for argv in argvs:
+        try:
+            code = cli(argv)
+        except Exception as ex:  # an escape breaks the contract as much as a bad code
+            code = ex
+        if not (type(code) is int and 0 <= code <= 3):
+            broken.append((argv, code))
+    capsys.readouterr()
+    assert len(argvs) == 187 and broken == []
+
+
 def test_run_lam_deep_numeral(tmp_path, capsys):
     f = tmp_path / "deep.lam"
     f.write_text("def x = #100000\n")
@@ -379,6 +408,13 @@ def test_compile_tm_to_prf(tmp_path, capsys):
     assert cli(["run", "prf", str(out), "--args", "2",
                 "--fuel", "100000000"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("name", ["even_as.tm", "contains11_nfa.tm"])
+def test_compile_tm_to_prf_refuses_an_automaton(name, tmp_path, capsys):
+    assert cli(["compile", "--from", "tm", "--to", "prf", _c(name),
+                "-o", str(tmp_path / "x.prf")]) == 3
+    assert "holds a finite automaton" in capsys.readouterr().err
 
 
 def test_compile_tm_to_prf_is_byte_stable(tmp_path):

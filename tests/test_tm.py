@@ -4,11 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from churing.errors import ValidationError
+from churing.formats import parse
 from churing.tm import (
-    BLANK, Tape, decode_unary, encode_unary, identity_numeric,
+    BLANK, Tape, decode_unary, encode_unary,
     initial_configuration, make_machine, run, run_numeric, step, successors,
-    zeros_then_ones,
 )
+from conftest import corpus_text
+
+
+def zeros_then_ones():
+    """The {0^n 1^n} decider of the corpus."""
+    return parse("tm", corpus_text("onon.tm"))
+
+
+def identity_numeric():
+    """The numeric identity of the corpus: its start state accepts."""
+    return parse("tm", corpus_text("identity.tm"))
 
 
 def test_zeros_then_ones_verdicts():
@@ -176,9 +187,7 @@ def test_several_targets_count_only_where_no_specific_rule_overrides():
 def test_concrete_states_skip_the_overlap_check(monkeypatch):
     import churing.tm as tm
     from dataclasses import replace
-    from churing.formats import parse
     from churing.transform import to_single_tape
-    from conftest import corpus_text
 
     single = to_single_tape(parse("tm", corpus_text("copier.tm")))
 
@@ -230,9 +239,7 @@ def test_derived_fields_cannot_be_forged():
 
 
 def test_word_outside_input_alphabet_is_refused():
-    from churing.formats import parse
     from churing.transform import decide_combine, dovetail_decide, nd_run, to_single_tape
-    from conftest import corpus_text
 
     copier = parse("tm", corpus_text("copier.tm"))
     single = to_single_tape(copier)

@@ -288,8 +288,7 @@ def test_single_tape_refuses_ambiguous_targets():
 
 
 def test_nd_run_on_deterministic_machine():
-    from churing.tm import zeros_then_ones
-    m = zeros_then_ones()
+    m = parse("tm", corpus_text("onon.tm"))
     for w in ["", "01", "0011", "10", "001"]:
         want = run(m, w, fuel=1000).tag == "Accept"
         assert (nd_run(m, w, max_depth=30) == "Accept") == want
