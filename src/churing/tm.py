@@ -19,9 +19,12 @@ machine (see `transform.nd_run`), so a deterministic one never meets an
 ambiguous transition.
 
 `run` goes one state visit at a time: the accept check and the state's
-memo entry once per state entered, then steps until the state changes.
-Most steps of the corpus and compiled machines are sweeps, steps that keep
-the state, write nothing and move the head of the one tape the state reads
+memo entry once per state entered, then steps until the state changes.  It
+keeps each head as an index into its tape's buffer, and cell 0 too, so a
+step reads, writes and shifts with no origin arithmetic; a resolved step
+lists the tapes it moves left, and only those meet the stuck rule.  Most
+steps of the corpus and compiled machines are sweeps, steps that keep the
+state, write nothing and move the head of the one tape the state reads
 (`Rules.rewind` builds them).  `run` takes a sweep as one scan along that
 tape, moving on while the next cell resolves to the very same step object
 (the resolver interns its answers).  It counts one step per cell, so the
@@ -32,7 +35,8 @@ of a traced run, is taken singly.
 from flat rules.
 
 Tape modes: ``semi_infinite`` protects cell 0 (an L move there is a stuck
-halt), ``two_way`` allows negative cells.
+halt, nothing written; no head may start left of it), ``two_way`` allows
+negative cells.
 """
 
 from __future__ import annotations
@@ -214,10 +218,12 @@ class MachineSpec:
         object.__setattr__(self, "deterministic", deterministic)
 
 
-# A resolved transition: (next_state, writes, shifts).  writes holds the
-# (tape, symbol) pairs that may change a cell; shifts holds the (tape, -1|+1)
-# head moves; stay moves and `*` writes leave no entry.
-Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[Tuple[int, int], ...]]
+# A resolved transition: (next_state, writes, shifts, lefts).  writes holds
+# the (tape, symbol) pairs that may change a cell; shifts holds the
+# (tape, -1|+1) head moves; stay moves and `*` writes leave no entry.  lefts
+# holds the tapes whose head moves left, the only ones the stuck rule of a
+# semi-infinite tape looks at; most steps have none.
+Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[Tuple[int, int], ...], Tuple[int, ...]]
 
 
 class RuleIndex:
@@ -230,9 +236,11 @@ class RuleIndex:
     state to ``(reads, known)``, where ``reads`` are the tapes some rule of
     the state reads (not `*`; no rule looks at another tape) and ``known``
     maps the symbols scanned on them, joined into one string (symbols are
-    single characters), to the resolved steps.  ``answers`` interns those
-    answers: equal step tuples of one index are one object, so `run` can
-    tell that two scans take the same step by identity.  Nothing here
+    single characters), to the resolved steps, each a `Step` that lists the
+    tapes it moves left.  ``answers`` interns those answers: equal step
+    tuples of one index are one object, so `run` can tell that two scans
+    take the same step by identity, and can take the step of a
+    deterministic scan by unpacking its one-element answer.  Nothing here
     refers back to the machine, so a dropped machine is freed at once."""
 
     __slots__ = ("states", "delta", "memo", "answers")
@@ -287,6 +295,7 @@ class RuleIndex:
                 nxt,
                 tuple((t, w) for t, w in enumerate(writes) if w != WILD and w != scanned.get(t)),
                 tuple((t, -1 if mv == "L" else 1) for t, mv in enumerate(moves) if mv != "S"),
+                tuple(t for t, mv in enumerate(moves) if mv == "L"),
             )
             for nxt, writes, moves in best
         )
@@ -433,8 +442,8 @@ def _ambiguous(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Validat
 def _apply(spec: MachineSpec, c: Configuration, s: Step) -> Optional[Configuration]:
     """The configuration after step ``s``; None if it moves a head left off
     protected cell 0 (a stuck halt, nothing written)."""
-    nxt, writes, shifts = s
-    if spec.tape_mode == SEMI_INFINITE and any(d < 0 and c.heads[t] == 0 for t, d in shifts):
+    nxt, writes, shifts, lefts = s
+    if spec.tape_mode == SEMI_INFINITE and any(c.heads[t] == 0 for t in lefts):
         return None
     tapes = list(c.tapes)
     for t, sym in writes:
@@ -468,7 +477,8 @@ def initial_configuration(
     """Word i on tape i from cell 0, heads at ``heads`` (default cell 0).
 
     Without ``heads`` this is the start on an input word: ``words[0]``
-    must be over the input alphabet.  Every word is over the tape alphabet."""
+    must be over the input alphabet.  Every word is over the tape alphabet,
+    and on a semi-infinite machine no head is left of cell 0."""
     if len(words) > spec.tapes:
         raise ValidationError(f"{len(words)} input words for {spec.tapes} tapes")
     if heads is None and words and not spec.input_alphabet.issuperset(words[0]):
@@ -482,7 +492,17 @@ def initial_configuration(
                 raise ValidationError(f"input symbol {ch!r} outside tape alphabet")
         tapes.append(Tape.from_word(w))
     hs = tuple(heads) if heads is not None else (0,) * spec.tapes
+    if spec.tape_mode == SEMI_INFINITE:
+        _check_heads(hs)
     return Configuration(spec.initial, tuple(tapes), hs, 0)
+
+
+def _check_heads(heads: Sequence[int]) -> None:
+    """A semi-infinite tape has no cell left of cell 0."""
+    for t, h in enumerate(heads):
+        if h < 0:
+            raise ValidationError(
+                f"head {t + 1} at cell {h}, left of cell 0 of a semi-infinite tape")
 
 
 def run(
@@ -493,14 +513,20 @@ def run(
     start: Optional[Configuration] = None,
 ) -> Outcome:
     """Run a deterministic machine on ``word`` (tape 1, head at its first
-    symbol); Accept as soon as the state is accepting.
+    symbol), or from ``start``; Accept as soon as the state is accepting.
+    A start with a head left of cell 0 of a semi-infinite tape is refused.
 
-    The tapes live in mutable buffers, one list of cells and one origin per
-    tape, always covering the head's cell; Configurations are built only at
-    exit, or after every step when ``want_trace`` is set.
+    The tapes live in mutable buffers, one list of cells per tape, always
+    covering the head's cell.  Each head is kept as an index into its
+    tape's buffer, and so is cell 0: its index grows only when the buffer
+    grows to the left, and the tape's origin is read off it only when a
+    Configuration is built, at exit or after every step when ``want_trace``
+    is set.  A read, a write or a shift does no origin arithmetic.
 
     The outer loop runs once per state entered, the inner one once per step
-    while the state stays.  Without a trace, after the first step of a
+    while the state stays.  A resolved step lists the tapes it moves left,
+    and on a semi-infinite machine only those are checked against cell 0,
+    before anything is written.  Without a trace, after the first step of a
     sweep (same state, no write, one head moved, on the one tape the state
     reads) the head moves on cell by cell while the cell under it resolves
     to the same step: at most to the buffer's end, to the fuel, and on a
@@ -512,14 +538,18 @@ def run(
     index = spec.index
     memo = index.memo
     c = start if start is not None else initial_configuration(spec, [word])
-    state, heads = c.state, list(c.heads)
-    origins = [min(t.origin, h) for t, h in zip(c.tapes, heads)]
-    cells = []
-    for t, h, o in zip(c.tapes, heads, origins):
+    guard = spec.tape_mode == SEMI_INFINITE
+    if guard:
+        _check_heads(c.heads)
+    state = c.state
+    cells, pos, zeros = [], [], []  # buffers; head and cell 0 as buffer indices
+    for t, h in zip(c.tapes, c.heads):
+        o = min(t.origin, h)  # the cell at buffer index 0
         buf = [BLANK] * (t.origin - o) + list(t.cells)
         buf.extend(BLANK * (h - o + 1 - len(buf)))
         cells.append(buf)
-    guard = spec.tape_mode == SEMI_INFINITE
+        pos.append(h - o)
+        zeros.append(-o)
     accept = spec.accept
     trace = [c] if want_trace else None
     steps = 0
@@ -540,40 +570,41 @@ def run(
         one = reads[0] if len(reads) == 1 else None
         while True:  # one pass per step, or per sweep, while the state stays
             if one is not None:
-                key = cells[one][heads[one] - origins[one]]
+                key = cells[one][pos[one]]
             else:
-                key = "".join([cells[t][heads[t] - origins[t]] for t in reads])
+                key = "".join([cells[t][pos[t]] for t in reads])
             todo = known.get(key)
             if todo is None:
                 todo = index.resolve(state, key)
-            if len(todo) != 1:
+            try:  # a deterministic scan resolves to one step
+                [(nxt, writes, shifts, lefts)] = todo
+            except ValueError:  # none (Reject), or several
                 if todo:
-                    scanned = [buf[h - o] for buf, h, o in zip(cells, heads, origins)]
-                    raise _ambiguous(spec, state, scanned)
+                    raise _ambiguous(spec, state, [b[i] for b, i in zip(cells, pos)]) from None
                 nxt = None
                 break
-            nxt, writes, shifts = todo[0]
-            if guard:
-                for t, d in shifts:
-                    if d < 0 and heads[t] == 0:
+            if lefts and guard:
+                for t in lefts:
+                    if pos[t] == zeros[t]:
                         nxt = None  # cell 0 is protected
                 if nxt is None:
                     break
             for t, sym in writes:
-                cells[t][heads[t] - origins[t]] = sym
+                cells[t][pos[t]] = sym
             for t, d in shifts:
-                h = heads[t] = heads[t] + d
-                buf = cells[t]
-                i = h - origins[t]
-                if i == len(buf):
-                    buf.extend(BLANK * i)  # amortize a long walk right
-                elif i < 0:
-                    grow = len(buf) + 1  # and left
+                i = pos[t] + d
+                if i < 0:
+                    buf = cells[t]
+                    grow = len(buf) + 1  # amortize a long walk left
                     buf[:0] = BLANK * grow
-                    origins[t] -= grow
+                    i += grow
+                    zeros[t] += grow
+                elif i == len(cells[t]):
+                    cells[t].extend(BLANK * i)  # and right
+                pos[t] = i
             steps += 1
             if trace is not None:
-                trace.append(_snapshot(nxt, cells, origins, heads, c.steps_taken + steps))
+                trace.append(_snapshot(nxt, cells, pos, zeros, c.steps_taken + steps))
             if nxt != state:
                 break
             if not writes and len(shifts) == 1 and shifts[0][0] == one and trace is None:
@@ -582,18 +613,18 @@ def run(
                 # buffer and the fuel
                 t, d = shifts[0]
                 buf = cells[t]
-                i = start_i = heads[t] - origins[t]
+                i = start_i = pos[t]
                 if d > 0:
                     stop = len(buf) - 1
                     if stop - i > fuel - steps:
                         stop = i + fuel - steps
                 else:  # on a semi-infinite tape, not past cell 0
-                    stop = -origins[t] if guard and origins[t] < 0 <= heads[t] else 0
+                    stop = zeros[t] if guard and zeros[t] > 0 else 0
                     if i - stop > fuel - steps:
                         stop = i - fuel + steps
                 while i != stop and known.get(buf[i]) is todo:
                     i += d
-                heads[t] += i - start_i
+                pos[t] = i
                 steps += (i - start_i) * d
             if steps >= fuel:
                 break
@@ -601,13 +632,13 @@ def run(
             tag = REJECT
             break
         state = nxt
-    final = _snapshot(state, cells, origins, heads, c.steps_taken + steps)
+    final = _snapshot(state, cells, pos, zeros, c.steps_taken + steps)
     return Outcome(tag, final, tuple(trace) if trace else None)
 
 
-def _snapshot(state, cells, origins, heads, steps_taken) -> Configuration:
-    tapes = tuple(_canon_tape(o, "".join(buf)) for buf, o in zip(cells, origins))
-    return Configuration(state, tapes, tuple(heads), steps_taken)
+def _snapshot(state, cells, pos, zeros, steps_taken) -> Configuration:
+    tapes = tuple(_canon_tape(-z, "".join(buf)) for buf, z in zip(cells, zeros))
+    return Configuration(state, tapes, tuple(p - z for p, z in zip(pos, zeros)), steps_taken)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def machine_tables(m: MachineSpec) -> Dict[str, PrfExpr]:
             s = resolve_one(m, state, (sym,))
             if s is None:
                 continue
-            nxt, writes, shifts = s
+            nxt, writes, shifts, _ = s
             wd = _DIGIT[writes[0][1] if writes else sym]
             av = 2 if not shifts else 0 if shifts[0][1] < 0 else 1  # L, R, S
             entries.append((idx[state], si, av, wd, idx[nxt]))

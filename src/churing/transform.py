@@ -161,9 +161,9 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 return ("g", q, vec + (got,), edges + (t,) * first, False), sym, "R"
             if sym == HASH and t == k:
                 s = resolve_one(m, q, vec)
-                if s is None or any(d < 0 and u in edges for u, d in s[2]):
+                if s is None or any(u in edges for u in s[3]):
                     return None  # host halts: no rule, or stuck at cell 0
-                nxt, writes, shifts = s
+                nxt, writes, shifts, _ = s
                 w, d = dict(writes), dict(shifts)
                 wm = tuple((w.get(t), d.get(t, 0)) for t in range(k))
                 return ("rw", ("u", nxt, wm, 0), 0), HASH, "S"

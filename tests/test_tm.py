@@ -1,12 +1,14 @@
 """Multitape machine core: matching, stepping, running, unary convention."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from churing.errors import ValidationError
 from churing.formats import parse
 from churing.tm import (
-    BLANK, Tape, decode_unary, encode_unary,
+    BLANK, TWO_WAY, Configuration, Tape, decode_unary, encode_unary,
     initial_configuration, make_machine, run, run_numeric, step, successors,
 )
 from conftest import corpus_text
@@ -98,6 +100,7 @@ def test_unary_codec_values():
     assert decode_unary("111") == 3
 
 
+@settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=300))
 def test_unary_round_trip(n):
     assert decode_unary(encode_unary(n)) == n
@@ -186,7 +189,6 @@ def test_several_targets_count_only_where_no_specific_rule_overrides():
 
 def test_concrete_states_skip_the_overlap_check(monkeypatch):
     import churing.tm as tm
-    from dataclasses import replace
     from churing.transform import to_single_tape
 
     single = to_single_tape(parse("tm", corpus_text("copier.tm")))
@@ -204,7 +206,6 @@ def test_concrete_states_skip_the_overlap_check(monkeypatch):
 
 
 def test_machine_is_validated_when_built():
-    from dataclasses import replace
     from churing.tm import MachineSpec
     m = zeros_then_ones()
     fields = dict(name="z", states=m.states, initial=m.initial, accept=m.accept,
@@ -225,7 +226,6 @@ def test_machine_is_validated_when_built():
 
 def test_derived_fields_cannot_be_forged():
     # the flag and the index come from the rules, never from the caller
-    from dataclasses import replace
     overlap = _two_tape_overlap()
     two = make_machine(name="two", states=["a", "b", "c"], initial="a", accept=["c"],
                        input_alphabet=["1"], tape_alphabet=["0", "1", "_"], tapes=1,
@@ -257,3 +257,22 @@ def test_word_outside_input_alphabet_is_refused():
     assert run(copier, "ab", fuel=1000).tag == run(single, "ab", fuel=100_000).tag == "Accept"
     # the unary convention still starts with a blank cell 0
     assert run_numeric(identity_numeric(), [3], fuel=10) == 3
+
+
+def test_initial_configuration_refuses_a_head_left_of_cell_0():
+    m = zeros_then_ones()
+    with pytest.raises(ValidationError, match="left of cell 0"):
+        initial_configuration(m, ["0011"], heads=(-2,))
+    assert initial_configuration(m, ["0011"], heads=(3,)).heads == (3,)
+    # a two-way tape has cells left of 0
+    two_way = replace(m, tape_mode=TWO_WAY)
+    assert initial_configuration(two_way, ["0011"], heads=(-2,)).heads == (-2,)
+
+
+def test_run_refuses_a_start_with_a_head_left_of_cell_0():
+    m = zeros_then_ones()
+    start = Configuration(m.initial, (Tape.from_word("0011"),), (-2,))
+    with pytest.raises(ValidationError, match="left of cell 0"):
+        run(m, "", fuel=10, start=start)
+    out = run(replace(m, tape_mode=TWO_WAY), "", fuel=10, start=start)
+    assert (out.tag, out.final.heads, out.final.steps_taken) == ("Accept", (-1,), 1)

@@ -3,15 +3,16 @@
 `tm_reference` keeps the original semantics (rescan every rule, read every
 tape, rebuild written tapes).  `churing.tm.run` must agree with it on the
 tag, the final configuration, `steps_taken` and the trace, on the corpus,
-the compiled stdlib, the lambda machine suite, generated machines and
-machines built to sweep, and a built machine must be deterministic exactly
-when no scan vector is ambiguous under the reference matcher.
+the compiled stdlib, the lambda machine suite, generated machines (also
+from start configurations built directly) and machines built to sweep,
+and a built machine must be deterministic exactly when no scan vector is
+ambiguous under the reference matcher.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tm_reference as ref
 from churing.errors import ValidationError
@@ -21,7 +22,7 @@ from churing.lam_to_tm import build_machine, render_with_names
 from churing.prf import arity_check, stdlib, stdlib_names
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    BLANK, MOVES, SEMI_INFINITE, TWO_WAY, WILD, MachineSpec,
+    BLANK, MOVES, SEMI_INFINITE, TWO_WAY, WILD, Configuration, MachineSpec, Tape,
     initial_configuration, make_machine, numeric_start, run, successors,
 )
 
@@ -146,9 +147,11 @@ def _machines(draw):
 
 
 @st.composite
-def _det_machines(draw):
+def _det_machines(draw, moves=MOVES, default=False):
     """Deterministic by construction: each state reads a fixed set of tapes;
-    its keys name all of them, only the first of them, or none."""
+    its keys name all of them, only the first of them, or none.  Each move
+    is drawn from ``moves``.  With ``default`` every state has a key of
+    none, which writes a symbol on every tape, so every scan takes a step."""
     k = draw(st.integers(1, 3))
     syms = draw(st.sampled_from(["ab", "abc"]))
     gamma = [BLANK, *syms]
@@ -156,11 +159,14 @@ def _det_machines(draw):
     for q in STATES[:3]:
         read = draw(st.sets(st.integers(0, k - 1), min_size=1))
         first = min(read)
+        if default:
+            rules[q, (WILD,) * k] = (draw(st.sampled_from(STATES)), draw(_vec(k, gamma)),
+                                     draw(_vec(k, list(moves))))
         for v in draw(st.lists(_vec(k, gamma), max_size=5)):
             only = draw(st.sampled_from([read, {first}, set()]))
             key = tuple(v[t] if t in only else WILD for t in range(k))
             target = (draw(st.sampled_from(STATES)), draw(_vec(k, gamma + [WILD])),
-                      draw(_vec(k, list(MOVES))))
+                      draw(_vec(k, list(moves))))
             rules.setdefault((q, key), target)
     mode = draw(st.sampled_from([SEMI_INFINITE, TWO_WAY]))
     return make_machine(name="gen", states=STATES, initial="q0", accept=["q3"],
@@ -177,6 +183,59 @@ WORDS = st.text(alphabet="ab", max_size=4)
 def test_generated_deterministic_machines_agree(m, word):
     assert m.deterministic
     _fuel_sweep(m, word, cap=40)
+
+
+@st.composite
+def _starts(draw, m):
+    """A start configuration built directly: each tape's word at an origin
+    other than 0 (negative too on a two-way tape), each head left of, on or
+    right of its word: on a two-way tape often left of cell 0, on a
+    semi-infinite one often at cell 0 and never left of it; any acting
+    state, any step count."""
+    two_way = m.tape_mode == TWO_WAY
+    tapes, heads = [], []
+    for _ in range(m.tapes):
+        tape = Tape.from_word(draw(st.text(alphabet="ab_", max_size=5)),
+                              draw(st.integers(-6 if two_way else 0, 6)))
+        end = tape.origin + len(tape.cells)
+        if two_way:
+            heads.append(draw(st.integers(min(tape.origin, 0) - 3, end + 2)))
+        else:
+            heads.append(draw(st.one_of(st.just(0), st.integers(0, end + 2))))
+        tapes.append(tape)
+    return Configuration(draw(st.sampled_from(STATES[:3])), tuple(tapes), tuple(heads),
+                         draw(st.integers(0, 3)))
+
+
+@st.composite
+def _start_cases(draw):
+    m = draw(_det_machines(moves=("L", "L", "L", "R", "S"), default=True))
+    return m, draw(_starts(m))
+
+
+def _left_mover(mode):
+    """Three tapes; every step writes on each of them and moves heads 1 and
+    3 left, so on a semi-infinite machine the second step is stuck."""
+    return make_machine(name="left", states=["q0"], initial="q0", accept=[],
+                        input_alphabet="ab", tape_alphabet=[BLANK, "a", "b"], tapes=3,
+                        rules=[("q0", (WILD,) * 3, "q0", ("b", "a", "b"), ("L", "R", "L"))],
+                        tape_mode=mode)
+
+
+def _left_mover_start(origin, heads):
+    tapes = (Tape.from_word("ab", origin), Tape.from_word("ab"), Tape.from_word("a", 3))
+    return Configuration("q0", tapes, heads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_start_cases())
+@example((_left_mover(SEMI_INFINITE), _left_mover_start(2, (1, 5, 1))))
+@example((_left_mover(TWO_WAY), _left_mover_start(-3, (-1, 5, 1))))
+def test_start_configurations_agree(case):
+    """Heads and cell 0 kept as buffer indices: starts at any origin and
+    head, and steps that move several heads left, at cell 0 too, and write."""
+    m, start = case
+    _fuel_sweep(m, start=start, cap=40)
 
 
 def _ambiguous_somewhere(m):
