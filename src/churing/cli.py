@@ -9,9 +9,15 @@ Subcommands:
     equiv --prf FILE --tm FILE --lam FILE --grid A..B [--fuel N]
     check FILE
 
-Exit codes: 0 success / Accept / all-Agree, 1 Reject / Disagree,
-2 FuelExhausted / Inconclusive, 3 parse or validation error, or input
-nested too deeply for the interpreter's recursion limit.
+Each model takes only its own ``run`` options; another model's option
+(``run tm --args``, ``run prf --input``, ``run lam --trace``) exits 3.
+An ``equiv`` point is Agree only when every column gives the same number.
+
+Exit codes: 0 success / Accept / all-Agree, 1 Reject / NotFound /
+Disagree, 2 FuelExhausted / Inconclusive, 3 parse or validation error, a
+file that cannot be read or is not UTF-8, or input nested too deeply for
+the interpreter's recursion limit, 4 a fault in churing itself (the
+traceback is printed).
 """
 
 import argparse
@@ -20,8 +26,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .equiv import AGREE, DEFAULT_FUEL, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
-from .errors import FuelExhausted, NotANumeral, ParseError, ValidationError
+from .equiv import AGREE, DEFAULT_FUEL, DISAGREE, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
+from .errors import ChuringError, FuelExhausted, NotANumeral, ParseError, ValidationError
 from .formats import parse, print_source
 from .lam import Term, app, church_decode
 from .lam_to_tm import SUITE, build_machine
@@ -30,9 +36,38 @@ from .prf_to_lam import compile_prf_to_lambda
 from .prf_to_tm import compile_prf_to_tm, layout_report
 from .tm import ACCEPT, FUEL_EXHAUSTED, REJECT, MachineSpec, run
 from .tm_to_prf import compile_tm_to_prf
-from .transform import Dfa, dfa_accepts, nd_run, nfa_accepts, to_single_tape
+from .transform import NOT_FOUND, Dfa, dfa_accepts, nd_run, nfa_accepts, to_single_tape
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
+EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE, EXIT_ERROR, EXIT_FAULT = 0, 1, 2, 3, 4
+
+# the exit code of each verdict a command ends with; None is a command that
+# printed a value or wrote a file
+_VERDICT_EXIT = {None: EXIT_OK, ACCEPT: EXIT_OK, AGREE: EXIT_OK,
+                 REJECT: EXIT_NEGATIVE, NOT_FOUND: EXIT_NEGATIVE, DISAGREE: EXIT_NEGATIVE,
+                 FUEL_EXHAUSTED: EXIT_INCONCLUSIVE, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+
+
+def _error(what) -> None:
+    print(f"error: {what}", file=sys.stderr)
+
+
+def _fault(ex: Exception) -> None:
+    import traceback  # only a fault pays for the import
+    traceback.print_exception(ex)
+
+
+# the exit code of an exception a command raises, and what it prints, from
+# the first row whose types match; an OSError is a missing file, a directory
+# or no permission
+_ERROR_EXIT = [
+    (FuelExhausted, EXIT_INCONCLUSIVE, lambda ex: print(FUEL_EXHAUSTED)),
+    (RecursionError, EXIT_ERROR, lambda ex: _error("input nested too deeply")),
+    ((ChuringError, OSError, UnicodeError), EXIT_ERROR, _error),
+    (Exception, EXIT_FAULT, _fault),
+]
+
+# the run options each model reads
+_RUN_OPTIONS = {"tm": {"input", "trace"}, "prf": {"args"}, "lam": {"apply"}}
 
 _KIND_BY_SUFFIX = {".tm": "tm", ".prf": "prf", ".lam": "lam"}
 
@@ -63,45 +98,33 @@ def _load_machine(path: str) -> MachineSpec:
     return m
 
 
-def _outcome_exit(tag: str) -> int:
-    return {ACCEPT: EXIT_OK, REJECT: EXIT_NEGATIVE, FUEL_EXHAUSTED: EXIT_INCONCLUSIVE}[tag]
-
-
-def _cmd_run(args) -> int:
-    fuel = args.fuel
-    if args.model == "tm":
-        m = _load(args.file, "tm")
-        if not isinstance(m, MachineSpec):  # a DFA or an NFA decides the word
-            accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
-            tag = ACCEPT if accepts(m, args.input or "") else REJECT
-            print(tag)
-            return _outcome_exit(tag)
-        out = run(m, args.input or "", fuel=fuel, want_trace=args.trace)
-        if args.trace and out.trace:
-            for c in out.trace:
-                print(c.state, [t.content() for t in c.tapes], file=sys.stderr)
-        print(out.tag)
-        return _outcome_exit(out.tag)
+def _cmd_run(args) -> Optional[str]:
+    for opt in ("input", "args", "apply", "trace"):
+        if opt not in _RUN_OPTIONS[args.model] and getattr(args, opt) not in (None, False):
+            raise ValidationError(f"--{opt} does not apply to run {args.model}")
     if args.model == "prf":
-        e = _load(args.file, "prf")
+        print(evaluate(_load(args.file, "prf"), args.args or [], args.fuel))
+        return None
+    if args.model == "lam":
+        t = _load(args.file, "lam")
+        if args.apply:
+            t = app(t, *parse_apply(args.apply))
         try:
-            print(evaluate(e, args.args or [], fuel))
-            return EXIT_OK
-        except FuelExhausted:
-            print(FUEL_EXHAUSTED)
-            return EXIT_INCONCLUSIVE
-    t = _load(args.file, "lam")
-    if args.apply:
-        for part in parse_apply(args.apply):
-            t = app(t, part)
-    try:
-        print(f"#{church_decode(t, fuel)}")
-    except NotANumeral as e:
-        print(print_source("lam", e.term), end="")
-    except FuelExhausted:
-        print(FUEL_EXHAUSTED)
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+            print(f"#{church_decode(t, args.fuel)}")
+        except NotANumeral as e:
+            print(print_source("lam", e.term), end="")
+        return None
+    m = _load(args.file, "tm")
+    if isinstance(m, MachineSpec):
+        out = run(m, args.input or "", fuel=args.fuel, want_trace=args.trace)
+        for c in out.trace or ():
+            print(c.state, [t.content() for t in c.tapes], file=sys.stderr)
+        tag = out.tag
+    else:  # a DFA or an NFA decides the word
+        accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
+        tag = ACCEPT if accepts(m, args.input or "") else REJECT
+    print(tag)
+    return tag
 
 
 def parse_apply(text: str) -> List[Term]:
@@ -114,12 +137,11 @@ def parse_apply(text: str) -> List[Term]:
     return list(reversed(parts))
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args) -> None:
     src_kind, dst = args.src, args.dst
     pairs = {("prf", "tm"), ("prf", "lam"), ("tm", "prf"), ("lam", "tm-suite")}
     if (src_kind, dst) not in pairs:
-        print(f"no translation from {src_kind} to {dst}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValidationError(f"no translation from {src_kind} to {dst}")
     obj = _load_machine(args.file) if src_kind == "tm" else _load(args.file, src_kind)
     if dst == "tm":
         m, layout = compile_prf_to_tm(obj)
@@ -133,20 +155,19 @@ def _cmd_compile(args) -> int:
             path = Path(f"{args.out}.{name}.tm")
             path.write_text(print_source("tm", build_machine(name)))
             print(path)
-        return EXIT_OK
+        return
     Path(args.out).write_text(text)
     print(args.out)
-    return EXIT_OK
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> Optional[str]:
     m = _load_machine(args.file)
     if args.single_tape:
         print(print_source("tm", to_single_tape(m)), end="")
-        return EXIT_OK
+        return None
     verdict = nd_run(m, args.input or "", max_depth=args.depth)
     print(verdict)
-    return EXIT_OK if verdict == ACCEPT else EXIT_NEGATIVE
+    return verdict
 
 
 def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
@@ -160,43 +181,36 @@ def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
     return [tuple(p) for p in itertools.product(range(lo, hi + 1), repeat=k)]
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> str:
     e = _load(args.prf, "prf")
     m = _load_machine(args.tm)
     t = _load(args.lam, "lam")
     report = equiv_grid(e, m, t, _parse_grid(args.grid, arity_check(e)),
                         fuel=args.fuel)
-    print(report.table())
-    for line in report.lines():
-        print(line)
+    print(report.table(), *report.lines(), sep="\n")
     cex = report.counterexample()
     if cex is not None:
         print(f"counterexample: {cex} -> {report.results[cex]}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    if INCONCLUSIVE in report.verdicts.values():
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        return DISAGREE
+    return INCONCLUSIVE if INCONCLUSIVE in report.verdicts.values() else AGREE
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     kind = _kind_of(args.file)
     obj = parse(kind, Path(args.file).read_text())
     n = len(obj) if isinstance(obj, dict) else 1
     print(f"ok: {kind} source with {n} object(s)")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        raise ValidationError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="churing",
-                description="Turing machines, recursive "
-                            "functions, and lambda terms.")
+                description="Turing machines, recursive functions, and lambda terms.")
     sub = p.add_subparsers(dest="command", required=True)
 
     r = sub.add_parser("run", help="run a machine, function, or term")
@@ -210,10 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=_cmd_run)
 
     c = sub.add_parser("compile", help="translate between the models")
-    c.add_argument("--from", dest="src", required=True,
-                   choices=["prf", "tm", "lam"])
-    c.add_argument("--to", dest="dst", required=True,
-                   choices=["tm", "prf", "lam", "tm-suite"])
+    c.add_argument("--from", dest="src", required=True, choices=["prf", "tm", "lam"])
+    c.add_argument("--to", dest="dst", required=True, choices=["tm", "prf", "lam", "tm-suite"])
     c.add_argument("file")
     c.add_argument("-o", "--out", required=True)
     c.set_defaults(fn=_cmd_compile)
@@ -244,19 +256,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
-    except SystemExit as ex:  # argparse usage errors / --help
+        return _VERDICT_EXIT[args.fn(args)]
+    except SystemExit as ex:  # --help
         return ex.code if isinstance(ex.code, int) else EXIT_ERROR
-    except (ParseError, ValidationError, RecursionError) as ex:
-        msg = "input nested too deeply" if isinstance(ex, RecursionError) else ex
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_ERROR
-    except FuelExhausted as ex:
-        print(f"fuel exhausted: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except OSError as ex:  # missing file, a directory, no permission
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as ex:
+        code, say = next((code, say) for kinds, code, say in _ERROR_EXIT
+                         if isinstance(ex, kinds))
+        say(ex)
+        return code
 
 
 def main() -> None:

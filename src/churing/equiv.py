@@ -4,7 +4,7 @@ of points, with a verdict per point."""
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ChuringError, FuelExhausted, NonEncodable
+from .errors import FuelExhausted, NonEncodable, NotANumeral
 from .lam import Term, app, church_decode, church_encode
 from .prf import Named, PrfExpr, Succ, arity_check, evaluate
 from .prf_to_tm import compile_prf_to_tm
@@ -61,54 +61,44 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
                grid: Sequence[Sequence[int]], fuel: int = DEFAULT_FUEL) -> EquivReport:
     """Evaluate the same function in all three models over a grid of points.
 
-    A point is Agree when every model that completed returned the same
-    number, Disagree when two completed results differ, and Inconclusive when
-    nothing completed.  For bare S, the one function whose compiled machine
-    has a single tape, the report gains a ``roundtrip`` column: that machine
-    translated back to a recursive function.  A squeezed multitape machine
-    carries separators and dotted glyphs, which `tm_to_prf` does not code.
+    A cell is ``?`` when its run ends without a number: out of fuel, a
+    normal form or a halted tape that holds no numeral, or a machine that
+    does not Accept.  A point is Disagree when two numbers differ, Agree
+    when every column gave the same number, and otherwise Inconclusive.  A
+    ValidationError from any column propagates.  For bare S, the one
+    function whose compiled machine has a single tape, the report gains a
+    ``roundtrip`` column: that machine translated back to a recursive
+    function.  A squeezed multitape machine carries separators and dotted
+    glyphs, which `tm_to_prf` does not code.
 
     The machine's result is read from tape k+1 when it has more than k
     tapes (the compiled-machine layout), else from tape 1.
     """
     k = arity_check(prf)
     tm_output_tape = k + 1 if tm.tapes > k else 1
-    rt: Optional[PrfExpr] = None
+    columns = {"prf": lambda pt: evaluate(prf, pt, fuel),
+               "tm": lambda pt: run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape),
+               "lam": lambda pt: church_decode(app(lam, *map(church_encode, pt)), fuel)}
     body = prf
     while isinstance(body, Named):
         body = body.definition
     if k == 1 and isinstance(body, Succ):  # the one compiled machine of one tape
         rt = compile_tm_to_prf(compile_prf_to_tm(prf)[0])
+        columns["roundtrip"] = lambda pt: evaluate(rt, pt, fuel)
 
     results: Dict[Tuple[int, ...], Dict[str, Optional[int]]] = {}
     verdicts: Dict[Tuple[int, ...], str] = {}
     pts = [tuple(p) for p in grid]
     for pt in pts:
         row: Dict[str, Optional[int]] = {}
-        try:
-            row["prf"] = evaluate(prf, pt, fuel)
-        except (FuelExhausted, ChuringError):
-            row["prf"] = None
-        try:
-            got = run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape)
-        except NonEncodable:  # the halted tape holds no numeral
-            got = None
-        row["tm"] = got if isinstance(got, int) else None
-        try:
-            row["lam"] = church_decode(app(lam, *map(church_encode, pt)), fuel)
-        except ChuringError:
-            row["lam"] = None
-        if rt is not None:
+        for model, column in columns.items():
             try:
-                row["roundtrip"] = evaluate(rt, pt, fuel)
-            except (FuelExhausted, ChuringError):
-                row["roundtrip"] = None
-        done = [v for v in row.values() if v is not None]
-        if not done:
-            verdicts[pt] = INCONCLUSIVE
-        elif len(set(done)) == 1:
-            verdicts[pt] = AGREE
-        else:
-            verdicts[pt] = DISAGREE
+                got = column(pt)
+            except (FuelExhausted, NotANumeral, NonEncodable):
+                got = None
+            row[model] = got if isinstance(got, int) else None  # an Outcome: no Accept
+        numbers = {v for v in row.values() if v is not None}
+        verdicts[pt] = (DISAGREE if len(numbers) > 1
+                        else AGREE if None not in row.values() else INCONCLUSIVE)
         results[pt] = row
     return EquivReport(pts, results, verdicts)

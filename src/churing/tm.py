@@ -478,7 +478,7 @@ def initial_configuration(
 
     Without ``heads`` this is the start on an input word: ``words[0]``
     must be over the input alphabet.  Every word is over the tape alphabet,
-    and on a semi-infinite machine no head is left of cell 0."""
+    there is one head per tape, and none is left of cell 0 of a semi-infinite tape."""
     if len(words) > spec.tapes:
         raise ValidationError(f"{len(words)} input words for {spec.tapes} tapes")
     if heads is None and words and not spec.input_alphabet.issuperset(words[0]):
@@ -492,15 +492,17 @@ def initial_configuration(
                 raise ValidationError(f"input symbol {ch!r} outside tape alphabet")
         tapes.append(Tape.from_word(w))
     hs = tuple(heads) if heads is not None else (0,) * spec.tapes
-    if spec.tape_mode == SEMI_INFINITE:
-        _check_heads(hs)
+    _check_start(spec, tapes, hs)
     return Configuration(spec.initial, tuple(tapes), hs, 0)
 
 
-def _check_heads(heads: Sequence[int]) -> None:
-    """A semi-infinite tape has no cell left of cell 0."""
+def _check_start(spec: MachineSpec, tapes: Sequence[Tape], heads: Sequence[int]) -> None:
+    """One tape and one head per tape, none left of cell 0 of a semi-infinite tape."""
+    if not len(tapes) == len(heads) == spec.tapes:
+        raise ValidationError(
+            f"{len(tapes)} tapes and {len(heads)} heads for a {spec.tapes}-tape machine")
     for t, h in enumerate(heads):
-        if h < 0:
+        if h < 0 and spec.tape_mode == SEMI_INFINITE:
             raise ValidationError(
                 f"head {t + 1} at cell {h}, left of cell 0 of a semi-infinite tape")
 
@@ -514,7 +516,7 @@ def run(
 ) -> Outcome:
     """Run a deterministic machine on ``word`` (tape 1, head at its first
     symbol), or from ``start``; Accept as soon as the state is accepting.
-    A start with a head left of cell 0 of a semi-infinite tape is refused.
+    A start passes the same tape and head checks as `initial_configuration`.
 
     The tapes live in mutable buffers, one list of cells per tape, always
     covering the head's cell.  Each head is kept as an index into its
@@ -538,9 +540,8 @@ def run(
     index = spec.index
     memo = index.memo
     c = start if start is not None else initial_configuration(spec, [word])
+    _check_start(spec, c.tapes, c.heads)
     guard = spec.tape_mode == SEMI_INFINITE
-    if guard:
-        _check_heads(c.heads)
     state = c.state
     cells, pos, zeros = [], [], []  # buffers; head and cell 0 as buffer indices
     for t, h in zip(c.tapes, c.heads):

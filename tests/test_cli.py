@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from churing import formats as formats_module, lam as lam_module
+from churing import (
+    cli as cli_module, equiv as equiv_module, formats as formats_module, lam as lam_module,
+)
 from churing.cli import cli
 from churing.equiv import equiv_grid
-from churing.errors import NotANumeral
+from churing.errors import NotANumeral, ValidationError
 from churing.formats import parse, print_source
 from churing.lam import App, Var, church_encode, lam
 from churing.prf import Succ, arity_check, stdlib, stdlib_names
@@ -127,6 +129,20 @@ def test_run_prf_divergent(tmp_path, capsys):
     f.write_text("Mu C S (Z 2)\n")
     assert cli(["run", "prf", str(f), "--args", "0", "--fuel", "10000"]) == 2
     assert capsys.readouterr().out.strip() == "FuelExhausted"
+
+
+# each model refuses the options of the others: `run tm --args` would
+# otherwise run the adder on the empty word and answer Reject
+@pytest.mark.parametrize("argv, option", [
+    (["tm", _c("add_compiled.tm"), "--args", "2", "3"], "--args"),
+    (["prf", _c("succ.prf"), "--args", "4", "--trace"], "--trace"),
+    (["lam", _c("example_term.lam"), "--input", "01"], "--input"),
+], ids=["tm", "prf", "lam"])
+def test_run_refuses_an_option_of_another_model(argv, option, capsys):
+    assert cli(["run", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} does not apply to run {argv[0]}\n"
 
 
 def test_run_lam_numeral(tmp_path, monkeypatch, capsys):
@@ -258,6 +274,38 @@ def test_non_integer_argument_is_an_error(capsys):
 def test_directory_is_an_error(capsys):
     assert cli(["run", "prf", str(CORPUS)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    # every command that reads a file, on each kind of file it reads
+    bad = {}
+    for kind in ("tm", "prf", "lam"):
+        bad[kind] = str(tmp_path / f"bad.{kind}")
+        Path(bad[kind]).write_bytes(b"\xff\xfe")
+    argvs = [["check", bad["tm"]], ["run", "tm", bad["tm"]], ["run", "prf", bad["prf"]],
+             ["run", "lam", bad["lam"]], ["transform", "--single-tape", bad["tm"]],
+             ["transform", "--nd-run", bad["tm"]]]
+    argvs += [["compile", "--from", src, "--to", dst, bad[src], "-o", str(tmp_path / "out")]
+              for src, dst in [("prf", "tm"), ("prf", "lam"), ("tm", "prf"), ("lam", "tm-suite")]]
+    partner = {"prf": _c("succ.prf"), "tm": _c("succ.tm"), "lam": _c("combinators.lam")}
+    for kind in bad:
+        slots = dict(partner, **{kind: bad[kind]})
+        argvs.append(["equiv", "--prf", slots["prf"], "--tm", slots["tm"], "--lam", slots["lam"],
+                      "--grid", "0..1"])
+    for argv in argvs:
+        assert cli(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode"), argv
+
+
+def test_a_fault_exits_four_with_its_traceback(monkeypatch, capsys):
+    # a bug in churing is neither a negative answer (1) nor an input error (3)
+    def broken(*args):
+        raise ZeroDivisionError("planted")
+    monkeypatch.setattr(cli_module, "evaluate", broken)
+    assert cli(["run", "prf", _c("succ.prf"), "--args", "4"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ZeroDivisionError: planted\n")
 
 
 def test_every_command_on_every_corpus_file_keeps_the_exit_code_contract(tmp_path, capsys):
@@ -525,6 +573,28 @@ def test_equiv_non_numeric_machine(capsys):
     captured = capsys.readouterr()
     assert "2;tm;?" in captured.out.splitlines()
     assert "counterexample: (1,)" in captured.err
+
+
+def test_equiv_is_inconclusive_where_a_column_gives_no_number(capsys):
+    # onon decides a language and combinators.lam holds no numeral function:
+    # only the recursive function gives a number, which is no agreement
+    assert cli(["equiv", "--prf", _c("succ.prf"), "--tm", _c("onon.tm"),
+                "--lam", _c("combinators.lam"), "--grid", "0..2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if ";verdict;" in l] == [f"{n};verdict;Inconclusive" for n in range(3)]
+    assert [l for l in lines if ";tm;" in l or ";lam;" in l] == [
+        f"{n};{model};?" for n in range(3) for model in ("lam", "tm")]
+
+
+@pytest.mark.parametrize("column", ["evaluate", "run_numeric", "church_decode"])
+def test_equiv_grid_lets_a_validation_error_through(column, monkeypatch):
+    # a cell is ? only for a run that ends without a number, never for bad input
+    def invalid(*args, **kwargs):
+        raise ValidationError("planted")
+    monkeypatch.setattr(equiv_module, column, invalid)
+    with pytest.raises(ValidationError, match="planted"):
+        equiv_grid(Succ(), parse("tm", Path(_c("succ.tm")).read_text()),
+                   compile_prf_to_lambda(Succ()), [(0,)])
 
 
 def test_equiv_machine_with_too_few_tapes(tmp_path):

@@ -276,3 +276,21 @@ def test_run_refuses_a_start_with_a_head_left_of_cell_0():
         run(m, "", fuel=10, start=start)
     out = run(replace(m, tape_mode=TWO_WAY), "", fuel=10, start=start)
     assert (out.tag, out.final.heads, out.final.steps_taken) == ("Accept", (-1,), 1)
+
+
+@pytest.mark.parametrize("heads", [(0,), (0, 0, 0)])
+def test_initial_configuration_wants_one_head_per_tape(heads):
+    copier = parse("tm", corpus_text("copier.tm"))  # two tapes
+    with pytest.raises(ValidationError, match="heads for a 2-tape machine"):
+        initial_configuration(copier, ["ab"], heads=heads)
+    assert initial_configuration(copier, ["ab"], heads=(0, 0)).heads == (0, 0)
+
+
+def test_run_wants_a_start_with_one_tape_and_one_head_per_tape():
+    copier = parse("tm", corpus_text("copier.tm"))
+    start = initial_configuration(copier, ["ab"])
+    for bad in (replace(start, heads=(0,)), replace(start, heads=(0, 0, 0)),
+                replace(start, tapes=start.tapes[:1])):
+        with pytest.raises(ValidationError, match="for a 2-tape machine"):
+            run(copier, "", fuel=1000, start=bad)
+    assert run(copier, "", fuel=1000, start=start).tag == "Accept"
