@@ -80,9 +80,18 @@ def _kind_of(path: str) -> str:
     return kind
 
 
+def _read(path: str) -> str:
+    """The text of a file; a file that is not UTF-8 is named in the error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as ex:
+        raise UnicodeDecodeError(ex.encoding, ex.object, ex.start, ex.end,
+                                 f"{ex.reason} in {path}") from None
+
+
 def _load(path: str, kind: Optional[str] = None):
     kind = kind or _kind_of(path)
-    obj = parse(kind, Path(path).read_text())
+    obj = parse(kind, _read(path))
     if isinstance(obj, dict):
         if not obj:
             raise ParseError(f"{path} defines nothing", line=1, column=1)
@@ -197,7 +206,7 @@ def _cmd_equiv(args) -> str:
 
 def _cmd_check(args) -> None:
     kind = _kind_of(args.file)
-    obj = parse(kind, Path(args.file).read_text())
+    obj = parse(kind, _read(args.file))
     n = len(obj) if isinstance(obj, dict) else 1
     print(f"ok: {kind} source with {n} object(s)")
 

@@ -678,8 +678,6 @@ def run_numeric(
     output tape holds no numeral."""
     if not 1 <= output_tape <= spec.tapes:
         raise ValidationError(f"no tape {output_tape} on a {spec.tapes}-tape machine")
-    if len(args) > spec.tapes:
-        raise ValidationError(f"{len(args)} arguments for {spec.tapes} tapes")
     out = run(spec, "", fuel, start=numeric_start(spec, args))
     if out.tag != ACCEPT:
         return out

@@ -13,15 +13,20 @@ normal forms: they read each normal form back into terms, then compare it
 with ``alpha_eq`` or walk its numeral shape.  ``churing.lam`` compares and
 decodes the machine's de Bruijn normal form instead, and must give the same
 verdicts, values and error types.
+
+``recursion_gadget_check`` replays the derivation chains of the combinators
+D, Q, R and P that ``churing.prf_to_lam`` compiles recursion and
+minimization with.
 """
 
 import itertools
 
 from churing.errors import FuelExhausted, NotANumeral, ValidationError
 from churing.lam import (
-    DISTINCT, EQUAL, UNKNOWN, Abs, App, Hole, Term, Var, alpha_eq, canonical_binders,
-    normalize,
+    DISTINCT, EQUAL, UNKNOWN, Abs, App, Hole, Term, Var, alpha_eq, app, canonical_binders,
+    church_encode, combinator, lam, normalize,
 )
+from churing.lam import beta_eq as _lam_beta_eq
 from churing.lam import render as _lam_render
 
 
@@ -117,3 +122,44 @@ def church_decode(t: Term, fuel: int = 100_000) -> int:
     if not (isinstance(body, Var) and body.name == z):
         raise NotANumeral(f"bad numeral tail: {_lam_render(t)}")
     return n
+
+
+def recursion_gadget_check(which: str) -> dict:
+    """Replay the derivation chain for one of the recursion/minimization
+    gadgets on fresh variables and small numerals; every line reports the
+    beta_eq verdict (all should be Equal) of ``churing.lam.beta_eq``."""
+    X, Y = Var("X"), Var("Y")
+    n = church_encode
+    D, Q, R, P = (combinator(c) for c in "DQRP")
+    checks = []
+    if which == "D":
+        checks.append(("D X Y 0 = X", _lam_beta_eq(app(D, X, Y, n(0)), X)))
+        for m in range(3):
+            checks.append((f"D X Y {m+1} = Y", _lam_beta_eq(app(D, X, Y, n(m + 1)), Y)))
+    elif which == "Q":
+        # (QY)^m (D 0 X) = D m X_m; D A B 0 = A recovers the numeral
+        for m in range(4):
+            t = app(D, n(0), X)
+            for _ in range(m):
+                t = app(Q, Y, t)
+            checks.append((f"(QY)^{m}(D 0 X) selects {m}",
+                           _lam_beta_eq(app(t, n(0)), n(m))))
+    elif which == "R":
+        checks.append(("R X Y 0 = X", _lam_beta_eq(app(R, X, Y, n(0)), X)))
+        for m in range(4):
+            lhs = app(R, X, Y, n(m + 1))
+            rhs = app(Y, n(m), app(R, X, Y, n(m)))
+            checks.append((f"R X Y {m+1} = Y {m} (R X Y {m})", _lam_beta_eq(lhs, rhs)))
+    elif which == "P":
+        zero_fn = lam(["z"], n(0))
+        checks.append(("P X Y = Y when X Y = 0", _lam_beta_eq(app(P, zero_fn, Y), Y)))
+        # P X Y = P X (S Y) when X Y = m+1: compare one unfolding on a
+        # concrete terminating search: X y = 1 - sg-like step never zero is
+        # divergent, so instead use X = \z. D 1 0 z (zero exactly at 1)
+        step_fn = lam(["z"], app(D, n(1), n(0), Var("z")))  # X 0 = 1, X m+1 = 0
+        checks.append(("P X 0 = 1 for X zero first at 1",
+                       _lam_beta_eq(app(P, step_fn, n(0)), n(1))))
+    else:
+        raise ValidationError(f"unknown gadget {which!r}")
+    return {"gadget": which, "checks": checks,
+            "all_equal": all(v == "equal" for _, v in checks)}

@@ -22,12 +22,14 @@ from churing.lam_to_tm import build_machine, br1_on_tm, nf_on_tm, reduce_on_tm, 
 from churing.prf import (
     Compose, Mu, Proj, Succ, Zero, ackermann, bounded_mu, evaluate, stdlib,
 )
-from churing.prf_to_lam import compile_prf_to_lambda, recursion_gadget_check
+from churing.prf_to_lam import compile_prf_to_lambda
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import make_machine, run, run_numeric
 from churing.tm_to_prf import compile_tm_to_prf
 from churing.transform import nd_run, single_tape_segments, successors, \
     to_single_tape
+
+from lam_reference import recursion_gadget_check
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 FUEL = 10 ** 6

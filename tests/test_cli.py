@@ -297,6 +297,20 @@ def test_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode"), argv
 
 
+def test_equiv_names_the_file_that_is_not_utf8(tmp_path, capsys):
+    # of the three files equiv reads, the error names the one at fault
+    partner = {"prf": _c("succ.prf"), "tm": _c("succ.tm"), "lam": _c("combinators.lam")}
+    for kind in partner:
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"\xff\xfe")
+        slots = dict(partner, **{kind: str(bad)})
+        assert cli(["equiv", "--prf", slots["prf"], "--tm", slots["tm"], "--lam", slots["lam"],
+                    "--grid", "0..1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode"), kind
+        assert err.rstrip("\n").endswith(f" in {bad}"), err
+
+
 def test_a_fault_exits_four_with_its_traceback(monkeypatch, capsys):
     # a bug in churing is neither a negative answer (1) nor an input error (3)
     def broken(*args):

@@ -112,6 +112,12 @@ def test_run_numeric_identity():
         assert run_numeric(m, [n], fuel=100) == n
 
 
+def test_run_numeric_wants_no_more_arguments_than_tapes():
+    copier = parse("tm", corpus_text("copier.tm"))  # two tapes
+    with pytest.raises(ValidationError, match="3 input words for 2 tapes"):
+        run_numeric(copier, [1, 2, 3], fuel=100)
+
+
 def test_tape_content_strips_blanks():
     t = Tape.from_word("_ab_")
     assert t.content() == "ab"
