@@ -154,7 +154,8 @@ def _cmd_compile(args) -> None:
     obj = _load_machine(args.file) if src_kind == "tm" else _load(args.file, src_kind)
     if dst == "tm":
         m, layout = compile_prf_to_tm(obj)
-        text = print_source("tm", m, layout_comment=layout_report(m, layout))
+        report = "".join(f"# {line}\n" for line in layout_report(m, layout).splitlines())
+        text = report + print_source("tm", m)
     elif dst == "lam":
         text = print_source("lam", compile_prf_to_lambda(obj))
     elif dst == "prf":

@@ -74,10 +74,5 @@ class Fuel:
         check_fuel(amount)
         self.remaining = int(amount)
 
-    def spend(self, n=1):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise FuelExhausted("budget exhausted")
-
     def __repr__(self):
         return f"Fuel({self.remaining})"

@@ -169,15 +169,10 @@ def _parse_automaton(kind, headers, delta_lines, need):
     return Nfa(trans={k: frozenset(v) for k, v in trans.items()}, **common)
 
 
-def print_tm(obj: Union[MachineSpec, Dfa, Nfa],
-             layout_comment: Optional[str] = None) -> str:
+def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
     if isinstance(obj, (Dfa, Nfa)):
         return _print_automaton(obj)
-    lines = []
-    if layout_comment:
-        for c in layout_comment.splitlines():
-            lines.append(f"# {c}")
-    lines.append(f"name: {obj.name}")
+    lines = [f"name: {obj.name}"]
     lines.append(f"tapes: {obj.tapes}")
     lines.append(f"mode: {_MODE_GLYPHS[obj.tape_mode]}")
     lines.append("states: " + " ".join(sorted(obj.states)))
@@ -496,8 +491,8 @@ def parse(kind: str, text: str):
     return _PARSERS[kind](text)
 
 
-def print_source(kind: str, obj, **kw) -> str:
+def print_source(kind: str, obj) -> str:
     """Canonical text for an object of the given kind."""
     if kind not in _PRINTERS:
         raise ParseError(f"unknown source kind {kind!r}", line=1, column=1)
-    return _PRINTERS[kind](obj, **kw)
+    return _PRINTERS[kind](obj)

@@ -162,18 +162,6 @@ def app(*terms: Term) -> Term:
     return out
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        yield s
-        if isinstance(s, Abs):
-            stack.append(s.body)
-        elif isinstance(s, App):
-            stack.append(s.arg)
-            stack.append(s.fn)
-
-
 def free_vars(t: Term) -> frozenset:
     out = set()
     bound: dict = {}  # name -> number of enclosing binders of that name
@@ -192,10 +180,6 @@ def free_vars(t: Term) -> frozenset:
         elif cls is str:
             bound[t] -= 1
     return frozenset(out)
-
-
-def bound_vars(t: Term) -> frozenset:
-    return frozenset(s.param for s in subterms(t) if isinstance(s, Abs))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +268,6 @@ def beta_step(t: Term) -> Optional[Term]:
         b = beta_step(t.body)
         return None if b is None else Abs(t.param, b)
     return None
-
-
-def is_normal_form(t: Term) -> bool:
-    return all(not is_redex(s) for s in subterms(t))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .tm import ACCEPT, BLANK, FUEL_EXHAUSTED, MachineSpec, Outcome, Rules, run
 VAR, BAR, LAM, DOT, LP, RP, SEP, HOLE_GLYPH = "v", "|", "L", ".", "(", ")", "#", "@"
 WIRE_SYMBOLS = (VAR, BAR, LAM, DOT, LP, RP, SEP, HOLE_GLYPH)
 MARK, DOT_V, DOT_P = "^", "w", "{"
+_CLOSE = object()  # a closing parenthesis on the renderer's stack
 
 TermWire = str
 
@@ -58,33 +59,30 @@ def render_term(t: Term) -> TermWire:
 
 
 def render_with_names(t: Term) -> Tuple[TermWire, Dict[int, str]]:
-    """Render and also return the index -> variable-name assignment."""
+    """Render and also return the index -> variable-name assignment.
+    Iterative: each term is printed in place, and what follows it waits on
+    a stack of terms and closing parentheses."""
     index: Dict[str, int] = {}
     out: List[str] = []
-
-    def idx(name: str) -> int:
-        if name not in index:
-            index[name] = len(index) + 1
-        return index[name]
-
-    def go(t: Term) -> None:
-        if isinstance(t, Var):
-            out.append(VAR + BAR * idx(t.name))
-        elif isinstance(t, Abs):
-            out.append(LP + LAM + VAR + BAR * idx(t.param) + DOT)
-            go(t.body)
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t is _CLOSE:
             out.append(RP)
+        elif isinstance(t, Var):
+            i = index.setdefault(t.name, len(index) + 1)
+            out.append(VAR + BAR * i)
+        elif isinstance(t, Abs):
+            i = index.setdefault(t.param, len(index) + 1)
+            out.append(LP + LAM + VAR + BAR * i + DOT)
+            todo += (_CLOSE, t.body)
         elif isinstance(t, App):
             out.append(LP)
-            go(t.fn)
-            go(t.arg)
-            out.append(RP)
+            todo += (_CLOSE, t.arg, t.fn)
         elif isinstance(t, Hole):
             out.append(HOLE_GLYPH)
         else:  # pragma: no cover
             raise ValidationError(f"cannot render {t!r}")
-
-    go(t)
     return "".join(out), {i: name for name, i in index.items()}
 
 
@@ -92,6 +90,9 @@ def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
     """Parse a wire string back into a term.
 
     Variable index i becomes ``names[i]`` when given, else ``x{i}``.
+    Iterative: an open ``(`` waits on a stack as the binder name of an
+    abstraction, as None for an application still reading its function, or
+    as that function while it reads its argument.
     """
     names = names or {}
     pos = 0
@@ -99,52 +100,51 @@ def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
     def fail(msg: str) -> WireParseError:
         return WireParseError(msg, line=1, column=pos + 1)
 
-    def peek() -> str:
-        return s[pos] if pos < len(s) else ""
-
     def var_name() -> str:
         nonlocal pos
         pos += 1  # past 'v'
         n = 0
-        while peek() == BAR:
+        while s[pos:pos + 1] == BAR:
             n += 1
             pos += 1
         if n == 0:
             raise fail("variable needs at least one bar")
         return names.get(n, f"x{n}")
 
-    def term() -> Term:
-        nonlocal pos
-        c = peek()
+    open_: list = []
+    while True:
+        c = s[pos:pos + 1]
+        if c == LP:
+            pos += 1
+            if s[pos:pos + 1] == LAM:
+                pos += 1
+                if s[pos:pos + 1] != VAR:
+                    raise fail("expected binder after L")
+                param = var_name()
+                if s[pos:pos + 1] != DOT:
+                    raise fail("expected '.' after binder")
+                pos += 1
+                open_.append(param)
+            else:
+                open_.append(None)
+            continue
         if c == VAR:
-            return Var(var_name())
-        if c == HOLE_GLYPH:
+            t = Var(var_name())
+        elif c == HOLE_GLYPH:
             pos += 1
-            return Hole()
-        if c != LP:
+            t = Hole()
+        else:
             raise fail(f"expected term, saw {c!r}" if c else "unexpected end of wire")
-        pos += 1
-        if peek() == LAM:
+        while open_ and open_[-1] is not None:  # t completes the innermost open term
+            top = open_.pop()
+            is_abs = type(top) is str
+            if s[pos:pos + 1] != RP:
+                raise fail("unclosed abstraction" if is_abs else "unclosed application")
             pos += 1
-            if peek() != VAR:
-                raise fail("expected binder after L")
-            param = var_name()
-            if peek() != DOT:
-                raise fail("expected '.' after binder")
-            pos += 1
-            body = term()
-            if peek() != RP:
-                raise fail("unclosed abstraction")
-            pos += 1
-            return Abs(param, body)
-        fn = term()
-        arg = term()
-        if peek() != RP:
-            raise fail("unclosed application")
-        pos += 1
-        return App(fn, arg)
-
-    t = term()
+            t = Abs(top, t) if is_abs else App(top, t)
+        if not open_:
+            break
+        open_[-1] = t  # an application's function: its argument follows
     if pos != len(s):
         raise fail("trailing characters after term")
     return t

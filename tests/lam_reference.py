@@ -17,14 +17,24 @@ verdicts, values and error types.
 ``recursion_gadget_check`` replays the derivation chains of the combinators
 D, Q, R and P that ``churing.prf_to_lam`` compiles recursion and
 minimization with.
+
+The rest are the generators and small oracles the tests share: every
+closed term of a size (``closed_terms``), every single contraction of a
+term (``one_step_results``), iterated ``beta_step`` with a size cap
+(``bounded_nf``), a node count, the subterm walk and what it gives
+(``bound_vars``, ``is_normal_form``), and the hypothesis strategy of
+generated terms (``terms``).
 """
 
 import itertools
+from typing import Iterator, Optional
+
+from hypothesis import strategies as st
 
 from churing.errors import FuelExhausted, NotANumeral, ValidationError
 from churing.lam import (
-    DISTINCT, EQUAL, UNKNOWN, Abs, App, Hole, Term, Var, alpha_eq, app, canonical_binders,
-    church_encode, combinator, lam, normalize,
+    DISTINCT, EQUAL, UNKNOWN, Abs, App, Hole, Term, Var, alpha_eq, app, beta_step,
+    canonical_binders, church_encode, combinator, is_redex, lam, normalize, substitute,
 )
 from churing.lam import beta_eq as _lam_beta_eq
 from churing.lam import render as _lam_render
@@ -163,3 +173,88 @@ def recursion_gadget_check(which: str) -> dict:
         raise ValidationError(f"unknown gadget {which!r}")
     return {"gadget": which, "checks": checks,
             "all_equal": all(v == "equal" for _, v in checks)}
+
+
+def closed_terms(size: int, binders=()) -> Iterator[Term]:
+    """All closed terms with exactly ``size`` App/Abs nodes, binders named
+    by nesting depth (x0, x1, ...)."""
+    if size == 0:
+        for b in binders:
+            yield Var(b)
+        return
+    v = f"x{len(binders)}"
+    for body in closed_terms(size - 1, binders + (v,)):
+        yield Abs(v, body)
+    for ls in range(size):
+        for fn in closed_terms(ls, binders):
+            for arg in closed_terms(size - 1 - ls, binders):
+                yield App(fn, arg)
+
+
+def one_step_results(t: Term) -> list:
+    """Every term reachable from t by contracting a single redex."""
+    out = []
+    if isinstance(t, App):
+        if isinstance(t.fn, Abs):
+            out.append(substitute(t.fn.body, t.fn.param, t.arg))
+        out.extend(App(f, t.arg) for f in one_step_results(t.fn))
+        out.extend(App(t.fn, a) for a in one_step_results(t.arg))
+    elif isinstance(t, Abs):
+        out.extend(Abs(t.param, b) for b in one_step_results(t.body))
+    return out
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """t and every term inside it, in pre-order."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Abs):
+            stack.append(s.body)
+        elif isinstance(s, App):
+            stack.append(s.arg)
+            stack.append(s.fn)
+
+
+def nodes(t: Term) -> int:
+    stack, n = [t], 0
+    while stack:
+        x = stack.pop()
+        n += 1
+        if isinstance(x, App):
+            stack += [x.fn, x.arg]
+        elif isinstance(x, Abs):
+            stack.append(x.body)
+    return n
+
+
+def bound_vars(t: Term) -> frozenset:
+    return frozenset(s.param for s in subterms(t) if isinstance(s, Abs))
+
+
+def is_normal_form(t: Term) -> bool:
+    return all(not is_redex(s) for s in subterms(t))
+
+
+def bounded_nf(t: Term, fuel: int = 1000, max_nodes: int = 20_000) -> Optional[Term]:
+    """Normal form within the fuel, or None.  The node cap cuts off terms
+    whose size explodes (they cannot reach a small nf inside the budget)."""
+    for _ in range(fuel):
+        n = beta_step(t)
+        if n is None:
+            return t
+        t = n
+        if nodes(t) > max_nodes:
+            return None
+    return None
+
+
+def terms(atoms, binders, max_leaves: int):
+    """Generated terms: ``atoms`` at the leaves, applications, and
+    abstractions over a name drawn from ``binders``."""
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, binders, sub)),
+        max_leaves=max_leaves,
+    )

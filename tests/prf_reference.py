@@ -2,7 +2,7 @@
 
 This is the original evaluator of ``churing.prf``, kept as it was: arity is
 checked by walking the expression as a tree, and ``_eval`` interprets every
-node through an ``isinstance`` chain, spending fuel through ``Fuel.spend``.
+node through an ``isinstance`` chain, spending fuel through ``spend``.
 ``churing.prf.evaluate`` must agree with ``evaluate`` here on the value, on
 the fuel spent and on the budget at which ``FuelExhausted`` is raised;
 ``PrfExpr.arity`` must agree with ``arity_check``.
@@ -10,7 +10,7 @@ the fuel spent and on the budget at which ``FuelExhausted`` is raised;
 
 from typing import Sequence
 
-from churing.errors import Fuel, ValidationError
+from churing.errors import Fuel, FuelExhausted, ValidationError
 from churing.prf import Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero
 
 
@@ -67,8 +67,14 @@ def evaluate(e: PrfExpr, args: Sequence[int], fuel) -> int:
     return _eval(e, tuple(args), fuel)
 
 
+def spend(fuel: Fuel) -> None:
+    fuel.remaining -= 1
+    if fuel.remaining < 0:
+        raise FuelExhausted("budget exhausted")
+
+
 def _eval(e: PrfExpr, args: tuple, fuel: Fuel) -> int:
-    fuel.spend()
+    spend(fuel)
     if isinstance(e, Zero):
         return 0
     if isinstance(e, Succ):
@@ -92,7 +98,7 @@ def _eval(e: PrfExpr, args: tuple, fuel: Fuel) -> int:
         xs = args
         y = 0
         while True:
-            fuel.spend()  # one unit per probe on top of the inner evaluation
+            spend(fuel)  # one unit per probe on top of the inner evaluation
             if _eval(e.g, xs + (y,), fuel) == 0:
                 return y
             y += 1

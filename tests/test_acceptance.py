@@ -6,7 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import itertools
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,8 +13,8 @@ from churing.errors import FuelExhausted
 from churing.formats import parse_lam, parse_prf, parse_tm, print_lam, \
     print_prf, print_tm
 from churing.lam import (
-    Abs, App, Var, alpha_eq, beta_eq, beta_step, canonical_binders, church_decode,
-    church_encode, fixed_point, is_normal_form, lam, normalize, substitute,
+    Abs, App, alpha_eq, beta_step, canonical_binders, church_decode, church_encode,
+    fixed_point, normalize,
 )
 from churing.lam_to_tm import build_machine, br1_on_tm, nf_on_tm, reduce_on_tm, \
     render_term
@@ -24,14 +23,16 @@ from churing.prf import (
 )
 from churing.prf_to_lam import compile_prf_to_lambda
 from churing.prf_to_tm import compile_prf_to_tm
-from churing.tm import make_machine, run, run_numeric
+from churing.tm import run, run_numeric
 from churing.tm_to_prf import compile_tm_to_prf
-from churing.transform import nd_run, single_tape_segments, successors, \
-    to_single_tape
+from churing.transform import nd_run, single_tape_segments, to_single_tape
 
-from lam_reference import recursion_gadget_check
+from conftest import CORPUS
+from lam_reference import (
+    bounded_nf, closed_terms, is_normal_form, one_step_results, recursion_gadget_check,
+)
+from tm_reference import brute_force_accepts
 
-CORPUS = Path(__file__).parent.parent / "corpus"
 FUEL = 10 ** 6
 
 
@@ -75,28 +76,13 @@ def test_criterion_2_single_tape_copier():
 
 # --- 3. NDTM simulation --------------------------------------------------
 
-def _brute_force_accepts(m, word, depth):
-    from churing.tm import initial_configuration
-    level = [initial_configuration(m, [word])]
-    for _ in range(depth):
-        nxt = []
-        for c in level:
-            if c.state in m.accept:
-                return True
-            nxt.extend(successors(m, c))
-        if not nxt:
-            return any(c.state in m.accept for c in level)
-        level = nxt
-    return any(c.state in m.accept for c in level)
-
-
 def test_criterion_3_ndtm_simulation():
     g = parse_tm((CORPUS / "contains11_guesser.tm").read_text())
     n = 0
     for length in range(6):
         for w in itertools.product("01", repeat=length):
             word = "".join(w)
-            want = _brute_force_accepts(g, word, 12)
+            want = brute_force_accepts(g, word, 12)
             got = nd_run(g, word, max_depth=12) == "Accept"
             assert got == want, word
             n += 1
@@ -150,66 +136,18 @@ def test_criterion_4_prf_stdlib():
 
 # --- 5. lambda core ------------------------------------------------------
 
-def _closed_terms(size, binders=()):
-    if size == 0:
-        for b in binders:
-            yield Var(b)
-        return
-    v = f"x{len(binders)}"
-    for body in _closed_terms(size - 1, binders + (v,)):
-        yield Abs(v, body)
-    for ls in range(size):
-        for fn in _closed_terms(ls, binders):
-            for arg in _closed_terms(size - 1 - ls, binders):
-                yield App(fn, arg)
-
-
-def _one_step_results(t):
-    out = []
-    if isinstance(t, App):
-        if isinstance(t.fn, Abs):
-            out.append(substitute(t.fn.body, t.fn.param, t.arg))
-        out.extend(App(f, t.arg) for f in _one_step_results(t.fn))
-        out.extend(App(t.fn, a) for a in _one_step_results(t.arg))
-    elif isinstance(t, Abs):
-        out.extend(Abs(t.param, b) for b in _one_step_results(t.body))
-    return out
-
-
-def _nodes(t):
-    stack, n = [t], 0
-    while stack:
-        x = stack.pop()
-        n += 1
-        if isinstance(x, App):
-            stack += [x.fn, x.arg]
-        elif isinstance(x, Abs):
-            stack.append(x.body)
-    return n
-
-
-def _bounded_nf(t, fuel=1000, max_nodes=20_000):
-    for _ in range(fuel):
-        if is_normal_form(t):
-            return t
-        t = beta_step(t)
-        if _nodes(t) > max_nodes:
-            return None
-    return None
-
-
 def test_criterion_5_lambda_core():
     # confluence sampling: diverge on two distinct single contractions, then
     # re-normalize; every pair of normal forms must be alpha-equal
     pairs = 0
     for size in range(1, 8):
-        for t in _closed_terms(size):
-            succ1 = _one_step_results(t)
+        for t in closed_terms(size):
+            succ1 = one_step_results(t)
             if len(succ1) < 2:
                 continue
             nfs = []
             for s in succ1[:3]:
-                nf = _bounded_nf(s)
+                nf = bounded_nf(s)
                 if nf is not None:
                     nfs.append(nf)
             for a, b in itertools.combinations(nfs, 2):
@@ -221,7 +159,7 @@ def test_criterion_5_lambda_core():
         assert recursion_gadget_check(g)["all_equal"], g
     # fixed-point one-step law on 20 random closed F
     rng = random.Random(11)
-    pool = [t for t in _closed_terms(4) if isinstance(t, Abs)]
+    pool = [t for t in closed_terms(4) if isinstance(t, Abs)]
     for f in rng.sample(pool, 20):
         x = fixed_point(f)
         assert beta_step(x) == App(f, x)
@@ -284,7 +222,7 @@ def test_criterion_8_reduction_machines():
     rng = random.Random(3)
     corpus, seen = [], set()
     for size in range(1, 7):
-        corpus.extend(_closed_terms(size))
+        corpus.extend(closed_terms(size))
     rng.shuffle(corpus)
     picked = []
     for t in corpus:

@@ -19,7 +19,8 @@ from churing.lam import App, Var, church_encode, lam
 from churing.prf import Succ, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
 
-CORPUS = Path(__file__).parent.parent / "corpus"
+from conftest import CORPUS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

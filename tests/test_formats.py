@@ -1,7 +1,5 @@
 """Parsers and canonical printers for the .tm / .prf / .lam formats."""
 
-from pathlib import Path
-
 import pytest
 
 from churing.errors import ParseError
@@ -15,7 +13,7 @@ from churing.prf import evaluate
 from churing.tm import run
 from churing.transform import to_single_tape
 
-CORPUS = Path(__file__).parent.parent / "corpus"
+from conftest import CORPUS
 
 
 def _corpus(ext):

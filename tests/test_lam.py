@@ -10,11 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from churing.errors import NotANumeral, ValidationError
+from churing.errors import NotANumeral
 from churing.lam import (
-    HOLE, Abs, App, Term, Var, alpha_eq, app, beta_eq, beta_step, bound_vars,
-    canonical_binders, church_decode, church_encode, combinator, fixed_point,
-    free_vars, fresh_name, is_normal_form, lam, normalize, render, substitute,
+    HOLE, Abs, App, Term, Var, alpha_eq, app, beta_eq, beta_step, canonical_binders,
+    church_decode, church_encode, combinator, fixed_point, free_vars, fresh_name, lam,
+    normalize, render, substitute,
+)
+
+from lam_reference import (
+    bound_vars, bounded_nf, closed_terms, is_normal_form, one_step_results, terms,
 )
 
 
@@ -93,60 +97,6 @@ def _random_closed(rng, depth, bound=()):
 
 # --- confluence sampling -----------------------------------------------
 
-def closed_terms(size, binders=()):
-    """All closed terms with exactly `size` App/Abs nodes (variables are
-    free), binders named by nesting depth."""
-    if size == 0:
-        for b in binders:
-            yield Var(b)
-        return
-    v = f"x{len(binders)}"
-    for body in closed_terms(size - 1, binders + (v,)):
-        yield Abs(v, body)
-    for ls in range(size):
-        for fn in closed_terms(ls, binders):
-            for arg in closed_terms(size - 1 - ls, binders):
-                yield App(fn, arg)
-
-
-def one_step_results(t: Term):
-    """Every term reachable from t by contracting a single redex."""
-    out = []
-    if isinstance(t, App):
-        if isinstance(t.fn, Abs):
-            out.append(substitute(t.fn.body, t.fn.param, t.arg))
-        out.extend(App(f, t.arg) for f in one_step_results(t.fn))
-        out.extend(App(t.fn, a) for a in one_step_results(t.arg))
-    elif isinstance(t, Abs):
-        out.extend(Abs(t.param, b) for b in one_step_results(t.body))
-    return out
-
-
-def _nodes(t: Term) -> int:
-    stack, n = [t], 0
-    while stack:
-        x = stack.pop()
-        n += 1
-        if isinstance(x, App):
-            stack += [x.fn, x.arg]
-        elif isinstance(x, Abs):
-            stack.append(x.body)
-    return n
-
-
-def bounded_nf(t: Term, fuel=1000, max_nodes=20_000):
-    """Normal form within the fuel, or None.  The node cap cuts off terms
-    whose size explodes (they cannot reach a small nf inside the budget)."""
-    for _ in range(fuel):
-        n = beta_step(t)
-        if n is None:
-            return t
-        t = n
-        if _nodes(t) > max_nodes:
-            return None
-    return None
-
-
 def test_confluence_sampling_small_closed_terms():
     checked = 0
     for size in range(1, 8):  # size counts App/Abs nodes
@@ -162,11 +112,7 @@ def test_confluence_sampling_small_closed_terms():
 
 
 _names = st.sampled_from(["x", "y", "z"])
-_terms = st.recursive(
-    st.one_of(_names.map(Var), st.just(HOLE)),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub)),
-    max_leaves=8,
-)
+_terms = terms(st.one_of(_names.map(Var), st.just(HOLE)), _names, max_leaves=8)
 
 
 def _rename_every_name(t: Term, new: dict) -> Term:

@@ -83,16 +83,9 @@ def test_compiled_terms_parse_back_to_their_renamed_form():
 _names = st.sampled_from(["x1", "x2", "y", "z"])
 
 
-def _term_strategy(leaves):
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub)),
-        max_leaves=30,
-    )
-
-
-_terms = _term_strategy(st.one_of(_names.map(Var), st.just(HOLE)))
-_hole_free_terms = _term_strategy(_names.map(Var))
+_terms = lam_reference.terms(st.one_of(_names.map(Var), st.just(HOLE)), _names,
+                             max_leaves=30)
+_hole_free_terms = lam_reference.terms(_names.map(Var), _names, max_leaves=30)
 
 
 @settings(max_examples=400, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from churing import lam_to_tm
 from churing.errors import FuelExhausted, ValidationError, WireParseError
 from churing.lam import (
-    Abs, App, Term, Var, alpha_eq, beta_step, bound_vars, canonical_binders,
-    church_decode, church_encode, free_vars, is_normal_form, lam, normalize,
+    Abs, App, Term, Var, alpha_eq, beta_step, canonical_binders, church_decode,
+    church_encode, free_vars, lam, normalize,
 )
 from churing.lam_to_tm import (
     SUITE, build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
@@ -17,22 +17,8 @@ from churing.lam_to_tm import (
 )
 from churing.tm import run
 
+from lam_reference import bound_vars, closed_terms, is_normal_form
 from test_rules import PINNED, _digest
-
-
-def _closed_terms(size, binders=()):
-    """All closed terms with exactly `size` App/Abs nodes."""
-    if size == 0:
-        for b in binders:
-            yield Var(b)
-        return
-    v = f"x{len(binders)}"
-    for body in _closed_terms(size - 1, binders + (v,)):
-        yield Abs(v, body)
-    for ls in range(size):
-        for fn in _closed_terms(ls, binders):
-            for arg in _closed_terms(size - 1 - ls, binders):
-                yield App(fn, arg)
 
 
 def _terms():
@@ -71,6 +57,14 @@ def test_wire_round_trip_names():
     assert parse_wire(wire, names) == t  # identical, names restored
 
 
+def test_deep_wires_round_trip():
+    # 5000 nested applications: the codec keeps its own stack, not Python's
+    t = church_encode(5000)
+    wire, names = render_with_names(t)
+    assert parse_wire(wire, names) == t
+    assert nf_on_tm(t)
+
+
 def test_parse_wire_errors_carry_position():
     for bad in ["v", "(Lv|.v|", "(v|)", "x", "(Lv.v|)"]:
         with pytest.raises(WireParseError):
@@ -81,7 +75,7 @@ def test_parse_wire_errors_carry_position():
 @given(st.integers(min_value=0, max_value=400))
 def test_wire_round_trip_random(seed):
     rng = random.Random(seed)
-    pool = list(_closed_terms(4))
+    pool = list(closed_terms(4))
     t = pool[rng.randrange(len(pool))]
     assert alpha_eq(parse_wire(render_term(t)), t)
 
@@ -159,7 +153,7 @@ def test_every_driver_refuses_a_negative_budget():
 
 def test_reduce_on_tm_matches_host_normalizer():
     rng = random.Random(7)
-    pool = list(_closed_terms(4))
+    pool = list(closed_terms(4))
     picked = rng.sample(pool, 40)
     for t in picked:
         r = normalize(t, 200)

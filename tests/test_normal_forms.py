@@ -12,7 +12,7 @@ from churing.errors import ChuringError
 from churing.formats import parse
 from churing.lam import (
     DISTINCT, EQUAL, HOLE, Abs, App, Var, app, beta_eq, beta_step, church_decode, church_encode,
-    combinator, free_vars, lam, normalize, subterms,
+    combinator, free_vars, lam, normalize,
 )
 from churing.prf import stdlib
 from churing.prf_to_lam import compile_prf_to_lambda
@@ -61,7 +61,7 @@ def _spelled(t) -> str:
     """The term in pre-order, binder names included: equal terms, and only
     they, are spelled alike."""
     return " ".join(x.name if isinstance(x, Var) else "\\" + x.param if isinstance(x, Abs)
-                    else "@" if isinstance(x, App) else "[]" for x in subterms(t))
+                    else "@" if isinstance(x, App) else "[]" for x in lam_reference.subterms(t))
 
 
 def _pin(res) -> str:
@@ -199,14 +199,8 @@ def test_pinned_inputs_decode_and_compare_as_the_reference():
 _names = st.sampled_from(["x", "y", "x1", "x2"])
 _omega = combinator("OMEGA")
 _atoms = st.one_of(_names.map(Var), st.just(_omega))
-
-
-def _grow(sub):
-    return st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub))
-
-
-_terms = st.recursive(_atoms, _grow, max_leaves=12)
-_terms_with_holes = st.recursive(_atoms | st.just(HOLE), _grow, max_leaves=12)
+_terms = lam_reference.terms(_atoms, _names, max_leaves=12)
+_terms_with_holes = lam_reference.terms(_atoms | st.just(HOLE), _names, max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,11 +244,8 @@ def test_beta_eq_examples():
 
 
 # bodies over the binders f, x and a free y: many are numerals, many almost
-_bodies = st.recursive(
-    st.sampled_from(["f", "x", "y"]).map(Var),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, st.sampled_from("fx"), sub)),
-    max_leaves=8,
-)
+_bodies = lam_reference.terms(st.sampled_from(["f", "x", "y"]).map(Var), st.sampled_from("fx"),
+                              max_leaves=8)
 
 
 @settings(max_examples=400, deadline=None)

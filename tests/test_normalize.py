@@ -12,23 +12,13 @@ from hypothesis import given, settings, strategies as st
 from churing.errors import ValidationError
 from churing.formats import parse_lam
 from churing.lam import (
-    HOLE, Abs, App, NormalizeResult, Term, Var, alpha_eq, app, beta_step,
-    church_encode, combinator, normalize,
+    HOLE, App, NormalizeResult, Term, Var, alpha_eq, app, beta_step, church_encode,
+    combinator, normalize,
 )
 from churing.prf import Compose, Mu, Succ, Zero, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
 
-
-def _nodes(t: Term) -> int:
-    stack, n = [t], 0
-    while stack:
-        x = stack.pop()
-        n += 1
-        if isinstance(x, App):
-            stack += [x.fn, x.arg]
-        elif isinstance(x, Abs):
-            stack.append(x.body)
-    return n
+from lam_reference import nodes, terms
 
 
 def check_against_reference(t: Term, cap: int = 2000, max_nodes: int = 20_000) -> int:
@@ -38,7 +28,7 @@ def check_against_reference(t: Term, cap: int = 2000, max_nodes: int = 20_000) -
     contractions, or a term past max_nodes), normalize with that much fuel
     must not reach a normal form.  Returns the contractions done."""
     u, n = t, 0
-    while n < cap and _nodes(u) <= max_nodes:
+    while n < cap and nodes(u) <= max_nodes:
         nxt = beta_step(u)
         if nxt is None:
             r = normalize(t, n)
@@ -56,11 +46,7 @@ def check_against_reference(t: Term, cap: int = 2000, max_nodes: int = 20_000) -
 # --- three sets of terms -----------------------------------------------
 
 _names = st.sampled_from(["x", "y", "z", "x1"])  # x1 is also a binder name of the machine
-_terms = st.recursive(
-    _names.map(Var),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _names, sub)),
-    max_leaves=14,
-)
+_terms = terms(_names.map(Var), _names, max_leaves=14)
 
 
 @settings(max_examples=400, deadline=None)

@@ -14,8 +14,8 @@ from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Proj, stdlib
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    BLANK, FUEL_EXHAUSTED, Configuration, MachineSpec, Tape, initial_configuration,
-    make_machine, numeric_start, run, successors,
+    BLANK, FUEL_EXHAUSTED, Configuration, MachineSpec, Tape, make_machine, numeric_start,
+    run,
 )
 from churing.transform import (
     Dfa, Nfa, _dots, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
@@ -203,27 +203,6 @@ def test_next_address_shortlex():
     assert seq == ["", "1", "2", "11", "12", "21", "22"]
 
 
-def _brute_force_accepts(m, word, depth):
-    """Enumerate every branch sequence up to the given depth."""
-    level = [initial_configuration(m, [word])]
-    for _ in range(depth + 1):
-        if any(c.state in m.accept for c in level):
-            return True
-        level = [n for c in level for n in successors(m, c)]
-        if not level:
-            return False
-    return False
-
-
-def test_nd_run_matches_brute_force():
-    m = _g11()
-    for n in range(0, 6):
-        for w in map("".join, itertools.product("01", repeat=n)):
-            got = nd_run(m, w, max_depth=12)
-            want = _brute_force_accepts(m, w, 12)
-            assert (got == "Accept") == want, w
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from("01_*"), st.sampled_from("pqra"),
                           st.sampled_from("01_*"), st.sampled_from("LRS")), max_size=8),
@@ -231,13 +210,7 @@ def test_nd_run_matches_brute_force():
 def test_nd_run_matches_brute_force_on_generated_machines(rules, word, depth):
     m = make_machine(name="gen", states="pqra", initial="p", accept=["a"],
                      input_alphabet="01", tape_alphabet="01_", tapes=1, rules=rules)
-    level = [initial_configuration(m, [word])]
-    want = False
-    for _ in range(depth + 1):
-        if any(c.state == "a" for c in level):
-            want = True
-            break
-        level = [n for c in level for n in ref.successors(m, c)]
+    want = ref.brute_force_accepts(m, word, depth)
     assert (nd_run(m, word, max_depth=depth) == "Accept") == want
 
 

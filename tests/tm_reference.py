@@ -8,6 +8,9 @@ the frozen spec, and ``run`` does not refuse machines classified
 nondeterministic, since that classification is itself under test.
 ``churing.tm.run`` must agree with ``run`` here on the tag, the final
 configuration, ``steps_taken`` and the trace.
+
+``brute_force_accepts`` searches every branch of a nondeterministic machine
+with ``successors`` here: the oracle for ``churing.transform.nd_run``.
 """
 
 from typing import List, Optional, Tuple
@@ -132,3 +135,17 @@ def run(
     if c.state in spec.accept:
         return Outcome(ACCEPT, c, tuple(trace) if trace else None)
     return Outcome(FUEL_EXHAUSTED, c, tuple(trace) if trace else None)
+
+
+def brute_force_accepts(spec: MachineSpec, word: str, depth: int) -> bool:
+    """Whether some branch reaches an accepting state within ``depth``
+    steps: every configuration of levels 0..depth is looked at."""
+    by_state = _by_state(spec)
+    level = [initial_configuration(spec, [word])]
+    for _ in range(depth + 1):
+        if any(c.state in spec.accept for c in level):
+            return True
+        level = [n for c in level for n in successors(spec, c, by_state)]
+        if not level:
+            return False
+    return False
