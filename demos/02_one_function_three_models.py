@@ -30,8 +30,7 @@ def main():
     print("------+-------------")
     for x, y in itertools.product(range(4), repeat=2):
         v_prf = evaluate(monus, [x, y], FUEL)
-        v_tm = run_numeric(machine, [x, y], FUEL,
-                           output_tape=layout.output_tape)
+        v_tm = run_numeric(machine, [x, y], FUEL)
         r = normalize(App(App(term, church_encode(x)), church_encode(y)), FUEL)
         v_lam = church_decode(r.term)
         mark = "" if v_prf == v_tm == v_lam == max(x - y, 0) else "  <-- DISAGREE"

@@ -71,13 +71,12 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     function.  A squeezed multitape machine carries separators and dotted
     glyphs, which `tm_to_prf` does not code.
 
-    The machine's result is read from tape k+1 when it has more than k
-    tapes (the compiled-machine layout), else from tape 1.
+    The machine runs under the unary numeric convention of `tm` ("Unary
+    numeric convention"), which says where its answer is read.
     """
     k = arity_check(prf)
-    tm_output_tape = k + 1 if tm.tapes > k else 1
     columns = {"prf": lambda pt: evaluate(prf, pt, fuel),
-               "tm": lambda pt: run_numeric(tm, pt, fuel=fuel, output_tape=tm_output_tape),
+               "tm": lambda pt: run_numeric(tm, pt, fuel=fuel),
                "lam": lambda pt: church_decode(app(lam, *map(church_encode, pt)), fuel)}
     body = prf
     while isinstance(body, Named):

@@ -43,7 +43,7 @@ from .lam import App, Term, Var, church_encode, lam, render
 from .prf import (Compose, Mu, Named, PrimRec, Proj, Succ, Zero, const, stdlib,
                   stdlib_names)
 from .prf import PrfExpr
-from .tm import BLANK, MachineSpec, SEMI_INFINITE, TWO_WAY, make_machine
+from .tm import MachineSpec, SEMI_INFINITE, TWO_WAY, make_machine
 from .transform import Dfa, Nfa
 
 _MODE_NAMES = {"semi": SEMI_INFINITE, "two_way": TWO_WAY}

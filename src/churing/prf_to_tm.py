@@ -1,8 +1,8 @@
 """Compile partial recursive expressions into multitape Turing machines.
 
-Conventions (shared with tm.run_numeric): argument i sits in unary on tape
-i starting at cell 1, cell 0 stays blank; the result appears on the output
-tape; accepting runs leave every head on cell 1.
+A compiled machine follows the unary numeric convention stated once in
+`tm` ("Unary numeric convention"): `compile_prf_to_tm` returns the layout
+`tm.numeric_layout` gives it.  Accepting runs leave every head on cell 1.
 
 Machines mark cell 0 of every tape with `^` at startup so heads can rewind
 by scanning left for the marker; the markers are erased again just before
@@ -13,24 +13,15 @@ translator requires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import ValidationError
 from .prf import Compose, Mu, PrfExpr, PrimRec, Proj, Succ, Zero, arity_check, expand
-from .tm import BLANK, MachineSpec, Rules
+from .tm import BLANK, MachineSpec, NumericLayout, Rules, numeric_layout
 
 MARK = "^"
 _UNARY = frozenset({"0", "1"})
 MAX_TAPES = 16
-
-
-@dataclass(frozen=True)
-class NumericLayout:
-    arity: int
-    argument_tapes: Tuple[int, ...]
-    output_tape: int
-    scratch_tapes: Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +173,15 @@ def compile_prf_to_tm(e: PrfExpr) -> Tuple[MachineSpec, NumericLayout]:
     e = expand(e)
     k = arity_check(e)
     if isinstance(e, Succ):
-        return succ_machine(), NumericLayout(1, (1,), 1, ())
-    if isinstance(e, Zero):
-        return _zero_machine(e.k), NumericLayout(k, tuple(range(1, k + 1)), k + 1, ())
+        m = succ_machine()
+    elif isinstance(e, Zero):
+        m = _zero_machine(k)
+    else:
+        m = _compile(e, k)
+    return m, numeric_layout(m, k)
 
+
+def _compile(e: PrfExpr, k: int) -> MachineSpec:
     b = _Builder()
     out = k + 1
     alloc = _Alloc(k + 2)
@@ -203,8 +199,7 @@ def compile_prf_to_tm(e: PrfExpr) -> Tuple[MachineSpec, NumericLayout]:
         cur = f"f_rw{t}"
     b.rule(cur, {}, "f_mark", None, dict.fromkeys(every, "L"))
     b.rule("f_mark", {}, "acc", dict.fromkeys(every, BLANK), dict.fromkeys(every, "R"))
-    m = b.machine(f"prf_{_describe(e)}", "i0", {"acc"}, _UNARY, _UNARY | {MARK, BLANK})
-    return m, NumericLayout(k, tuple(range(1, k + 1)), out, tuple(range(k + 2, m.tapes + 1)))
+    return b.machine(f"prf_{_describe(e)}", "i0", {"acc"}, _UNARY, _UNARY | {MARK, BLANK})
 
 
 def _zero_machine(k: int) -> MachineSpec:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FuelExhausted, NonEncodable, ValidationError, check_fuel
+from .errors import NonEncodable, ValidationError, check_fuel
 
 BLANK = "_"
 WILD = "*"
@@ -643,9 +643,28 @@ def _snapshot(state, cells, pos, zeros, steps_taken) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# Unary numeric convention: 0 is the glyph "0", n > 0 is n ones; argument i
-# sits on tape i starting at cell 1 (cell 0 stays blank); on Accept the head
-# of the output tape is expected at the first nonblank cell.
+# Unary numeric convention: 0 is the glyph "0", n > 0 is n ones.  A machine
+# run on k numbers takes argument i on tape i from cell 1 (cell 0 stays
+# blank), every head starting on cell 1, and answers on tape k+1 if it has
+# that tape, else on tape 1; the tapes past k+1 are scratch.  `numeric_layout`
+# is this rule, the one place it is decided: `prf_to_tm` compiles to it,
+# `run_numeric` reads by it, and `transform.single_tape_start` squeezes its
+# start.  On Accept the answer is the output tape's content, blanks trimmed.
+
+
+@dataclass(frozen=True)
+class NumericLayout:
+    arity: int
+    argument_tapes: Tuple[int, ...]
+    output_tape: int
+    scratch_tapes: Tuple[int, ...]
+
+
+def numeric_layout(spec: MachineSpec, k: int) -> NumericLayout:
+    """Where ``spec`` run on k numbers takes them and leaves its answer.  It
+    checks no arity: `numeric_start` refuses more numbers than tapes."""
+    out = k + 1 if spec.tapes > k else 1
+    return NumericLayout(k, tuple(range(1, k + 1)), out, tuple(range(k + 2, spec.tapes + 1)))
 
 
 def encode_unary(n: int) -> str:
@@ -671,12 +690,15 @@ def run_numeric(
     spec: MachineSpec,
     args: Sequence[int],
     fuel: int,
-    output_tape: int = 1,
+    output_tape: Optional[int] = None,
 ):
     """Run under the unary convention; returns the decoded output natural on
-    Accept, otherwise the failing Outcome.  Raises NonEncodable if the final
-    output tape holds no numeral."""
-    if not 1 <= output_tape <= spec.tapes:
+    Accept, otherwise the failing Outcome.  The answer is read from
+    ``output_tape``, by default the one `numeric_layout` names.  Raises
+    NonEncodable if the final output tape holds no numeral."""
+    if output_tape is None:
+        output_tape = numeric_layout(spec, len(args)).output_tape
+    elif not 1 <= output_tape <= spec.tapes:
         raise ValidationError(f"no tape {output_tape} on a {spec.tapes}-tape machine")
     out = run(spec, "", fuel, start=numeric_start(spec, args))
     if out.tag != ACCEPT:

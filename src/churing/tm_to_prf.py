@@ -25,7 +25,6 @@ from .prf import (
     PrfExpr,
     PrimRec,
     Proj,
-    Succ,
     Zero,
     bounded_mu,
     cases,

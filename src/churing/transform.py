@@ -19,6 +19,7 @@ from .tm import (
     WILD,
     Configuration,
     MachineSpec,
+    Tape,
     initial_configuration,
     resolve_one,
     run,
@@ -28,6 +29,9 @@ from .tm import (
 
 HASH = "#"
 NOT_FOUND = "NotFound"
+
+# the squeezed state that gathers for the host's initial state
+ENTRY = "enter"
 
 # pool of glyphs for the dotted (head-marking) copies of tape symbols
 _DOT_POOL = "abcdefghijklmnoprstuvw"
@@ -78,6 +82,9 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     The control state keys only on what the host state reads and the step
     writes, so the state count follows the host's rules, not |Gamma|^k.  The
     machine accepts when it enters the gather pass of an accepting state.
+    The state that starts the gather pass of the host's initial state is
+    named ENTRY (`single_tape_start` starts there); every other state is
+    ``s<N>``, N its place in the breadth-first search.
     Refused with a ValidationError: a nondeterministic or two-way machine,
     ``#`` in the tape alphabet, more tape symbols than dotted glyphs, and a
     machine needing more than MAX_STATES control states."""
@@ -211,6 +218,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
         return None
 
     # breadth-first exploration of the control function over the alphabet
+    entry = ("g", m.initial, (), (), False)
     start = ("init",)
     names: Dict[tuple, str] = {start: "s0"}
     order: List[tuple] = [start]
@@ -227,7 +235,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 if len(names) >= MAX_STATES:
                     raise ValidationError(f"single-tape compilation of {m.name!r} needs "
                                           f"more than MAX_STATES = {MAX_STATES} states")
-                names[nxt] = f"s{len(names)}"
+                names[nxt] = ENTRY if nxt == entry else f"s{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
             delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
@@ -246,10 +254,30 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     )
 
 
+def single_tape_start(host: MachineSpec, c: Configuration) -> Configuration:
+    """The configuration of ``to_single_tape(host)`` that stands for the
+    host start ``c``: the host's tapes laid out as dotted segments, at cell
+    0 in state ENTRY.  A segment runs from cell 0 of its tape to the last
+    nonblank cell or the head, whichever is further.  For a one-tape host,
+    which squeezes to itself, this is ``c``."""
+    if host.tapes == 1:
+        return c
+    if c.state != host.initial:
+        raise ValidationError(f"a squeezed start is in the host's initial state "
+                              f"{host.initial!r}, not {c.state!r}")
+    dot = _dots(host)
+    segments = []
+    for tape, h in zip(c.tapes, c.heads):
+        cells = [tape.read(p) for p in range(max(h + 1, tape.origin + len(tape.cells)))]
+        cells[h] = dot[cells[h]]
+        segments.append("".join(cells))
+    return Configuration(ENTRY, (Tape.from_word(HASH + HASH.join(segments) + HASH),), (0,))
+
+
 def single_tape_segments(host: MachineSpec, c: Configuration) -> List[str]:
     """Split a compiled machine's tape back into the host's per-tape
-    contents (dots removed, blanks trimmed).  ``host`` is the multitape
-    machine the compiled one came from."""
+    contents (dots removed, blanks trimmed); `single_tape_start` lays them
+    out.  ``host`` is the multitape machine the compiled one came from."""
     undot = {v: k for k, v in _dots(host).items()}
     raw = c.tapes[0].content()
     parts = raw.split(HASH)[1:-1]

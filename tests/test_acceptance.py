@@ -181,13 +181,12 @@ def test_criterion_6_four_way_equivalence():
     for name, fn in oracles.items():
         e = Compose(Succ(), (Proj(1, 1),)) if name == "succ" else stdlib(name)
         k = arity_check(e)
-        machine, layout = compile_prf_to_tm(e)
+        machine, _ = compile_prf_to_tm(e)
         term = compile_prf_to_lambda(e)
         for pt in itertools.product(range(4), repeat=k):
             want = fn(*pt)
             assert evaluate(e, list(pt), FUEL) == want, (name, pt)
-            got = run_numeric(machine, list(pt), FUEL,
-                              output_tape=layout.output_tape)
+            got = run_numeric(machine, list(pt), FUEL)
             assert got == want, (name, pt, "tm")
             applied = term
             for a in pt:
@@ -259,8 +258,8 @@ def test_criterion_9_divergence_fidelity():
     diverge = Mu(Compose(Succ(), (Zero(2),)))  # witness never appears
     with pytest.raises(FuelExhausted):
         evaluate(diverge, [0], 10 ** 4)
-    machine, layout = compile_prf_to_tm(diverge)
-    out = run_numeric(machine, [0], 10 ** 5, output_tape=layout.output_tape)
+    machine, _ = compile_prf_to_tm(diverge)
+    out = run_numeric(machine, [0], 10 ** 5)
     assert getattr(out, "tag", None) == "FuelExhausted"
     term = compile_prf_to_lambda(diverge)
     r = normalize(App(term, church_encode(0)), 10 ** 4)

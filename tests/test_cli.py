@@ -95,7 +95,7 @@ def test_run_tm_trace(tmp_path, capsys):
     assert (out, len(lines), lines[:3], lines[-1]) == (
         "Accept\n", 357, ["s0 ['abba']", "s2 ['#bba']", "s3 ['#aba']"], "s78 ['#abbac#abbac#']")
     assert hashlib.sha256(err.encode()).hexdigest() == (
-        "874d46ed1b69f9e052039b5ace247c98bf75d70ec09bf230ab10affa5370cf7d")
+        "4e75a3e21f28ed8ec723d03bff558d7de0c55b5e4be86923df2b130e3c5f402e")
 
 
 _RUN_ONE = {"tm": ["tm", _c("onon.tm"), "--input", "0011"],

@@ -1,6 +1,7 @@
-"""The package as a whole: importing it leaves the interpreter alone, and
-the demos run clean."""
+"""The package as a whole: importing it leaves the interpreter alone, the
+demos run clean, and no module imports a name it never reads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,28 @@ def test_demo_runs_clean(demo):
                           env=ENV, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout
+
+
+def _unread_imports(path: Path):
+    """Names ``path`` imports and never reads: not as a name, not as the
+    root of an attribute, not in ``__all__``."""
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "churing").glob("*.py"),
+                                         *(ROOT / "tests").glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert _unread_imports(path) == []

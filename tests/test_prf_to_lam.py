@@ -2,7 +2,7 @@
 
 import pytest
 
-from churing.errors import FuelExhausted, ValidationError
+from churing.errors import ValidationError
 from churing.lam import Abs, App, church_decode, church_encode, free_vars, normalize
 from churing.prf import (
     Compose, Mu, Named, PrimRec, Proj, Succ, Zero, evaluate, expand, stdlib, stdlib_names,

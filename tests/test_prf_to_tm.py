@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from churing.errors import ValidationError
-from churing.prf import Compose, Mu, Proj, Succ, Zero, const, evaluate, stdlib
+from churing.prf import (
+    Compose, Mu, Proj, Succ, Zero, arity_check, const, evaluate, stdlib, stdlib_names,
+)
 from churing.prf_to_tm import compile_prf_to_tm, layout_report, succ_machine
-from churing.tm import run, run_numeric
+from churing.tm import numeric_layout, run, run_numeric
 
 FUEL = 10 ** 6
 
@@ -33,57 +35,53 @@ def test_compiled_binary_functions(name, oracle):
     m, layout = compile_prf_to_tm(f)
     assert layout.arity == 2
     for a, b in itertools.product(range(5), repeat=2):
-        got = run_numeric(m, [a, b], fuel=FUEL, output_tape=layout.output_tape)
+        got = run_numeric(m, [a, b], fuel=FUEL)
         assert got == oracle(a, b), (name, a, b)
 
 
 def test_compiled_pred():
-    m, layout = compile_prf_to_tm(stdlib("pred"))
+    m, _ = compile_prf_to_tm(stdlib("pred"))
     for n in range(5):
-        got = run_numeric(m, [n], fuel=FUEL, output_tape=layout.output_tape)
+        got = run_numeric(m, [n], fuel=FUEL)
         assert got == max(n - 1, 0)
 
 
 def test_compiled_zero_is_tiny():
-    m, layout = compile_prf_to_tm(Zero(2))
+    m, _ = compile_prf_to_tm(Zero(2))
     assert len(m.states) <= 8
     for a, b in itertools.product(range(3), repeat=2):
-        assert run_numeric(m, [a, b], fuel=1000,
-                           output_tape=layout.output_tape) == 0
+        assert run_numeric(m, [a, b], fuel=1000) == 0
 
 
 def test_compiled_projection():
-    m, layout = compile_prf_to_tm(Proj(3, 2))
-    assert run_numeric(m, [4, 7, 1], fuel=FUEL,
-                       output_tape=layout.output_tape) == 7
+    m, _ = compile_prf_to_tm(Proj(3, 2))
+    assert run_numeric(m, [4, 7, 1], fuel=FUEL) == 7
 
 
 def test_compiled_composition():
     # succ(succ(x))
     f = Compose(Succ(), (Compose(Succ(), (Proj(1, 1),)),))
-    m, layout = compile_prf_to_tm(f)
+    m, _ = compile_prf_to_tm(f)
     for n in range(4):
-        assert run_numeric(m, [n], fuel=FUEL,
-                           output_tape=layout.output_tape) == n + 2
+        assert run_numeric(m, [n], fuel=FUEL) == n + 2
 
 
 def test_compiled_mu():
     # least y with monus(x, y) = 0, i.e. the identity
     f = Mu(Compose(stdlib("monus"), (Proj(2, 1), Proj(2, 2))))
-    m, layout = compile_prf_to_tm(f)
+    m, _ = compile_prf_to_tm(f)
     for n in range(4):
-        assert run_numeric(m, [n], fuel=FUEL,
-                           output_tape=layout.output_tape) == n
+        assert run_numeric(m, [n], fuel=FUEL) == n
 
 
 def test_compiled_mu_divergence_runs_out_of_fuel():
-    m, layout = compile_prf_to_tm(Mu(const(1, 2)))
-    out = run_numeric(m, [0], fuel=5000, output_tape=layout.output_tape)
+    m, _ = compile_prf_to_tm(Mu(const(1, 2)))
+    out = run_numeric(m, [0], fuel=5000)
     assert not isinstance(out, int) and out.tag == "FuelExhausted"
 
 
 def test_accepting_heads_park_at_cell_one():
-    m, layout = compile_prf_to_tm(stdlib("add"))
+    m, _ = compile_prf_to_tm(stdlib("add"))
     from churing.tm import numeric_start
     out = run(m, "", fuel=FUEL, start=numeric_start(m, [2, 2]))
     assert out.tag == "Accept"
@@ -107,6 +105,23 @@ def test_layout_report_mentions_the_tapes():
     assert "output tape" in rep and str(layout.output_tape) in rep
 
 
+def test_every_compiled_layout_is_the_numeric_layout():
+    exprs = {"S": Succ(), "P 1 1": Proj(1, 1), **{f"Z {k}": Zero(k) for k in range(4)}}
+    for name in stdlib_names():
+        exprs[name] = stdlib(name)
+    checked = 0
+    for name, e in sorted(exprs.items()):
+        try:
+            m, layout = compile_prf_to_tm(e)
+        except ValidationError:  # needs more tapes than the compiler allows
+            continue
+        k = arity_check(e)
+        assert layout == numeric_layout(m, k), name
+        assert layout.output_tape == (1 if name == "S" else k + 1), name
+        checked += 1
+    assert checked == 18
+
+
 def test_compiled_matches_evaluator_on_random_exprs():
     exprs = [
         stdlib("sg"),
@@ -118,6 +133,5 @@ def test_compiled_matches_evaluator_on_random_exprs():
         k = layout.arity
         for pt in itertools.product(range(3), repeat=k):
             want = evaluate(e, pt, FUEL)
-            got = run_numeric(m, list(pt), fuel=FUEL,
-                              output_tape=layout.output_tape)
+            got = run_numeric(m, list(pt), fuel=FUEL)
             assert got == want, (e, pt)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from churing.errors import ValidationError
 from churing.formats import parse
 from churing.tm import (
-    BLANK, TWO_WAY, Configuration, Tape, decode_unary, encode_unary,
+    TWO_WAY, Configuration, Tape, decode_unary, encode_unary,
     initial_configuration, make_machine, run, run_numeric, step, successors,
 )
 from conftest import corpus_text

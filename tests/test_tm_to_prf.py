@@ -5,7 +5,7 @@ import pytest
 from churing.errors import ValidationError
 from churing.prf import evaluate
 from churing.prf_to_tm import succ_machine
-from churing.tm import initial_configuration, numeric_start, run, step
+from churing.tm import numeric_start, step
 from churing.tm_to_prf import (
     compile_tm_to_prf, decode_tape, enc_predicate, encode_tape,
     machine_tables, next_configuration_expr, num_steps_expr, pack_config,

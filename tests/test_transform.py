@@ -14,12 +14,12 @@ from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Proj, stdlib
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    BLANK, FUEL_EXHAUSTED, Configuration, MachineSpec, Tape, make_machine, numeric_start,
-    run,
+    FUEL_EXHAUSTED, MachineSpec, initial_configuration, make_machine, numeric_start, run,
 )
 from churing.transform import (
-    Dfa, Nfa, _dots, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
-    next_address, nd_run, nfa_accepts, single_tape_segments, to_single_tape,
+    ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
+    next_address, nd_run, nfa_accepts, single_tape_segments, single_tape_start,
+    to_single_tape,
 )
 
 from conftest import CORPUS, corpus_text
@@ -74,23 +74,6 @@ def _agrees(host: MachineSpec, single: MachineSpec, out, start=None, word=""):
     got = run(single, word, SINGLE_FUEL, start=start)
     assert got.tag == out.tag
     assert single_tape_segments(host, got.final) == [t.content() for t in out.final.tapes]
-
-
-def _squeezed_start(host: MachineSpec, single: MachineSpec, c: Configuration) -> Configuration:
-    """The squeezed configuration of the host start ``c``: its tapes laid out
-    as dotted segments, at cell 0 in the state that gathers for the host's
-    initial state (found where the run on the empty word first reaches it)."""
-    dot = _dots(host)
-    blank_layout = "#" + (dot[BLANK] + "#") * host.tapes
-    trace = run(single, "", 1000, want_trace=True).trace
-    entry = next(s.state for s in trace if s.heads == (0,) and s.tapes[0].content() == blank_layout)
-    segments = []
-    for tape, h in zip(c.tapes, c.heads):
-        cells = [tape.read(p) for p in range(max(h + 1, tape.origin + len(tape.cells)))]
-        cells[h] = dot[cells[h]]
-        segments.append("".join(cells))
-    layout = "#" + "#".join(segments) + "#"
-    return Configuration(entry, (Tape.from_word(layout),), (0,))
 
 
 def test_single_tape_growth_shifts_past_blanks_of_later_segments():
@@ -174,7 +157,37 @@ def test_single_tape_agrees_on_compiled_functions(fn):
         c = numeric_start(host, args)
         out = run(host, "", 10 ** 5, start=c)
         assert out.tag == "Accept"
-        _agrees(host, single, out, start=_squeezed_start(host, single, c))
+        _agrees(host, single, out, start=single_tape_start(host, c))
+
+
+def test_single_tape_segments_undo_single_tape_start():
+    copier, pred = _copier(), compile_prf_to_tm(stdlib("pred"))[0]
+    starts = [(copier, initial_configuration(copier, [w])) for w in ["", "a", "abba"]]
+    starts.append((copier, initial_configuration(copier, ["ab", "b"], heads=(4, 0))))
+    starts += [(pred, numeric_start(pred, [n])) for n in range(4)]
+    for host, c in starts:
+        sq = single_tape_start(host, c)
+        assert (sq.state, sq.heads) == (ENTRY, (0,))
+        assert single_tape_segments(host, sq) == [t.content() for t in c.tapes]
+    with pytest.raises(ValidationError, match="initial state"):
+        single_tape_start(copier, run(copier, "ab", 10).final)
+    ends1 = _ends1()  # one tape: the machine squeezes to itself, and its start too
+    c = initial_configuration(ends1, ["0110"])
+    assert single_tape_start(ends1, c) is c
+
+
+@pytest.mark.parametrize("name", ["copier.tm", "add_compiled.tm", "zero2_compiled.tm", "pred"])
+def test_single_tape_entry_is_where_the_blank_run_first_gathers(name):
+    host = (compile_prf_to_tm(stdlib(name))[0] if name == "pred"
+            else parse("tm", corpus_text(name)))
+    single = to_single_tape(host)
+    blank = single_tape_start(host, initial_configuration(host, [])).tapes
+    trace = run(single, "", 1000, want_trace=True).trace
+    # the first configuration at cell 0 over the blank layout rewinds onto
+    # cell 0; its next step, in place, enters ENTRY
+    at = next(i for i, s in enumerate(trace) if s.heads == (0,) and s.tapes == blank)
+    assert ENTRY not in {s.state for s in trace[:at + 1]}
+    assert (trace[at + 1].state, trace[at + 1].heads, trace[at + 1].tapes) == (ENTRY, (0,), blank)
 
 
 def test_single_tape_of_compiled_pred_is_small():
