@@ -18,25 +18,29 @@ Disagree, 2 FuelExhausted / Inconclusive, 3 parse or validation error, a
 file that cannot be read or is not UTF-8, or input nested too deeply for
 the interpreter's recursion limit, 4 a fault in churing itself (the
 traceback is printed).
+
+Each command imports the models and compilers it runs when it runs, so a
+``run prf`` or ``check`` of a .prf file never loads the Turing machine
+modules or a compiler; the argument parser is built once per process.
 """
+
+from __future__ import annotations
 
 import argparse
 import itertools
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .equiv import AGREE, DEFAULT_FUEL, DISAGREE, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
-from .errors import ChuringError, FuelExhausted, NotANumeral, ParseError, ValidationError
+from .errors import (ACCEPT, FUEL_EXHAUSTED, NOT_FOUND, REJECT, ChuringError, FuelExhausted,
+                     NotANumeral, ParseError, ValidationError)
 from .formats import parse, print_source
-from .lam import Term, app, church_decode
-from .lam_to_tm import SUITE, build_machine
-from .prf import arity_check, evaluate
-from .prf_to_lam import compile_prf_to_lambda
-from .prf_to_tm import compile_prf_to_tm, layout_report
-from .tm import ACCEPT, FUEL_EXHAUSTED, REJECT, MachineSpec, run
-from .tm_to_prf import compile_tm_to_prf
-from .transform import NOT_FOUND, Dfa, dfa_accepts, nd_run, nfa_accepts, to_single_tape
+from .prf import arity_check, evaluate  # formats has loaded prf; callers read cli.evaluate
+
+if TYPE_CHECKING:
+    from .lam import Term
+    from .tm import MachineSpec
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE, EXIT_ERROR, EXIT_FAULT = 0, 1, 2, 3, 4
 
@@ -101,6 +105,7 @@ def _load(path: str, kind: Optional[str] = None):
 
 def _load_machine(path: str) -> MachineSpec:
     """A Turing machine from a .tm file; a DFA or NFA there is an input error."""
+    from .tm import MachineSpec
     m = _load(path, "tm")
     if not isinstance(m, MachineSpec):
         raise ValidationError(f"{path} holds a finite automaton, not a Turing machine")
@@ -115,6 +120,7 @@ def _cmd_run(args) -> Optional[str]:
         print(evaluate(_load(args.file, "prf"), args.args or [], args.fuel))
         return None
     if args.model == "lam":
+        from .lam import app, church_decode
         t = _load(args.file, "lam")
         if args.apply:
             t = app(t, *parse_apply(args.apply))
@@ -123,13 +129,17 @@ def _cmd_run(args) -> Optional[str]:
         except NotANumeral as e:
             print(print_source("lam", e.term), end="")
         return None
+    from .tm import MachineSpec, run
     m = _load(args.file, "tm")
     if isinstance(m, MachineSpec):
         out = run(m, args.input or "", fuel=args.fuel, want_trace=args.trace)
         for c in out.trace or ():
             print(c.state, [t.content() for t in c.tapes], file=sys.stderr)
         tag = out.tag
-    else:  # a DFA or an NFA decides the word
+    else:  # a DFA or an NFA decides the word, in no steps to trace
+        from .transform import Dfa, dfa_accepts, nfa_accepts
+        if args.trace:
+            raise ValidationError(f"--trace does not apply to the finite automaton in {args.file}")
         accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
         tag = ACCEPT if accepts(m, args.input or "") else REJECT
     print(tag)
@@ -153,14 +163,18 @@ def _cmd_compile(args) -> None:
         raise ValidationError(f"no translation from {src_kind} to {dst}")
     obj = _load_machine(args.file) if src_kind == "tm" else _load(args.file, src_kind)
     if dst == "tm":
+        from .prf_to_tm import compile_prf_to_tm, layout_report
         m, layout = compile_prf_to_tm(obj)
         report = "".join(f"# {line}\n" for line in layout_report(m, layout).splitlines())
         text = report + print_source("tm", m)
     elif dst == "lam":
+        from .prf_to_lam import compile_prf_to_lambda
         text = print_source("lam", compile_prf_to_lambda(obj))
     elif dst == "prf":
+        from .tm_to_prf import compile_tm_to_prf
         text = print_source("prf", {"main": compile_tm_to_prf(obj)})
     else:  # lam -> tm-suite: one .tm file per machine, OUT is a prefix
+        from .lam_to_tm import SUITE, build_machine
         for name in SUITE:
             path = Path(f"{args.out}.{name}.tm")
             path.write_text(print_source("tm", build_machine(name)))
@@ -171,6 +185,7 @@ def _cmd_compile(args) -> None:
 
 
 def _cmd_transform(args) -> Optional[str]:
+    from .transform import nd_run, to_single_tape
     m = _load_machine(args.file)
     if args.single_tape:
         print(print_source("tm", to_single_tape(m)), end="")
@@ -263,9 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _VERDICT_EXIT[args.fn(args)]
     except SystemExit as ex:  # --help
         return ex.code if isinstance(ex.code, int) else EXIT_ERROR

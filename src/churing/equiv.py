@@ -1,15 +1,17 @@
 """Differential harness: one function evaluated in every model over a grid
 of points, with a verdict per point."""
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import FuelExhausted, NonEncodable, NotANumeral
-from .lam import Term, app, church_decode, church_encode
-from .prf import Named, PrfExpr, Succ, arity_check, evaluate
-from .prf_to_tm import compile_prf_to_tm
-from .tm import MachineSpec, run_numeric
-from .tm_to_prf import compile_tm_to_prf
+
+if TYPE_CHECKING:  # the models load when a grid runs, not with the command line
+    from .lam import Term
+    from .prf import PrfExpr
+    from .tm import MachineSpec
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -74,6 +76,9 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     The machine runs under the unary numeric convention of `tm` ("Unary
     numeric convention"), which says where its answer is read.
     """
+    from .lam import app, church_decode, church_encode
+    from .prf import Named, Succ, arity_check, evaluate
+    from .tm import run_numeric
     k = arity_check(prf)
     columns = {"prf": lambda pt: evaluate(prf, pt, fuel),
                "tm": lambda pt: run_numeric(tm, pt, fuel=fuel),
@@ -82,6 +87,8 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
     while isinstance(body, Named):
         body = body.definition
     if k == 1 and isinstance(body, Succ):  # the one compiled machine of one tape
+        from .prf_to_tm import compile_prf_to_tm
+        from .tm_to_prf import compile_tm_to_prf
         rt = compile_tm_to_prf(compile_prf_to_tm(prf)[0])
         columns["roundtrip"] = lambda pt: evaluate(rt, pt, fuel)
 

@@ -1,4 +1,11 @@
-"""Shared exception types and the step/contraction budget."""
+"""Shared exception types, verdict names and the step/contraction budget."""
+
+# the verdicts a machine run or search ends with; `tm` and `transform` read
+# them from here, and so does the command line without loading either
+ACCEPT = "Accept"
+REJECT = "Reject"
+FUEL_EXHAUSTED = "FuelExhausted"
+NOT_FOUND = "NotFound"
 
 
 class ChuringError(Exception):

@@ -35,19 +35,19 @@ when the text consists of ``def`` bindings.  `print_source` inverts it;
 printing is canonical, so print-parse-print is byte-stable.
 """
 
+from __future__ import annotations
+
 import re
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from .errors import ParseError
 from .lam import App, Term, Var, church_encode, lam, render
-from .prf import (Compose, Mu, Named, PrimRec, Proj, Succ, Zero, const, stdlib,
+from .prf import (Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero, const, stdlib,
                   stdlib_names)
-from .prf import PrfExpr
-from .tm import MachineSpec, SEMI_INFINITE, TWO_WAY, make_machine
-from .transform import Dfa, Nfa
 
-_MODE_NAMES = {"semi": SEMI_INFINITE, "two_way": TWO_WAY}
-_MODE_GLYPHS = {v: k for k, v in _MODE_NAMES.items()}
+if TYPE_CHECKING:  # the .tm parser and printer load the machine modules
+    from .tm import MachineSpec
+    from .transform import Dfa, Nfa
 
 
 def _strip_comment(line: str, comment: str) -> str:
@@ -67,7 +67,14 @@ def _tm_lines(text: str):
             yield no, s
 
 
+def _mode_names() -> Dict[str, str]:
+    """The tape mode each ``mode:`` value of a .tm file names."""
+    from .tm import SEMI_INFINITE, TWO_WAY
+    return {"semi": SEMI_INFINITE, "two_way": TWO_WAY}
+
+
 def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
+    from .tm import make_machine
     headers: Dict[str, Tuple[int, str]] = {}
     delta_lines: List[Tuple[int, str]] = []
     in_delta = False
@@ -103,7 +110,8 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         raise ParseError(f"tapes: wants an integer, got {tapes_s!r}",
                          line=tapes_no, column=1)
     mode_no, mode_s = headers.get("mode", (1, "semi"))
-    if mode_s not in _MODE_NAMES:
+    modes = _mode_names()
+    if mode_s not in modes:
         raise ParseError(f"mode must be semi or two_way, got {mode_s!r}",
                          line=mode_no, column=1)
 
@@ -139,11 +147,12 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         tape_alphabet=need("tape_alphabet").split(),
         tapes=tapes,
         rules=rules,
-        tape_mode=_MODE_NAMES[mode_s],
+        tape_mode=modes[mode_s],
     )
 
 
 def _parse_automaton(kind, headers, delta_lines, need):
+    from .transform import Dfa, Nfa
     trans: Dict[Tuple[str, str], object] = {}
     for no, s in delta_lines:
         parts = s.replace("->", " ").split()
@@ -170,11 +179,13 @@ def _parse_automaton(kind, headers, delta_lines, need):
 
 
 def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
+    from .transform import Dfa, Nfa
     if isinstance(obj, (Dfa, Nfa)):
-        return _print_automaton(obj)
+        return _print_automaton(obj, "dfa" if isinstance(obj, Dfa) else "nfa")
+    mode = next(name for name, m in _mode_names().items() if m == obj.tape_mode)
     lines = [f"name: {obj.name}"]
     lines.append(f"tapes: {obj.tapes}")
-    lines.append(f"mode: {_MODE_GLYPHS[obj.tape_mode]}")
+    lines.append(f"mode: {mode}")
     lines.append("states: " + " ".join(sorted(obj.states)))
     lines.append(f"initial: {obj.initial}")
     lines.append("accept: " + " ".join(sorted(obj.accept)))
@@ -192,8 +203,7 @@ def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_automaton(a: Union[Dfa, Nfa]) -> str:
-    kind = "dfa" if isinstance(a, Dfa) else "nfa"
+def _print_automaton(a: Union[Dfa, Nfa], kind: str) -> str:
     lines = [
         f"kind: {kind}",
         "states: " + " ".join(sorted(a.states)),

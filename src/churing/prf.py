@@ -182,7 +182,7 @@ def evaluate(e: PrfExpr, args: Sequence[int], fuel) -> int:
         raise ValidationError(f"arity mismatch: expected {k} args, got {len(args)}")
     if any(a < 0 for a in args):
         raise ValidationError("arguments must be naturals")
-    return _compile(e, fuel, {})(tuple(args))
+    return _charged(*_compile(e, fuel, {}), fuel)(tuple(args))
 
 
 def _leaf(e: PrfExpr) -> Optional[Callable[[tuple], int]]:
@@ -207,22 +207,41 @@ def _exhausted(fuel: Fuel):
     raise FuelExhausted("budget exhausted")
 
 
-def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
-    """The closure for e, spending its units of fuel when called.  ``done``
-    maps id(node) to its closure, so a shared subexpression is compiled once;
-    the closures live only as long as this evaluation.
+def _charged(fn: Callable[[tuple], int], is_leaf: bool, fuel: Fuel) -> Callable[[tuple], int]:
+    """A node's function from `_compile` as a closure that spends the node's
+    units of fuel: a leaf's pure function gains its one unit."""
+    if not is_leaf:
+        return fn
+
+    def run(args):
+        fuel.remaining -= 1
+        if fuel.remaining < 0:
+            raise FuelExhausted("budget exhausted")
+        return fn(args)
+    return run
+
+
+def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Tuple[Callable[[tuple], int], bool]:
+    """e's function and whether e is a leaf, decided once per node: a leaf's
+    function is its `_leaf`, which spends no fuel, any other node's a closure
+    that spends e's units when called.  ``done`` maps id(node) to this pair,
+    so a shared subexpression is compiled once; the closures live only as
+    long as this evaluation.
 
     A Compose pays for itself and for each leaf among its outer and inner
     functions, which it applies in place; a PrimRec does so for a leaf base.
     A PrimRec whose step is a Proj or a Zero runs the base, pays for all n
     steps at once and takes the step's pick from (x, n - 1, base): such a
     step ignores the accumulator or returns it, so the last step decides."""
-    run = done.get(id(e))
-    if run is not None:
-        return run
-    leaf = _leaf(e)
-    if leaf is not None or isinstance(e, Named):
-        body = leaf or _compile(e.definition, fuel, done)
+    got = done.get(id(e))
+    if got is not None:
+        return got
+    pure = _leaf(e)
+    if pure is not None:
+        got = done[id(e)] = (pure, True)
+        return got
+    if isinstance(e, Named):
+        body = _charged(*_compile(e.definition, fuel, done), fuel)
 
         def run(args):
             fuel.remaining -= 1
@@ -230,10 +249,9 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
                 raise FuelExhausted("budget exhausted")
             return body(args)
     elif isinstance(e, Compose):
-        parts = (e.g, *e.hs)
-        leaves = [_leaf(f) for f in parts]
-        cost = 1 + len(leaves) - leaves.count(None)
-        g, *hs = [pure or _compile(f, fuel, done) for pure, f in zip(leaves, parts)]
+        parts = [_compile(f, fuel, done) for f in (e.g, *e.hs)]
+        cost = 1 + sum(is_leaf for _, is_leaf in parts)
+        g, *hs = [fn for fn, _ in parts]
         # One and two inner functions, most compositions, get their own closure:
         # before Python 3.12 a list comprehension makes a function on every run.
         if len(hs) == 1:
@@ -259,10 +277,12 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
                     _exhausted(fuel)
                 return g(tuple([h(args) for h in hs]))
     elif isinstance(e, PrimRec):
-        base = _leaf(e.g)
-        g, cost = base or _compile(e.g, fuel, done), 1 + (base is not None)
-        step = _leaf(e.h) if isinstance(e.h, (Proj, Zero)) else None
-        h = _compile(e.h, fuel, done) if step is None else None
+        g, base_is_leaf = _compile(e.g, fuel, done)
+        cost = 1 + base_is_leaf
+        if isinstance(e.h, (Proj, Zero)):
+            step, h = _compile(e.h, fuel, done)[0], None
+        else:
+            step, h = None, _charged(*_compile(e.h, fuel, done), fuel)
 
         def run(args):
             fuel.remaining -= cost
@@ -280,7 +300,7 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
                 acc = step(xs + (n - 1, acc))
             return acc
     elif isinstance(e, Mu):
-        g = _compile(e.g, fuel, done)
+        g = _charged(*_compile(e.g, fuel, done), fuel)
 
         def run(args):
             fuel.remaining -= 1
@@ -296,8 +316,8 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Callable[[tuple], int]:
                 y += 1
     else:
         raise ValidationError(f"unknown node {e!r}")
-    done[id(e)] = run
-    return run
+    got = done[id(e)] = (run, False)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +591,7 @@ def stdlib_names():
 
 
 # ---------------------------------------------------------------------------
-# Ackermann (host oracle, not a PrfExpr) and argument permutation
+# Ackermann (host oracle, not a PrfExpr)
 
 
 def ackermann(m: int, n: int) -> int:
@@ -600,11 +620,3 @@ def ackermann(m: int, n: int) -> int:
         return v
 
     return a(m, n)
-
-
-def permute_args(e: PrfExpr, pi: Sequence[int]) -> PrfExpr:
-    """Compose(e, [Proj(k, pi[0]), ...]): result(x) = e(x_pi(1), ..., x_pi(k))."""
-    k = arity_check(e)
-    if sorted(pi) != list(range(1, k + 1)):
-        raise ValidationError(f"{pi!r} is not a permutation of 1..{k}")
-    return Compose(e, tuple(Proj(k, p) for p in pi))

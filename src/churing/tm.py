@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import NonEncodable, ValidationError, check_fuel
+from .errors import ACCEPT, FUEL_EXHAUSTED, REJECT, NonEncodable, ValidationError, check_fuel
 
 BLANK = "_"
 WILD = "*"
@@ -126,11 +126,6 @@ class Outcome:
     @property
     def accepted(self) -> bool:
         return self.tag == ACCEPT
-
-
-ACCEPT = "Accept"
-REJECT = "Reject"
-FUEL_EXHAUSTED = "FuelExhausted"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Machine-variant equivalences: multitape-to-single-tape compilation,
 breadth-first simulation of nondeterminism via address strings, decider
-combinators, dovetailing, and small DFA/NFA decision procedures.
+combinators, and DFA/NFA acceptance.
 """
 
 from __future__ import annotations
@@ -9,12 +9,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NotADecider, ValidationError, check_fuel
+from .errors import (
+    ACCEPT, FUEL_EXHAUSTED, NOT_FOUND, REJECT, NotADecider, ValidationError, check_fuel,
+)
 from .tm import (
-    ACCEPT,
     BLANK,
-    FUEL_EXHAUSTED,
-    REJECT,
     SEMI_INFINITE,
     WILD,
     Configuration,
@@ -23,12 +22,10 @@ from .tm import (
     initial_configuration,
     resolve_one,
     run,
-    step,
     successors,
 )
 
 HASH = "#"
-NOT_FOUND = "NotFound"
 
 # the squeezed state that gathers for the host's initial state
 ENTRY = "enter"
@@ -346,7 +343,7 @@ def nd_run(m: MachineSpec, word: str, max_depth: int, node_fuel: int = 10**7) ->
 
 
 # ---------------------------------------------------------------------------
-# Decider combinators and dovetailing
+# Decider combinators
 
 
 _COMBINE_OPS = ("union", "intersect", "diff", "symdiff", "complement")
@@ -385,28 +382,8 @@ def decide_combine(
     return ACCEPT if res else REJECT
 
 
-def dovetail_decide(m1: MachineSpec, m2: MachineSpec, w: str, fuel: int) -> str:
-    """Interleave single steps of both recognizers: m1 accepting first means
-    Accept, m2 accepting first means Reject."""
-    check_fuel(fuel)
-    c1: Optional[Configuration] = initial_configuration(m1, [w])
-    c2: Optional[Configuration] = initial_configuration(m2, [w])
-    for _ in range(fuel + 1):
-        if c1 is not None and c1.state in m1.accept:
-            return ACCEPT
-        if c2 is not None and c2.state in m2.accept:
-            return REJECT
-        if c1 is None and c2 is None:
-            break
-        if c1 is not None:
-            c1 = step(m1, c1)
-        if c2 is not None:
-            c2 = step(m2, c2)
-    return FUEL_EXHAUSTED
-
-
 # ---------------------------------------------------------------------------
-# DFA / NFA decision procedures
+# DFA / NFA acceptance
 
 
 @dataclass(frozen=True)
@@ -448,21 +425,6 @@ def dfa_accepts(d: Dfa, w: str) -> bool:
             raise ValidationError(f"symbol {ch!r} outside the DFA alphabet")
         s = d.trans[(s, ch)]
     return s in d.accept
-
-
-def dfa_is_empty(d: Dfa) -> bool:
-    seen = {d.initial}
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        if s in d.accept:
-            return False
-        for a in d.alphabet:
-            n = d.trans[(s, a)]
-            if n not in seen:
-                seen.add(n)
-                queue.append(n)
-    return True
 
 
 def nfa_accepts(n: Nfa, w: str) -> bool:

@@ -5,7 +5,8 @@ checked by walking the expression as a tree, and ``_eval`` interprets every
 node through an ``isinstance`` chain, spending fuel through ``spend``.
 ``churing.prf.evaluate`` must agree with ``evaluate`` here on the value, on
 the fuel spent and on the budget at which ``FuelExhausted`` is raised;
-``PrfExpr.arity`` must agree with ``arity_check``.
+``PrfExpr.arity`` must agree with ``arity_check``.  ``permute_args`` builds
+the composition that reorders an expression's arguments.
 """
 
 from typing import Sequence
@@ -103,3 +104,11 @@ def _eval(e: PrfExpr, args: tuple, fuel: Fuel) -> int:
                 return y
             y += 1
     raise ValidationError(f"unknown node {e!r}")
+
+
+def permute_args(e: PrfExpr, pi: Sequence[int]) -> PrfExpr:
+    """Compose(e, [Proj(k, pi[0]), ...]): result(x) = e(x_pi(1), ..., x_pi(k))."""
+    k = arity_check(e)
+    if sorted(pi) != list(range(1, k + 1)):
+        raise ValidationError(f"{pi!r} is not a permutation of 1..{k}")
+    return Compose(e, tuple(Proj(k, p) for p in pi))

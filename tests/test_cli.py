@@ -1,5 +1,6 @@
 """Exit-code contract and report formats of the command line interface."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -8,9 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from churing import (
-    cli as cli_module, equiv as equiv_module, formats as formats_module, lam as lam_module,
-)
+from churing import cli as cli_module, formats as formats_module, lam as lam_module
 from churing.cli import cli
 from churing.equiv import equiv_grid
 from churing.errors import NotANumeral, ValidationError
@@ -133,17 +132,22 @@ def test_run_prf_divergent(tmp_path, capsys):
 
 
 # each model refuses the options of the others: `run tm --args` would
-# otherwise run the adder on the empty word and answer Reject
-@pytest.mark.parametrize("argv, option", [
-    (["tm", _c("add_compiled.tm"), "--args", "2", "3"], "--args"),
-    (["prf", _c("succ.prf"), "--args", "4", "--trace"], "--trace"),
-    (["lam", _c("example_term.lam"), "--input", "01"], "--input"),
-], ids=["tm", "prf", "lam"])
-def test_run_refuses_an_option_of_another_model(argv, option, capsys):
+# otherwise run the adder on the empty word and answer Reject; a DFA or an
+# NFA decides its word in no steps, so it has no trace to print
+@pytest.mark.parametrize("argv, error", [
+    (["tm", _c("add_compiled.tm"), "--args", "2", "3"], "--args does not apply to run tm"),
+    (["prf", _c("succ.prf"), "--args", "4", "--trace"], "--trace does not apply to run prf"),
+    (["lam", _c("example_term.lam"), "--input", "01"], "--input does not apply to run lam"),
+    (["tm", _c("even_as.tm"), "--input", "aab", "--trace"],
+     f"--trace does not apply to the finite automaton in {_c('even_as.tm')}"),
+    (["tm", _c("contains11_nfa.tm"), "--input", "011", "--trace"],
+     f"--trace does not apply to the finite automaton in {_c('contains11_nfa.tm')}"),
+], ids=["tm", "prf", "lam", "tm-dfa", "tm-nfa"])
+def test_run_refuses_an_option_of_another_model(argv, error, capsys):
     assert cli(["run", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {option} does not apply to run {argv[0]}\n"
+    assert captured.err == f"error: {error}\n"
 
 
 def test_run_lam_numeral(tmp_path, monkeypatch, capsys):
@@ -601,12 +605,15 @@ def test_equiv_is_inconclusive_where_a_column_gives_no_number(capsys):
         f"{n};{model};?" for n in range(3) for model in ("lam", "tm")]
 
 
-@pytest.mark.parametrize("column", ["evaluate", "run_numeric", "church_decode"])
-def test_equiv_grid_lets_a_validation_error_through(column, monkeypatch):
-    # a cell is ? only for a run that ends without a number, never for bad input
+@pytest.mark.parametrize("module, column", [
+    ("prf", "evaluate"), ("tm", "run_numeric"), ("lam", "church_decode"),
+], ids=["evaluate", "run_numeric", "church_decode"])
+def test_equiv_grid_lets_a_validation_error_through(module, column, monkeypatch):
+    # a cell is ? only for a run that ends without a number, never for bad input;
+    # equiv_grid reads each column's function from its model when it runs
     def invalid(*args, **kwargs):
         raise ValidationError("planted")
-    monkeypatch.setattr(equiv_module, column, invalid)
+    monkeypatch.setattr(f"churing.{module}.{column}", invalid)
     with pytest.raises(ValidationError, match="planted"):
         equiv_grid(Succ(), parse("tm", Path(_c("succ.tm")).read_text()),
                    compile_prf_to_lambda(Succ()), [(0,)])
@@ -639,6 +646,54 @@ def test_equiv_empty_grid_is_refused(capsys):
     captured = capsys.readouterr()
     assert "grid '3..1' is empty" in captured.err
     assert captured.out == ""
+
+
+# --- what a command loads -----------------------------------------------
+
+_COMPILERS = {"churing.prf_to_tm", "churing.tm_to_prf", "churing.prf_to_lam",
+              "churing.lam_to_tm"}
+
+
+def _modules_loaded(argv):
+    """The churing modules a fresh interpreter holds after ``cli(argv)``."""
+    code = ("import sys\n"
+            "from churing.cli import cli\n"
+            f"code = cli({argv!r})\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('churing.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()  # after the command's output
+    assert code == "0", proc.stdout
+    return set(modules)
+
+
+_MACHINES = {"churing.tm", "churing.transform"}
+
+
+# each command imports what it runs: the machines and compilers stay out of a
+# .prf command, and a Turing machine's run needs no transform or compiler
+@pytest.mark.parametrize("argv, present, absent", [
+    (["run", "prf", _c("succ.prf"), "--args", "4"], "churing.prf", _MACHINES | _COMPILERS),
+    (["check", _c("arith.prf")], "churing.prf", _MACHINES | _COMPILERS),
+    (["run", "tm", _c("onon.tm"), "--input", "0011"], "churing.tm",
+     {"churing.transform", *_COMPILERS}),
+], ids=["run prf", "check prf", "run tm"])
+def test_a_command_loads_only_what_it_runs(argv, present, absent):
+    loaded = _modules_loaded(argv)
+    assert present in loaded
+    assert loaded.isdisjoint(absent), loaded
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or real(self, *a, **kw))
+    assert cli(["run", "prf", _c("succ.prf"), "--args", "4"]) == 0
+    assert cli(["check", _c("succ.tm")]) == 0
+    assert built == []
+    assert capsys.readouterr().out == "5\nok: tm source with 1 object(s)\n"
 
 
 # --- python -m churing.cli ---------------------------------------------

@@ -7,8 +7,9 @@ from churing.errors import FuelExhausted, GuardExceeded, ValidationError
 from churing.prf import (
     Compose, Mu, Named, PrimRec, Proj, Succ, Zero, ackermann, arity_check,
     bounded_mu, const, evaluate, expand, exists_le, forall_le, pand, pnot,
-    permute_args, stdlib, stdlib_names,
+    stdlib, stdlib_names,
 )
+from prf_reference import permute_args
 
 FUEL = 10 ** 7
 

@@ -245,7 +245,8 @@ def test_derived_fields_cannot_be_forged():
 
 
 def test_word_outside_input_alphabet_is_refused():
-    from churing.transform import decide_combine, dovetail_decide, nd_run, to_single_tape
+    from churing.transform import decide_combine, nd_run, to_single_tape
+    from tm_reference import dovetail_decide
 
     copier = parse("tm", corpus_text("copier.tm"))
     single = to_single_tape(copier)

