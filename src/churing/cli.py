@@ -10,7 +10,8 @@ Subcommands:
     check FILE
 
 Each model takes only its own ``run`` options; another model's option
-(``run tm --args``, ``run prf --input``, ``run lam --trace``) exits 3.
+(``run tm --args``, ``run prf --input``, ``run lam --trace``) exits 3, as
+does ``--fuel`` or ``--trace`` for a DFA or NFA, which spends no steps.
 An ``equiv`` point is Agree only when every column gives the same number.
 
 Exit codes: 0 success / Accept / all-Agree, 1 Reject / NotFound /
@@ -116,8 +117,9 @@ def _cmd_run(args) -> Optional[str]:
     for opt in ("input", "args", "apply", "trace"):
         if opt not in _RUN_OPTIONS[args.model] and getattr(args, opt) not in (None, False):
             raise ValidationError(f"--{opt} does not apply to run {args.model}")
+    fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     if args.model == "prf":
-        print(evaluate(_load(args.file, "prf"), args.args or [], args.fuel))
+        print(evaluate(_load(args.file, "prf"), args.args or [], fuel))
         return None
     if args.model == "lam":
         from .lam import app, church_decode
@@ -125,21 +127,23 @@ def _cmd_run(args) -> Optional[str]:
         if args.apply:
             t = app(t, *parse_apply(args.apply))
         try:
-            print(f"#{church_decode(t, args.fuel)}")
+            print(f"#{church_decode(t, fuel)}")
         except NotANumeral as e:
             print(print_source("lam", e.term), end="")
         return None
     from .tm import MachineSpec, run
     m = _load(args.file, "tm")
     if isinstance(m, MachineSpec):
-        out = run(m, args.input or "", fuel=args.fuel, want_trace=args.trace)
+        out = run(m, args.input or "", fuel=fuel, want_trace=args.trace)
         for c in out.trace or ():
             print(c.state, [t.content() for t in c.tapes], file=sys.stderr)
         tag = out.tag
-    else:  # a DFA or an NFA decides the word, in no steps to trace
+    else:  # a DFA or an NFA decides the word, in no steps to trace or spend fuel on
         from .transform import Dfa, dfa_accepts, nfa_accepts
-        if args.trace:
-            raise ValidationError(f"--trace does not apply to the finite automaton in {args.file}")
+        for opt, given in (("fuel", args.fuel is not None), ("trace", args.trace)):
+            if given:  # `--fuel 0` is given too
+                raise ValidationError(
+                    f"--{opt} does not apply to the finite automaton in {args.file}")
         accepts = dfa_accepts if isinstance(m, Dfa) else nfa_accepts
         tag = ACCEPT if accepts(m, args.input or "") else REJECT
     print(tag)
@@ -244,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", help="input word (tm)")
     r.add_argument("--args", nargs="*", type=int, help="numeric arguments (prf)")
     r.add_argument("--apply", help="terms to apply (lam)")
-    r.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    r.add_argument("--fuel", type=int, help=f"budget (default {DEFAULT_FUEL}; not for a DFA or NFA)")
     r.add_argument("--trace", action="store_true")
     r.set_defaults(fn=_cmd_run)
 

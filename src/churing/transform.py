@@ -64,24 +64,27 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     first cell of every segment.  Each host step is then two passes from
     cell 0, each followed by a rewind to cell 0:
 
-    - gather: walk right to the last ``#``, recording the dotted symbol of
-      every tape the host state reads (`RuleIndex.lookup`); other tapes get
-      a placeholder that no rule looks at.  For the tapes the state may move
-      left it also records whether the dot sits on its segment's first
-      cell.  At the last ``#`` the host step is resolved; no rule, or a left
-      move of such a head, halts there, with nothing written (the stuck
+    - gather: walk right to the last ``#``, reading the dotted symbol of
+      every segment, and whether it sits on its segment's first cell.  At
+      the last ``#`` the host step is known; no rule, or a left move of a
+      head on a first cell, halts there, with nothing written (the stuck
       halt at cell 0).
     - update: per segment, write the step's symbol (a tape it does not write
       keeps its own) and move the dot.  A dot moved right past its segment's
       end grows the segment: a dotted blank takes the ``#`` cell and the rest
-      of the tape shifts one cell right, up to and including the last ``#``.
+      of the tape shifts one cell right, up to and including the last ``#``;
+      the pass then resumes from cell 0 with the edits still pending.
 
-    The control state keys only on what the host state reads and the step
-    writes, so the state count follows the host's rules, not |Gamma|^k.  The
-    machine accepts when it enters the gather pass of an accepting state.
-    The state that starts the gather pass of the host's initial state is
-    named ENTRY (`single_tape_start` starts there); every other state is
-    ``s<N>``, N its place in the breadth-first search.
+    A gather state keys on its *residual*: a hash-consed node that maps the
+    symbols and first-cell flags of the segments still to pass to the host
+    step, or to the halt.  So host states that must take the same step from
+    here share one state, every state that must halt is one state, and the
+    first-cell flag is kept only where the residual tells its cases apart.
+    An update state keys on the (segment, symbol, move) edits still pending
+    and the separators passed.  All accepting states are one state, which
+    halts at once.  The state that starts the gather pass of the host's
+    initial state is named ENTRY (`single_tape_start` starts there); every
+    other state is ``s<N>``, N its place in the breadth-first search.
     Refused with a ValidationError: a nondeterministic or two-way machine,
     ``#`` in the tape alphabet, more tape symbols than dotted glyphs, and a
     machine needing more than MAX_STATES control states."""
@@ -96,11 +99,51 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     undot = {v: k for k, v in dot.items()}
     alphabet = set(dot) | set(dot.values()) | {HASH}
     k = m.tapes
-    index = m.index
-    reads = {q: index.lookup(q)[0] for q in index.states}
+    reads = {q: m.index.lookup(q)[0] for q in m.index.states}
     lefts = {q: {t for key in keys for _, _, moves in m.delta[q, key]
                  for t, mv in enumerate(moves) if mv == "L"}
-             for q, keys in index.states.items()}
+             for q, keys in m.index.states.items()}
+    # one name stands for every accepting state, one for every state with no rule
+    idle = sorted(m.states - m.accept - set(reads))
+    same = {q: min(m.accept) if q in m.accept else q if q in reads else idle[0] for q in m.states}
+    gamma = {s: i for i, s in enumerate(sorted(m.tape_alphabet))}
+
+    # residual nodes, by id: (t, rows) maps the scan of tape t, rows[first][symbol],
+    # to the node of tape t+1; (k, (target, edits)) is a step, (k, None) the halt
+    node: List[tuple] = []
+    ids: Dict[tuple, int] = {}
+    memo: Dict[tuple, int] = {}
+
+    def residual(q: str, t: int, vec: tuple, edges: tuple) -> int:
+        """The node of host state q's step over tapes t.. after the scan vec
+        of the tapes before t, edges those of them whose dot is on a first
+        cell and which q may move left."""
+        at = (q, t, vec, edges)
+        if at in memo:
+            return memo[at]
+        if len(memo) >= MAX_STATES:
+            raise ValidationError(f"single-tape compilation of {m.name!r} needs "
+                                  f"more than MAX_STATES = {MAX_STATES} states")
+        if t == k:
+            s = resolve_one(m, q, vec)
+            key = (k, None)  # no rule, or stuck at cell 0
+            if s and not any(u in edges for u in s[3]):
+                w, d = dict(s[1]), dict(s[2])
+                edits = tuple((u + 1, w.get(u), d.get(u, 0)) for u in sorted({*w, *d}))
+                key = (k, (same[s[0]], edits))
+        else:
+            read, left = t in reads.get(q, ()), t in lefts.get(q, ())
+            key = (t, tuple(tuple(residual(q, t + 1, vec + (c if read else WILD,),
+                                           edges + (t,) * (first and left))
+                                  for c in gamma) for first in (False, True)))
+        n = memo[at] = ids.setdefault(key, len(node))
+        if n == len(node):
+            node.append(key)
+        return n
+
+    def gather(q: str) -> tuple:
+        """The state that starts q's gather pass: for every accepting q the one with no rule."""
+        return ("accept",) if q in m.accept else ("g", residual(q, 0, (), ()), False)
 
     def control(st: tuple, sym: str):
         """(next_state, write, move) for the compiled machine, or None."""
@@ -133,89 +176,70 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
         # --- rewind: move left counting separators; the (k+1)-th is cell 0
         if kind == "rw":
             resume, c = st[1], st[2]
-            if sym == HASH:
-                if c + 1 == k + 1:
-                    return resume, HASH, "S"
-                return ("rw", resume, c + 1), HASH, "L"
-            return ("rw", resume, c), sym, "L"
-        # --- phase 2: dot the first symbol of every segment
+            if sym == HASH and c == k:
+                return resume, HASH, "S"
+            return ("rw", resume, c + (sym == HASH)), sym, "L"
+        # --- phase 2: dot the first symbol of every segment; past the last
+        # dot, walk on as an update pass with nothing pending
         if kind == "dots":
-            j = st[1]
             if sym == HASH:
-                if j < k:
-                    return ("dotn", j), HASH, "R"
-                return ("rw", ("g", m.initial, (), (), False), 0), HASH, "S"
+                return ("dotn", st[1]), HASH, "R"
             return st, sym, "R"
         if kind == "dotn":
             if sym == HASH or sym in undot:
                 return None
-            return ("dots", st[1] + 1), dot[sym], "R"
-        # --- gather pass: vec holds the read symbols of the tapes passed,
-        # edges the left-moving tapes whose dot is on a first cell, and
-        # first whether the head is on the first cell of such a tape
+            j = st[1] + 1
+            return ("dots", j) if j < k else ("u", same[m.initial], (), k), dot[sym], "R"
+        # --- gather pass: n is the residual node of the segments not yet
+        # passed, first whether the head is on a segment's first cell where n
+        # tells the two cases apart
         if kind == "g":
-            q, vec, edges, first = st[1], st[2], st[3], st[4]
-            if q in m.accept:
-                return None  # the host run stops here, accepting
-            t = len(vec)
+            n, first = st[1], st[2]
+            t, body = node[n]
             if sym in undot:
-                if t >= k:
+                if t == k:
                     return None  # a (k+1)-th dot cannot occur
-                got = undot[sym] if t in reads.get(q, ()) else WILD
-                return ("g", q, vec + (got,), edges + (t,) * first, False), sym, "R"
+                return ("g", body[first][gamma[undot[sym]]], False), sym, "R"
             if sym == HASH and t == k:
-                s = resolve_one(m, q, vec)
-                if s is None or any(u in edges for u in s[3]):
-                    return None  # host halts: no rule, or stuck at cell 0
-                nxt, writes, shifts, _ = s
-                w, d = dict(writes), dict(shifts)
-                wm = tuple((w.get(t), d.get(t, 0)) for t in range(k))
-                return ("rw", ("u", nxt, wm, 0), 0), HASH, "S"
-            return ("g", q, vec, edges, sym == HASH and t in lefts.get(q, ())), sym, "R"
-        # --- update pass: per segment, write and move the dot; wm holds
-        # (symbol or None for the scanned one, move) per tape
+                if body is None:
+                    return None  # the host halts
+                return ("rw", ("u", *body, 0), 0), HASH, "S"
+            return ("g", n, sym == HASH and body[0] != body[1]), sym, "R"
+        # --- update pass: edits holds the pending (segment, symbol or None
+        # for the scanned one, move), i the separators passed; an edit that
+        # leaves the dot in place is dropped at its segment's end
         if kind == "u":
-            q, wm, i = st[1], st[2], st[3]
+            target, edits, i = st[1], st[2], st[3]
+            due = edits[0] if edits and edits[0][0] == i else None
             if sym == HASH:
                 if i == k:
-                    return ("rw", ("g", q, (), (), False), 0), HASH, "S"
-                return ("u", q, wm, i + 1), HASH, "R"
-            if sym in undot and i >= 1:
-                w, d = wm[i - 1]
-                w = undot[sym] if w is None else w
-                if d == 0:
+                    return ("rw", gather(target), 0), HASH, "S"
+                return ("u", target, edits[1:] if due else edits, i + 1), HASH, "R"
+            if sym in undot and due:
+                w = undot[sym] if due[1] is None else due[1]
+                if due[2] == 0:
                     return st, dot[w], "R"
-                return ("udot", q, wm, i), w, "R" if d > 0 else "L"
+                return ("udot", target, edits[1:], i), w, "R" if due[2] > 0 else "L"
             return st, sym, "R"
         # the cell the dot moved to
         if kind == "udot":
-            q, wm, i = st[1], st[2], st[3]
+            target, edits, i = st[1], st[2], st[3]
             if sym in undot:
                 return None  # cannot happen: dot was just removed
             if sym != HASH:
-                return ("u", q, wm, i), dot[sym], "R"
+                return ("u", target, edits, i), dot[sym], "R"
             # segment must grow: drop a dotted blank here and shift the
             # rest of the tape one cell right, counting separators
-            return ("ucarry", q, wm, i, HASH, i), dot[BLANK], "R"
+            return ("ucarry", target, edits, HASH, i), dot[BLANK], "R"
         if kind == "ucarry":
-            q, wm, i, c, j = st[1], st[2], st[3], st[4], st[5]
-            if c == HASH and j == k:  # the last separator lands here
-                return ("rw", ("uskip", q, wm, i, 0), 0), HASH, "S"
-            return ("ucarry", q, wm, i, sym, j + (sym == HASH)), c, "R"
-        # after a growth shift: skip ahead to segment i+1 and resume
-        if kind == "uskip":
-            q, wm, i, j = st[1], st[2], st[3], st[4]
-            if sym == HASH:
-                if j == i:
-                    if i == k:  # segment k grew; the pass is complete
-                        return ("rw", ("g", q, (), (), False), 0), HASH, "S"
-                    return ("u", q, wm, i + 1), HASH, "R"
-                return ("uskip", q, wm, i, j + 1), HASH, "R"
-            return st, sym, "R"
+            target, edits, c, j = st[1], st[2], st[3], st[4]
+            if c == HASH and j == k:  # the last separator lands here: resume at cell 0
+                return ("rw", ("u", target, edits, 0), 0), HASH, "S"
+            return ("ucarry", target, edits, sym, j + (sym == HASH)), c, "R"
         return None
 
     # breadth-first exploration of the control function over the alphabet
-    entry = ("g", m.initial, (), (), False)
+    entry = gather(m.initial)
     start = ("init",)
     names: Dict[tuple, str] = {start: "s0"}
     order: List[tuple] = [start]
@@ -237,7 +261,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 queue.append(nxt)
             delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
 
-    accept = frozenset(names[st] for st in order if st[0] == "g" and st[1] in m.accept)
+    accept = frozenset(names[st] for st in order if st == ("accept",))
     return MachineSpec(
         name=f"{m.name}_single",
         states=frozenset(names.values()),

@@ -11,7 +11,7 @@ import pytest
 
 from churing import cli as cli_module, formats as formats_module, lam as lam_module
 from churing.cli import cli
-from churing.equiv import equiv_grid
+from churing.equiv import DEFAULT_FUEL, equiv_grid
 from churing.errors import NotANumeral, ValidationError
 from churing.formats import parse, print_source
 from churing.lam import App, Var, church_encode, lam
@@ -92,9 +92,13 @@ def test_run_tm_trace(tmp_path, capsys):
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert (out, len(lines), lines[:3], lines[-1]) == (
-        "Accept\n", 357, ["s0 ['abba']", "s2 ['#bba']", "s3 ['#aba']"], "s78 ['#abbac#abbac#']")
+        "Accept\n", 357, ["s0 ['abba']", "s2 ['#bba']", "s3 ['#aba']"], "s72 ['#abbac#abbac#']")
     assert hashlib.sha256(err.encode()).hexdigest() == (
-        "4e75a3e21f28ed8ec723d03bff558d7de0c55b5e4be86923df2b130e3c5f402e")
+        "8178d81ca4bbaf5d8d58a8638d7f77d23367f1886267670246ba2e6d74136826")
+    # the tapes alone, which no renaming of the squeezed states moves
+    tapes = "".join(line.split(" ", 1)[1] + "\n" for line in lines)
+    assert hashlib.sha256(tapes.encode()).hexdigest() == (
+        "4990da06e13ce848e2619c9a4c8ec2939dc125daa0db0c35db021482f60a9374")
 
 
 _RUN_ONE = {"tm": ["tm", _c("onon.tm"), "--input", "0011"],
@@ -133,7 +137,8 @@ def test_run_prf_divergent(tmp_path, capsys):
 
 # each model refuses the options of the others: `run tm --args` would
 # otherwise run the adder on the empty word and answer Reject; a DFA or an
-# NFA decides its word in no steps, so it has no trace to print
+# NFA decides its word in no steps, so it has no trace to print and no fuel
+# to spend (`--fuel 0` would otherwise still answer Accept)
 @pytest.mark.parametrize("argv, error", [
     (["tm", _c("add_compiled.tm"), "--args", "2", "3"], "--args does not apply to run tm"),
     (["prf", _c("succ.prf"), "--args", "4", "--trace"], "--trace does not apply to run prf"),
@@ -142,7 +147,11 @@ def test_run_prf_divergent(tmp_path, capsys):
      f"--trace does not apply to the finite automaton in {_c('even_as.tm')}"),
     (["tm", _c("contains11_nfa.tm"), "--input", "011", "--trace"],
      f"--trace does not apply to the finite automaton in {_c('contains11_nfa.tm')}"),
-], ids=["tm", "prf", "lam", "tm-dfa", "tm-nfa"])
+    (["tm", _c("even_as.tm"), "--input", "aab", "--fuel", "0"],
+     f"--fuel does not apply to the finite automaton in {_c('even_as.tm')}"),
+    (["tm", _c("contains11_nfa.tm"), "--input", "011", "--fuel", str(DEFAULT_FUEL)],
+     f"--fuel does not apply to the finite automaton in {_c('contains11_nfa.tm')}"),
+], ids=["tm", "prf", "lam", "tm-dfa", "tm-nfa", "tm-dfa-fuel", "tm-nfa-fuel"])
 def test_run_refuses_an_option_of_another_model(argv, error, capsys):
     assert cli(["run", *argv]) == 3
     captured = capsys.readouterr()

@@ -159,6 +159,57 @@ def test_single_tape_agrees_on_compiled_functions(fn):
         _agrees(host, single, out, start=single_tape_start(host, c))
 
 
+# (verdict, steps_taken, segments) of squeezed runs, recorded before the
+# squeeze keyed its states on the residual host step: the fuel a squeezed
+# run spends must not move when its control states change.
+SQUEEZED_STEPS = {
+    ("pred", (0,)): ("Accept", 2748, ["0", "0", "0", "0"]),
+    ("pred", (1,)): ("Accept", 6164, ["1", "0", "1", "0"]),
+    ("pred", (2,)): ("Accept", 10614, ["11", "1", "11", "1"]),
+    ("pred", (3,)): ("Accept", 17744, ["111", "11", "111", "11"]),
+    ("sg", (0,)): ("Accept", 3486, ["0", "0", "0", "0", ""]),
+    ("sg", (1,)): ("Accept", 8312, ["1", "1", "1", "1", "0"]),
+    ("sg", (2,)): ("Accept", 14652, ["11", "1", "11", "1", "0"]),
+    ("sg", (3,)): ("Accept", 22276, ["111", "1", "111", "1", "0"]),
+    ("add", (0, 0)): ("Accept", 5336, ["0", "0", "0", "0", "0", ""]),
+    ("add", (1, 2)): ("Accept", 27176, ["1", "11", "111", "11", "111", "11"]),
+    ("add", (2, 1)): ("Accept", 18112, ["11", "1", "111", "1", "111", "11"]),
+    ("add", (3, 2)): ("Accept", 45086, ["111", "11", "11111", "11", "11111", "1111"]),
+    ("monus", (0, 0)): ("Accept", 7296, ["0", "0", "0", "0", "0", "", "", ""]),
+    ("monus", (1, 2)): ("Accept", 38612, ["1", "11", "0", "11", "0", "0", "0", "0"]),
+    ("monus", (2, 1)): ("Accept", 35984, ["11", "1", "1", "1", "1", "11", "11", "1"]),
+    ("monus", (3, 2)): ("Accept", 93226, ["111", "11", "1", "11", "1", "11", "11", "1"]),
+    ("copier.tm", ""): ("Accept", 40, ["", ""]),
+    ("copier.tm", "a"): ("Accept", 98, ["a", "a"]),
+    ("copier.tm", "ab"): ("Accept", 166, ["ab", "ab"]),
+    ("copier.tm", "abba"): ("Accept", 356, ["abba", "abba"]),
+    ("copier.tm", "babab"): ("Accept", 478, ["babab", "babab"]),
+    ("add_compiled.tm", ""): ("Reject", 64, ["", "", "", "", "", ""]),
+    ("add_compiled.tm", "0"): ("Reject", 64, ["0", "", "", "", "", ""]),
+    ("add_compiled.tm", "1"): ("Reject", 64, ["1", "", "", "", "", ""]),
+    ("add_compiled.tm", "01"): ("Reject", 69, ["01", "", "", "", "", ""]),
+    ("add_compiled.tm", "110"): ("Reject", 74, ["110", "", "", "", "", ""]),
+    ("zero2_compiled.tm", ""): ("Accept", 56, ["", "", "0"]),
+    ("zero2_compiled.tm", "1"): ("Accept", 56, ["1", "", "0"]),
+    ("zero2_compiled.tm", "01"): ("Accept", 64, ["01", "", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", ["pred", "sg", "add", "monus",
+                                  "copier.tm", "add_compiled.tm", "zero2_compiled.tm"])
+def test_squeezed_step_counts_are_pinned(name):
+    corpus = name.endswith(".tm")
+    host = parse("tm", corpus_text(name)) if corpus else compile_prf_to_tm(stdlib(name))[0]
+    single = to_single_tape(host)
+    for (fn, arg), pin in SQUEEZED_STEPS.items():
+        if fn != name:
+            continue
+        start = None if corpus else single_tape_start(host, numeric_start(host, arg))
+        out = run(single, arg if corpus else "", 10 ** 6, start=start)
+        got = (out.tag, out.final.steps_taken, single_tape_segments(host, out.final))
+        assert got == pin, (fn, arg)
+
+
 def test_single_tape_segments_undo_single_tape_start():
     copier, pred = _copier(), compile_prf_to_tm(stdlib("pred"))[0]
     starts = [(copier, initial_configuration(copier, [w])) for w in ["", "a", "abba"]]
@@ -190,7 +241,41 @@ def test_single_tape_entry_is_where_the_blank_run_first_gathers(name):
 
 
 def test_single_tape_of_compiled_pred_is_small():
-    assert len(to_single_tape(compile_prf_to_tm(stdlib("pred"))[0]).states) <= 5000
+    assert len(to_single_tape(compile_prf_to_tm(stdlib("pred"))[0]).states) <= 3100
+
+
+def test_equivalent_states_finds_a_known_duplicate_pair():
+    # b1 and b2 differ in name only, each looping on x; c steps as they do
+    # but moves left; e1 and e2 differ only two steps on, in the state they
+    # reach: acc accepts, h does not
+    m = make_machine(name="dup", states=["a", "b1", "b2", "c", "e1", "e2", "f1", "f2", "h", "acc"],
+                     initial="a", accept=["acc"], input_alphabet="xy", tape_alphabet="_xy",
+                     tapes=1, rules=[
+                         ("a", ["x"], "b1", ["x"], ["R"]), ("a", ["y"], "b2", ["y"], ["R"]),
+                         ("a", ["_"], "c", ["_"], ["S"]),
+                         ("b1", ["x"], "b1", ["*"], ["R"]), ("b1", ["_"], "acc", ["_"], ["S"]),
+                         ("b2", ["x"], "b2", ["x"], ["R"]), ("b2", ["_"], "acc", ["*"], ["S"]),
+                         ("c", ["x"], "c", ["x"], ["R"]), ("c", ["_"], "acc", ["_"], ["L"]),
+                         ("e1", ["*"], "f1", ["*"], ["R"]), ("f1", ["*"], "acc", ["*"], ["S"]),
+                         ("e2", ["*"], "f2", ["*"], ["R"]), ("f2", ["*"], "h", ["*"], ["S"])])
+    assert ref.equivalent_states(m) == [frozenset({"b1", "b2"})]
+
+
+def test_squeezed_machines_have_no_equivalent_states():
+    hosts = [compile_prf_to_tm(stdlib(fn))[0] for fn in ("pred", "sg", "add")]
+    for f in sorted(CORPUS.glob("*.tm")):
+        m = parse("tm", f.read_text())
+        if isinstance(m, MachineSpec) and m.deterministic and m.tapes > 1:
+            hosts.append(m)
+    assert len(hosts) == 6  # and add_compiled, copier and zero2_compiled
+    # two accepting states and two with no rule, each pair reached by one step
+    hosts.append(make_machine(
+        name="ends", states=["q", "a1", "a2", "h1", "h2"], initial="q", accept=["a1", "a2"],
+        input_alphabet="ab", tape_alphabet="_ab", tapes=2,
+        rules=[("q", "a*", "a1", "**", "RS"), ("q", "b*", "a2", "**", "RS"),
+               ("q", "_a", "h1", "**", "SR"), ("q", "__", "h2", "**", "SR")]))
+    for host in hosts:
+        assert ref.equivalent_states(to_single_tape(host)) == [], host.name
 
 
 def test_single_tape_refuses_what_the_layout_cannot_hold():

@@ -15,8 +15,12 @@ with ``successors`` here: the oracle for ``churing.transform.nd_run``.
 ``dovetail_decide`` (two recognizers stepped in turn) and ``dfa_is_empty``
 (reachability of an accepting DFA state) are the decision procedures the
 tests exercise and no part of the library calls.
+
+``equivalent_states`` is the oracle for a machine without duplicate states:
+Hopcroft's partition refinement over the machine's steps.
 """
 
+import itertools
 from collections import deque
 from typing import List, Optional, Tuple
 
@@ -190,3 +194,52 @@ def dfa_is_empty(d) -> bool:
                 seen.add(n)
                 queue.append(n)
     return True
+
+
+def equivalent_states(spec: MachineSpec) -> List[frozenset]:
+    """The classes of two or more states of the deterministic machine
+    ``spec`` that behave alike: on every scan both halt, or both write the
+    same symbols, make the same moves and go to equivalent states, and both
+    accept or neither does.  Hopcroft's splitting ("An n log n algorithm for
+    minimizing states in a finite automaton", 1971) on the inverse
+    transitions: each scan is a letter, each state starts in the block of
+    its acceptance and the writes and moves of its steps, and every initial
+    block is a splitter, as a partial transition function needs."""
+    by_state = _by_state(spec)
+    scans = list(itertools.product(sorted(spec.tape_alphabet), repeat=spec.tapes))
+    inverse = {a: {} for a in scans}
+    by_label: dict = {}
+    for q in sorted(spec.states):
+        label = [q in spec.accept]
+        for a in scans:
+            targets = _match(by_state, q, a)
+            if len(targets) > 1:
+                raise ValidationError(f"state {q!r} is nondeterministic on {a}")
+            if targets:
+                nxt, writes, moves = targets[0]
+                label.append((a, tuple(c if w == WILD else w for w, c in zip(writes, a)), moves))
+                inverse[a].setdefault(nxt, []).append(q)
+        by_label.setdefault(tuple(label), set()).add(q)
+    blocks = list(by_label.values())
+    block_of = {q: b for b, states in enumerate(blocks) for q in states}
+    waiting = {(b, a) for b in range(len(blocks)) for a in scans}
+    while waiting:
+        b, a = waiting.pop()
+        touched: dict = {}
+        for q in blocks[b]:
+            for p in inverse[a].get(q, ()):
+                touched.setdefault(block_of[p], set()).add(p)
+        for x, inside in touched.items():
+            if len(inside) == len(blocks[x]):
+                continue
+            blocks[x] -= inside
+            y = len(blocks)
+            blocks.append(inside)
+            for p in inside:
+                block_of[p] = y
+            for c in scans:
+                if (x, c) in waiting:
+                    waiting.add((y, c))
+                else:
+                    waiting.add((y, c) if len(inside) <= len(blocks[x]) else (x, c))
+    return [frozenset(states) for states in blocks if len(states) > 1]
