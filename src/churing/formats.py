@@ -3,10 +3,10 @@ terms.
 
 Three kinds of source text:
 
-``tm``   line-oriented machine descriptions.  Headers ``tapes:``, ``mode:
-         semi|two_way``, ``states:``, ``initial:``, ``accept:``,
-         ``input_alphabet:``, ``tape_alphabet:`` (the blank ``_`` is
-         mandatory), then ``delta:`` followed by transition lines
+``tm``   line-oriented machine descriptions.  Headers ``tapes:``,
+         ``states:``, ``initial:``, ``accept:``, ``input_alphabet:``,
+         ``tape_alphabet:`` (the blank ``_`` is mandatory), then ``delta:``
+         followed by transition lines
 
              q a[,a2...] -> p b[,b2...] M[,M2...]
 
@@ -15,7 +15,8 @@ Three kinds of source text:
          line deciding it, make the machine nondeterministic.  A ``kind:
          dfa`` or ``kind: nfa`` header switches to finite-automaton parsing
          with ``alphabet:`` and lines ``q a -> p`` (an NFA may repeat a
-         left-hand side).
+         left-hand side).  Every tape is semi-infinite; the printer writes
+         ``mode: semi``, the only value the optional ``mode:`` header takes.
 
 ``prf``  prefix expressions: ``Z k``, ``S``, ``P k i``, ``C f (g1, ..., gl)``,
          ``R (g, h)``, ``Mu g``, and ``def name = term`` bindings; a defined
@@ -41,11 +42,11 @@ import re
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from .errors import ParseError
-from .lam import App, Term, Var, church_encode, lam, render
-from .prf import (Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero, const, stdlib,
+from .prf import (Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero, named_const, stdlib,
                   stdlib_names)
 
-if TYPE_CHECKING:  # the .tm parser and printer load the machine modules
+if TYPE_CHECKING:  # the .tm and .lam parsers and printers load their models
+    from .lam import Term
     from .tm import MachineSpec
     from .transform import Dfa, Nfa
 
@@ -65,12 +66,6 @@ def _tm_lines(text: str):
         s = raw.strip()
         if s and not s.startswith("#"):
             yield no, s
-
-
-def _mode_names() -> Dict[str, str]:
-    """The tape mode each ``mode:`` value of a .tm file names."""
-    from .tm import SEMI_INFINITE, TWO_WAY
-    return {"semi": SEMI_INFINITE, "two_way": TWO_WAY}
 
 
 def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
@@ -110,10 +105,8 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         raise ParseError(f"tapes: wants an integer, got {tapes_s!r}",
                          line=tapes_no, column=1)
     mode_no, mode_s = headers.get("mode", (1, "semi"))
-    modes = _mode_names()
-    if mode_s not in modes:
-        raise ParseError(f"mode must be semi or two_way, got {mode_s!r}",
-                         line=mode_no, column=1)
+    if mode_s != "semi":
+        raise ParseError(f"mode must be semi, got {mode_s!r}", line=mode_no, column=1)
 
     rules = []
     for no, s in delta_lines:
@@ -147,7 +140,6 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         tape_alphabet=need("tape_alphabet").split(),
         tapes=tapes,
         rules=rules,
-        tape_mode=modes[mode_s],
     )
 
 
@@ -182,10 +174,9 @@ def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
     from .transform import Dfa, Nfa
     if isinstance(obj, (Dfa, Nfa)):
         return _print_automaton(obj, "dfa" if isinstance(obj, Dfa) else "nfa")
-    mode = next(name for name, m in _mode_names().items() if m == obj.tape_mode)
     lines = [f"name: {obj.name}"]
     lines.append(f"tapes: {obj.tapes}")
-    lines.append(f"mode: {mode}")
+    lines.append("mode: semi")
     lines.append("states: " + " ".join(sorted(obj.states)))
     lines.append(f"initial: {obj.initial}")
     lines.append("accept: " + " ".join(sorted(obj.accept)))
@@ -314,11 +305,9 @@ def _int_tok(ts: _Tokens) -> int:
 def _with_native(name: str, body: PrfExpr) -> Named:
     """Wrap a parsed definition; definitions that match a library function
     get its big-integer shortcut back (printing drops the native field)."""
-    m = re.fullmatch(r"const(\d+)/(\d+)", name)
-    if m:
-        ref = const(int(m.group(1)), int(m.group(2)))
-        if body == ref.definition:
-            return ref
+    ref = named_const(name, body)
+    if ref is not None:
+        return ref
     if name in stdlib_names():
         ref = stdlib(name)
         if body == ref.definition:
@@ -412,11 +401,13 @@ def print_prf(obj: Union[PrfExpr, Dict[str, PrfExpr]]) -> str:
 _LAM_STOP = frozenset((")", ".", ",", "def", "="))  # tokens that end a term
 
 
-def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term]) -> Tuple[Term, int]:
+def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term], make) -> Tuple[Term, int]:
     """The term at token i, and the index after it.  An abstraction's body
     runs to the end of the term, so one loop reads it with the atoms of an
     application; only a parenthesis recurses.  ``scope`` maps a name to its
-    definition, or to the one Var node of that name in this parse."""
+    definition, or to the one Var node of that name in this parse; ``make``
+    holds `churing.lam`'s App, Var, church_encode and lam."""
+    App, Var, church_encode, lam = make
     toks = ts.toks
     n = len(toks)
     t = None
@@ -424,7 +415,7 @@ def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term]) -> Tuple[Term, 
     while i < n:
         tok = toks[i]
         if tok == "(":
-            a, ts.pos = _parse_lam_term(ts, i + 1, scope)
+            a, ts.pos = _parse_lam_term(ts, i + 1, scope, make)
             ts.expect(")")
             i = ts.pos
         elif tok == "\\":
@@ -460,10 +451,12 @@ def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term]) -> Tuple[Term, 
 
 
 def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
+    from .lam import App, Var, church_encode, lam
+    make = (App, Var, church_encode, lam)
     ts = _Tokens(text, comment=";")
     scope: Dict[str, Term] = {}
     if ts.peek() != "def":
-        t, ts.pos = _parse_lam_term(ts, 0, scope)
+        t, ts.pos = _parse_lam_term(ts, 0, scope, make)
         if ts.peek() is not None:
             raise ts.error("trailing tokens after term")
         return t
@@ -474,12 +467,13 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
         ts.expect("=")
         if name in env:
             raise ts.error(f"duplicate definition of {name!r}")
-        env[name], ts.pos = _parse_lam_term(ts, ts.pos, scope)
+        env[name], ts.pos = _parse_lam_term(ts, ts.pos, scope, make)
         scope[name] = env[name]
     return env
 
 
 def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
+    from .lam import render
     if isinstance(obj, dict):
         lines = [f"def {name} = {render(t)}" for name, t in obj.items()]
         return "\n".join(lines) + "\n"

@@ -241,13 +241,7 @@ def _compile(e: PrfExpr, fuel: Fuel, done: dict) -> Tuple[Callable[[tuple], int]
         got = done[id(e)] = (pure, True)
         return got
     if isinstance(e, Named):
-        body = _charged(*_compile(e.definition, fuel, done), fuel)
-
-        def run(args):
-            fuel.remaining -= 1
-            if fuel.remaining < 0:
-                raise FuelExhausted("budget exhausted")
-            return body(args)
+        run = _charged(_charged(*_compile(e.definition, fuel, done), fuel), True, fuel)
     elif isinstance(e, Compose):
         parts = [_compile(f, fuel, done) for f in (e.g, *e.hs)]
         cost = 1 + sum(is_leaf for _, is_leaf in parts)
@@ -333,7 +327,26 @@ def _const_expr(n: int, k: int) -> PrfExpr:
 
 
 def const(n: int, k: int = 1) -> PrfExpr:
-    return Named(f"const{n}/{k}", _const_expr(n, k), native=lambda *xs, _n=n: _n)
+    return _named_const(n, _const_expr(n, k))
+
+
+def _named_const(n: int, body: PrfExpr) -> Named:
+    """``const<n>/<k>``, k the arity of ``body``, which spells n."""
+    return Named(f"const{n}/{body.arity}", body, native=lambda *xs, _n=n: _n)
+
+
+def named_const(name: str, body: PrfExpr) -> Optional[Named]:
+    """``body`` with `const`'s native when ``name`` is ``const<n>/<k>`` and
+    ``body`` is n ``C S (...)`` around ``Z k``, as `const` builds it; else
+    None.  Only the wrapper is built, so a huge n costs nothing extra."""
+    n, e = 0, body
+    while isinstance(e, Compose) and isinstance(e.g, Succ):
+        n, e = n + 1, e.hs[0]
+    if isinstance(e, Zero):
+        ref = _named_const(n, body)
+        if ref.name == name:
+            return ref
+    return None
 
 
 def _mk_add() -> Named:

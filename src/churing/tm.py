@@ -18,25 +18,23 @@ class of scans it cannot tell apart.  `run` refuses a nondeterministic
 machine (see `transform.nd_run`), so a deterministic one never meets an
 ambiguous transition.
 
-`run` goes one state visit at a time: the accept check and the state's
-memo entry once per state entered, then steps until the state changes.  It
-keeps each head as an index into its tape's buffer, and cell 0 too, so a
-step reads, writes and shifts with no origin arithmetic; a resolved step
-lists the tapes it moves left, and only those meet the stuck rule.  Most
-steps of the corpus and compiled machines are sweeps, steps that keep the
-state, write nothing and move the head of the one tape the state reads
-(`Rules.rewind` builds them).  `run` takes a sweep as one scan along that
-tape, moving on while the next cell resolves to the very same step object
-(the resolver interns its answers).  It counts one step per cell, so the
-fuel runs out where it would step by step; every other step, and every step
-of a traced run, is taken singly.
+Every tape is semi-infinite: its cells are numbered from 0, a left move of a
+head on cell 0 is a stuck halt with nothing written, and no head or symbol
+of a start lies left of cell 0.  `run` goes one state visit at a time: the
+accept check and the state's memo entry once per state entered, then steps
+until the state changes.  It keeps each tape in a buffer that starts at cell
+0, so a head is the index of its cell and a step reads, writes and shifts
+with no origin arithmetic; a resolved step lists the tapes it moves left,
+and only those meet the stuck rule.  Most steps of the corpus and compiled
+machines are sweeps, steps that keep the state, write nothing and move the
+head of the one tape the state reads (`Rules.rewind` builds them).  `run`
+takes a sweep as one scan along that tape, moving on while the next cell
+resolves to the very same step object (the resolver interns its answers).
+It counts one step per cell, so the fuel runs out where it would step by
+step; every other step, and every step of a traced run, is taken singly.
 
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
 from flat rules.
-
-Tape modes: ``semi_infinite`` protects cell 0 (an L move there is a stuck
-halt, nothing written; no head may start left of it), ``two_way`` allows
-negative cells.
 """
 
 from __future__ import annotations
@@ -51,9 +49,6 @@ BLANK = "_"
 WILD = "*"
 MOVES = ("L", "R", "S")
 _MOVE_SET = frozenset(MOVES)
-
-SEMI_INFINITE = "semi_infinite"
-TWO_WAY = "two_way"
 
 # (next_state, writes, moves)
 Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
@@ -145,7 +140,6 @@ class MachineSpec:
     tape_alphabet: frozenset
     tapes: int
     delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]
-    tape_mode: str = SEMI_INFINITE
     deterministic: bool = field(init=False)
     index: "RuleIndex" = field(init=False, compare=False, repr=False)
 
@@ -154,8 +148,6 @@ class MachineSpec:
             object.__setattr__(self, attr, frozenset(getattr(self, attr)))
         if self.tapes < 1:
             raise ValidationError("machine needs at least one tape")
-        if self.tape_mode not in (SEMI_INFINITE, TWO_WAY):
-            raise ValidationError(f"unknown tape mode {self.tape_mode!r}")
         if not self.input_alphabet <= self.tape_alphabet:
             raise ValidationError("input alphabet must be a subset of the tape alphabet")
         if BLANK not in self.tape_alphabet:
@@ -216,8 +208,8 @@ class MachineSpec:
 # A resolved transition: (next_state, writes, shifts, lefts).  writes holds
 # the (tape, symbol) pairs that may change a cell; shifts holds the
 # (tape, -1|+1) head moves; stay moves and `*` writes leave no entry.  lefts
-# holds the tapes whose head moves left, the only ones the stuck rule of a
-# semi-infinite tape looks at; most steps have none.
+# holds the tapes whose head moves left, the only ones the stuck rule looks
+# at; most steps have none.
 Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[Tuple[int, int], ...], Tuple[int, ...]]
 
 
@@ -317,7 +309,6 @@ def make_machine(
     tape_alphabet: Iterable[str],
     tapes: int,
     rules: Iterable[tuple],
-    tape_mode: str = SEMI_INFINITE,
 ) -> MachineSpec:
     """Build and validate a machine from flat rules.
 
@@ -337,7 +328,6 @@ def make_machine(
         tape_alphabet=frozenset(tape_alphabet),
         tapes=tapes,
         delta={k: tuple(v) for k, v in delta.items()},
-        tape_mode=tape_mode,
     )
 
 
@@ -438,7 +428,7 @@ def _apply(spec: MachineSpec, c: Configuration, s: Step) -> Optional[Configurati
     """The configuration after step ``s``; None if it moves a head left off
     protected cell 0 (a stuck halt, nothing written)."""
     nxt, writes, shifts, lefts = s
-    if spec.tape_mode == SEMI_INFINITE and any(c.heads[t] == 0 for t in lefts):
+    if any(c.heads[t] == 0 for t in lefts):
         return None
     tapes = list(c.tapes)
     for t, sym in writes:
@@ -473,7 +463,7 @@ def initial_configuration(
 
     Without ``heads`` this is the start on an input word: ``words[0]``
     must be over the input alphabet.  Every word is over the tape alphabet,
-    there is one head per tape, and none is left of cell 0 of a semi-infinite tape."""
+    there is one head per tape, and none is left of cell 0."""
     if len(words) > spec.tapes:
         raise ValidationError(f"{len(words)} input words for {spec.tapes} tapes")
     if heads is None and words and not spec.input_alphabet.issuperset(words[0]):
@@ -492,14 +482,15 @@ def initial_configuration(
 
 
 def _check_start(spec: MachineSpec, tapes: Sequence[Tape], heads: Sequence[int]) -> None:
-    """One tape and one head per tape, none left of cell 0 of a semi-infinite tape."""
+    """One tape and one head per tape, and no head or symbol left of cell 0."""
     if not len(tapes) == len(heads) == spec.tapes:
         raise ValidationError(
             f"{len(tapes)} tapes and {len(heads)} heads for a {spec.tapes}-tape machine")
-    for t, h in enumerate(heads):
-        if h < 0 and spec.tape_mode == SEMI_INFINITE:
-            raise ValidationError(
-                f"head {t + 1} at cell {h}, left of cell 0 of a semi-infinite tape")
+    for t, (tape, h) in enumerate(zip(tapes, heads), 1):
+        if h < 0:
+            raise ValidationError(f"head {t} at cell {h}, left of cell 0")
+        if tape.origin < 0:
+            raise ValidationError(f"tape {t} has a symbol at cell {tape.origin}, left of cell 0")
 
 
 def run(
@@ -513,22 +504,19 @@ def run(
     symbol), or from ``start``; Accept as soon as the state is accepting.
     A start passes the same tape and head checks as `initial_configuration`.
 
-    The tapes live in mutable buffers, one list of cells per tape, always
-    covering the head's cell.  Each head is kept as an index into its
-    tape's buffer, and so is cell 0: its index grows only when the buffer
-    grows to the left, and the tape's origin is read off it only when a
-    Configuration is built, at exit or after every step when ``want_trace``
-    is set.  A read, a write or a shift does no origin arithmetic.
+    The tapes live in mutable buffers, one list of cells per tape, from
+    cell 0 to at least the head's cell, and each head is the index of its
+    cell.  A Configuration is built only at exit, or after every step when
+    ``want_trace`` is set.
 
     The outer loop runs once per state entered, the inner one once per step
     while the state stays.  A resolved step lists the tapes it moves left,
-    and on a semi-infinite machine only those are checked against cell 0,
-    before anything is written.  Without a trace, after the first step of a
-    sweep (same state, no write, one head moved, on the one tape the state
-    reads) the head moves on cell by cell while the cell under it resolves
-    to the same step: at most to the buffer's end, to the fuel, and on a
-    semi-infinite tape to cell 0, where the next step meets the stuck rule.
-    Every other step is taken singly."""
+    and only those are checked against cell 0, before anything is written.
+    Without a trace, after the first step of a sweep (same state, no write,
+    one head moved, on the one tape the state reads) the head moves on cell
+    by cell while the cell under it resolves to the same step: at most to
+    the buffer's end, to the fuel, or to cell 0, where the next step meets
+    the stuck rule.  Every other step is taken singly."""
     check_fuel(fuel)
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
@@ -536,16 +524,11 @@ def run(
     memo = index.memo
     c = start if start is not None else initial_configuration(spec, [word])
     _check_start(spec, c.tapes, c.heads)
-    guard = spec.tape_mode == SEMI_INFINITE
     state = c.state
-    cells, pos, zeros = [], [], []  # buffers; head and cell 0 as buffer indices
-    for t, h in zip(c.tapes, c.heads):
-        o = min(t.origin, h)  # the cell at buffer index 0
-        buf = [BLANK] * (t.origin - o) + list(t.cells)
-        buf.extend(BLANK * (h - o + 1 - len(buf)))
-        cells.append(buf)
-        pos.append(h - o)
-        zeros.append(-o)
+    # one buffer per tape, from cell 0 to at least the head: a head is its cell's index
+    cells = [list((BLANK * t.origin + t.cells).ljust(h + 1, BLANK))
+             for t, h in zip(c.tapes, c.heads)]
+    pos = list(c.heads)
     accept = spec.accept
     trace = [c] if want_trace else None
     steps = 0
@@ -579,9 +562,9 @@ def run(
                     raise _ambiguous(spec, state, [b[i] for b, i in zip(cells, pos)]) from None
                 nxt = None
                 break
-            if lefts and guard:
+            if lefts:
                 for t in lefts:
-                    if pos[t] == zeros[t]:
+                    if not pos[t]:
                         nxt = None  # cell 0 is protected
                 if nxt is None:
                     break
@@ -589,18 +572,12 @@ def run(
                 cells[t][pos[t]] = sym
             for t, d in shifts:
                 i = pos[t] + d
-                if i < 0:
-                    buf = cells[t]
-                    grow = len(buf) + 1  # amortize a long walk left
-                    buf[:0] = BLANK * grow
-                    i += grow
-                    zeros[t] += grow
-                elif i == len(cells[t]):
-                    cells[t].extend(BLANK * i)  # and right
+                if i == len(cells[t]):
+                    cells[t].extend(BLANK * i)  # amortize a long walk right
                 pos[t] = i
             steps += 1
             if trace is not None:
-                trace.append(_snapshot(nxt, cells, pos, zeros, c.steps_taken + steps))
+                trace.append(_snapshot(nxt, cells, pos, c.steps_taken + steps))
             if nxt != state:
                 break
             if not writes and len(shifts) == 1 and shifts[0][0] == one and trace is None:
@@ -614,9 +591,9 @@ def run(
                     stop = len(buf) - 1
                     if stop - i > fuel - steps:
                         stop = i + fuel - steps
-                else:  # on a semi-infinite tape, not past cell 0
-                    stop = zeros[t] if guard and zeros[t] > 0 else 0
-                    if i - stop > fuel - steps:
+                else:  # not past cell 0
+                    stop = 0
+                    if i > fuel - steps:
                         stop = i - fuel + steps
                 while i != stop and known.get(buf[i]) is todo:
                     i += d
@@ -628,13 +605,13 @@ def run(
             tag = REJECT
             break
         state = nxt
-    final = _snapshot(state, cells, pos, zeros, c.steps_taken + steps)
+    final = _snapshot(state, cells, pos, c.steps_taken + steps)
     return Outcome(tag, final, tuple(trace) if trace else None)
 
 
-def _snapshot(state, cells, pos, zeros, steps_taken) -> Configuration:
-    tapes = tuple(_canon_tape(-z, "".join(buf)) for buf, z in zip(cells, zeros))
-    return Configuration(state, tapes, tuple(p - z for p, z in zip(pos, zeros)), steps_taken)
+def _snapshot(state, cells, pos, steps_taken) -> Configuration:
+    tapes = tuple(_canon_tape(0, "".join(buf)) for buf in cells)
+    return Configuration(state, tapes, tuple(pos), steps_taken)
 
 
 # ---------------------------------------------------------------------------

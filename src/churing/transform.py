@@ -1,6 +1,7 @@
 """Machine-variant equivalences: multitape-to-single-tape compilation,
 breadth-first simulation of nondeterminism via address strings, decider
-combinators, and DFA/NFA acceptance.
+combinators, and DFA/NFA acceptance.  The machines are those of `churing.tm`,
+whose tapes are all semi-infinite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .errors import (
 )
 from .tm import (
     BLANK,
-    SEMI_INFINITE,
     WILD,
     Configuration,
     MachineSpec,
@@ -54,9 +54,9 @@ def _dots(m: MachineSpec) -> Dict[str, str]:
 
 
 def to_single_tape(m: MachineSpec) -> MachineSpec:
-    """An equivalent one-tape machine for a deterministic semi-infinite
-    multitape machine (Sipser, Introduction to the Theory of Computation,
-    Thm 3.13); a one-tape machine is returned as it is.
+    """An equivalent one-tape machine for a deterministic multitape machine
+    (Sipser, Introduction to the Theory of Computation, Thm 3.13); a
+    one-tape machine is returned as it is.
 
     Layout: ``#w1#w2#...#wk#`` from cell 0, one segment per tape, with
     exactly one dotted symbol per segment marking that tape's head.  The
@@ -85,13 +85,11 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     halts at once.  The state that starts the gather pass of the host's
     initial state is named ENTRY (`single_tape_start` starts there); every
     other state is ``s<N>``, N its place in the breadth-first search.
-    Refused with a ValidationError: a nondeterministic or two-way machine,
-    ``#`` in the tape alphabet, more tape symbols than dotted glyphs, and a
-    machine needing more than MAX_STATES control states."""
+    Refused with a ValidationError: a nondeterministic machine, ``#`` in
+    the tape alphabet, more tape symbols than dotted glyphs, and a machine
+    needing more than MAX_STATES control states."""
     if not m.deterministic:
         raise ValidationError("to_single_tape requires a deterministic machine")
-    if m.tape_mode != SEMI_INFINITE:
-        raise ValidationError("to_single_tape handles semi_infinite machines only")
     if m.tapes == 1:
         return m
 
@@ -271,7 +269,6 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
         tape_alphabet=frozenset(alphabet),
         tapes=1,
         delta=delta,
-        tape_mode=SEMI_INFINITE,
     )
 
 

@@ -5,11 +5,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from churing import cli as cli_module, formats as formats_module, lam as lam_module
+from churing import cli as cli_module, lam as lam_module
 from churing.cli import cli
 from churing.equiv import DEFAULT_FUEL, equiv_grid
 from churing.errors import NotANumeral, ValidationError
@@ -197,10 +198,8 @@ def test_run_lam_non_numeral_is_normalized_once(tmp_path, monkeypatch, capsys):
 def test_non_numeral_is_rendered_only_when_read(tmp_path, monkeypatch, capsys):
     # run lam prints the normal form once; an equiv_grid cell never reads it
     renders = []
-    for module in (lam_module, formats_module):
-        real = module.render
-        monkeypatch.setattr(module, "render",
-                            lambda t, real=real: renders.append(1) or real(t))
+    real = lam_module.render  # formats.print_lam looks it up there when it runs
+    monkeypatch.setattr(lam_module, "render", lambda t: renders.append(1) or real(t))
     f = tmp_path / "t.lam"
     f.write_text("def x = #5 q\n")
     assert cli(["run", "lam", str(f)]) == 0
@@ -456,6 +455,24 @@ def test_check_bad(tmp_path):
     assert cli(["check", str(f)]) == 3
 
 
+def test_check_refuses_a_mode_header_other_than_semi(tmp_path, capsys):
+    f = tmp_path / "two.tm"
+    f.write_text(Path(_c("succ.tm")).read_text().replace("mode: semi", "mode: two-way"))
+    assert cli(["check", str(f)]) == 3
+    assert "mode must be semi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["100000000000", "1" * 5000])
+def test_check_of_a_huge_constant_builds_no_huge_term(tmp_path, n):
+    # the name const<n>/<k> with a body that does not spell n: no n-node
+    # term is built to compare the body with, and n is never read as an int
+    f = tmp_path / "huge.prf"
+    f.write_text(f"def const{n}/1 = Z 1\n")
+    t0 = time.perf_counter()
+    assert cli(["check", str(f)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
 # --- compile -----------------------------------------------------------
 
 def test_compile_prf_to_tm(tmp_path, capsys):
@@ -680,13 +697,15 @@ def _modules_loaded(argv):
 _MACHINES = {"churing.tm", "churing.transform"}
 
 
-# each command imports what it runs: the machines and compilers stay out of a
-# .prf command, and a Turing machine's run needs no transform or compiler
+# each command imports what it runs: the λ-calculus, the machines and the
+# compilers stay out of a .prf command, and a Turing machine's run needs no
+# λ-calculus, transform or compiler
 @pytest.mark.parametrize("argv, present, absent", [
-    (["run", "prf", _c("succ.prf"), "--args", "4"], "churing.prf", _MACHINES | _COMPILERS),
-    (["check", _c("arith.prf")], "churing.prf", _MACHINES | _COMPILERS),
+    (["run", "prf", _c("succ.prf"), "--args", "4"], "churing.prf",
+     {"churing.lam", *_MACHINES, *_COMPILERS}),
+    (["check", _c("arith.prf")], "churing.prf", {"churing.lam", *_MACHINES, *_COMPILERS}),
     (["run", "tm", _c("onon.tm"), "--input", "0011"], "churing.tm",
-     {"churing.transform", *_COMPILERS}),
+     {"churing.lam", "churing.transform", *_COMPILERS}),
 ], ids=["run prf", "check prf", "run tm"])
 def test_a_command_loads_only_what_it_runs(argv, present, absent):
     loaded = _modules_loaded(argv)

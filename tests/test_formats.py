@@ -2,14 +2,14 @@
 
 import pytest
 
-from churing.errors import ParseError
+from churing.errors import Fuel, ParseError
 from churing.formats import (
     parse, parse_lam, parse_prf, parse_tm, print_lam, print_prf, print_source,
     print_tm,
 )
 from churing.lam import alpha_eq, church_decode
 from churing.lam_to_tm import SUITE, build_machine
-from churing.prf import evaluate
+from churing.prf import const, evaluate
 from churing.tm import run
 from churing.transform import to_single_tape
 
@@ -99,6 +99,34 @@ def test_parsed_prf_evaluates():
     defs = parse_prf((CORPUS / "arith.prf").read_text())
     assert evaluate(defs["add"], [3, 4], 10 ** 6) == 7
     assert evaluate(defs["monus"], [2, 5], 10 ** 6) == 0
+
+
+def test_tm_mode_header_is_semi_or_absent():
+    text = (CORPUS / "succ.tm").read_text()
+    m = parse_tm(text)
+    assert parse_tm(text.replace("mode: semi\n", "")) == m
+    lineno = text.splitlines().index("mode: semi") + 1
+    for mode in ("two-way", "semi_infinite", ""):
+        with pytest.raises(ParseError, match="mode must be semi") as caught:
+            parse_tm(text.replace("mode: semi", f"mode: {mode}"))
+        assert caught.value.line == lineno
+
+
+def _spent(e, args):
+    fuel = Fuel(10 ** 6)
+    value = evaluate(e, args, fuel)
+    return value, 10 ** 6 - fuel.remaining
+
+
+def test_parsed_const_keeps_its_native():
+    body = "C S (" * 5 + "Z 2" + ")" * 5
+    parsed = parse_prf(f"def const5/2 = {body}\n")["const5/2"]
+    assert parsed == const(5, 2) and parsed.native is not None
+    assert _spent(parsed, [4, 1]) == _spent(const(5, 2), [4, 1]) == (5, 1)
+    # a name that the body does not spell keeps the body only
+    for name in ("const4/2", "const5/1", "const05/2", "five"):
+        other = parse_prf(f"def {name} = {body}\n")[name]
+        assert other.native is None and _spent(other, [4, 1]) == (5, 12)
 
 
 def test_parsed_lam_reduces():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from churing.errors import ValidationError
 from churing.formats import parse
 from churing.tm import (
-    TWO_WAY, Configuration, Tape, decode_unary, encode_unary,
+    Configuration, Tape, decode_unary, encode_unary,
     initial_configuration, make_machine, run, run_numeric, step, successors,
 )
 from conftest import corpus_text
@@ -268,21 +268,27 @@ def test_word_outside_input_alphabet_is_refused():
 
 def test_initial_configuration_refuses_a_head_left_of_cell_0():
     m = zeros_then_ones()
-    with pytest.raises(ValidationError, match="left of cell 0"):
+    with pytest.raises(ValidationError, match="head 1 at cell -2, left of cell 0"):
         initial_configuration(m, ["0011"], heads=(-2,))
     assert initial_configuration(m, ["0011"], heads=(3,)).heads == (3,)
-    # a two-way tape has cells left of 0
-    two_way = replace(m, tape_mode=TWO_WAY)
-    assert initial_configuration(two_way, ["0011"], heads=(-2,)).heads == (-2,)
 
 
 def test_run_refuses_a_start_with_a_head_left_of_cell_0():
     m = zeros_then_ones()
     start = Configuration(m.initial, (Tape.from_word("0011"),), (-2,))
-    with pytest.raises(ValidationError, match="left of cell 0"):
+    with pytest.raises(ValidationError, match="head 1 at cell -2, left of cell 0"):
         run(m, "", fuel=10, start=start)
-    out = run(replace(m, tape_mode=TWO_WAY), "", fuel=10, start=start)
-    assert (out.tag, out.final.heads, out.final.steps_taken) == ("Accept", (-1,), 1)
+
+
+def test_run_refuses_a_start_with_a_symbol_left_of_cell_0():
+    copier = parse("tm", corpus_text("copier.tm"))  # two tapes
+    start = Configuration(copier.initial, (Tape.from_word("ab"), Tape.from_word("ab", -1)),
+                          (0, 0))
+    with pytest.raises(ValidationError, match="tape 2 has a symbol at cell -1, left of cell 0"):
+        run(copier, "", fuel=10, start=start)
+    # the same start with tape 2 blank is the start on the input "ab"
+    out = run(copier, "", fuel=1000, start=replace(start, tapes=(start.tapes[0], Tape())))
+    assert out.tag == run(copier, "ab", fuel=1000).tag == "Accept"
 
 
 @pytest.mark.parametrize("heads", [(0,), (0, 0, 0)])

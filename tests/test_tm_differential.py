@@ -22,7 +22,7 @@ from churing.lam_to_tm import build_machine, render_with_names
 from churing.prf import arity_check, stdlib, stdlib_names
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    BLANK, MOVES, SEMI_INFINITE, TWO_WAY, WILD, Configuration, MachineSpec, Tape,
+    BLANK, MOVES, WILD, Configuration, MachineSpec, Tape,
     initial_configuration, make_machine, numeric_start, run, successors,
 )
 
@@ -132,18 +132,16 @@ def _vec(k, pool):
 
 @st.composite
 def _machines(draw):
-    """Arbitrary rules: wildcard reads, `*` writes, stay and left moves,
-    both tape modes; mostly nondeterministic."""
+    """Arbitrary rules: wildcard reads, `*` writes, stay and left moves;
+    mostly nondeterministic."""
     k = draw(st.integers(1, 3))
     syms = draw(st.sampled_from(["ab", "abc"]))
     gamma = [BLANK, *syms]
     rules = draw(st.lists(st.tuples(
         st.sampled_from(STATES[:3]), _vec(k, gamma + [WILD]), st.sampled_from(STATES),
         _vec(k, gamma + [WILD]), _vec(k, list(MOVES))), max_size=8))
-    mode = draw(st.sampled_from([SEMI_INFINITE, TWO_WAY]))
     return make_machine(name="gen", states=STATES, initial="q0", accept=["q3"],
-                        input_alphabet=syms, tape_alphabet=gamma, tapes=k,
-                        rules=rules, tape_mode=mode)
+                        input_alphabet=syms, tape_alphabet=gamma, tapes=k, rules=rules)
 
 
 @st.composite
@@ -168,11 +166,9 @@ def _det_machines(draw, moves=MOVES, default=False):
             target = (draw(st.sampled_from(STATES)), draw(_vec(k, gamma + [WILD])),
                       draw(_vec(k, list(moves))))
             rules.setdefault((q, key), target)
-    mode = draw(st.sampled_from([SEMI_INFINITE, TWO_WAY]))
     return make_machine(name="gen", states=STATES, initial="q0", accept=["q3"],
                         input_alphabet=syms, tape_alphabet=gamma, tapes=k,
-                        rules=[(q, key, *t) for (q, key), t in rules.items()],
-                        tape_mode=mode)
+                        rules=[(q, key, *t) for (q, key), t in rules.items()])
 
 
 WORDS = st.text(alphabet="ab", max_size=4)
@@ -188,20 +184,14 @@ def test_generated_deterministic_machines_agree(m, word):
 @st.composite
 def _starts(draw, m):
     """A start configuration built directly: each tape's word at an origin
-    other than 0 (negative too on a two-way tape), each head left of, on or
-    right of its word: on a two-way tape often left of cell 0, on a
-    semi-infinite one often at cell 0 and never left of it; any acting
-    state, any step count."""
-    two_way = m.tape_mode == TWO_WAY
+    of 0 or more, each head left of, on or right of its word, often at cell
+    0 and never left of it; any acting state, any step count."""
     tapes, heads = [], []
     for _ in range(m.tapes):
         tape = Tape.from_word(draw(st.text(alphabet="ab_", max_size=5)),
-                              draw(st.integers(-6 if two_way else 0, 6)))
+                              draw(st.integers(0, 6)))
         end = tape.origin + len(tape.cells)
-        if two_way:
-            heads.append(draw(st.integers(min(tape.origin, 0) - 3, end + 2)))
-        else:
-            heads.append(draw(st.one_of(st.just(0), st.integers(0, end + 2))))
+        heads.append(draw(st.one_of(st.just(0), st.integers(0, end + 2))))
         tapes.append(tape)
     return Configuration(draw(st.sampled_from(STATES[:3])), tuple(tapes), tuple(heads),
                          draw(st.integers(0, 3)))
@@ -213,13 +203,12 @@ def _start_cases(draw):
     return m, draw(_starts(m))
 
 
-def _left_mover(mode):
+def _left_mover():
     """Three tapes; every step writes on each of them and moves heads 1 and
-    3 left, so on a semi-infinite machine the second step is stuck."""
+    3 left, so from heads (1, 5, 1) the second step is stuck."""
     return make_machine(name="left", states=["q0"], initial="q0", accept=[],
                         input_alphabet="ab", tape_alphabet=[BLANK, "a", "b"], tapes=3,
-                        rules=[("q0", (WILD,) * 3, "q0", ("b", "a", "b"), ("L", "R", "L"))],
-                        tape_mode=mode)
+                        rules=[("q0", (WILD,) * 3, "q0", ("b", "a", "b"), ("L", "R", "L"))])
 
 
 def _left_mover_start(origin, heads):
@@ -229,11 +218,12 @@ def _left_mover_start(origin, heads):
 
 @settings(max_examples=100, deadline=None)
 @given(_start_cases())
-@example((_left_mover(SEMI_INFINITE), _left_mover_start(2, (1, 5, 1))))
-@example((_left_mover(TWO_WAY), _left_mover_start(-3, (-1, 5, 1))))
+@example((_left_mover(), _left_mover_start(2, (1, 5, 1))))
+@example((_left_mover(), _left_mover_start(0, (3, 5, 4))))
 def test_start_configurations_agree(case):
-    """Heads and cell 0 kept as buffer indices: starts at any origin and
-    head, and steps that move several heads left, at cell 0 too, and write."""
+    """Heads kept as indices of buffers that start at cell 0: starts at any
+    origin of 0 or more and any head on or right of cell 0, and steps that
+    move several heads left, at cell 0 too, and write."""
     m, start = case
     _fuel_sweep(m, start=start, cap=40)
 
@@ -288,11 +278,9 @@ def _sweep_machines(draw):
                 st.tuples(st.sampled_from(STATES), _vec(k, SWEEP_GAMMA + [WILD]),
                           _vec(k, list(MOVES)))))
             rules.setdefault((q, key), target)
-    mode = draw(st.sampled_from([SEMI_INFINITE, TWO_WAY]))
     return make_machine(name="sweep", states=STATES, initial="q0", accept=["q3"],
                         input_alphabet="ab", tape_alphabet=SWEEP_GAMMA, tapes=k,
-                        rules=[(q, key, *t) for (q, key), t in rules.items()],
-                        tape_mode=mode)
+                        rules=[(q, key, *t) for (q, key), t in rules.items()])
 
 
 @st.composite

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from churing.errors import ValidationError, check_fuel
 from churing.tm import (
-    ACCEPT, FUEL_EXHAUSTED, REJECT, SEMI_INFINITE, WILD, Configuration,
+    ACCEPT, FUEL_EXHAUSTED, REJECT, WILD, Configuration,
     MachineSpec, Outcome, Target, Tape, initial_configuration,
 )
 
@@ -78,7 +78,7 @@ def _apply(
         t = tapes[i] if sym == scanned[i] else tapes[i].write(heads[i], sym)
         h = heads[i]
         if moves[i] == "L":
-            if spec.tape_mode == SEMI_INFINITE and h == 0:
+            if h == 0:
                 return None  # stuck: cell 0 is protected
             h -= 1
         elif moves[i] == "R":
