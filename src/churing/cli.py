@@ -5,13 +5,14 @@ Subcommands:
     run tm|prf|lam FILE [--input W | --args N... | --apply TERMS]
                         [--fuel N] [--trace]
     compile --from {prf,tm,lam} --to {tm,prf,lam,tm-suite} FILE -o OUT
-    transform --single-tape FILE | --nd-run FILE --input W --depth D
+    transform --single-tape FILE | --nd-run FILE [--input W] [--depth D]
     equiv --prf FILE --tm FILE --lam FILE --grid A..B [--fuel N]
     check FILE
 
 Each model takes only its own ``run`` options; another model's option
 (``run tm --args``, ``run prf --input``, ``run lam --trace``) exits 3, as
-does ``--fuel`` or ``--trace`` for a DFA or NFA, which spends no steps.
+does ``--fuel`` or ``--trace`` for a DFA or NFA, which spends no steps, and
+``--input`` or ``--depth`` for ``transform --single-tape``, which runs nothing.
 An ``equiv`` point is Agree only when every column gives the same number.
 
 Exit codes: 0 success / Accept / all-Agree, 1 Reject / NotFound /
@@ -190,11 +191,16 @@ def _cmd_compile(args) -> None:
 
 def _cmd_transform(args) -> Optional[str]:
     from .transform import nd_run, to_single_tape
+    if args.single_tape:
+        for opt in ("input", "depth"):
+            if getattr(args, opt) is not None:
+                raise ValidationError(f"--{opt} does not apply to transform --single-tape")
     m = _load_machine(args.file)
     if args.single_tape:
         print(print_source("tm", to_single_tape(m)), end="")
         return None
-    verdict = nd_run(m, args.input or "", max_depth=args.depth)
+    depth = 12 if args.depth is None else args.depth
+    verdict = nd_run(m, args.input or "", max_depth=depth)
     print(verdict)
     return verdict
 
@@ -265,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nd-run", action="store_true")
     t.add_argument("file")
     t.add_argument("--input")
-    t.add_argument("--depth", type=int, default=12)
+    t.add_argument("--depth", type=int, help="search depth (--nd-run; default 12)")
     t.set_defaults(fn=_cmd_transform)
 
     e = sub.add_parser("equiv", help="differential equivalence over a grid")

@@ -10,7 +10,7 @@ A `MachineSpec` is validated when it is built, whether directly, by
 `make_machine`, by `Rules.machine` or by `dataclasses.replace`; the build
 also indexes the table by state (`RuleIndex`).  One resolver (`resolve`,
 memoized per state on the symbols under the tapes the state reads) serves
-`run`, `step`, `successors` and the compilers that read a table, and it
+`run`, `successors` and the compilers that read a table, and it
 decides ``deterministic`` too: a machine is deterministic exactly when no
 scan vector over the tape alphabet resolves to two or more targets of the
 highest matching rank.  The build asks the resolver about one scan per
@@ -18,20 +18,20 @@ class of scans it cannot tell apart.  `run` refuses a nondeterministic
 machine (see `transform.nd_run`), so a deterministic one never meets an
 ambiguous transition.
 
-Every tape is semi-infinite: its cells are numbered from 0, a left move of a
-head on cell 0 is a stuck halt with nothing written, and no head or symbol
-of a start lies left of cell 0.  `run` goes one state visit at a time: the
-accept check and the state's memo entry once per state entered, then steps
-until the state changes.  It keeps each tape in a buffer that starts at cell
-0, so a head is the index of its cell and a step reads, writes and shifts
-with no origin arithmetic; a resolved step lists the tapes it moves left,
-and only those meet the stuck rule.  Most steps of the corpus and compiled
-machines are sweeps, steps that keep the state, write nothing and move the
-head of the one tape the state reads (`Rules.rewind` builds them).  `run`
-takes a sweep as one scan along that tape, moving on while the next cell
-resolves to the very same step object (the resolver interns its answers).
-It counts one step per cell, so the fuel runs out where it would step by
-step; every other step, and every step of a traced run, is taken singly.
+Every tape is semi-infinite: its cells are numbered from 0, a `Tape` holds
+them from cell 0, a left move of a head on cell 0 is a stuck halt with
+nothing written, and no head of a configuration lies left of cell 0.  `run`
+goes one state visit at a time: the accept check and the state's memo entry
+once per state entered, then steps until the state changes.  It keeps each
+tape in a list of its cells from cell 0, so a head is the index of its cell;
+a resolved step lists the tapes it moves left, and only those meet the stuck
+rule.  Most steps of the corpus and compiled machines are sweeps, steps that
+keep the state, write nothing and move the head of the one tape the state
+reads (`Rules.rewind` builds them).  `run` takes a sweep as one scan along
+that tape, moving on while the next cell resolves to the very same step
+object (the resolver interns its answers).  It counts one step per cell, so
+the fuel runs out where it would step by step; every other step, and every
+step of a traced run, is taken singly.
 
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
 from flat rules.
@@ -60,45 +60,27 @@ Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
 
 @dataclass(frozen=True)
 class Tape:
-    """One tape as an explicit window of cells, blanks beyond.
+    """One tape: ``cells[i]`` is the symbol at cell i, trailing blanks
+    trimmed so equal tape contents compare equal; every later cell is blank.
+    A position is a cell, 0 or more (`successors` and `run` refuse a head
+    left of cell 0)."""
 
-    ``cells[i]`` is the symbol at absolute position ``origin + i``; the
-    window is kept canonical (no leading/trailing blanks) so equal tape
-    contents compare equal.
-    """
-
-    origin: int = 0
     cells: str = ""
 
     @staticmethod
-    def from_word(word: str, origin: int = 0) -> "Tape":
-        return _canon_tape(origin, word)
+    def from_word(word: str) -> "Tape":
+        return Tape(word.rstrip(BLANK))
 
     def read(self, pos: int) -> str:
-        i = pos - self.origin
-        if 0 <= i < len(self.cells):
-            return self.cells[i]
-        return BLANK
+        return self.cells[pos] if pos < len(self.cells) else BLANK
 
     def write(self, pos: int, sym: str) -> "Tape":
-        i = pos - self.origin
-        if 0 <= i < len(self.cells):
-            return _canon_tape(self.origin, self.cells[:i] + sym + self.cells[i + 1 :])
-        if i < 0:
-            return _canon_tape(pos, sym + BLANK * (-i - 1) + self.cells)
-        return _canon_tape(self.origin, self.cells + BLANK * (i - len(self.cells)) + sym)
+        cells = self.cells.ljust(pos, BLANK)
+        return Tape((cells[:pos] + sym + cells[pos + 1:]).rstrip(BLANK))
 
     def content(self) -> str:
-        """The canonical window (blanks trimmed at both ends)."""
-        return self.cells
-
-
-def _canon_tape(origin: int, cells: str) -> Tape:
-    left = len(cells) - len(cells.lstrip(BLANK))
-    cells = cells.strip(BLANK)
-    if not cells:
-        return Tape(0, "")
-    return Tape(origin + left, cells)
+        """The symbols from the first nonblank cell to the last."""
+        return self.cells.lstrip(BLANK)
 
 
 @dataclass(frozen=True)
@@ -424,36 +406,23 @@ def _ambiguous(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Validat
     )
 
 
-def _apply(spec: MachineSpec, c: Configuration, s: Step) -> Optional[Configuration]:
-    """The configuration after step ``s``; None if it moves a head left off
-    protected cell 0 (a stuck halt, nothing written)."""
-    nxt, writes, shifts, lefts = s
-    if any(c.heads[t] == 0 for t in lefts):
-        return None
-    tapes = list(c.tapes)
-    for t, sym in writes:
-        tapes[t] = tapes[t].write(c.heads[t], sym)
-    heads = list(c.heads)
-    for t, d in shifts:
-        heads[t] += d
-    return Configuration(nxt, tuple(tapes), tuple(heads), c.steps_taken + 1)
-
-
 def successors(spec: MachineSpec, c: Configuration) -> List[Configuration]:
-    """All next configurations (empty when halted)."""
+    """All next configurations (empty when halted); a step that moves a head
+    left off cell 0 is a stuck halt and has none.  ``c`` passes the tape and
+    head checks of `initial_configuration`."""
+    _check_start(spec, c.tapes, c.heads)
     out = []
-    for s in resolve(spec, c.state, c.scanned()):
-        n = _apply(spec, c, s)
-        if n is not None:
-            out.append(n)
+    for nxt, writes, shifts, lefts in resolve(spec, c.state, c.scanned()):
+        if any(c.heads[t] == 0 for t in lefts):
+            continue
+        tapes = list(c.tapes)
+        for t, sym in writes:
+            tapes[t] = tapes[t].write(c.heads[t], sym)
+        heads = list(c.heads)
+        for t, d in shifts:
+            heads[t] += d
+        out.append(Configuration(nxt, tuple(tapes), tuple(heads), c.steps_taken + 1))
     return out
-
-
-def step(spec: MachineSpec, c: Configuration) -> Optional[Configuration]:
-    """One deterministic step; None means Halted (no applicable entry, or a
-    protected-cell left move)."""
-    s = resolve_one(spec, c.state, c.scanned())
-    return None if s is None else _apply(spec, c, s)
 
 
 def initial_configuration(
@@ -482,15 +451,13 @@ def initial_configuration(
 
 
 def _check_start(spec: MachineSpec, tapes: Sequence[Tape], heads: Sequence[int]) -> None:
-    """One tape and one head per tape, and no head or symbol left of cell 0."""
+    """One tape and one head per tape, and no head left of cell 0."""
     if not len(tapes) == len(heads) == spec.tapes:
         raise ValidationError(
             f"{len(tapes)} tapes and {len(heads)} heads for a {spec.tapes}-tape machine")
-    for t, (tape, h) in enumerate(zip(tapes, heads), 1):
+    for t, h in enumerate(heads, 1):
         if h < 0:
             raise ValidationError(f"head {t} at cell {h}, left of cell 0")
-        if tape.origin < 0:
-            raise ValidationError(f"tape {t} has a symbol at cell {tape.origin}, left of cell 0")
 
 
 def run(
@@ -526,8 +493,7 @@ def run(
     _check_start(spec, c.tapes, c.heads)
     state = c.state
     # one buffer per tape, from cell 0 to at least the head: a head is its cell's index
-    cells = [list((BLANK * t.origin + t.cells).ljust(h + 1, BLANK))
-             for t, h in zip(c.tapes, c.heads)]
+    cells = [list(t.cells.ljust(h + 1, BLANK)) for t, h in zip(c.tapes, c.heads)]
     pos = list(c.heads)
     accept = spec.accept
     trace = [c] if want_trace else None
@@ -610,7 +576,7 @@ def run(
 
 
 def _snapshot(state, cells, pos, steps_taken) -> Configuration:
-    tapes = tuple(_canon_tape(0, "".join(buf)) for buf in cells)
+    tapes = tuple(Tape("".join(buf).rstrip(BLANK)) for buf in cells)
     return Configuration(state, tapes, tuple(pos), steps_taken)
 
 

@@ -1,5 +1,5 @@
 """Machine-variant equivalences: multitape-to-single-tape compilation,
-breadth-first simulation of nondeterminism via address strings, decider
+breadth-first simulation of nondeterminism level by level, decider
 combinators, and DFA/NFA acceptance.  The machines are those of `churing.tm`,
 whose tapes are all semi-infinite.
 """
@@ -286,7 +286,7 @@ def single_tape_start(host: MachineSpec, c: Configuration) -> Configuration:
     dot = _dots(host)
     segments = []
     for tape, h in zip(c.tapes, c.heads):
-        cells = [tape.read(p) for p in range(max(h + 1, tape.origin + len(tape.cells)))]
+        cells = list(tape.cells.ljust(h + 1, BLANK))
         cells[h] = dot[cells[h]]
         segments.append("".join(cells))
     return Configuration(ENTRY, (Tape.from_word(HASH + HASH.join(segments) + HASH),), (0,))
@@ -303,38 +303,26 @@ def single_tape_segments(host: MachineSpec, c: Configuration) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Nondeterminism via shortlex address strings
-
-
-def next_address(a: str, b: int) -> str:
-    """Shortlex successor over digits 1..b."""
-    if b < 1:
-        raise ValidationError("branching bound must be >= 1")
-    digits = [int(ch) for ch in a]
-    if any(not 1 <= d <= b for d in digits):
-        raise ValidationError(f"address {a!r} has digits outside 1..{b}")
-    for i in range(len(digits) - 1, -1, -1):
-        if digits[i] < b:
-            digits[i] += 1
-            return "".join(map(str, digits[: i + 1])) + "1" * (len(digits) - i - 1)
-    return "1" * (len(digits) + 1)
+# Nondeterminism by breadth-first search
 
 
 def _sorted_successors(m: MachineSpec, c: Configuration) -> List[Configuration]:
     return sorted(
         successors(m, c),
-        key=lambda n: (n.state, n.heads, tuple((t.origin, t.cells) for t in n.tapes)),
+        key=lambda n: (n.state, n.heads, tuple(t.cells for t in n.tapes)),
     )
 
 
 def nd_run(m: MachineSpec, word: str, max_depth: int, node_fuel: int = 10**7) -> str:
     """Breadth-first search of the computation tree to depth ``max_depth``,
     one frontier level at a time.  Within a level the nodes lie in the
-    shortlex order of their address strings (`next_address` over the sorted
-    successors).  A configuration (state, heads, tapes) seen before is not
-    expanded again: its subtree was already searched to at least the same
-    depth.  ``node_fuel`` bounds the number of nodes expanded, i.e.
-    successor computations.  Returns Accept or NotFound."""
+    shortlex order of their addresses, where digit i of an address is the
+    i-th successor sorted by (state, heads, tapes), a tape compared by its
+    cells from cell 0.  A configuration (state, heads, tapes) seen before is
+    not expanded again: its subtree was already searched to at least the
+    same depth.  ``node_fuel`` bounds the number of nodes expanded, i.e.
+    successor computations.  The order within a level matters only when
+    ``node_fuel`` stops the search inside one.  Returns Accept or NotFound."""
     check_fuel(max_depth, "max_depth")
     check_fuel(node_fuel, "node_fuel")
     root = initial_configuration(m, [word])

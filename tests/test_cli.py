@@ -561,6 +561,15 @@ def test_transform_single_tape_refuses_a_separator_symbol(tmp_path, capsys):
     assert cli(["transform", "--single-tape", f"{out}.V.tm"]) == 3
 
 
+@pytest.mark.parametrize("option", [["--input", "ab"], ["--depth", "3"], ["--depth", "12"]])
+def test_transform_single_tape_refuses_a_run_option(option, capsys):
+    # the squeeze runs nothing, so a word or a depth given to it is a mistake
+    assert cli(["transform", "--single-tape", _c("copier.tm"), *option]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option[0]} does not apply to transform --single-tape\n"
+
+
 def test_transform_refuses_an_automaton(capsys):
     assert cli(["transform", "--single-tape", _c("even_as.tm")]) == 3
     assert cli(["transform", "--nd-run", _c("contains11_nfa.tm"), "--input", "011"]) == 3

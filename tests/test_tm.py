@@ -9,7 +9,7 @@ from churing.errors import ValidationError
 from churing.formats import parse
 from churing.tm import (
     Configuration, Tape, decode_unary, encode_unary,
-    initial_configuration, make_machine, run, run_numeric, step, successors,
+    initial_configuration, make_machine, run, run_numeric, successors,
 )
 from conftest import corpus_text
 
@@ -121,14 +121,26 @@ def test_run_numeric_wants_no_more_arguments_than_tapes():
 def test_tape_content_strips_blanks():
     t = Tape.from_word("_ab_")
     assert t.content() == "ab"
+    # a tape is its cells from cell 0, trailing blanks trimmed
+    assert t == Tape("_ab") and t.read(0) == "_" and t.read(2) == "b" and t.read(9) == "_"
+    assert t.write(5, "a") == Tape("_ab__a") and t.write(2, "_") == Tape("_a")
+    assert t.write(0, "a").content() == "aab" and Tape.from_word("__") == Tape()
 
 
 def test_step_is_pure():
     m = zeros_then_ones()
     c = initial_configuration(m, ["01"])
-    n1 = step(m, c)
-    n2 = step(m, c)
-    assert n1 == n2 and c.steps_taken == 0
+    n1 = successors(m, c)
+    n2 = successors(m, c)
+    assert n1 == n2 and len(n1) == 1 and c.steps_taken == 0
+
+
+def test_successors_refuses_a_head_left_of_cell_0():
+    m = make_machine(name="left", states=["q"], initial="q", accept=[], input_alphabet=["a", "b"],
+                     tape_alphabet=["a", "b", "_"], tapes=1, rules=[("q", "*", "q", "*", "L")])
+    c = Configuration("q", (Tape.from_word("ab"),), (-1,))
+    with pytest.raises(ValidationError, match="head 1 at cell -1, left of cell 0"):
+        successors(m, c)
 
 
 def _two_tape_overlap():
@@ -280,17 +292,6 @@ def test_run_refuses_a_start_with_a_head_left_of_cell_0():
         run(m, "", fuel=10, start=start)
 
 
-def test_run_refuses_a_start_with_a_symbol_left_of_cell_0():
-    copier = parse("tm", corpus_text("copier.tm"))  # two tapes
-    start = Configuration(copier.initial, (Tape.from_word("ab"), Tape.from_word("ab", -1)),
-                          (0, 0))
-    with pytest.raises(ValidationError, match="tape 2 has a symbol at cell -1, left of cell 0"):
-        run(copier, "", fuel=10, start=start)
-    # the same start with tape 2 blank is the start on the input "ab"
-    out = run(copier, "", fuel=1000, start=replace(start, tapes=(start.tapes[0], Tape())))
-    assert out.tag == run(copier, "ab", fuel=1000).tag == "Accept"
-
-
 @pytest.mark.parametrize("heads", [(0,), (0, 0, 0)])
 def test_initial_configuration_wants_one_head_per_tape(heads):
     copier = parse("tm", corpus_text("copier.tm"))  # two tapes
@@ -307,3 +308,7 @@ def test_run_wants_a_start_with_one_tape_and_one_head_per_tape():
         with pytest.raises(ValidationError, match="for a 2-tape machine"):
             run(copier, "", fuel=1000, start=bad)
     assert run(copier, "", fuel=1000, start=start).tag == "Accept"
+    # a start built by hand with tape 2 blank is the start on the input "ab"
+    built = Configuration(copier.initial, (Tape.from_word("ab"), Tape()), (0, 0))
+    assert run(copier, "", fuel=1000, start=built).tag == run(copier, "ab", fuel=1000).tag \
+        == "Accept"

@@ -183,14 +183,14 @@ def test_generated_deterministic_machines_agree(m, word):
 
 @st.composite
 def _starts(draw, m):
-    """A start configuration built directly: each tape's word at an origin
-    of 0 or more, each head left of, on or right of its word, often at cell
-    0 and never left of it; any acting state, any step count."""
+    """A start configuration built directly: each tape's word after 0 or
+    more leading blanks, each head left of, on or right of its word, often
+    at cell 0 and never left of it; any acting state, any step count."""
     tapes, heads = [], []
     for _ in range(m.tapes):
-        tape = Tape.from_word(draw(st.text(alphabet="ab_", max_size=5)),
-                              draw(st.integers(0, 6)))
-        end = tape.origin + len(tape.cells)
+        word = draw(st.text(alphabet="ab_", max_size=5))
+        tape = Tape.from_word(BLANK * draw(st.integers(0, 6)) + word)
+        end = len(tape.cells)
         heads.append(draw(st.one_of(st.just(0), st.integers(0, end + 2))))
         tapes.append(tape)
     return Configuration(draw(st.sampled_from(STATES[:3])), tuple(tapes), tuple(heads),
@@ -211,8 +211,9 @@ def _left_mover():
                         rules=[("q0", (WILD,) * 3, "q0", ("b", "a", "b"), ("L", "R", "L"))])
 
 
-def _left_mover_start(origin, heads):
-    tapes = (Tape.from_word("ab", origin), Tape.from_word("ab"), Tape.from_word("a", 3))
+def _left_mover_start(blanks, heads):
+    """Tape 1 holds "ab" after ``blanks`` blank cells, tape 3 "a" after three."""
+    tapes = (Tape.from_word(BLANK * blanks + "ab"), Tape.from_word("ab"), Tape.from_word("___a"))
     return Configuration("q0", tapes, heads)
 
 
@@ -221,9 +222,9 @@ def _left_mover_start(origin, heads):
 @example((_left_mover(), _left_mover_start(2, (1, 5, 1))))
 @example((_left_mover(), _left_mover_start(0, (3, 5, 4))))
 def test_start_configurations_agree(case):
-    """Heads kept as indices of buffers that start at cell 0: starts at any
-    origin of 0 or more and any head on or right of cell 0, and steps that
-    move several heads left, at cell 0 too, and write."""
+    """Heads kept as indices of buffers that start at cell 0: starts with
+    any number of leading blank cells and any head on or right of cell 0,
+    and steps that move several heads left, at cell 0 too, and write."""
     m, start = case
     _fuel_sweep(m, start=start, cap=40)
 

@@ -5,12 +5,13 @@ import pytest
 from churing.errors import ValidationError
 from churing.prf import evaluate
 from churing.prf_to_tm import succ_machine
-from churing.tm import numeric_start, step
+from churing.tm import numeric_start
 from churing.tm_to_prf import (
     compile_tm_to_prf, decode_tape, enc_predicate, encode_tape,
     machine_tables, next_configuration_expr, num_steps_expr, pack_config,
     state_indices, unpack_config,
 )
+from tm_reference import step
 
 FUEL = 10 ** 8
 
@@ -72,8 +73,7 @@ def test_machine_tables_cover_transitions():
 
 def _tape_code(tape):
     # cell 0 is the protected blank outside the code; cell i maps to 3^(i-1)
-    return sum(encode_tape(ch) * 3 ** (tape.origin + i - 1)
-               for i, ch in enumerate(tape.cells))
+    return sum(encode_tape(ch) * 3 ** i for i, ch in enumerate(tape.cells[1:]))
 
 
 def test_step_agreement_with_host():

@@ -17,7 +17,7 @@ from churing.tm import (
     FUEL_EXHAUSTED, MachineSpec, initial_configuration, make_machine, numeric_start, run,
 )
 from churing.transform import (
-    ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, next_address, nd_run, nfa_accepts,
+    ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, nd_run, nfa_accepts,
     single_tape_segments, single_tape_start, to_single_tape,
 )
 
@@ -291,13 +291,6 @@ def test_single_tape_refuses_what_the_layout_cannot_hold():
     with pytest.raises(ValidationError, match="dotted glyphs"):
         to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
     assert to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRS")).tapes == 1  # 21 of 21
-
-
-def test_next_address_shortlex():
-    seq = [""]
-    for _ in range(6):
-        seq.append(next_address(seq[-1], 2))
-    assert seq == ["", "1", "2", "11", "12", "21", "22"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,8 @@ nondeterministic, since that classification is itself under test.
 ``churing.tm.run`` must agree with ``run`` here on the tag, the final
 configuration, ``steps_taken`` and the trace.
 
+``step`` is also the host oracle of the tm→prf tests.
+
 ``brute_force_accepts`` searches every branch of a nondeterministic machine
 with ``successors`` here: the oracle for ``churing.transform.nd_run``.
 
