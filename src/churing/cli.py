@@ -152,8 +152,14 @@ def _cmd_run(args) -> Optional[str]:
 
 
 def parse_apply(text: str) -> List[Term]:
-    """Arguments for ``run lam --apply``: a whitespace-juxtaposed term list."""
-    t = parse("lam", f"__probe__ {text}")
+    """Arguments for ``run lam --apply``: juxtaposed terms; a parse error points into ``text``."""
+    probe = "__probe__ "
+    try:
+        t = parse("lam", probe + text)
+    except ParseError as e:
+        if e.line != 1:
+            raise
+        raise ParseError(e.message, line=1, column=e.column - len(probe)) from None
     parts: List[Term] = []
     while hasattr(t, "arg"):
         parts.append(t.arg)

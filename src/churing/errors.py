@@ -22,6 +22,7 @@ class ParseError(ChuringError):
         if line is not None:
             loc = f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.column = column
 

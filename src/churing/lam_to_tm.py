@@ -434,8 +434,11 @@ def _shared_machine(name: str) -> MachineSpec:
 # Driving the machines from the host
 # ---------------------------------------------------------------------------
 
-def _run_wire(spec: MachineSpec, word: str, fuel: int) -> Outcome:
-    out = run(spec, word, fuel=fuel)
+MACHINE_FUEL = 2_000_000  # steps for one NF or BR1 run, in every driver
+
+
+def _run_wire(spec: MachineSpec, word: str) -> Outcome:
+    out = run(spec, word, fuel=MACHINE_FUEL)
     if out.tag != ACCEPT:
         if out.tag == FUEL_EXHAUSTED:
             raise FuelExhausted(f"{spec.name} machine ran out of fuel")
@@ -443,13 +446,13 @@ def _run_wire(spec: MachineSpec, word: str, fuel: int) -> Outcome:
     return out
 
 
-def nf_on_tm(t: Term, fuel: int = 1_000_000) -> bool:
+def nf_on_tm(t: Term) -> bool:
     """Normal-form verdict of the shared NF machine for t."""
-    out = _run_wire(_shared_machine("NF"), render_term(t), fuel)
+    out = _run_wire(_shared_machine("NF"), render_term(t))
     return out.final.tapes[1].content() == "1"
 
 
-def br1_on_tm(t: Term, fuel: int = 1_000_000) -> Term:
+def br1_on_tm(t: Term) -> Term:
     """One leftmost contraction of t, computed by the shared BR1 machine.
 
     t's binders are renamed apart first (`canonical_binders`); the result
@@ -457,11 +460,8 @@ def br1_on_tm(t: Term, fuel: int = 1_000_000) -> Term:
     otherwise.
     """
     wire, names = render_with_names(canonical_binders(t))
-    out = _run_wire(_shared_machine("BR1"), wire, fuel)
+    out = _run_wire(_shared_machine("BR1"), wire)
     return parse_wire(out.final.tapes[4].content(), names)
-
-
-MACHINE_FUEL = 2_000_000  # steps for one NF or BR1 run in reduce_on_tm
 
 
 def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
@@ -479,9 +479,9 @@ def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
     for _ in range(fuel + 1):
         cur = canonical_binders(cur)
         wire, names = render_with_names(cur)
-        out = _run_wire(nfm, wire, MACHINE_FUEL)
+        out = _run_wire(nfm, wire)
         if out.final.tapes[1].content() == "1":
             return cur
-        out = _run_wire(br, wire, MACHINE_FUEL)
+        out = _run_wire(br, wire)
         cur = parse_wire(out.final.tapes[4].content(), names)
     raise FuelExhausted(f"no beta-normal form within {fuel} contractions")

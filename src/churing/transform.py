@@ -1,5 +1,5 @@
 """Machine-variant equivalences: multitape-to-single-tape compilation,
-breadth-first simulation of nondeterminism level by level, decider
+breadth-first simulation of nondeterminism to a depth, decider
 combinators, and DFA/NFA acceptance.  The machines are those of `churing.tm`,
 whose tapes are all semi-infinite.
 """
@@ -19,6 +19,7 @@ from .tm import (
     Configuration,
     MachineSpec,
     Tape,
+    _check_start,
     initial_configuration,
     resolve_one,
     run,
@@ -278,6 +279,7 @@ def single_tape_start(host: MachineSpec, c: Configuration) -> Configuration:
     0 in state ENTRY.  A segment runs from cell 0 of its tape to the last
     nonblank cell or the head, whichever is further.  For a one-tape host,
     which squeezes to itself, this is ``c``."""
+    _check_start(host, c.tapes, c.heads)
     if host.tapes == 1:
         return c
     if c.state != host.initial:
@@ -306,38 +308,23 @@ def single_tape_segments(host: MachineSpec, c: Configuration) -> List[str]:
 # Nondeterminism by breadth-first search
 
 
-def _sorted_successors(m: MachineSpec, c: Configuration) -> List[Configuration]:
-    return sorted(
-        successors(m, c),
-        key=lambda n: (n.state, n.heads, tuple(t.cells for t in n.tapes)),
-    )
-
-
-def nd_run(m: MachineSpec, word: str, max_depth: int, node_fuel: int = 10**7) -> str:
-    """Breadth-first search of the computation tree to depth ``max_depth``,
-    one frontier level at a time.  Within a level the nodes lie in the
-    shortlex order of their addresses, where digit i of an address is the
-    i-th successor sorted by (state, heads, tapes), a tape compared by its
-    cells from cell 0.  A configuration (state, heads, tapes) seen before is
-    not expanded again: its subtree was already searched to at least the
-    same depth.  ``node_fuel`` bounds the number of nodes expanded, i.e.
-    successor computations.  The order within a level matters only when
-    ``node_fuel`` stops the search inside one.  Returns Accept or NotFound."""
+def nd_run(m: MachineSpec, word: str, max_depth: int) -> str:
+    """Breadth-first search of the computation tree of ``m`` on ``word``
+    (Sipser, Thm 3.16), one level at a time.  A level is the set of
+    successors of the level before, less every configuration (state, heads,
+    tapes) seen before: its subtree was already searched to at least the
+    same depth.  Returns Accept exactly when some branch reaches an
+    accepting state within ``max_depth`` steps, else NotFound."""
     check_fuel(max_depth, "max_depth")
-    check_fuel(node_fuel, "node_fuel")
     root = initial_configuration(m, [word])
     if root.state in m.accept:
         return ACCEPT
     seen = {(root.state, root.heads, root.tapes)}
     frontier = [root]
-    spent = 0
     for _ in range(max_depth):
         level = []
         for c in frontier:
-            spent += 1
-            if spent > node_fuel:
-                return NOT_FOUND
-            for n in _sorted_successors(m, c):
+            for n in successors(m, c):
                 key = (n.state, n.heads, n.tapes)
                 if key in seen:
                     continue

@@ -176,6 +176,20 @@ def test_run_lam_apply(tmp_path, capsys):
     f.write_text("\\n f x. f (n f x)\n")
     assert cli(["run", "lam", str(f), "--apply", "#6"]) == 0
     assert capsys.readouterr().out.strip() == "#7"
+    # the arguments are juxtaposed terms, each parsed whole
+    assert cli_module.parse_apply("a (b c) d") == [Var("a"), App(Var("b"), Var("c")), Var("d")]
+
+
+@pytest.mark.parametrize("args, where", [
+    ("x )", "trailing tokens after term at line 1, column 3"),
+    ("#q", "expected an integer, got 'q' at line 1, column 2"),
+    ("x\n)", "trailing tokens after term at line 2, column 1"),
+])
+def test_run_lam_apply_errors_point_into_the_arguments(tmp_path, capsys, args, where):
+    f = tmp_path / "id.lam"
+    f.write_text("\\x. x\n")
+    assert cli(["run", "lam", str(f), "--apply", args]) == 3
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 def test_run_lam_divergent(tmp_path, capsys):

@@ -29,10 +29,14 @@ def test_import_keeps_the_recursion_limit():
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs_clean(demo):
+    """Each demo exits clean and prints what ``tests/demo_output/<demo>.txt`` holds."""
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=ENV, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout
+    pinned = ROOT / "tests" / "demo_output" / f"{demo.stem}.txt"
+    assert proc.stdout == pinned.read_text(), (
+        f"{demo.name} printed other output than {pinned.name}; if the change is meant, "
+        f"re-record: PYTHONPATH=src python3 demos/{demo.name} > tests/demo_output/{pinned.name}")
 
 
 def _unread_imports(path: Path):

@@ -14,7 +14,8 @@ from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Proj, stdlib
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    FUEL_EXHAUSTED, MachineSpec, initial_configuration, make_machine, numeric_start, run,
+    FUEL_EXHAUSTED, Configuration, MachineSpec, initial_configuration, make_machine,
+    numeric_start, run,
 )
 from churing.transform import (
     ENTRY, Dfa, Nfa, decide_combine, dfa_accepts, nd_run, nfa_accepts,
@@ -221,6 +222,11 @@ def test_single_tape_segments_undo_single_tape_start():
         assert single_tape_segments(host, sq) == [t.content() for t in c.tapes]
     with pytest.raises(ValidationError, match="initial state"):
         single_tape_start(copier, run(copier, "ab", 10).final)
+    tapes = initial_configuration(copier, ["ab"]).tapes
+    with pytest.raises(ValidationError, match="head 1 at cell -1, left of cell 0"):
+        single_tape_start(copier, Configuration(copier.initial, tapes, (-1, 0)))
+    with pytest.raises(ValidationError, match="1 tapes and 1 heads for a 2-tape machine"):
+        single_tape_start(copier, Configuration(copier.initial, tapes[:1], (0,)))
     ends1 = _ends1()  # one tape: the machine squeezes to itself, and its start too
     c = initial_configuration(ends1, ["0110"])
     assert single_tape_start(ends1, c) is c
@@ -316,23 +322,18 @@ def test_nd_run_budgets_are_natural_numbers():
     m = parse("tm", corpus_text("contains11_guesser.tm"))
     with pytest.raises(ValidationError, match="max_depth must be a natural number"):
         nd_run(m, "011", max_depth=-1)
-    with pytest.raises(ValidationError, match="node_fuel must be a natural number"):
-        nd_run(m, "011", max_depth=5, node_fuel=-1)
-    assert nd_run(m, "011", max_depth=5, node_fuel=0) == "NotFound"
     assert nd_run(m, "011", max_depth=0) == "NotFound"
     with pytest.raises(ValidationError, match="fuel must be a natural number"):
         ref.dovetail_decide(m, m, "011", fuel=-1)
 
 
-def test_nd_run_node_fuel_counts_nodes_expanded():
-    # a walker that accepts at depth 5: five expansions (root and depths 1..4)
-    # find it, where replaying every address from the root took 1+2+...+5
+def test_nd_run_decides_at_exactly_max_depth():
+    # a walker that accepts at depth 5, and on no branch before it
     m = make_machine(name="walk", states=["w", "a"], initial="w", accept=["a"],
                      input_alphabet=["1"], tape_alphabet=["1", "_"], tapes=1,
                      rules=[("w", "1", "w", "1", "R"), ("w", "_", "a", "_", "S")])
-    assert nd_run(m, "1111", max_depth=5, node_fuel=5) == "Accept"
-    assert nd_run(m, "1111", max_depth=5, node_fuel=4) == "NotFound"
     assert nd_run(m, "1111", max_depth=4) == "NotFound"
+    assert nd_run(m, "1111", max_depth=5) == "Accept"
 
 
 def test_single_tape_refuses_ambiguous_targets():
