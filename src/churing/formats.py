@@ -24,7 +24,17 @@ Three kinds of source text:
 
 ``lam``  ``\\x y. body`` abstraction sugar, juxtaposition application
          (left-associative), parentheses, ``#n`` Church-numeral literals, and
-         ``def name = term`` bindings.
+         ``def name = term`` bindings.  A parameter is a name, not
+         punctuation or ``def``; it hides a definition of its name until the
+         term that opened it ends.  A printed term puts each closed subterm
+         of at least ``_DEF_MIN_NODES`` (12) nodes that its text would hold
+         twice or more on a ``def`` line of its own, and its name in each
+         place it occurs.  Subterms are matched by their de Bruijn code, so
+         alpha-equal terms print the same text.  The names are ``d1``,
+         ``d2``, ... (skipping the term's free names) in the order the
+         subterms first complete in post-order, so a def comes after the
+         defs it uses.  The last def, ``main``, is the term; a term with no
+         such subterm prints as one bare line.
 
 Comments run to the end of the line.  In ``prf`` they start at ``#``; in
 ``lam``, where ``#`` starts a numeral, at ``;``; in ``tm``, where ``#`` may be
@@ -33,7 +43,9 @@ comment.
 
 `parse` returns the single object for a bare text, or a name -> object dict
 when the text consists of ``def`` bindings.  `print_source` inverts it;
-printing is canonical, so print-parse-print is byte-stable.
+printing is canonical, so print-parse-print is byte-stable.  For a λ-term
+printed with def lines, printing the last entry of the parsed dict gives
+the text again.
 """
 
 from __future__ import annotations
@@ -399,19 +411,26 @@ def print_prf(obj: Union[PrfExpr, Dict[str, PrfExpr]]) -> str:
 # ---------------------------------------------------------------------------
 
 _LAM_STOP = frozenset((")", ".", ",", "def", "="))  # tokens that end a term
+_LAM_NOT_NAME = frozenset(("(", ")", ",", "=", "\\", "#", "def"))  # tokens no parameter is named
+
+# A closed subterm of at least this many nodes that occurs twice or more in
+# a printed term is printed once, on a def line of its own.
+_DEF_MIN_NODES = 12
 
 
 def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term], make) -> Tuple[Term, int]:
     """The term at token i, and the index after it.  An abstraction's body
     runs to the end of the term, so one loop reads it with the atoms of an
     application; only a parenthesis recurses.  ``scope`` maps a name to its
-    definition, or to the one Var node of that name in this parse; ``make``
-    holds `churing.lam`'s App, Var, church_encode and lam."""
+    definition, or to the one Var node of that name in this parse; an
+    abstraction's parameter shadows a definition of its name until the term
+    ends.  ``make`` holds `churing.lam`'s App, Var, church_encode and lam."""
     App, Var, church_encode, lam = make
     toks = ts.toks
     n = len(toks)
     t = None
     opened = []  # (application before it, params) of each abstraction read
+    shadowed = []  # (name, definition) of each definition a parameter hides
     while i < n:
         tok = toks[i]
         if tok == "(":
@@ -421,6 +440,14 @@ def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term], make) -> Tuple[
         elif tok == "\\":
             j = i + 1
             while j < n and toks[j] != ".":
+                p = toks[j]
+                if p in _LAM_NOT_NAME:
+                    ts.pos = j
+                    raise ts.error(f"expected a parameter name, got {p!r}")
+                a = scope.get(p)
+                if a is not None and (type(a) is not Var or a.name != p):
+                    shadowed.append((p, a))
+                    scope[p] = Var(p)
                 j += 1
             ts.pos = j
             if j == i + 1:
@@ -447,6 +474,8 @@ def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term], make) -> Tuple[
     while opened:
         fn, params = opened.pop()
         t = lam(params, t) if fn is None else App(fn, lam(params, t))
+    for name, a in reversed(shadowed):
+        scope[name] = a
     return t, i
 
 
@@ -472,12 +501,186 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
     return env
 
 
+# The item of the walks below that completes an application from the two
+# items before it.
+_APPLY = object()
+
+
+def _codes(t: Term):
+    """Hash-cons the subterms of t that hold no free name and no hole.  The
+    code of such a subterm is (0, index) for a bound variable (its de Bruijn
+    index), (1, fn key, arg key) or (2, body key), and its key is the place
+    of its code in ``codes``, so two closed subterms have one key exactly
+    when they are alpha-equal.  Codes come in the order they first complete
+    in post-order: a code's children come before it.
+
+    None when no closed subterm of at least _DEF_MIN_NODES nodes occurs
+    twice; else ``codes``, ``reps`` (a node of each key that is closed and
+    that large, None for the other keys), ``uses`` (how often each key
+    occurs where its parent has no key, or as t), ``closed`` (the key of
+    each closed node, by id) and t's free names.  Iterative; a closed node
+    is walked once, however often it occurs."""
+    from .lam import Abs, App, Var
+    keys: dict = {}  # code -> key
+    codes: list = []
+    sizes: list = []
+    loose: list = []  # how many binders around a key close it
+    reps: list = []
+    uses: list = []
+    closed: dict = {}
+    free: set = set()
+    repeated = False  # whether a closed subterm that large occurred twice
+    scope: dict = {}  # name -> depth of its innermost binder
+    depth = 0
+    out: list = []  # the key of each subterm walked, None for one with a free name
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is App or cls is Abs:
+            k = closed.get(id(t))
+            if k is not None:
+                repeated = repeated or reps[k] is not None
+                out.append(k)
+            elif cls is App:
+                todo += (t, _APPLY, t.arg, t.fn)
+            else:
+                todo += (t, (t.param, scope.get(t.param)), t.body)
+                scope[t.param] = depth
+                depth += 1
+            continue
+        if cls is Var:
+            d = scope.get(t.name)
+            if d is None:
+                free.add(t.name)
+                out.append(None)
+                continue
+            code, size, lo = (0, depth - 1 - d), 1, depth - d
+        elif t is _APPLY:
+            a = out.pop()
+            f = out.pop()
+            t = todo.pop()
+            if f is None or a is None:
+                for c in (f, a):
+                    if c is not None:
+                        uses[c] += 1
+                out.append(None)
+                continue
+            code, size, lo = (1, f, a), sizes[f] + sizes[a] + 1, max(loose[f], loose[a])
+        elif cls is tuple:  # leaving a binder
+            name, outer = t
+            if outer is None:
+                del scope[name]
+            else:
+                scope[name] = outer
+            depth -= 1
+            b = out.pop()
+            t = todo.pop()
+            if b is None:
+                out.append(None)
+                continue
+            code, size, lo = (2, b), sizes[b] + 1, max(loose[b] - 1, 0)
+        else:  # a hole
+            out.append(None)
+            continue
+        k = keys.get(code)
+        if k is None:
+            k = keys[code] = len(codes)
+            codes.append(code)
+            sizes.append(size)
+            loose.append(lo)
+            reps.append(t if not lo and size >= _DEF_MIN_NODES else None)
+            uses.append(0)
+        elif reps[k] is not None:
+            repeated = True
+        if not lo:
+            closed[id(t)] = k
+        out.append(k)
+    if not repeated:
+        return None
+    if out[0] is not None:
+        uses[out[0]] += 1
+    return codes, reps, uses, closed, free
+
+
+def _with_refs(top: Term, refs: dict, closed: dict, supply) -> Term:
+    """A copy of ``top`` with each closed subterm whose key ``refs`` maps to
+    a name, other than top itself, replaced by a Var of that name, and each
+    binder renamed from ``supply``.  Iterative."""
+    from .lam import Abs, App, Var
+    env: dict = {}  # name -> new name of its innermost binder
+    out: list = []
+    todo: list = [top]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is Var:
+            fresh = env.get(t.name)
+            out.append(t if fresh is None else Var(fresh))
+        elif cls is App or cls is Abs:
+            name = refs.get(closed.get(id(t)))
+            if name is not None and t is not top:
+                out.append(Var(name))
+            elif cls is App:
+                todo += (_APPLY, t.arg, t.fn)
+            else:
+                fresh = next(supply)
+                todo += ((t.param, env.get(t.param), fresh), t.body)
+                env[t.param] = fresh
+        elif t is _APPLY:
+            a = out.pop()
+            out[-1] = App(out[-1], a)
+        elif cls is tuple:  # leaving a binder
+            name, outer, fresh = t
+            if outer is None:
+                del env[name]
+            else:
+                env[name] = outer
+            out[-1] = Abs(fresh, out[-1])
+        else:  # a hole
+            out.append(t)
+    return out[0]
+
+
+def _factor(t: Term) -> Optional[Dict[str, Term]]:
+    """The def lines of t as the module docstring gives them: each def name
+    to its subterm, with the names of the defs it uses in place, and last
+    ``main`` to t with every def name in place; None when t has no def
+    line."""
+    from .lam import _binder_names
+    walk = _codes(t)
+    if walk is None:
+        return None
+    codes, reps, uses, closed, free = walk
+    defs = []
+    for k in range(len(codes) - 1, -1, -1):  # parents before children
+        u = uses[k]
+        if u > 1 and reps[k] is not None:
+            defs.append(k)
+            u = 1  # printed once, on its def line
+        code = codes[k]
+        if code[0] == 1:
+            uses[code[1]] += u
+            uses[code[2]] += u
+        elif code[0] == 2:
+            uses[code[1]] += u
+    refs = dict(zip(reversed(defs), _binder_names(free, "d")))
+    supply = _binder_names(free)
+    out = {name: _with_refs(reps[k], refs, closed, supply) for k, name in refs.items()}
+    out["main"] = _with_refs(t, refs, closed, supply)
+    return out
+
+
 def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
+    """A dict prints one def line per entry, with its own names in its own
+    order; a term prints with its shared closed subterms on def lines."""
     from .lam import render
-    if isinstance(obj, dict):
-        lines = [f"def {name} = {render(t)}" for name, t in obj.items()]
-        return "\n".join(lines) + "\n"
-    return render(obj) + "\n"
+    if not isinstance(obj, dict):
+        defs = _factor(obj)
+        if defs is None:
+            return render(obj) + "\n"
+        obj = defs
+    return "".join(f"def {name} = {render(t)}\n" for name, t in obj.items())
 
 
 # ---------------------------------------------------------------------------

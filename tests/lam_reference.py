@@ -21,8 +21,9 @@ minimization with.
 The rest are the generators and small oracles the tests share: every
 closed term of a size (``closed_terms``), every single contraction of a
 term (``one_step_results``), iterated ``beta_step`` with a size cap
-(``bounded_nf``), a node count, the subterm walk and what it gives
-(``bound_vars``, ``is_normal_form``), and the hypothesis strategy of
+(``bounded_nf``), a node count, the distinct node objects
+(``node_objects``), the subterm walk and what it gives (``bound_vars``,
+``is_normal_form``), and the hypothesis strategy of
 generated terms (``terms``).
 """
 
@@ -227,6 +228,20 @@ def nodes(t: Term) -> int:
         elif isinstance(x, Abs):
             stack.append(x.body)
     return n
+
+
+def node_objects(t: Term) -> list:
+    """The distinct node objects of t, each walked once."""
+    seen, todo = {}, [t]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if isinstance(t, Abs):
+                todo.append(t.body)
+            elif isinstance(t, App):
+                todo += (t.fn, t.arg)
+    return list(seen.values())
 
 
 def bound_vars(t: Term) -> frozenset:

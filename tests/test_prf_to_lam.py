@@ -9,7 +9,7 @@ from churing.prf import (
 )
 from churing.prf_to_lam import compile_prf_to_lambda
 
-from lam_reference import recursion_gadget_check
+from lam_reference import node_objects, recursion_gadget_check
 
 FUEL = 10 ** 6
 
@@ -37,24 +37,10 @@ def test_named_nodes_compile_as_their_definitions(name):
     assert compile_prf_to_lambda(e) == compile_prf_to_lambda(expand(e))
 
 
-def _nodes(t):
-    """The distinct node objects of t, each walked once."""
-    seen, todo = {}, [t]
-    while todo:
-        t = todo.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            if isinstance(t, Abs):
-                todo.append(t.body)
-            elif isinstance(t, App):
-                todo += (t.fn, t.arg)
-    return list(seen.values())
-
-
 def test_shared_nodes_compile_once():
     # extract's expression is a DAG; its term has 23,471 nodes as a tree,
     # 2,528 with only the Named nodes shared, and 1,911 with every node
-    assert len(_nodes(compile_prf_to_lambda(stdlib("extract")))) == 1911
+    assert len(node_objects(compile_prf_to_lambda(stdlib("extract")))) == 1911
 
 
 def test_a_named_used_twice_is_one_subterm():
@@ -70,7 +56,7 @@ def test_a_named_used_twice_is_one_subterm():
 def test_calls_share_no_term_node():
     # the memo lives for one call: a second compile builds its own nodes
     e = stdlib("extract")
-    first, second = (_nodes(compile_prf_to_lambda(e)) for _ in range(2))  # both alive
+    first, second = (node_objects(compile_prf_to_lambda(e)) for _ in range(2))  # both alive
     ids = {id(n) for n in first if isinstance(n, (App, Abs))}
     assert not any(id(n) in ids for n in second if isinstance(n, (App, Abs)))
 
