@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from .equiv import AGREE, DEFAULT_FUEL, DISAGREE, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
 from .errors import (ACCEPT, FUEL_EXHAUSTED, NOT_FOUND, REJECT, ChuringError, FuelExhausted,
                      NotANumeral, ParseError, ValidationError)
-from .formats import parse, print_source
+from .formats import parse, print_nat, print_source
 from .prf import arity_check, evaluate  # formats has loaded prf; callers read cli.evaluate
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ def _cmd_run(args) -> Optional[str]:
             raise ValidationError(f"--{opt} does not apply to run {args.model}")
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     if args.model == "prf":
-        print(evaluate(_load(args.file, "prf"), args.args or [], fuel))
+        print(print_nat(evaluate(_load(args.file, "prf"), args.args or [], fuel)))
         return None
     if args.model == "lam":
         from .lam import app, church_decode

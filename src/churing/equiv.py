@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import FuelExhausted, NonEncodable, NotANumeral
+from .formats import print_nat
 
 if TYPE_CHECKING:  # the models load when a grid runs, not with the command line
     from .lam import Term
@@ -34,7 +35,7 @@ class EquivReport:
             key = ",".join(map(str, pt))
             for model in sorted(self.results[pt]):
                 val = self.results[pt][model]
-                out.append(f"{key};{model};{'?' if val is None else val}")
+                out.append(f"{key};{model};{'?' if val is None else print_nat(val)}")
             out.append(f"{key};verdict;{self.verdicts[pt]}")
         return out
 
@@ -46,7 +47,7 @@ class EquivReport:
             row = [",".join(map(str, pt))]
             for m in models:
                 v = self.results[pt].get(m)
-                row.append("?" if v is None else str(v))
+                row.append("?" if v is None else print_nat(v))
             row.append(self.verdicts[pt])
             rows.append(row)
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

@@ -20,21 +20,23 @@ Three kinds of source text:
 
 ``prf``  prefix expressions: ``Z k``, ``S``, ``P k i``, ``C f (g1, ..., gl)``,
          ``R (g, h)``, ``Mu g``, and ``def name = term`` bindings; a defined
-         name is usable in later terms.
+         name is usable in later terms.  A def name is a name, not
+         punctuation or ``def``, as a λ parameter is.
 
 ``lam``  ``\\x y. body`` abstraction sugar, juxtaposition application
          (left-associative), parentheses, ``#n`` Church-numeral literals, and
-         ``def name = term`` bindings.  A parameter is a name, not
-         punctuation or ``def``; it hides a definition of its name until the
-         term that opened it ends.  A printed term puts each closed subterm
-         of at least ``_DEF_MIN_NODES`` (12) nodes that its text would hold
-         twice or more on a ``def`` line of its own, and its name in each
-         place it occurs.  Subterms are matched by their de Bruijn code, so
-         alpha-equal terms print the same text.  The names are ``d1``,
-         ``d2``, ... (skipping the term's free names) in the order the
-         subterms first complete in post-order, so a def comes after the
-         defs it uses.  The last def, ``main``, is the term; a term with no
-         such subterm prints as one bare line.
+         ``def name = term`` bindings.  A parameter or a def name is a name,
+         not punctuation or ``def``; a parameter hides a definition of its
+         name until the term that opened it ends.  A printed dict refuses an
+         entry with a free name that an earlier entry defines.  A printed
+         term puts each closed subterm of at least ``_DEF_MIN_NODES`` (12)
+         nodes that its text would hold twice or more on a ``def`` line of
+         its own, and its name in each place it occurs.  Subterms are
+         matched by their de Bruijn code, so alpha-equal terms print the
+         same text.  The names are ``d1``, ``d2``, ... (skipping the term's
+         free names) in the order the subterms first complete in post-order,
+         so a def comes after the defs it uses.  The last def, ``main``, is
+         the term; a term with no such subterm prints as one bare line.
 
 Comments run to the end of the line.  In ``prf`` they start at ``#``; in
 ``lam``, where ``#`` starts a numeral, at ``;``; in ``tm``, where ``#`` may be
@@ -53,7 +55,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .prf import (Compose, Mu, Named, PrfExpr, PrimRec, Proj, Succ, Zero, named_const, stdlib,
                   stdlib_names)
 
@@ -230,6 +232,8 @@ def _print_automaton(a: Union[Dfa, Nfa], kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"[(),=.\\#;]|[^\s(),=.\\#;]+")
+# tokens that name nothing: no def and no λ parameter is named by one
+_NOT_NAME = frozenset("(),=.\\#;") | {"def"}
 
 
 class _Tokens:
@@ -258,6 +262,20 @@ class _Tokens:
         if got != tok:
             self.pos -= 1
             raise self.error(f"expected {tok!r}, got {got!r}")
+
+    def def_head(self, env: dict) -> str:
+        """Read ``def name =`` and return the name.  A name that is
+        punctuation or ``def`` is refused at its token, as a λ parameter is,
+        and so is a name that ``env`` already defines."""
+        self.expect("def")
+        name = self.next()
+        self.expect("=")
+        if name in _NOT_NAME:
+            self.pos -= 2
+            raise self.error(f"expected a definition name, got {name!r}")
+        if name in env:
+            raise self.error(f"duplicate definition of {name!r}")
+        return name
 
     def error(self, msg: str) -> ParseError:
         """A ParseError at the current token, or at the last one when the
@@ -336,11 +354,7 @@ def parse_prf(text: str) -> Union[PrfExpr, Dict[str, PrfExpr]]:
         return e
     env: Dict[str, PrfExpr] = {}
     while ts.peek() is not None:
-        ts.expect("def")
-        name = ts.next()
-        ts.expect("=")
-        if name in env:
-            raise ts.error(f"duplicate definition of {name!r}")
+        name = ts.def_head(env)
         body = _parse_prf_term(ts, env)
         env[name] = _with_native(name, body)
     return env
@@ -411,7 +425,6 @@ def print_prf(obj: Union[PrfExpr, Dict[str, PrfExpr]]) -> str:
 # ---------------------------------------------------------------------------
 
 _LAM_STOP = frozenset((")", ".", ",", "def", "="))  # tokens that end a term
-_LAM_NOT_NAME = frozenset(("(", ")", ",", "=", "\\", "#", "def"))  # tokens no parameter is named
 
 # A closed subterm of at least this many nodes that occurs twice or more in
 # a printed term is printed once, on a def line of its own.
@@ -441,7 +454,7 @@ def _parse_lam_term(ts: _Tokens, i: int, scope: Dict[str, Term], make) -> Tuple[
             j = i + 1
             while j < n and toks[j] != ".":
                 p = toks[j]
-                if p in _LAM_NOT_NAME:
+                if p in _NOT_NAME:
                     ts.pos = j
                     raise ts.error(f"expected a parameter name, got {p!r}")
                 a = scope.get(p)
@@ -491,11 +504,7 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
         return t
     env: Dict[str, Term] = {}
     while ts.peek() is not None:
-        ts.expect("def")
-        name = ts.next()
-        ts.expect("=")
-        if name in env:
-            raise ts.error(f"duplicate definition of {name!r}")
+        name = ts.def_head(env)
         env[name], ts.pos = _parse_lam_term(ts, ts.pos, scope, make)
         scope[name] = env[name]
     return env
@@ -673,14 +682,46 @@ def _factor(t: Term) -> Optional[Dict[str, Term]]:
 
 def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
     """A dict prints one def line per entry, with its own names in its own
-    order; a term prints with its shared closed subterms on def lines."""
-    from .lam import render
-    if not isinstance(obj, dict):
+    order; a term prints with its shared closed subterms on def lines.
+
+    An entry with a free name that an earlier entry defines is refused with
+    ValidationError: read back, that name would be the earlier definition."""
+    from .lam import free_vars, render
+    if isinstance(obj, dict):
+        earlier: set = set()
+        for name, t in obj.items():
+            clash = free_vars(t) & earlier
+            if clash:
+                raise ValidationError(f"def {name} has the free name {min(clash)!r}, "
+                                      "which an earlier def defines")
+            earlier.add(name)
+    else:
         defs = _factor(obj)
         if defs is None:
             return render(obj) + "\n"
         obj = defs
     return "".join(f"def {name} = {render(t)}\n" for name, t in obj.items())
+
+
+# ---------------------------------------------------------------------------
+# Numbers
+# ---------------------------------------------------------------------------
+
+# CPython refuses to turn an int of more than 4,300 digits into text by
+# default, so a large number is printed in chunks of fewer digits.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def print_nat(n: int) -> str:
+    """The exact decimal text of the natural number n, at any size, with no
+    change to the interpreter's int-to-text limit."""
+    parts = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        parts.append(f"{r:0{_CHUNK_DIGITS}d}")
+    parts.append(str(n))
+    return "".join(reversed(parts))
 
 
 # ---------------------------------------------------------------------------

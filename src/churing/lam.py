@@ -11,11 +11,15 @@ performs the same contractions, in the same order, on a strong
 call-by-name environment machine (P. Cregut, "Strongly reducing variants
 of the Krivine abstract machine", HOSC 2007):
 
-- the term is converted once to de Bruijn indices; free variables keep
-  their names;
-- the machine runs closures (term, environment) against an explicit
-  argument stack, the environment a linked list.  An abstraction that meets
-  an argument is one contraction and binds it; an abstraction with no
+- the machine runs on the named term itself, with no conversion pass: a
+  closure is (term, environment), the environment a linked list of frames
+  (name, value), one per binder around the term, innermost first.  A
+  variable's value is in the first frame of its name, the frame its de
+  Bruijn index would count to; a name no frame holds is free.  One walk
+  over the node types refuses a term with a hole anywhere before any fuel
+  is spent;
+- closures run against an explicit argument stack.  An abstraction that
+  meets an argument is one contraction and binds it; an abstraction with no
   argument is entered under a fresh neutral level;
 - an argument that is a variable is pushed as that variable's binding, not
   as a closure over the variable, so no chain of variable closures builds
@@ -280,54 +284,32 @@ class NormalizeResult:
 # Marks an application: a task to rebuild one in the iterative traversals
 # below, and in normal-form code the application of the two items before it.
 _APPLY = object()
-# The machine's code: an int is a bound variable (0 = innermost binder), a
-# str a free variable, (_ABS, body) an abstraction, (_APP, fn, arg) an
-# application.
-_ABS, _APP = 0, 1
 
 
-def _to_code(t: Term):
-    """De Bruijn code of a hole-free term, and its free variable names."""
-    scope: dict = {}  # name -> depth of its innermost binder
-    free = set()
-    out: list = []
+def _refuse_holes(t: Term) -> None:
+    """Raise ValidationError when t holds a hole anywhere, even in an
+    argument its reduction would discard.  A spine is walked in place and
+    only an argument that is not a variable waits on the stack."""
     todo: list = [t]
-    depth = 0
     while todo:
         t = todo.pop()
-        tt = type(t)
-        if tt is Var:
-            d = scope.get(t.name)
-            if d is None:
-                free.add(t.name)
-                out.append(t.name)
+        while True:
+            cls = type(t)
+            if cls is App:
+                if type(t.arg) is not Var:
+                    todo.append(t.arg)
+                t = t.fn
+            elif cls is Abs:
+                t = t.body
+            elif cls is Var:
+                break
             else:
-                out.append(depth - 1 - d)
-        elif tt is App:
-            todo += (_APPLY, t.arg, t.fn)
-        elif tt is Abs:
-            todo += ((t.param, scope.get(t.param)), t.body)
-            scope[t.param] = depth
-            depth += 1
-        elif t is _APPLY:
-            a = out.pop()
-            out[-1] = (_APP, out[-1], a)
-        elif tt is tuple:  # leaving a binder
-            name, outer = t
-            if outer is None:
-                del scope[name]
-            else:
-                scope[name] = outer
-            depth -= 1
-            out[-1] = (_ABS, out[-1])
-        else:
-            raise ValidationError("normalize expects a hole-free term")
-    return out[0], free
+                raise ValidationError("normalize expects a hole-free term")
 
 
-def _run_machine(code, fuel: int):
-    """Normal form of the code and the fuel left; raises FuelExhausted when
-    a contraction is due and no fuel is left.
+def _run_machine(t: Term, fuel: int):
+    """Normal form of the hole-free term t and the fuel left; raises
+    FuelExhausted when a contraction is due and no fuel is left.
 
     The normal form is flat code in post-order: an int d >= 0 is the
     variable bound at binder level d (0 = outermost), a str a free variable,
@@ -335,11 +317,15 @@ def _run_machine(code, fuel: int):
     level d.  It names no binder and builds no term: equal code is
     alpha-equal terms, compared with list ==.
 
-    Values on the argument stack, in environments and on the task stack are
-    closures (code, env), neutral levels (int) and free names (str); an
-    environment is None or (value, next).  Any other task is an item of the
-    normal form, emitted as it is popped."""
-    tasks: list = [(code, None)]
+    The machine runs on t's own nodes.  Values on the argument stack, in
+    environments and on the task stack are closures (term, env), neutral
+    levels (int) and free names (str).  An environment is None or a frame
+    (name, value, next), one frame for each binder around the closure's
+    term, innermost first, so a variable's value is in the first frame of
+    its name: the frame its de Bruijn index would count to.  A name that no
+    frame holds is free and is its own value.  Any other task is an item of
+    the normal form, emitted as it is popped."""
+    tasks: list = [(t, None)]
     out: list = []
     depth = 0
     while tasks:
@@ -352,43 +338,42 @@ def _run_machine(code, fuel: int):
         t, env = v
         stack: list = []
         while True:
-            if type(t) is tuple:
-                if t[0]:  # application: push the argument
-                    a = t[2]
-                    if type(a) is int:  # the variable's binding itself
-                        e = env
-                        while a:
-                            e = e[1]
-                            a -= 1
-                        stack.append(e[0])
-                    elif type(a) is str:
-                        stack.append(a)
-                    else:
-                        stack.append((a, env))
-                    t = t[1]
-                elif stack:  # a redex: contract it by binding the argument
+            cls = type(t)
+            if cls is App:  # push the argument
+                a = t.arg
+                if type(a) is Var:  # the variable's binding itself
+                    name = a.name
+                    e = env
+                    while e is not None and e[0] != name:
+                        e = e[2]
+                    stack.append(name if e is None else e[1])
+                else:
+                    stack.append((a, env))
+                t = t.fn
+            elif cls is Abs:
+                if stack:  # a redex: contract it by binding the argument
                     if not fuel:
                         raise FuelExhausted("budget exhausted")
                     fuel -= 1
-                    env = (stack.pop(), env)
-                    t = t[1]
+                    env = (t.param, stack.pop(), env)
                 else:  # no argument: go under the binder
                     tasks.append(~depth)
-                    env = (depth, env)
+                    env = (t.param, depth, env)
                     depth += 1
-                    t = t[1]
-            elif type(t) is int:
+                t = t.body
+            else:  # a variable
+                name = t.name
                 e = env
-                while t:
-                    e = e[1]
-                    t -= 1
-                t = e[0]
+                while e is not None and e[0] != name:
+                    e = e[2]
+                if e is None:  # a free name
+                    t = name
+                    break
+                t = e[1]
                 if type(t) is tuple:
                     t, env = t
                 else:  # a neutral level or a free name
                     break
-            else:
-                break
         # a neutral head: normalize its arguments, first argument first
         out.append(t)
         for a in stack:
@@ -397,21 +382,21 @@ def _run_machine(code, fuel: int):
 
 
 def _normal_code(t: Term, fuel: int):
-    """The normal-form code of t, its free names and the fuel left; the code
-    is None when t needs more than ``fuel`` contractions."""
+    """The normal-form code of t and the fuel left; the code is None when t
+    needs more than ``fuel`` contractions."""
     check_fuel(fuel)
-    code, free = _to_code(t)
+    _refuse_holes(t)
     try:
-        nf, left = _run_machine(code, fuel)
+        return _run_machine(t, fuel)
     except FuelExhausted:
-        return None, free, 0
-    return nf, free, left
+        return None, 0
 
 
-def _read_back(nf: list, free) -> Term:
-    """The term of normal-form code, binder level d named with the (d+1)-th
-    name of `_binder_names` (free): none shadows another or a free name."""
-    supply = _binder_names(free)
+def _read_back(nf: list, t: Term) -> Term:
+    """The term of normal-form code of t, binder level d named with the
+    (d+1)-th name of `_binder_names` (t's free names): none shadows another
+    or a free name."""
+    supply = _binder_names(free_vars(t))
     levels: list = []  # the Var of each binder level
     free_var: dict = {}
     out: list = []
@@ -438,10 +423,10 @@ def _read_back(nf: list, free) -> Term:
 def normalize(t: Term, fuel: int = 10_000) -> NormalizeResult:
     """Leftmost-outermost normal form of t when it needs at most ``fuel``
     contractions; otherwise t itself, marked not normal."""
-    nf, free, left = _normal_code(t, fuel)
+    nf, left = _normal_code(t, fuel)
     if nf is None:
         return NormalizeResult(t, False, fuel)
-    return NormalizeResult(_read_back(nf, free), True, fuel - left)
+    return NormalizeResult(_read_back(nf, t), True, fuel - left)
 
 
 EQUAL = "equal"
@@ -451,8 +436,9 @@ UNKNOWN = "unknown"
 
 def beta_eq(a: Term, b: Term, fuel: int = 10_000) -> str:
     """Whether a and b have the same normal form, each reached within
-    ``fuel`` contractions.  The normal forms are compared as de Bruijn code,
-    which is equal exactly when the named terms are alpha-equal."""
+    ``fuel`` contractions.  The machine emits each normal form as flat code,
+    bound variables as de Bruijn levels, and two codes are equal exactly
+    when the named terms are alpha-equal; no term is read back."""
     nf_a = _normal_code(a, fuel)[0]
     nf_b = _normal_code(b, fuel)[0]
     if nf_a is None or nf_b is None:
@@ -478,13 +464,13 @@ def church_decode(t: Term, fuel: int = 100_000) -> int:
     \\f x. f (... (f x)), n applications of f; its code is n zeros, a one,
     n applications and the closing of both binders.  Any other normal form
     raises NotANumeral, which carries that normal form as ``term``."""
-    nf, free, _ = _normal_code(t, fuel)
+    nf = _normal_code(t, fuel)[0]
     if nf is None:
         raise FuelExhausted("term did not normalize within fuel")
     n = len(nf) // 2 - 1
     if nf == [0] * n + [1] + [_APPLY] * n + [~1, ~0]:
         return n
-    raise NotANumeral(term=_read_back(nf, free))
+    raise NotANumeral(term=_read_back(nf, t))
 
 
 def fixed_point(f: Term) -> Term:

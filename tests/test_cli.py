@@ -14,7 +14,7 @@ from churing import cli as cli_module, lam as lam_module
 from churing.cli import cli
 from churing.equiv import DEFAULT_FUEL, equiv_grid
 from churing.errors import NotANumeral, ValidationError
-from churing.formats import parse, print_source
+from churing.formats import parse, print_nat, print_source
 from churing.lam import App, Var, church_encode, lam
 from churing.prf import Succ, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
@@ -134,6 +134,20 @@ def test_run_prf_divergent(tmp_path, capsys):
     f.write_text("Mu C S (Z 2)\n")
     assert cli(["run", "prf", str(f), "--args", "0", "--fuel", "10000"]) == 2
     assert capsys.readouterr().out.strip() == "FuelExhausted"
+
+
+def test_run_prf_prints_a_huge_value_exactly(tmp_path, capsys):
+    # 2^20000 has 6,021 digits, more than CPython turns into text by default;
+    # the command prints them all and leaves that limit as it was
+    f = tmp_path / "pow2.prf"
+    f.write_text(print_source("prf", stdlib("pow2")))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert cli(["run", "prf", str(f), "--args", "20000"]) == 0
+    assert capsys.readouterr().out == print_nat(2 ** 20_000) + "\n"
+    assert cli(["equiv", "--prf", str(f), "--tm", _c("succ.tm"), "--lam", _c("combinators.lam"),
+                "--grid", "20000..20000", "--fuel", "100"]) == 2
+    assert f"20000;prf;{print_nat(2 ** 20_000)}" in capsys.readouterr().out.splitlines()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # each model refuses the options of the others: `run tm --args` would
@@ -470,6 +484,15 @@ def test_check_bad(tmp_path):
     f = tmp_path / "bad.lam"
     f.write_text("def f = (x\n")
     assert cli(["check", str(f)]) == 3
+
+
+def test_check_refuses_a_def_named_by_punctuation(tmp_path, capsys):
+    for name, text in (("d.lam", "def # = x\n"), ("d.prf", "def ( = S\n")):
+        f = tmp_path / name
+        f.write_text(text)
+        assert cli(["check", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: expected a definition name, got {text[4]!r} at line 1, column 5\n")
 
 
 def test_check_refuses_a_mode_header_other_than_semi(tmp_path, capsys):

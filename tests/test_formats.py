@@ -2,12 +2,12 @@
 
 import pytest
 
-from churing.errors import Fuel, ParseError
+from churing.errors import Fuel, ParseError, ValidationError
 from churing.formats import (
-    parse, parse_lam, parse_prf, parse_tm, print_lam, print_prf, print_source,
+    parse, parse_lam, parse_prf, parse_tm, print_lam, print_nat, print_prf, print_source,
     print_tm,
 )
-from churing.lam import alpha_eq, church_decode
+from churing.lam import App, Var, alpha_eq, app, church_decode, lam
 from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import const, evaluate
 from churing.tm import run
@@ -168,6 +168,55 @@ def test_parse_error_reports_location():
         assert e.line == 2 or "line 2" in str(e)
     else:
         pytest.fail("expected a ParseError")
+
+
+# Punctuation and ``def`` name no definition, as they name no λ parameter;
+# the error points at the name.  A prf comment starts at ``#``, a lam one at ``;``.
+@pytest.mark.parametrize("kind,name", [
+    *[("lam", p) for p in ["(", ")", ",", "=", "\\", "#", ".", "def"]],
+    *[("prf", p) for p in ["(", ")", ",", "=", "\\", ";", ".", "def"]],
+])
+def test_a_def_name_is_not_punctuation(kind, name):
+    body = {"lam": "x", "prf": "S"}[kind]
+    with pytest.raises(ParseError) as info:
+        parse(kind, f"def f = {body}\ndef {name} = {body}\n")
+    e = info.value
+    assert (e.message, e.line, e.column) == (f"expected a definition name, got {name!r}", 2, 5)
+
+
+def test_a_printed_dict_refuses_an_earlier_name_free_in_a_later_entry():
+    a = lam("p q", app(Var("p"), Var("q"), Var("q")))
+    with pytest.raises(ValidationError, match="def b has the free name 'a'"):
+        print_lam({"a": a, "b": App(Var("a"), Var("z"))})
+    # a name defined only later, or bound where it occurs, reads back as it was
+    for defs in ({"b": App(Var("a"), Var("z")), "a": a},
+                 {"a": a, "b": lam("a", App(Var("a"), Var("z")))}):
+        back = parse_lam(print_lam(defs))
+        assert back.keys() == defs.keys()
+        assert all(alpha_eq(back[k], defs[k]) for k in defs)
+
+
+def _digits_value(text: str) -> int:
+    """The number a decimal text names, read 1,000 digits at a time, so no
+    conversion meets the interpreter's int-to-text limit."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        part = text[i:i + 1000]
+        n = n * 10 ** len(part) + int(part)
+    return n
+
+
+_BIG = {"0": 0, "7": 7, "10^4000-1": 10 ** 4000 - 1, "10^4000": 10 ** 4000,
+        "10^4000+1": 10 ** 4000 + 1, "2^20000": 2 ** 20_000,
+        "10^12000+10^4000": 10 ** 12_000 + 10 ** 4000}
+
+
+@pytest.mark.parametrize("name", _BIG)
+def test_print_nat_is_exact_at_any_size(name):
+    n = _BIG[name]
+    text = print_nat(n)
+    assert text.isdigit() and (text == "0" or text[0] != "0")
+    assert _digits_value(text) == n
 
 
 def test_print_source_dispatch():

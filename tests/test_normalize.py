@@ -1,7 +1,8 @@
 """normalize against the reference reducer, iterated beta_step: the same
 contraction count and an alpha-equal normal form on generated terms, the
-lambda corpus and the compiled stdlib; fuel semantics; a flat cost per
-contraction."""
+lambda corpus and the compiled stdlib; fuel semantics; holes refused before
+any fuel; shadowed and free names through normalize, beta_eq and
+church_decode; a flat cost per contraction."""
 
 import itertools
 import time
@@ -9,11 +10,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from churing.errors import ValidationError
+from churing.errors import NotANumeral, ValidationError
 from churing.formats import parse_lam
 from churing.lam import (
-    HOLE, App, NormalizeResult, Term, Var, alpha_eq, app, beta_step, church_encode,
-    combinator, normalize,
+    DISTINCT, EQUAL, HOLE, UNKNOWN, Abs, App, NormalizeResult, Term, Var, alpha_eq, app,
+    beta_eq, beta_step, church_decode, church_encode, combinator, lam, normalize,
 )
 from churing.prf import Compose, Mu, Succ, Zero, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
@@ -103,6 +104,76 @@ def test_zero_fuel_and_negative_fuel():
 def test_holes_are_refused():
     with pytest.raises(ValidationError):
         normalize(App(combinator("I"), HOLE))
+
+
+_HOLED = {
+    "argument": App(combinator("I"), HOLE),
+    "discarded": app(lam("x y", Var("y")), HOLE, Var("z")),  # reduction drops the hole
+    "deep-discarded": app(church_encode(0), Abs("x", App(Var("x"), HOLE)), Var("z")),
+    "head": App(HOLE, Var("x")),
+    "body": Abs("x", HOLE),
+    "bare": HOLE,
+}
+
+
+@pytest.mark.parametrize("fuel", [0, 10_000])
+@pytest.mark.parametrize("name", _HOLED)
+def test_a_hole_anywhere_is_refused_before_any_fuel(name, fuel):
+    t, z = _HOLED[name], Var("z")
+    for run in (lambda: normalize(t, fuel), lambda: church_decode(t, fuel),
+                lambda: beta_eq(t, z, fuel), lambda: beta_eq(z, t, fuel)):
+        with pytest.raises(ValidationError, match="hole-free"):
+            run()
+
+
+# --- the machine's named environment ---------------------------------------
+# The machine finds a variable's value in the first environment frame of its
+# name.  Each term is (text, the value of its normal form as a numeral, or
+# None); pairs of them share normal forms, so beta_eq gives both verdicts.
+_NAMED = {
+    # a binder that shadows an outer binder of the same name
+    "shadow": (r"(\x. \x. x) a b", None),
+    "shadow-numeral": (r"(\x. \x. \y. x (x y)) a", 2),
+    "shadow-under-binder": (r"\f. \x. (\x. f x) ((\f. f) x)", 1),
+    # a free name equal to a binder name, of the input and of the read-back
+    "free-x1": (r"(\y. \x1. y x1) x1", None),
+    "free-x1-under-binder": (r"\x. (\y. \x1. y x1) x1", None),
+    "free-x1-numeral": (r"(\y. \x1. \x. x1 (x1 x)) x1", 2),
+    # a shadowed name passed as an argument
+    "shadowed-argument": (r"(\x. (\x. x) x) b", None),
+    "shadowed-argument-numeral": (r"(\x. (\x. x) x) #1", 1),
+    "shadowed-argument-neutral": (r"\x. (\x. x) x", None),
+    "shadowing-argument": (r"(\x. \x. (\y. y) x) a b", None),
+}
+
+
+def _reference(t: Term):
+    """The normal form by iterated beta_step, and its contractions."""
+    n = 0
+    while (nxt := beta_step(t)) is not None:
+        t, n = nxt, n + 1
+    return t, n
+
+
+@pytest.mark.parametrize("name", _NAMED)
+def test_named_lookup_matches_reference(name):
+    text, value = _NAMED[name]
+    t = parse_lam(text)
+    nf, n = _reference(t)
+    assert check_against_reference(t) == n
+    assert beta_eq(t, nf, n) == EQUAL
+    if n:
+        assert beta_eq(t, nf, n - 1) == UNKNOWN
+    if value is None:
+        with pytest.raises(NotANumeral) as info:
+            church_decode(t, n)
+        assert alpha_eq(info.value.term, nf)
+    else:
+        assert alpha_eq(nf, church_encode(value)) and church_decode(t, n) == value
+    for other in _NAMED.values():
+        u = parse_lam(other[0])
+        same = alpha_eq(nf, _reference(u)[0])
+        assert beta_eq(t, u) == (EQUAL if same else DISTINCT)
 
 
 def test_two_argument_result_still_builds():
