@@ -21,7 +21,7 @@ Three kinds of source text:
 ``prf``  prefix expressions: ``Z k``, ``S``, ``P k i``, ``C f (g1, ..., gl)``,
          ``R (g, h)``, ``Mu g``, and ``def name = term`` bindings; a defined
          name is usable in later terms.  A def name is a name, not
-         punctuation or ``def``, as a λ parameter is.
+         punctuation or ``def``, as a λ parameter is, and not a term head.
 
 ``lam``  ``\\x y. body`` abstraction sugar, juxtaposition application
          (left-associative), parentheses, ``#n`` Church-numeral literals, and
@@ -31,8 +31,8 @@ Three kinds of source text:
          entry with a free name that an earlier entry defines.  A printed
          term puts each closed subterm of at least ``_DEF_MIN_NODES`` (12)
          nodes that its text would hold twice or more on a ``def`` line of
-         its own, and its name in each place it occurs.  Subterms are
-         matched by their de Bruijn code, so alpha-equal terms print the
+         its own, and its name in each place it occurs.  The subterms come
+         from `churing.lam`'s de Bruijn walk, so alpha-equal terms print the
          same text.  The names are ``d1``, ``d2``, ... (skipping the term's
          free names) in the order the subterms first complete in post-order,
          so a def comes after the defs it uses.  The last def, ``main``, is
@@ -44,10 +44,10 @@ a tape symbol, only a line whose first non-blank character is ``#`` is a
 comment.
 
 `parse` returns the single object for a bare text, or a name -> object dict
-when the text consists of ``def`` bindings.  `print_source` inverts it;
-printing is canonical, so print-parse-print is byte-stable.  For a λ-term
-printed with def lines, printing the last entry of the parsed dict gives
-the text again.
+when the text consists of ``def`` bindings.  `print_source` inverts it, and
+refuses a def name that `parse` would refuse (ValidationError); printing is
+canonical, so print-parse-print is byte-stable.  For a λ-term printed with
+def lines, printing the last entry of the parsed dict gives the text again.
 """
 
 from __future__ import annotations
@@ -234,6 +234,8 @@ def _print_automaton(a: Union[Dfa, Nfa], kind: str) -> str:
 _TOKEN = re.compile(r"[(),=.\\#;]|[^\s(),=.\\#;]+")
 # tokens that name nothing: no def and no λ parameter is named by one
 _NOT_NAME = frozenset("(),=.\\#;") | {"def"}
+# a .prf def may not be named by a term head either: the head would win
+_PRF_NOT_NAME = _NOT_NAME | {"Z", "S", "P", "C", "R", "Mu"}
 
 
 class _Tokens:
@@ -263,14 +265,13 @@ class _Tokens:
             self.pos -= 1
             raise self.error(f"expected {tok!r}, got {got!r}")
 
-    def def_head(self, env: dict) -> str:
-        """Read ``def name =`` and return the name.  A name that is
-        punctuation or ``def`` is refused at its token, as a λ parameter is,
-        and so is a name that ``env`` already defines."""
+    def def_head(self, env: dict, refused: frozenset) -> str:
+        """Read ``def name =`` and return the name; refuse, at its token, a
+        name in ``refused`` or one that ``env`` already defines."""
         self.expect("def")
         name = self.next()
         self.expect("=")
-        if name in _NOT_NAME:
+        if name in refused:
             self.pos -= 2
             raise self.error(f"expected a definition name, got {name!r}")
         if name in env:
@@ -323,6 +324,13 @@ def _parse_prf_term(ts: _Tokens, env: Dict[str, PrfExpr]) -> PrfExpr:
     raise ts.error(f"unknown p.r.f. term head {tok!r}")
 
 
+def _def_name(name: str, refused: frozenset) -> str:
+    """name, if a parser refusing ``refused`` reads it as a def name."""
+    if not _TOKEN.fullmatch(name) or name in refused:
+        raise ValidationError(f"cannot print {name!r} as a definition name")
+    return name
+
+
 def _int_tok(ts: _Tokens) -> int:
     tok = ts.next()
     try:
@@ -354,7 +362,7 @@ def parse_prf(text: str) -> Union[PrfExpr, Dict[str, PrfExpr]]:
         return e
     env: Dict[str, PrfExpr] = {}
     while ts.peek() is not None:
-        name = ts.def_head(env)
+        name = ts.def_head(env, _PRF_NOT_NAME)
         body = _parse_prf_term(ts, env)
         env[name] = _with_native(name, body)
     return env
@@ -413,9 +421,9 @@ def print_prf(obj: Union[PrfExpr, Dict[str, PrfExpr]]) -> str:
         _hoist_named(body, deps)
         for dep, dbody in deps.items():
             if dep not in seen and dep != name:
-                lines.append(f"def {dep} = {_print_prf_term(dbody)}")
+                lines.append(f"def {_def_name(dep, _PRF_NOT_NAME)} = {_print_prf_term(dbody)}")
                 seen[dep] = dbody
-        lines.append(f"def {name} = {_print_prf_term(body)}")
+        lines.append(f"def {_def_name(name, _PRF_NOT_NAME)} = {_print_prf_term(body)}")
         seen[name] = body
     return "\n".join(lines) + "\n"
 
@@ -504,179 +512,44 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
         return t
     env: Dict[str, Term] = {}
     while ts.peek() is not None:
-        name = ts.def_head(env)
+        name = ts.def_head(env, _NOT_NAME)
         env[name], ts.pos = _parse_lam_term(ts, ts.pos, scope, make)
         scope[name] = env[name]
     return env
-
-
-# The item of the walks below that completes an application from the two
-# items before it.
-_APPLY = object()
-
-
-def _codes(t: Term):
-    """Hash-cons the subterms of t that hold no free name and no hole.  The
-    code of such a subterm is (0, index) for a bound variable (its de Bruijn
-    index), (1, fn key, arg key) or (2, body key), and its key is the place
-    of its code in ``codes``, so two closed subterms have one key exactly
-    when they are alpha-equal.  Codes come in the order they first complete
-    in post-order: a code's children come before it.
-
-    None when no closed subterm of at least _DEF_MIN_NODES nodes occurs
-    twice; else ``codes``, ``reps`` (a node of each key that is closed and
-    that large, None for the other keys), ``uses`` (how often each key
-    occurs where its parent has no key, or as t), ``closed`` (the key of
-    each closed node, by id) and t's free names.  Iterative; a closed node
-    is walked once, however often it occurs."""
-    from .lam import Abs, App, Var
-    keys: dict = {}  # code -> key
-    codes: list = []
-    sizes: list = []
-    loose: list = []  # how many binders around a key close it
-    reps: list = []
-    uses: list = []
-    closed: dict = {}
-    free: set = set()
-    repeated = False  # whether a closed subterm that large occurred twice
-    scope: dict = {}  # name -> depth of its innermost binder
-    depth = 0
-    out: list = []  # the key of each subterm walked, None for one with a free name
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        if cls is App or cls is Abs:
-            k = closed.get(id(t))
-            if k is not None:
-                repeated = repeated or reps[k] is not None
-                out.append(k)
-            elif cls is App:
-                todo += (t, _APPLY, t.arg, t.fn)
-            else:
-                todo += (t, (t.param, scope.get(t.param)), t.body)
-                scope[t.param] = depth
-                depth += 1
-            continue
-        if cls is Var:
-            d = scope.get(t.name)
-            if d is None:
-                free.add(t.name)
-                out.append(None)
-                continue
-            code, size, lo = (0, depth - 1 - d), 1, depth - d
-        elif t is _APPLY:
-            a = out.pop()
-            f = out.pop()
-            t = todo.pop()
-            if f is None or a is None:
-                for c in (f, a):
-                    if c is not None:
-                        uses[c] += 1
-                out.append(None)
-                continue
-            code, size, lo = (1, f, a), sizes[f] + sizes[a] + 1, max(loose[f], loose[a])
-        elif cls is tuple:  # leaving a binder
-            name, outer = t
-            if outer is None:
-                del scope[name]
-            else:
-                scope[name] = outer
-            depth -= 1
-            b = out.pop()
-            t = todo.pop()
-            if b is None:
-                out.append(None)
-                continue
-            code, size, lo = (2, b), sizes[b] + 1, max(loose[b] - 1, 0)
-        else:  # a hole
-            out.append(None)
-            continue
-        k = keys.get(code)
-        if k is None:
-            k = keys[code] = len(codes)
-            codes.append(code)
-            sizes.append(size)
-            loose.append(lo)
-            reps.append(t if not lo and size >= _DEF_MIN_NODES else None)
-            uses.append(0)
-        elif reps[k] is not None:
-            repeated = True
-        if not lo:
-            closed[id(t)] = k
-        out.append(k)
-    if not repeated:
-        return None
-    if out[0] is not None:
-        uses[out[0]] += 1
-    return codes, reps, uses, closed, free
-
-
-def _with_refs(top: Term, refs: dict, closed: dict, supply) -> Term:
-    """A copy of ``top`` with each closed subterm whose key ``refs`` maps to
-    a name, other than top itself, replaced by a Var of that name, and each
-    binder renamed from ``supply``.  Iterative."""
-    from .lam import Abs, App, Var
-    env: dict = {}  # name -> new name of its innermost binder
-    out: list = []
-    todo: list = [top]
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        if cls is Var:
-            fresh = env.get(t.name)
-            out.append(t if fresh is None else Var(fresh))
-        elif cls is App or cls is Abs:
-            name = refs.get(closed.get(id(t)))
-            if name is not None and t is not top:
-                out.append(Var(name))
-            elif cls is App:
-                todo += (_APPLY, t.arg, t.fn)
-            else:
-                fresh = next(supply)
-                todo += ((t.param, env.get(t.param), fresh), t.body)
-                env[t.param] = fresh
-        elif t is _APPLY:
-            a = out.pop()
-            out[-1] = App(out[-1], a)
-        elif cls is tuple:  # leaving a binder
-            name, outer, fresh = t
-            if outer is None:
-                del env[name]
-            else:
-                env[name] = outer
-            out[-1] = Abs(fresh, out[-1])
-        else:  # a hole
-            out.append(t)
-    return out[0]
 
 
 def _factor(t: Term) -> Optional[Dict[str, Term]]:
     """The def lines of t as the module docstring gives them: each def name
     to its subterm, with the names of the defs it uses in place, and last
     ``main`` to t with every def name in place; None when t has no def
-    line."""
-    from .lam import _binder_names
-    walk = _codes(t)
-    if walk is None:
-        return None
-    codes, reps, uses, closed, free = walk
+    line.  Subterms are `churing.lam`'s de Bruijn keys of t."""
+    from .lam import _binder_names, _codes, _renamed
+    codes, loose, reps, closed = _codes(t)
+    sizes: list = []
+    for code in codes:  # children before parents
+        if code[0] == 3:
+            sizes.append(sizes[code[1]] + sizes[code[2]] + 1)
+        else:
+            sizes.append(sizes[code[1]] + 1 if code[0] == 4 else 1)
+    uses = [0] * len(codes)
+    uses[-1] = 1
     defs = []
     for k in range(len(codes) - 1, -1, -1):  # parents before children
         u = uses[k]
-        if u > 1 and reps[k] is not None:
+        if u > 1 and not loose[k] and sizes[k] >= _DEF_MIN_NODES:
             defs.append(k)
             u = 1  # printed once, on its def line
-        code = codes[k]
-        if code[0] == 1:
-            uses[code[1]] += u
-            uses[code[2]] += u
-        elif code[0] == 2:
-            uses[code[1]] += u
-    refs = dict(zip(reversed(defs), _binder_names(free, "d")))
+        if codes[k][0] > 2:  # an application or an abstraction: its children
+            for c in codes[k][1:]:
+                uses[c] += u
+    if not defs:
+        return None
+    free = {code[1] for code in codes if code[0] == 1}
+    names = dict(zip(reversed(defs), _binder_names(free, "d")))
+    refs = {i: names[k] for i, k in closed.items() if k in names}
     supply = _binder_names(free)
-    out = {name: _with_refs(reps[k], refs, closed, supply) for k, name in refs.items()}
-    out["main"] = _with_refs(t, refs, closed, supply)
+    out = {name: _renamed(reps[k], supply, refs) for k, name in names.items()}
+    out["main"] = _renamed(t, supply, refs)
     return out
 
 
@@ -694,7 +567,7 @@ def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
             if clash:
                 raise ValidationError(f"def {name} has the free name {min(clash)!r}, "
                                       "which an earlier def defines")
-            earlier.add(name)
+            earlier.add(_def_name(name, _NOT_NAME))
     else:
         defs = _factor(obj)
         if defs is None:

@@ -1,6 +1,10 @@
 """Lambda terms: alpha congruence, capture-avoiding substitution, normal
 order reduction, Church numerals and the combinator library.
 
+One walk, `_codes`, hash-conses subterms by de Bruijn code for ``alpha_eq``
+and the def lines of `churing.formats`; one renaming copy, `_renamed`, gives
+``canonical_binders`` and those def lines.  `render` renames as it prints.
+
 Reduction strategy is leftmost-outermost throughout; ``normalize`` finds
 the normal form whenever one exists, so ``beta_eq`` verdicts are as
 strong as a fuel-bounded procedure can be.
@@ -140,7 +144,7 @@ HOLE = Hole()
 
 def _binder_names(avoid: frozenset | set, prefix: str = "x") -> Iterator[str]:
     """prefix1, prefix2, ... skipping ``avoid``: with prefix x, the binder
-    names of `render`, `canonical_binders` and `normalize`."""
+    names of `render`, `canonical_binders` and `_read_back`."""
     return (n for n in (f"{prefix}{i}" for i in itertools.count(1)) if n not in avoid)
 
 
@@ -190,38 +194,80 @@ def free_vars(t: Term) -> frozenset:
 # Alpha congruence and substitution
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Equal up to the names of binders.  Iterative: both terms are walked
-    in step on one stack, a bound variable compared by its binder's depth."""
-    scope_a: dict = {}  # name -> depth of its innermost binder
-    scope_b: dict = {}
+# Marks an application: a task to rebuild one in the iterative traversals
+# below, and in normal-form code the application of the two items before it.
+_APPLY = object()
+
+_OPEN = float("inf")  # how many binders around a free name or a hole close it
+
+
+def _codes(t: Term):
+    """Hash-cons the subterms of t by de Bruijn code: (0, i) for a bound
+    variable of index i, (1, name) for a free name, (2,) for a hole, (3, fn
+    key, arg key) or (4, body key).  A key is the place of its code in
+    ``codes``, which lists the codes as they first complete in post-order:
+    children first, t's last, and equal lists for alpha-equal terms.  Also
+    ``loose`` (how many binders around a key close it), ``reps`` (a node of
+    each key) and ``closed`` (the key of each closed node, by id).
+    Iterative; a closed node is walked once, however often it occurs."""
+    keys: dict = {}  # code -> key
+    codes: list = []
+    loose: list = []
+    reps: list = []
+    closed: dict = {}
+    scope: dict = {}  # name -> depth of its innermost binder, or None
     depth = 0
-    todo: list = [(a, b)]
+    out: list = []  # the key of each subterm walked
+    todo: list = [t]
     while todo:
-        a, b = todo.pop()
-        cls = type(a)
-        if cls is not type(b):
-            return False
+        t = todo.pop()
+        cls = type(t)
+        if cls is App or cls is Abs:
+            k = closed.get(id(t))
+            if k is not None:
+                out.append(k)
+            elif cls is App:
+                todo += (t, _APPLY, t.arg, t.fn)
+            else:
+                todo += (t, (t.param, scope.get(t.param)), t.body)
+                scope[t.param] = depth
+                depth += 1
+            continue
         if cls is Var:
-            if scope_a.get(a.name, a.name) != scope_b.get(b.name, b.name):
-                return False
-        elif cls is App:
-            todo += ((a.arg, b.arg), (a.fn, b.fn))
-        elif cls is Abs:
-            todo += (((a.param, scope_a.get(a.param)), (b.param, scope_b.get(b.param))),
-                     (a.body, b.body))
-            scope_a[a.param] = scope_b[b.param] = depth
-            depth += 1
-        elif cls is tuple:  # leaving a binder pair
+            d = scope.get(t.name)
+            if d is None:
+                code, lo = (1, t.name), _OPEN
+            else:
+                code, lo = (0, depth - 1 - d), depth - d
+        elif t is _APPLY:
+            a = out.pop()
+            f = out.pop()
+            t = todo.pop()
+            code, lo = (3, f, a), max(loose[f], loose[a])
+        elif cls is tuple:  # leaving a binder
+            name, outer = t
+            scope[name] = outer
             depth -= 1
-            for scope, (name, outer) in ((scope_a, a), (scope_b, b)):
-                if outer is None:
-                    del scope[name]
-                else:
-                    scope[name] = outer
-        elif cls is not Hole:
-            return False
-    return True
+            b = out.pop()
+            t = todo.pop()
+            code, lo = (4, b), max(loose[b] - 1, 0)
+        else:  # a hole
+            code, lo = (2,), _OPEN
+        k = keys.get(code)
+        if k is None:
+            k = keys[code] = len(codes)
+            codes.append(code)
+            loose.append(lo)
+            reps.append(t)
+        if not lo:
+            closed[id(t)] = k
+        out.append(k)
+    return codes, loose, reps, closed
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Equal up to the names of binders: the same de Bruijn codes."""
+    return _codes(a)[0] == _codes(b)[0]
 
 
 def substitute(m: Term, x: str, n: Term) -> Term:
@@ -279,11 +325,6 @@ class NormalizeResult:
     term: Term
     normal: bool
     contractions: int = 0  # contractions performed; the fuel when not normal
-
-
-# Marks an application: a task to rebuild one in the iterative traversals
-# below, and in normal-form code the application of the two items before it.
-_APPLY = object()
 
 
 def _refuse_holes(t: Term) -> None:
@@ -593,7 +634,7 @@ def render(t: Term) -> str:
                 params = []
                 scope = []  # (name, its outer renaming) to restore on leaving
                 while type(t) is Abs:
-                    scope.append((t.param, env.get(t.param)))
+                    scope.append((t.param, env.get(t.param, t.param)))
                     env[t.param] = next(supply)
                     params.append(env[t.param])
                     t = t.body
@@ -616,10 +657,7 @@ def render(t: Term) -> str:
                 continue
             elif cls is list:  # leaving the scope of a run of binders
                 for name, outer in reversed(t):
-                    if outer is None:
-                        del env[name]
-                    else:
-                        env[name] = outer
+                    env[name] = outer
             elif cls is Hole:
                 out.append("[]")
             else:
@@ -636,30 +674,39 @@ def canonical_binders(t: Term) -> Term:
     Afterwards every binder has its own name and none is a free variable,
     so substituting a subterm textually captures nothing: the machine BR1
     (`lam_to_tm.br1_on_tm`, `lam_to_tm.reduce_on_tm`) relies on this."""
-    supply = _binder_names(free_vars(t))
-    env: dict = {}  # name -> new name of its innermost binder
+    return _renamed(t, _binder_names(free_vars(t)), {})
+
+
+def _renamed(top: Term, supply: Iterator[str], refs: dict) -> Term:
+    """A copy of ``top`` with each binder renamed from ``supply`` in
+    pre-order, and each node but top whose id ``refs`` maps to a name
+    replaced by a Var of that name, which no new binder name may capture."""
+    env: dict = {}  # name -> new name of its innermost binder, or None
     out: list = []
-    todo: list = [t]
+    todo: list = [top]
     while todo:
         t = todo.pop()
-        if isinstance(t, Var):
-            out.append(Var(env.get(t.name, t.name)))
-        elif isinstance(t, App):
-            todo += (_APPLY, t.arg, t.fn)
-        elif isinstance(t, Abs):
-            fresh = next(supply)  # numbered on entry: pre-order
-            todo += ((t.param, env.get(t.param), fresh), t.body)
-            env[t.param] = fresh
+        cls = type(t)
+        if cls is Var:
+            fresh = env.get(t.name)
+            out.append(t if fresh is None else Var(fresh))
+        elif cls is App or cls is Abs:
+            name = refs.get(id(t))
+            if name is not None and t is not top:
+                out.append(Var(name))
+            elif cls is App:
+                todo += (_APPLY, t.arg, t.fn)
+            else:
+                fresh = next(supply)  # numbered on entry: pre-order
+                todo += ((t.param, env.get(t.param), fresh), t.body)
+                env[t.param] = fresh
         elif t is _APPLY:
             a = out.pop()
             out[-1] = App(out[-1], a)
-        elif type(t) is tuple:  # leaving a binder
+        elif cls is tuple:  # leaving a binder
             name, outer, fresh = t
-            if outer is None:
-                del env[name]
-            else:
-                env[name] = outer
+            env[name] = outer
             out[-1] = Abs(fresh, out[-1])
-        else:
+        else:  # a hole
             out.append(t)
     return out[0]

@@ -487,7 +487,8 @@ def test_check_bad(tmp_path):
 
 
 def test_check_refuses_a_def_named_by_punctuation(tmp_path, capsys):
-    for name, text in (("d.lam", "def # = x\n"), ("d.prf", "def ( = S\n")):
+    for name, text in (("d.lam", "def # = x\n"), ("d.prf", "def ( = S\n"),
+                       ("d.prf", "def S = Z 1\n")):
         f = tmp_path / name
         f.write_text(text)
         assert cli(["check", str(f)]) == 3

@@ -7,9 +7,9 @@ from churing.formats import (
     parse, parse_lam, parse_prf, parse_tm, print_lam, print_nat, print_prf, print_source,
     print_tm,
 )
-from churing.lam import App, Var, alpha_eq, app, church_decode, lam
+from churing.lam import App, Var, alpha_eq, app, canonical_binders, church_decode, lam
 from churing.lam_to_tm import SUITE, build_machine
-from churing.prf import const, evaluate
+from churing.prf import Compose, Named, Proj, Succ, Zero, const, evaluate, stdlib, stdlib_names
 from churing.tm import run
 from churing.transform import to_single_tape
 
@@ -170,11 +170,14 @@ def test_parse_error_reports_location():
         pytest.fail("expected a ParseError")
 
 
-# Punctuation and ``def`` name no definition, as they name no λ parameter;
-# the error points at the name.  A prf comment starts at ``#``, a lam one at ``;``.
+# Punctuation and ``def`` name no definition, as they name no λ parameter,
+# and a p.r.f. term head names no p.r.f. definition (read back, the head would
+# win); the error points at the name.  A prf comment starts at ``#``, a lam
+# one at ``;``.
 @pytest.mark.parametrize("kind,name", [
     *[("lam", p) for p in ["(", ")", ",", "=", "\\", "#", ".", "def"]],
     *[("prf", p) for p in ["(", ")", ",", "=", "\\", ";", ".", "def"]],
+    *[("prf", h) for h in ["Z", "S", "P", "C", "R", "Mu"]],
 ])
 def test_a_def_name_is_not_punctuation(kind, name):
     body = {"lam": "x", "prf": "S"}[kind]
@@ -182,6 +185,36 @@ def test_a_def_name_is_not_punctuation(kind, name):
         parse(kind, f"def f = {body}\ndef {name} = {body}\n")
     e = info.value
     assert (e.message, e.line, e.column) == (f"expected a definition name, got {name!r}", 2, 5)
+
+
+def test_printers_refuse_a_def_name_their_parser_refuses():
+    e = Compose(Named("S", Zero(1)), (Proj(1, 1),))
+    assert evaluate(e, (3,), 100) == 0  # printed as "def S = Z 1", S would read back as succ
+    with pytest.raises(ValidationError, match="cannot print 'S' as a definition name"):
+        print_prf(e)
+    for name in ("(", "def", "Mu", "a b", ""):
+        with pytest.raises(ValidationError):
+            print_prf({name: Succ()})
+    for name in ("#", "def", ";", "a b", "x;y", ""):
+        with pytest.raises(ValidationError):
+            print_lam({name: Var("x")})
+    # the names of the library, of constants and of the lam printer still print
+    c = Compose(const(5, 2), (Proj(1, 1), Proj(1, 1)))
+    for e in [c, *(stdlib(n) for n in stdlib_names())]:
+        text = print_prf(e)
+        assert print_prf(parse_prf(text)) == text
+    assert "def const5/2 = " in print_prf(c)
+    assert print_lam({"S": Var("x"), "Mu": Var("y")}) == "def S = x\ndef Mu = y\n"
+
+
+def test_binders_named_like_defs_print_as_the_canonical_copy():
+    d1, d2 = Var("d1"), Var("d2")
+    shared = lam("d1 d2", app(d2, d1, d2, d1, d2, d1))  # closed, 13 nodes
+    t = lam("d2", app(shared, d2, shared))
+    text = print_lam(t)
+    assert text.startswith("def d1 = ") and text.count("\n") == 2
+    assert print_lam(canonical_binders(t)) == text
+    assert alpha_eq(parse_lam(text)["main"], t)
 
 
 def test_a_printed_dict_refuses_an_earlier_name_free_in_a_later_entry():

@@ -135,6 +135,31 @@ def test_alpha_eq_agrees_with_canonical_binders(a, b, new):
         assert alpha_eq(x, y) == (canonical_binders(x) == canonical_binders(y))
 
 
+def test_alpha_eq_of_a_node_bound_in_one_place_and_free_in_another():
+    n = App(Var("y"), Var("y"))  # one object: bound under \y, free outside it
+    t = App(Abs("y", n), n)
+    assert alpha_eq(t, App(lam("z", App(Var("z"), Var("z"))), App(Var("y"), Var("y"))))
+    assert not alpha_eq(t, App(Abs("z", n), n))
+    assert canonical_binders(t) == App(Abs("x1", App(Var("x1"), Var("x1"))), n)
+
+
+def test_alpha_eq_of_holes():
+    assert alpha_eq(HOLE, HOLE)
+    assert alpha_eq(Abs("x", App(Var("x"), HOLE)), Abs("y", App(Var("y"), HOLE)))
+    assert not alpha_eq(HOLE, Var("x")) and not alpha_eq(Var("x"), HOLE)
+    assert not alpha_eq(Abs("x", HOLE), Abs("x", Var("x")))
+
+
+def test_alpha_eq_on_a_deep_term_does_not_recurse():
+    n = 100_000
+    body: Term = Var("z")
+    for _ in range(n):
+        body = App(Var("f"), body)
+    assert alpha_eq(church_encode(n), lam("f z", body))
+    assert not alpha_eq(church_encode(n), lam("z f", body))
+    assert not alpha_eq(church_encode(n - 1), lam("f z", body))
+
+
 def test_beta_eq_on_deep_normal_forms():
     # the normal forms are 5000 applications deep: alpha_eq may not recurse
     assert beta_eq(church_encode(5000), church_encode(5000)) == "equal"

@@ -62,3 +62,41 @@ def _unread_imports(path: Path):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert _unread_imports(path) == []
+
+
+def _private_top_level_names(path: Path):
+    """(line, name) of each private function, class or constant defined at
+    the top level of ``path``."""
+    out = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def test_every_private_top_level_name_is_read():
+    """A private function, class or constant of a module in ``src/churing``
+    is read: as a name in its own module, imported by name from it into
+    another, or as an attribute."""
+    paths = sorted((ROOT / "src" / "churing").glob("*.py"))
+    local = {path.stem: set() for path in paths}  # module -> names it reads
+    shared = set()  # attribute names, and module.name of each name imported by name
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                local[path.stem].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                shared.update(f"{node.module}.{alias.name}" for alias in node.names)
+    unread = [(path.name, line, name) for path in paths
+              for line, name in _private_top_level_names(path)
+              if name not in local[path.stem] and name not in shared
+              and f"{path.stem}.{name}" not in shared]
+    assert unread == []
