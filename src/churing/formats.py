@@ -37,11 +37,18 @@ Three kinds of source text:
          free names) in the order the subterms first complete in post-order,
          so a def comes after the defs it uses.  The last def, ``main``, is
          the term; a term with no such subterm prints as one bare line.
+         Each line is printed straight from the term, by `churing.lam`'s
+         render walk, which writes a def's name where its subterm is.  A
+         free name the parser would not read back as that one name (``a
+         b``, ``def``, ``#``, the empty name) is refused (ValidationError).
 
 Comments run to the end of the line.  In ``prf`` they start at ``#``; in
 ``lam``, where ``#`` starts a numeral, at ``;``; in ``tm``, where ``#`` may be
 a tape symbol, only a line whose first non-blank character is ``#`` is a
 comment.
+
+The ``tm`` parser splits each distinct vector text once, and checks each
+distinct move text once, in a table of its own.
 
 `parse` returns the single object for a bare text, or a name -> object dict
 when the text consists of ``def`` bindings.  `print_source` inverts it, and
@@ -122,6 +129,10 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
     if mode_s != "semi":
         raise ParseError(f"mode must be semi, got {mode_s!r}", line=mode_no, column=1)
 
+    # Each distinct vector text is split once, and each distinct move text
+    # checked once, in a table of its own: a read or write text is no move.
+    symbols: Dict[str, Tuple[str, ...]] = {}
+    moved: Dict[str, Tuple[str, ...]] = {}
     rules = []
     for no, s in delta_lines:
         if "->" not in s:
@@ -134,13 +145,22 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
                              line=no, column=1)
         state, reads = lf
         nxt, writes, moves = rf
-        reads_t = tuple(reads.split(","))
-        writes_t = tuple(writes.split(","))
-        moves_t = tuple(moves.split(","))
-        for m in moves_t:
-            if m not in ("L", "R", "S"):
-                raise ParseError(f"move must be L, R or S, got {m!r}",
-                                 line=no, column=1 + s.find(m))
+        reads_t = symbols.get(reads)
+        if reads_t is None:
+            reads_t = symbols[reads] = tuple(reads.split(","))
+        writes_t = symbols.get(writes)
+        if writes_t is None:
+            writes_t = symbols[writes] = tuple(writes.split(","))
+        moves_t = moved.get(moves)
+        if moves_t is None:
+            moves_t = tuple(moves.split(","))
+            for i, m in enumerate(moves_t):
+                if m not in ("L", "R", "S"):
+                    # the move text ends the line; count its moves before m
+                    col = len(text.splitlines()[no - 1].rstrip()) - len(moves) + 1
+                    col += sum(len(x) + 1 for x in moves_t[:i])
+                    raise ParseError(f"move must be L, R or S, got {m!r}", line=no, column=col)
+            moved[moves] = moves_t
         if not len(reads_t) == len(writes_t) == len(moves_t) == tapes:
             raise ParseError(f"expected {tapes} symbols per vector", line=no, column=1)
         rules.append((state, reads_t, nxt, writes_t, moves_t))
@@ -324,10 +344,10 @@ def _parse_prf_term(ts: _Tokens, env: Dict[str, PrfExpr]) -> PrfExpr:
     raise ts.error(f"unknown p.r.f. term head {tok!r}")
 
 
-def _def_name(name: str, refused: frozenset) -> str:
-    """name, if a parser refusing ``refused`` reads it as a def name."""
+def _def_name(name: str, refused: frozenset, what: str = "a definition name") -> str:
+    """name, if a parser refusing ``refused`` reads it as one name."""
     if not _TOKEN.fullmatch(name) or name in refused:
-        raise ValidationError(f"cannot print {name!r} as a definition name")
+        raise ValidationError(f"cannot print {name!r} as {what}")
     return name
 
 
@@ -518,13 +538,14 @@ def parse_lam(text: str) -> Union[Term, Dict[str, Term]]:
     return env
 
 
-def _factor(t: Term) -> Optional[Dict[str, Term]]:
-    """The def lines of t as the module docstring gives them: each def name
-    to its subterm, with the names of the defs it uses in place, and last
-    ``main`` to t with every def name in place; None when t has no def
-    line.  Subterms are `churing.lam`'s de Bruijn keys of t."""
-    from .lam import _binder_names, _codes, _renamed
+def _factor(t: Term):
+    """The free names of t; the def lines of t as the module docstring gives them, each def name to its
+    subterm in the order they are printed, before ``main``; and, by id, the
+    def name of every node of t that a def line holds.  The subterms are
+    `churing.lam`'s de Bruijn keys of t."""
+    from .lam import _binder_names, _codes
     codes, loose, reps, closed = _codes(t)
+    free = frozenset(code[1] for code in codes if code[0] == 1)
     sizes: list = []
     for code in codes:  # children before parents
         if code[0] == 3:
@@ -542,38 +563,42 @@ def _factor(t: Term) -> Optional[Dict[str, Term]]:
         if codes[k][0] > 2:  # an application or an abstraction: its children
             for c in codes[k][1:]:
                 uses[c] += u
-    if not defs:
-        return None
-    free = {code[1] for code in codes if code[0] == 1}
     names = dict(zip(reversed(defs), _binder_names(free, "d")))
     refs = {i: names[k] for i, k in closed.items() if k in names}
-    supply = _binder_names(free)
-    out = {name: _renamed(reps[k], supply, refs) for k, name in names.items()}
-    out["main"] = _renamed(t, supply, refs)
-    return out
+    return free, {name: reps[k] for k, name in names.items()}, refs
 
 
 def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
     """A dict prints one def line per entry, with its own names in its own
-    order; a term prints with its shared closed subterms on def lines.
+    order; a term prints with its shared closed subterms on def lines.  A
+    def is closed, so its binders are named from x1 whatever the term's
+    free names; main's binders skip its free names.
 
-    An entry with a free name that an earlier entry defines is refused with
-    ValidationError: read back, that name would be the earlier definition."""
-    from .lam import free_vars, render
+    A free name that `parse_lam` would not read back as that one name is
+    refused with ValidationError, and so is an entry with a free name that
+    an earlier entry defines: read back, that name would be the earlier
+    definition."""
+    from .lam import _render, free_vars, render
     if isinstance(obj, dict):
-        earlier: set = set()
+        earlier: Dict[str, str] = {}  # each def name to its printed term
         for name, t in obj.items():
-            clash = free_vars(t) & earlier
+            free = free_vars(t)
+            for x in sorted(free):
+                _def_name(x, _NOT_NAME, "a free name")
+            clash = free & earlier.keys()
             if clash:
                 raise ValidationError(f"def {name} has the free name {min(clash)!r}, "
                                       "which an earlier def defines")
-            earlier.add(_def_name(name, _NOT_NAME))
-    else:
-        defs = _factor(obj)
-        if defs is None:
-            return render(obj) + "\n"
-        obj = defs
-    return "".join(f"def {name} = {render(t)}\n" for name, t in obj.items())
+            earlier[_def_name(name, _NOT_NAME)] = _render(t, {}, free)
+        return "".join(f"def {name} = {text}\n" for name, text in earlier.items())
+    free, defs, refs = _factor(obj)
+    for x in sorted(free):
+        _def_name(x, _NOT_NAME, "a free name")
+    if not defs:
+        return render(obj) + "\n"
+    lines = [f"def {name} = {_render(t, refs, frozenset())}\n" for name, t in defs.items()]
+    lines.append(f"def main = {_render(obj, refs, free)}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

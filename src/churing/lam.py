@@ -3,7 +3,8 @@ order reduction, Church numerals and the combinator library.
 
 One walk, `_codes`, hash-conses subterms by de Bruijn code for ``alpha_eq``
 and the def lines of `churing.formats`; one renaming copy, `_renamed`, gives
-``canonical_binders`` and those def lines.  `render` renames as it prints.
+``canonical_binders``.  `render` renames as it prints, with no copy, and its
+walk also prints those def lines, writing a def's name where its node is.
 
 Reduction strategy is leftmost-outermost throughout; ``normalize`` finds
 the normal form whenever one exists, so ``beta_eq`` verdicts are as
@@ -615,13 +616,21 @@ def render(t: Term) -> str:
     gives: alpha-equal terms print identically.
 
     Application spines are left associated; an abstraction at the head of
-    a spine and any non-atomic argument are parenthesized.  Iterative: each
-    term is printed in place, and what follows it waits on a stack of terms,
-    literal text and binder scopes to close."""
-    supply = _binder_names(free_vars(t))
+    a spine and any non-atomic argument are parenthesized."""
+    return _render(t, {}, free_vars(t))
+
+
+def _render(top: Term, refs: dict, avoid: frozenset | set) -> str:
+    """The text of `render`, binders named from `_binder_names` over
+    ``avoid``, and each node but top whose id ``refs`` maps to a name
+    written as that name, as a variable would be: the def lines of
+    `churing.formats`.  Iterative: each term is printed in place, and what
+    follows it waits on a stack of terms, literal text and binder scopes to
+    close."""
+    supply = _binder_names(avoid)
     env: dict = {}  # name -> new name of its innermost binder
     out: list = []
-    todo: list = [t]
+    todo: list = [top]
     while todo:
         t = todo.pop()
         while True:
@@ -633,24 +642,32 @@ def render(t: Term) -> str:
             elif cls is Abs:
                 params = []
                 scope = []  # (name, its outer renaming) to restore on leaving
-                while type(t) is Abs:
+                while True:
                     scope.append((t.param, env.get(t.param, t.param)))
-                    env[t.param] = next(supply)
-                    params.append(env[t.param])
+                    env[t.param] = fresh = next(supply)
+                    params.append(fresh)
                     t = t.body
+                    if type(t) is not Abs or id(t) in refs:
+                        break
                 todo.append(scope)
                 out.append("\\" + " ".join(params) + ". ")
+                t = refs.get(id(t), t)
                 continue
             elif cls is App:
-                while type(t) is App:  # arguments pushed last one first
+                while True:  # arguments pushed last one first
                     a = t.arg
                     if type(a) is Var:
                         todo.append(" " + env.get(a.name, a.name))
+                    elif id(a) in refs:
+                        todo.append(" " + refs[id(a)])
                     elif type(a) is Hole:
                         todo.append(" []")
                     else:
                         todo += (")", a, " (")
                     t = t.fn
+                    if type(t) is not App or id(t) in refs:
+                        break
+                t = refs.get(id(t), t)
                 if type(t) is Abs:
                     out.append("(")
                     todo.append(")")
@@ -674,13 +691,12 @@ def canonical_binders(t: Term) -> Term:
     Afterwards every binder has its own name and none is a free variable,
     so substituting a subterm textually captures nothing: the machine BR1
     (`lam_to_tm.br1_on_tm`, `lam_to_tm.reduce_on_tm`) relies on this."""
-    return _renamed(t, _binder_names(free_vars(t)), {})
+    return _renamed(t, _binder_names(free_vars(t)))
 
 
-def _renamed(top: Term, supply: Iterator[str], refs: dict) -> Term:
+def _renamed(top: Term, supply: Iterator[str]) -> Term:
     """A copy of ``top`` with each binder renamed from ``supply`` in
-    pre-order, and each node but top whose id ``refs`` maps to a name
-    replaced by a Var of that name, which no new binder name may capture."""
+    pre-order."""
     env: dict = {}  # name -> new name of its innermost binder, or None
     out: list = []
     todo: list = [top]
@@ -690,16 +706,12 @@ def _renamed(top: Term, supply: Iterator[str], refs: dict) -> Term:
         if cls is Var:
             fresh = env.get(t.name)
             out.append(t if fresh is None else Var(fresh))
-        elif cls is App or cls is Abs:
-            name = refs.get(id(t))
-            if name is not None and t is not top:
-                out.append(Var(name))
-            elif cls is App:
-                todo += (_APPLY, t.arg, t.fn)
-            else:
-                fresh = next(supply)  # numbered on entry: pre-order
-                todo += ((t.param, env.get(t.param), fresh), t.body)
-                env[t.param] = fresh
+        elif cls is App:
+            todo += (_APPLY, t.arg, t.fn)
+        elif cls is Abs:
+            fresh = next(supply)  # numbered on entry: pre-order
+            todo += ((t.param, env.get(t.param), fresh), t.body)
+            env[t.param] = fresh
         elif t is _APPLY:
             a = out.pop()
             out[-1] = App(out[-1], a)

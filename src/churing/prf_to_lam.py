@@ -11,11 +11,13 @@ The binders the compiler adds are named ``x~1``, ``u~2``, ... from a counter
 local to one call, so equal expressions compile to equal terms.  Each node
 of the expression is compiled once per call, keyed on its identity, so a
 node the expression shares (a `Named` used twice) is one shared subterm of
-the term, and the term is as small as the expression's DAG.  Binders are
-therefore not all distinct: a shared subterm, G used twice in a mu, and
-the combinators and numerals keep their own names.  The printer and the
-term-on-tape machinery rename binders apart themselves (`lam.render`,
-`lam.canonical_binders`).
+the term, and the term is as small as the expression's DAG.  Each of the
+combinators R, S, P, I and the numeral 0 is built once per call, on first
+use, and every use in that call is that one object; nothing outlives the
+call.  Binders are therefore not all distinct: a shared subterm, G used
+twice in a mu, and the combinators and numerals keep their own names.  The
+printer and the term-on-tape machinery rename binders apart themselves
+(`lam.render`, `lam.canonical_binders`).
 """
 
 from __future__ import annotations
@@ -37,9 +39,19 @@ def compile_prf_to_lambda(e: PrfExpr) -> Term:
     return _compile(e, binders, {})
 
 
+def _part(name: str, done: dict) -> Term:
+    """The combinator ``name``, or the numeral 0 for ``"0"``: built on first
+    use in a call and kept in its ``done``, so each is one object."""
+    t = done.get(name)
+    if t is None:
+        t = done[name] = church_encode(0) if name == "0" else combinator(name)
+    return t
+
+
 def _compile(e: PrfExpr, binders: Callable[..., List[str]], done: dict) -> Term:
     """The term of e; ``done`` maps id(node) to the term of every node
-    compiled so far in this call, so a shared node is compiled once."""
+    compiled so far in this call, so a shared node is compiled once, and
+    the name of each combinator (and "0") to its one object (`_part`)."""
     t = done.get(id(e))
     if t is not None:
         return t
@@ -47,12 +59,12 @@ def _compile(e: PrfExpr, binders: Callable[..., List[str]], done: dict) -> Term:
         t = _compile(e.definition, binders, done)
     elif isinstance(e, Zero):
         if e.k == 0:
-            t = church_encode(0)
+            t = _part("0", done)
         else:
             xs = binders("x", e.k)
-            t = lam(xs, church_encode(0))
+            t = lam(xs, _part("0", done))
     elif isinstance(e, Succ):
-        t = combinator("S")
+        t = _part("S", done)
     elif isinstance(e, Proj):
         xs = binders("x", e.k)
         t = lam(xs, Var(xs[e.i - 1]))
@@ -75,7 +87,7 @@ def _compile(e: PrfExpr, binders: Callable[..., List[str]], done: dict) -> Term:
         [v] = binders("v")
         xv = [Var(x) for x in xs]
         step = lam([m, v], app(H, *xv, Var(m), Var(v)))
-        body = app(combinator("R"), app(G, *xv) if xs else G, step, Var(u))
+        body = app(_part("R", done), app(G, *xv) if xs else G, step, Var(u))
         t = lam(xs + [u], body)
     elif isinstance(e, Mu):
         # H = \x... y. P (G x...) y ; J = \x... . H x... 0
@@ -85,15 +97,15 @@ def _compile(e: PrfExpr, binders: Callable[..., List[str]], done: dict) -> Term:
         xs = binders("x", k)
         [y] = binders("y")
         xv = [Var(x) for x in xs]
-        P = combinator("P")
+        P = _part("P", done)
         hx = binders("x", k)
         hv = [Var(x) for x in hx]
         H = lam(hx + [y], app(P, app(G, *hv), Var(y)))
         jx = binders("x", k)
         jv = [Var(x) for x in jx]
-        J = lam(jx, app(H, *jv, church_encode(0)))
-        body = app(app(P, app(G, *xv), church_encode(0)), combinator("I"),
-                   app(J, *xv))
+        zero = _part("0", done)
+        J = lam(jx, app(H, *jv, zero))
+        body = app(app(P, app(G, *xv), zero), _part("I", done), app(J, *xv))
         t = lam(xs, body)
     else:
         raise ValidationError(f"cannot compile node {e!r}")

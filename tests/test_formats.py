@@ -10,6 +10,7 @@ from churing.formats import (
 from churing.lam import App, Var, alpha_eq, app, canonical_binders, church_decode, lam
 from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Compose, Named, Proj, Succ, Zero, const, evaluate, stdlib, stdlib_names
+from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import run
 from churing.transform import to_single_tape
 
@@ -227,6 +228,62 @@ def test_a_printed_dict_refuses_an_earlier_name_free_in_a_later_entry():
         back = parse_lam(print_lam(defs))
         assert back.keys() == defs.keys()
         assert all(alpha_eq(back[k], defs[k]) for k in defs)
+
+
+@pytest.mark.parametrize("name", ["a b", "def", "#", ""])
+def test_print_lam_refuses_a_free_name_its_parser_misreads(name):
+    # read back, "f a b" would be three atoms, "f def" would end the term,
+    # "f #" a numeral with no digits and "f " a bare f
+    shared = lam("p q", app(Var("q"), Var("p"), Var("q"), Var("p"), Var("q"), Var("p")))
+    for t in (App(Var("f"), Var(name)),                        # one bare line
+              app(shared, Var(name), shared),                  # def lines
+              lam("y", app(Var("y"), Var(name)))):
+        with pytest.raises(ValidationError, match=f"cannot print {name!r} as a free name"):
+            print_lam(t)
+    with pytest.raises(ValidationError, match=f"cannot print {name!r} as a free name"):
+        print_lam({"g": App(Var("f"), Var(name))})
+    # a name the parser reads back as itself prints
+    t = app(shared, Var("f~1"), shared)
+    assert alpha_eq(parse_lam(print_lam(t))["main"], t)
+
+
+_TM_HEAD = ("name: m\ntapes: {tapes}\nstates: q0 q1\ninitial: q0\naccept: q1\n"
+            "input_alphabet: a\ntape_alphabet: a _\ndelta:\n")
+
+
+def test_a_move_text_first_read_as_a_symbol_is_still_no_move():
+    # line 10 reads and writes "a" before the move text "a" ends it
+    text = _TM_HEAD.format(tapes=1) + "q0 a -> q1 a R\nq1 a -> q1 a a\n"
+    with pytest.raises(ParseError) as info:
+        parse_tm(text)
+    e = info.value
+    assert (e.message, e.line, e.column) == ("move must be L, R or S, got 'a'", 10, 14)
+    text = _TM_HEAD.format(tapes=2) + "q0 a,_ -> q1 a,_ R,S\n  q1 a,_ -> q1 a,_ R,a\n"
+    with pytest.raises(ParseError) as info:
+        parse_tm(text)
+    e = info.value  # the column counts the line's indent
+    assert (e.message, e.line, e.column) == ("move must be L, R or S, got 'a'", 10, 22)
+
+
+def test_a_wrong_length_vector_on_a_later_line_fails_there():
+    rules = "q0 a,_ -> q1 a,_ R,S\nq0 _,_ -> q1 a,_ R,S\nq1 a,_ -> q0 a R,S\n"
+    with pytest.raises(ParseError) as info:
+        parse_tm(_TM_HEAD.format(tapes=2) + rules)
+    e = info.value
+    assert (e.message, e.line, e.column) == ("expected 2 symbols per vector", 11, 1)
+
+
+def test_compiled_machines_read_back_as_themselves():
+    machines = {}
+    for n in stdlib_names():
+        try:
+            machines[n] = compile_prf_to_tm(stdlib(n))[0]
+        except ValidationError:  # needs more tapes than the compiler allows
+            pass
+    machines["squeezed id"] = to_single_tape(machines["id"])
+    assert len(machines) == 13
+    for m in machines.values():
+        assert parse_tm(print_tm(m)) == m
 
 
 def _digits_value(text: str) -> int:

@@ -3,7 +3,9 @@
 import pytest
 
 from churing.errors import ValidationError
-from churing.lam import Abs, App, church_decode, church_encode, free_vars, normalize
+from churing.lam import (
+    Abs, App, church_decode, church_encode, combinator, free_vars, normalize,
+)
 from churing.prf import (
     Compose, Mu, Named, PrimRec, Proj, Succ, Zero, evaluate, expand, stdlib, stdlib_names,
 )
@@ -39,8 +41,47 @@ def test_named_nodes_compile_as_their_definitions(name):
 
 def test_shared_nodes_compile_once():
     # extract's expression is a DAG; its term has 23,471 nodes as a tree,
-    # 2,528 with only the Named nodes shared, and 1,911 with every node
-    assert len(node_objects(compile_prf_to_lambda(stdlib("extract")))) == 1911
+    # 2,528 with only the Named nodes shared, 1,911 with every node of the
+    # expression shared, and 1,095 with each combinator and the numeral 0
+    # built once as well
+    assert len(node_objects(compile_prf_to_lambda(stdlib("extract")))) == 1095
+
+
+def _parts(t):
+    """Each combinator R, S, P, I and the numeral 0 in t, by name, as the
+    list of its distinct objects; the walk does not enter them, so the
+    numerals inside R and P are theirs, not the compiler's."""
+    parts = {name: combinator(name) for name in "RSPI"}
+    parts["0"] = church_encode(0)
+    found = {name: [] for name in parts}
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if isinstance(u, Abs) and "~" not in u.param:  # the compiler's binders have a ~
+            name = next(name for name, p in parts.items() if u == p)
+            found[name].append(u)
+        elif isinstance(u, Abs):
+            todo.append(u.body)
+        elif isinstance(u, App):
+            todo += (u.fn, u.arg)
+    return found
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_each_combinator_is_one_object_in_a_compiled_term(name):
+    found = _parts(compile_prf_to_lambda(stdlib(name)))
+    assert all(len(objs) <= 1 for objs in found.values()), found
+
+
+def test_a_mu_over_stdlib_functions_builds_each_part_once():
+    # eq brings R, S and 0; the mu brings P, I and 0 again
+    e = Compose(stdlib("eq"), (Mu(stdlib("monus")), Proj(1, 1)))
+    t = compile_prf_to_lambda(e)
+    assert {name: len(objs) for name, objs in _parts(t).items()} == dict.fromkeys("RSPI0", 1)
+    assert _run(t, [3]) == 1
 
 
 def test_a_named_used_twice_is_one_subterm():
