@@ -29,12 +29,12 @@ modules or a compiler; the argument parser is built once per process.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .equiv import AGREE, DEFAULT_FUEL, DISAGREE, INCONCLUSIVE, equiv_grid  # callers read cli.AGREE
+from .equiv import (AGREE, DEFAULT_FUEL, DISAGREE, INCONCLUSIVE,  # callers read cli.AGREE
+                    equiv_grid, parse_grid)
 from .errors import (ACCEPT, FUEL_EXHAUSTED, NOT_FOUND, REJECT, ChuringError, FuelExhausted,
                      NotANumeral, ParseError, ValidationError)
 from .formats import parse, print_nat, print_source
@@ -211,23 +211,11 @@ def _cmd_transform(args) -> Optional[str]:
     return verdict
 
 
-def _parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
-    lo_s, _, hi_s = spec.partition("..")
-    try:
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise ParseError(f"grid must look like 0..4, got {spec!r}", line=1, column=1)
-    if hi < lo:
-        raise ValidationError(f"grid {spec!r} is empty")
-    return [tuple(p) for p in itertools.product(range(lo, hi + 1), repeat=k)]
-
-
 def _cmd_equiv(args) -> str:
     e = _load(args.prf, "prf")
     m = _load_machine(args.tm)
     t = _load(args.lam, "lam")
-    report = equiv_grid(e, m, t, _parse_grid(args.grid, arity_check(e)),
-                        fuel=args.fuel)
+    report = equiv_grid(e, m, t, parse_grid(args.grid, arity_check(e)), fuel=args.fuel)
     print(report.table(), *report.lines(), sep="\n")
     cex = report.counterexample()
     if cex is not None:

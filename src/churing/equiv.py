@@ -1,12 +1,13 @@
 """Differential harness: one function evaluated in every model over a grid
-of points, with a verdict per point."""
+of points, with a verdict per point; `parse_grid` reads a grid's text."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import FuelExhausted, NonEncodable, NotANumeral
+from .errors import FuelExhausted, NonEncodable, NotANumeral, ParseError, ValidationError
 from .formats import print_nat
 
 if TYPE_CHECKING:  # the models load when a grid runs, not with the command line
@@ -17,6 +18,9 @@ if TYPE_CHECKING:  # the models load when a grid runs, not with the command line
 DEFAULT_FUEL = 10 ** 6
 
 AGREE, DISAGREE, INCONCLUSIVE = "Agree", "Disagree", "Inconclusive"
+
+# the most points `parse_grid` lists: each point runs every model once
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -109,3 +113,20 @@ def equiv_grid(prf: PrfExpr, tm: MachineSpec, lam: Term,
                         else AGREE if None not in row.values() else INCONCLUSIVE)
         results[pt] = row
     return EquivReport(pts, results, verdicts)
+
+
+def parse_grid(spec: str, k: int) -> List[Tuple[int, ...]]:
+    """Every k-tuple over ``A..B`` (inclusive), in lexicographic order; a
+    ValidationError, before any point is built, for an empty grid or one of
+    more than `MAX_GRID_POINTS` points."""
+    lo_s, _, hi_s = spec.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise ParseError(f"grid must look like 0..4, got {spec!r}", line=1, column=1)
+    if hi < lo:
+        raise ValidationError(f"grid {spec!r} is empty")
+    if (hi - lo + 1) ** k > MAX_GRID_POINTS:
+        raise ValidationError(f"grid {spec!r} at arity {k} has more than "
+                              f"MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+    return list(product(range(lo, hi + 1), repeat=k))

@@ -40,7 +40,8 @@ Three kinds of source text:
          Each line is printed straight from the term, by `churing.lam`'s
          render walk, which writes a def's name where its subterm is.  A
          free name the parser would not read back as that one name (``a
-         b``, ``def``, ``#``, the empty name) is refused (ValidationError).
+         b``, ``def``, ``#``, the empty name) is refused (ValidationError),
+         and so is a hole.
 
 Comments run to the end of the line.  In ``prf`` they start at ``#``; in
 ``lam``, where ``#`` starts a numeral, at ``;``; in ``tm``, where ``#`` may be
@@ -577,8 +578,9 @@ def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
     A free name that `parse_lam` would not read back as that one name is
     refused with ValidationError, and so is an entry with a free name that
     an earlier entry defines: read back, that name would be the earlier
-    definition."""
-    from .lam import _render, free_vars, render
+    definition.  A hole is refused too: read back, its ``[]`` would be a
+    free name."""
+    from .lam import _render, free_vars
     if isinstance(obj, dict):
         earlier: Dict[str, str] = {}  # each def name to its printed term
         for name, t in obj.items():
@@ -589,15 +591,16 @@ def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
             if clash:
                 raise ValidationError(f"def {name} has the free name {min(clash)!r}, "
                                       "which an earlier def defines")
-            earlier[_def_name(name, _NOT_NAME)] = _render(t, {}, free)
+            earlier[_def_name(name, _NOT_NAME)] = _render(t, {}, free, holes=False)
         return "".join(f"def {name} = {text}\n" for name, text in earlier.items())
     free, defs, refs = _factor(obj)
     for x in sorted(free):
         _def_name(x, _NOT_NAME, "a free name")
+    main = _render(obj, refs, free, holes=False)
     if not defs:
-        return render(obj) + "\n"
+        return main + "\n"
     lines = [f"def {name} = {_render(t, refs, frozenset())}\n" for name, t in defs.items()]
-    lines.append(f"def main = {_render(obj, refs, free)}\n")
+    lines.append(f"def main = {main}\n")
     return "".join(lines)
 
 

@@ -620,13 +620,13 @@ def render(t: Term) -> str:
     return _render(t, {}, free_vars(t))
 
 
-def _render(top: Term, refs: dict, avoid: frozenset | set) -> str:
+def _render(top: Term, refs: dict, avoid: frozenset | set, holes: bool = True) -> str:
     """The text of `render`, binders named from `_binder_names` over
     ``avoid``, and each node but top whose id ``refs`` maps to a name
     written as that name, as a variable would be: the def lines of
-    `churing.formats`.  Iterative: each term is printed in place, and what
-    follows it waits on a stack of terms, literal text and binder scopes to
-    close."""
+    `churing.formats`.  A hole is ``[]``, or a ValidationError unless
+    ``holes``.  Iterative: each term is printed in place, and what follows
+    it waits on a stack of terms, literal text and binder scopes to close."""
     supply = _binder_names(avoid)
     env: dict = {}  # name -> new name of its innermost binder
     out: list = []
@@ -661,7 +661,7 @@ def _render(top: Term, refs: dict, avoid: frozenset | set) -> str:
                     elif id(a) in refs:
                         todo.append(" " + refs[id(a)])
                     elif type(a) is Hole:
-                        todo.append(" []")
+                        todo += (a, " ")
                     else:
                         todo += (")", a, " (")
                     t = t.fn
@@ -676,6 +676,8 @@ def _render(top: Term, refs: dict, avoid: frozenset | set) -> str:
                 for name, outer in reversed(t):
                     env[name] = outer
             elif cls is Hole:
+                if not holes:
+                    raise ValidationError("cannot print a hole as source text")
                 out.append("[]")
             else:
                 raise ValidationError(f"cannot print {t!r}")

@@ -50,9 +50,11 @@ TermWire = str
 def render_term(t: Term) -> TermWire:
     """Flatten a term to its wire string.
 
-    Variables (free and bound alike) are numbered 1, 2, ... in order of first
-    occurrence, so alpha-equal terms with identically named free variables
-    render identically up to binder numbering.
+    Names, free and bound alike, are numbered 1, 2, ... in order of first
+    occurrence, so the alpha-equal ``\\x. \\y. y`` and ``\\x. \\x. x`` give
+    different wires, and ``\\x. y`` and ``\\x. z`` one wire.  Two closed
+    terms are alpha-equal exactly when their `canonical_binders` copies
+    give the same wire.
     """
     wire, _ = render_with_names(t)
     return wire
@@ -297,8 +299,9 @@ def _cbv_machine() -> MachineSpec:
 # ---------------------------------------------------------------------------
 
 def _ae_machine() -> MachineSpec:
-    # render_with_names numbers binders canonically, so literal equality of
-    # rendered wires decides alpha-equivalence of the underlying terms.
+    # literal equality of two wires; on the wires of `canonical_binders`
+    # copies of two closed terms it answers 1 exactly when they are
+    # alpha-equal (see `render_term`)
     b = Rules()
     for s in WIRE_SYMBOLS:
         b.rule("a0", {1: s, 2: s}, "a0", moves={1: "R", 2: "R"})

@@ -15,8 +15,10 @@ decides ``deterministic`` too: a machine is deterministic exactly when no
 scan vector over the tape alphabet resolves to two or more targets of the
 highest matching rank.  The build asks the resolver about one scan per
 class of scans it cannot tell apart.  `run` refuses a nondeterministic
-machine (see `transform.nd_run`), so a deterministic one never meets an
-ambiguous transition.
+machine (see `transform.nd_run`).  Every start, whoever builds it, passes
+one check, `_check_start`, which keeps every scan over the tape alphabet:
+so a deterministic machine resolves each scan to one step or none, and
+`run` has no ambiguity branch.
 
 Every tape is semi-infinite: its cells are numbered from 0, a `Tape` holds
 them from cell 0, a left move of a head on cell 0 is a stuck halt with
@@ -62,8 +64,8 @@ Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
 class Tape:
     """One tape: ``cells[i]`` is the symbol at cell i, trailing blanks
     trimmed so equal tape contents compare equal; every later cell is blank.
-    A position is a cell, 0 or more (`successors` and `run` refuse a head
-    left of cell 0)."""
+    A position is a cell, 0 or more (`_check_start` refuses a head left of
+    cell 0)."""
 
     cells: str = ""
 
@@ -391,26 +393,11 @@ def resolve(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Tuple[Step
     return index.resolve(state, "".join([scanned[t] for t in entry[0]]))
 
 
-def resolve_one(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Optional[Step]:
-    """The single resolved step for a scan (None when the state has no
-    matching rule); more than one is a ValidationError."""
-    steps = resolve(spec, state, scanned)
-    if len(steps) > 1:
-        raise _ambiguous(spec, state, scanned)
-    return steps[0] if steps else None
-
-
-def _ambiguous(spec: MachineSpec, state: str, scanned: Sequence[str]) -> ValidationError:
-    return ValidationError(
-        f"ambiguous transition in {spec.name!r} at state {state!r} reading {tuple(scanned)}"
-    )
-
-
 def successors(spec: MachineSpec, c: Configuration) -> List[Configuration]:
     """All next configurations (empty when halted); a step that moves a head
-    left off cell 0 is a stuck halt and has none.  ``c`` passes the tape and
-    head checks of `initial_configuration`."""
-    _check_start(spec, c.tapes, c.heads)
+    left off cell 0 is a stuck halt and has none.  ``c`` passes
+    `_check_start`."""
+    _check_start(spec, c)
     out = []
     for nxt, writes, shifts, lefts in resolve(spec, c.state, c.scanned()):
         if any(c.heads[t] == 0 for t in lefts):
@@ -431,33 +418,32 @@ def initial_configuration(
     """Word i on tape i from cell 0, heads at ``heads`` (default cell 0).
 
     Without ``heads`` this is the start on an input word: ``words[0]``
-    must be over the input alphabet.  Every word is over the tape alphabet,
-    there is one head per tape, and none is left of cell 0."""
+    must be over the input alphabet.  The start passes `_check_start`."""
     if len(words) > spec.tapes:
         raise ValidationError(f"{len(words)} input words for {spec.tapes} tapes")
     if heads is None and words and not spec.input_alphabet.issuperset(words[0]):
         bad = next(ch for ch in words[0] if ch not in spec.input_alphabet)
         raise ValidationError(f"input symbol {bad!r} outside input alphabet")
-    tapes = []
-    for i in range(spec.tapes):
-        w = words[i] if i < len(words) else ""
-        for ch in w:
-            if ch not in spec.tape_alphabet:
-                raise ValidationError(f"input symbol {ch!r} outside tape alphabet")
-        tapes.append(Tape.from_word(w))
+    tapes = tuple(Tape.from_word(w) for w in words) + (Tape(),) * (spec.tapes - len(words))
     hs = tuple(heads) if heads is not None else (0,) * spec.tapes
-    _check_start(spec, tapes, hs)
-    return Configuration(spec.initial, tuple(tapes), hs, 0)
+    return _check_start(spec, Configuration(spec.initial, tapes, hs))
 
 
-def _check_start(spec: MachineSpec, tapes: Sequence[Tape], heads: Sequence[int]) -> None:
-    """One tape and one head per tape, and no head left of cell 0."""
-    if not len(tapes) == len(heads) == spec.tapes:
+def _check_start(spec: MachineSpec, c: Configuration) -> Configuration:
+    """``c``, when it has one tape and one head per tape, no head left of
+    cell 0 and every symbol in the tape alphabet.  Rules write only tape
+    symbols, so every later scan is over the tape alphabet too."""
+    if not len(c.tapes) == len(c.heads) == spec.tapes:
         raise ValidationError(
-            f"{len(tapes)} tapes and {len(heads)} heads for a {spec.tapes}-tape machine")
-    for t, h in enumerate(heads, 1):
+            f"{len(c.tapes)} tapes and {len(c.heads)} heads for a {spec.tapes}-tape machine")
+    alphabet = spec.tape_alphabet
+    for t, (tape, h) in enumerate(zip(c.tapes, c.heads), 1):
         if h < 0:
             raise ValidationError(f"head {t} at cell {h}, left of cell 0")
+        if not alphabet.issuperset(tape.cells):
+            bad = next(ch for ch in tape.cells if ch not in alphabet)
+            raise ValidationError(f"symbol {bad!r} on tape {t} outside tape alphabet")
+    return c
 
 
 def run(
@@ -469,7 +455,7 @@ def run(
 ) -> Outcome:
     """Run a deterministic machine on ``word`` (tape 1, head at its first
     symbol), or from ``start``; Accept as soon as the state is accepting.
-    A start passes the same tape and head checks as `initial_configuration`.
+    The start passes `_check_start` once.
 
     The tapes live in mutable buffers, one list of cells per tape, from
     cell 0 to at least the head's cell, and each head is the index of its
@@ -489,8 +475,7 @@ def run(
         raise ValidationError("run requires a deterministic machine; see nd_run")
     index = spec.index
     memo = index.memo
-    c = start if start is not None else initial_configuration(spec, [word])
-    _check_start(spec, c.tapes, c.heads)
+    c = initial_configuration(spec, [word]) if start is None else _check_start(spec, start)
     state = c.state
     # one buffer per tape, from cell 0 to at least the head: a head is its cell's index
     cells = [list(t.cells.ljust(h + 1, BLANK)) for t, h in zip(c.tapes, c.heads)]
@@ -521,11 +506,9 @@ def run(
             todo = known.get(key)
             if todo is None:
                 todo = index.resolve(state, key)
-            try:  # a deterministic scan resolves to one step
+            try:  # one step, or none (Reject)
                 [(nxt, writes, shifts, lefts)] = todo
-            except ValueError:  # none (Reject), or several
-                if todo:
-                    raise _ambiguous(spec, state, [b[i] for b, i in zip(cells, pos)]) from None
+            except ValueError:
                 nxt = None
                 break
             if lefts:

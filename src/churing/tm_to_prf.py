@@ -35,7 +35,7 @@ from .prf import (
     por,
     stdlib,
 )
-from .tm import BLANK, MachineSpec, resolve_one
+from .tm import BLANK, MachineSpec, resolve
 
 _DIGIT = {BLANK: 0, "0": 1, "1": 2}
 _GLYPH = {0: BLANK, 1: "0", 2: "1"}
@@ -138,13 +138,10 @@ def machine_tables(m: MachineSpec) -> Dict[str, PrfExpr]:
         if state in m.accept:
             continue  # halted: defaults apply
         for sym, si in _DIGIT.items():
-            s = resolve_one(m, state, (sym,))
-            if s is None:
-                continue
-            nxt, writes, shifts, _ = s
-            wd = _DIGIT[writes[0][1] if writes else sym]
-            av = 2 if not shifts else 0 if shifts[0][1] < 0 else 1  # L, R, S
-            entries.append((idx[state], si, av, wd, idx[nxt]))
+            for nxt, writes, shifts, _ in resolve(m, state, (sym,)):  # one step or none
+                wd = _DIGIT[writes[0][1] if writes else sym]
+                av = 2 if not shifts else 0 if shifts[0][1] < 0 else 1  # L, R, S
+                entries.append((idx[state], si, av, wd, idx[nxt]))
 
     q_, s_ = Proj(2, 1), Proj(2, 2)
 

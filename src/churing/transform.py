@@ -21,7 +21,7 @@ from .tm import (
     Tape,
     _check_start,
     initial_configuration,
-    resolve_one,
+    resolve,
     run,
     successors,
 )
@@ -124,12 +124,12 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
             raise ValidationError(f"single-tape compilation of {m.name!r} needs "
                                   f"more than MAX_STATES = {MAX_STATES} states")
         if t == k:
-            s = resolve_one(m, q, vec)
             key = (k, None)  # no rule, or stuck at cell 0
-            if s and not any(u in edges for u in s[3]):
-                w, d = dict(s[1]), dict(s[2])
-                edits = tuple((u + 1, w.get(u), d.get(u, 0)) for u in sorted({*w, *d}))
-                key = (k, (same[s[0]], edits))
+            for s in resolve(m, q, vec):  # one step at most: m is deterministic
+                if not any(u in edges for u in s[3]):
+                    w, d = dict(s[1]), dict(s[2])
+                    edits = tuple((u + 1, w.get(u), d.get(u, 0)) for u in sorted({*w, *d}))
+                    key = (k, (same[s[0]], edits))
         else:
             read, left = t in reads.get(q, ()), t in lefts.get(q, ())
             key = (t, tuple(tuple(residual(q, t + 1, vec + (c if read else WILD,),
@@ -279,7 +279,7 @@ def single_tape_start(host: MachineSpec, c: Configuration) -> Configuration:
     0 in state ENTRY.  A segment runs from cell 0 of its tape to the last
     nonblank cell or the head, whichever is further.  For a one-tape host,
     which squeezes to itself, this is ``c``."""
-    _check_start(host, c.tapes, c.heads)
+    _check_start(host, c)
     if host.tapes == 1:
         return c
     if c.state != host.initial:

@@ -12,7 +12,7 @@ import pytest
 
 from churing import cli as cli_module, lam as lam_module
 from churing.cli import cli
-from churing.equiv import DEFAULT_FUEL, equiv_grid
+from churing.equiv import DEFAULT_FUEL, MAX_GRID_POINTS, equiv_grid, parse_grid
 from churing.errors import NotANumeral, ValidationError
 from churing.formats import parse, print_nat, print_source
 from churing.lam import App, Var, church_encode, lam
@@ -226,8 +226,8 @@ def test_run_lam_non_numeral_is_normalized_once(tmp_path, monkeypatch, capsys):
 def test_non_numeral_is_rendered_only_when_read(tmp_path, monkeypatch, capsys):
     # run lam prints the normal form once; an equiv_grid cell never reads it
     renders = []
-    real = lam_module.render  # formats.print_lam looks it up there when it runs
-    monkeypatch.setattr(lam_module, "render", lambda t: renders.append(1) or real(t))
+    real = lam_module._render  # formats.print_lam and lam.render look it up there
+    monkeypatch.setattr(lam_module, "_render", lambda *a, **k: renders.append(1) or real(*a, **k))
     f = tmp_path / "t.lam"
     f.write_text("def x = #5 q\n")
     assert cli(["run", "lam", str(f)]) == 0
@@ -737,6 +737,22 @@ def test_equiv_empty_grid_is_refused(capsys):
     captured = capsys.readouterr()
     assert "grid '3..1' is empty" in captured.err
     assert captured.out == ""
+
+
+def test_equiv_refuses_a_huge_grid_before_listing_it(tmp_path, capsys):
+    # 10^16 points at arity 2: refused from the range alone, at once
+    f = tmp_path / "add.prf"
+    f.write_text(print_source("prf", stdlib("add")))
+    began = time.perf_counter()
+    assert cli(["equiv", "--prf", str(f), "--tm", _c("succ.tm"), "--lam", _c("combinators.lam"),
+                "--grid", "0..100000000"]) == 3
+    assert time.perf_counter() - began < 1
+    captured = capsys.readouterr()
+    assert "more than MAX_GRID_POINTS" in captured.err and captured.out == ""
+    assert MAX_GRID_POINTS == 10_000
+    assert len(parse_grid("0..99", 2)) == MAX_GRID_POINTS
+    with pytest.raises(ValidationError, match="more than MAX_GRID_POINTS"):
+        parse_grid("0..100", 2)
 
 
 # --- what a command loads -----------------------------------------------

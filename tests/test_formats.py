@@ -7,7 +7,8 @@ from churing.formats import (
     parse, parse_lam, parse_prf, parse_tm, print_lam, print_nat, print_prf, print_source,
     print_tm,
 )
-from churing.lam import App, Var, alpha_eq, app, canonical_binders, church_decode, lam
+from churing.lam import (HOLE, App, Var, alpha_eq, app, canonical_binders, church_decode, lam,
+                         render)
 from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Compose, Named, Proj, Succ, Zero, const, evaluate, stdlib, stdlib_names
 from churing.prf_to_tm import compile_prf_to_tm
@@ -245,6 +246,20 @@ def test_print_lam_refuses_a_free_name_its_parser_misreads(name):
     # a name the parser reads back as itself prints
     t = app(shared, Var("f~1"), shared)
     assert alpha_eq(parse_lam(print_lam(t))["main"], t)
+
+
+def test_print_lam_refuses_a_hole():
+    # "f []" would read back as f applied to a free name "[]"
+    shared = lam("p q", app(Var("q"), Var("p"), Var("q"), Var("p"), Var("q"), Var("p")))
+    for t in (App(Var("f"), HOLE),                             # one bare line
+              HOLE,
+              app(shared, HOLE, shared),                       # def lines
+              lam("y", App(HOLE, Var("y")))):
+        with pytest.raises(ValidationError, match="cannot print a hole"):
+            print_lam(t)
+        with pytest.raises(ValidationError, match="cannot print a hole"):
+            print_lam({"g": t})
+    assert render(App(Var("f"), HOLE)) == "f []"  # messages still show the hole
 
 
 _TM_HEAD = ("name: m\ntapes: {tapes}\nstates: q0 q1\ninitial: q0\naccept: q1\n"

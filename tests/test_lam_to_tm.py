@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from churing import lam_to_tm
 from churing.errors import FuelExhausted, ValidationError, WireParseError
 from churing.lam import (
-    Abs, App, Term, Var, alpha_eq, beta_step, canonical_binders, church_decode,
+    HOLE, Abs, App, Term, Var, alpha_eq, beta_step, canonical_binders, church_decode,
     church_encode, free_vars, lam, normalize,
 )
 from churing.lam_to_tm import (
     SUITE, build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
     render_term, render_with_names,
 )
-from churing.tm import run
+from churing.tm import initial_configuration, run
 
 from lam_reference import bound_vars, closed_terms, is_normal_form
 from test_rules import PINNED, _digest
@@ -216,3 +216,40 @@ def test_canonical_binders_keeps_alpha_class_and_separates_binders():
         # all binders pairwise distinct and apart from the free variables
         assert len(bound_vars(f)) == _count_abs(f)
         assert not bound_vars(f) & free_vars(f)
+
+
+def _all_named_x(t: Term) -> Term:
+    """t with every binder and variable named x: still closed when t is,
+    each variable now bound by its innermost binder."""
+    if isinstance(t, Abs):
+        return Abs("x", _all_named_x(t.body))
+    if isinstance(t, App):
+        return App(_all_named_x(t.fn), _all_named_x(t.arg))
+    return Var("x")
+
+
+def test_ae_decides_alpha_equality_of_canonical_wires():
+    # on wires of canonical_binders copies, closed terms are alpha-equal
+    # exactly when AE answers 1; the pool holds shadowed binder names.  A
+    # plain wire numbers a binder by its name, so it is no alpha class.
+    assert render_term(lam(["x", "y"], Var("y"))) != render_term(lam(["x", "x"], Var("x")))
+    assert render_term(lam(["x"], Var("y"))) == render_term(lam(["x"], Var("z")))
+    pool = [t for size in (1, 2, 3, 4) for t in closed_terms(size)]
+    pool = list(dict.fromkeys(pool + [_all_named_x(t) for t in pool]))
+    assert lam(["x", "x"], Var("x")) in pool and lam(["x0", "x1"], Var("x1")) in pool
+    ae = build_machine("AE")
+    wires = [render_term(canonical_binders(t)) for t in pool]
+    for a, wa in zip(pool, wires):
+        for b, wb in zip(pool, wires):
+            out = run(ae, "", fuel=1000, start=initial_configuration(ae, [wa, wb]))
+            assert out.tag == "Accept"
+            assert (out.final.tapes[2].content() == "1") == alpha_eq(a, b), (a, b)
+
+
+def test_contexts_with_holes_round_trip_through_the_wire():
+    ctx = lam(["x"], App(App(Var("x"), HOLE), lam(["y"], App(HOLE, Var("z")))))
+    wire, names = render_with_names(ctx)
+    assert wire == "(Lv|.((v|@)(Lv||.(@v|||))))"
+    back = parse_wire(wire, names)
+    assert back == ctx and alpha_eq(back, ctx)
+    assert parse_wire("@") == HOLE

@@ -292,6 +292,34 @@ def test_run_refuses_a_start_with_a_head_left_of_cell_0():
         run(m, "", fuel=10, start=start)
 
 
+def test_a_start_off_the_tape_alphabet_is_refused_everywhere():
+    # over {a, _} a rank-3 key decides every scan that both rank-1 keys
+    # match, so the machine is deterministic; a `z` under head 1 would let
+    # the two rank-1 keys tie
+    from churing.transform import single_tape_start
+    m = make_machine(name="tie", states=["q", "A", "B"], initial="q", accept=["A"],
+                     input_alphabet=["a"], tape_alphabet=["a", "_"], tapes=3,
+                     rules=[("q", "*a*", "A", "***", "SSS"), ("q", "**a", "B", "***", "SSS"),
+                            ("q", "aaa", "A", "***", "SSS"), ("q", "_aa", "B", "***", "SSS")])
+    assert m.deterministic
+    z = Configuration("q", (Tape("z"), Tape("a"), Tape("a")), (0, 0, 0))
+    for go in (lambda: run(m, "", fuel=10, start=z), lambda: successors(m, z),
+               lambda: single_tape_start(m, z),
+               lambda: initial_configuration(m, ["", "z"], heads=(0, 0, 0))):
+        with pytest.raises(ValidationError, match="'z' on tape [12] outside tape alphabet"):
+            go()
+    ok = replace(z, tapes=(Tape("_a"), Tape("a"), Tape("a")))
+    assert run(m, "", fuel=10, start=ok).final.state == "B"
+    assert [c.state for c in successors(m, ok)] == ["B"]
+
+    copier = parse("tm", corpus_text("copier.tm"))
+    start = Configuration(copier.initial, (Tape("z"), Tape()), (0, 0))
+    for go in (lambda: run(copier, "", fuel=100, start=start),
+               lambda: single_tape_start(copier, start)):
+        with pytest.raises(ValidationError, match="'z' on tape 1 outside tape alphabet"):
+            go()
+
+
 @pytest.mark.parametrize("heads", [(0,), (0, 0, 0)])
 def test_initial_configuration_wants_one_head_per_tape(heads):
     copier = parse("tm", corpus_text("copier.tm"))  # two tapes
