@@ -68,6 +68,21 @@ def check_fuel(amount, what: str = "fuel") -> None:
         raise ValidationError(f"{what} must be a natural number, got {amount}")
 
 
+# The largest natural an argument is encoded as.  A Church numeral (`#n`,
+# ``run lam --apply``, the λ column of ``equiv``) and a unary word (the
+# machine columns) build n nodes or cells before any fuel is spent, so a
+# larger one is a ValidationError (exit 3) before anything is built.
+MAX_ENCODED = 1_000_000
+
+
+def check_encoded(n: int, what: str) -> None:
+    """``n`` may be encoded as a ``what``: a natural of at most MAX_ENCODED."""
+    if n < 0:
+        raise ValidationError(f"a {what} encodes naturals only")
+    if n > MAX_ENCODED:
+        raise ValidationError(f"a {what} of more than MAX_ENCODED = {MAX_ENCODED} is not built")
+
+
 class Fuel:
     """Mutable budget; every primitive operation spends one unit.
 

@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import FuelExhausted, NotANumeral, ValidationError, check_fuel
+from .errors import FuelExhausted, NotANumeral, ValidationError, check_encoded, check_fuel
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +493,7 @@ def beta_eq(a: Term, b: Term, fuel: int = 10_000) -> str:
 
 
 def church_encode(n: int) -> Term:
-    if n < 0:
-        raise ValidationError("Church numerals encode naturals only")
+    check_encoded(n, "Church numeral")
     body: Term = Var("y")
     for _ in range(n):
         body = App(Var("x"), body)

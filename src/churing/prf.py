@@ -12,7 +12,8 @@ their units with its own; a recursion whose step is a Proj or a Zero pays all
 its steps in one charge.  A leaf does nothing but spend its unit, so neither
 the value, the total spent nor the budget at which fuel runs out moves; an
 overdrawn charge leaves the budget at -1, as paying unit by unit would, and a
-native runs only after its unit is paid.
+native runs only after its unit is paid.  A native of a product or a power
+refuses a result that may pass `MAX_NATIVE_BITS` before building it.
 """
 
 from __future__ import annotations
@@ -349,6 +350,31 @@ def named_const(name: str, body: PrfExpr) -> Optional[Named]:
     return None
 
 
+# The bits a native's result may take.  A native of `mul`, `exp`, `pow2` or
+# `pow3` bounds its result from its operands' bit lengths before building it
+# (a product by the sum of theirs, b**n by n * b.bit_length()) and raises
+# GuardExceeded when the bound passes this, rather than build an int of any
+# size for its one unit of fuel: so `pow2` runs to n = 2**19.
+MAX_NATIVE_BITS = 1 << 20
+
+
+def _guard(name: str, bits: int) -> None:
+    if bits > MAX_NATIVE_BITS:
+        raise GuardExceeded(f"{name}: a result of up to {bits} bits is past "
+                            f"MAX_NATIVE_BITS = {MAX_NATIVE_BITS}")
+
+
+def _mul(m: int, n: int) -> int:
+    _guard("mul", m.bit_length() + n.bit_length())
+    return m * n
+
+
+def _power(name: str, b: int, n: int) -> int:
+    if b > 1:
+        _guard(name, n * b.bit_length())
+    return b**n
+
+
 def _mk_add() -> Named:
     defn = PrimRec(Proj(1, 1), Compose(Succ(), (Proj(3, 3),)))
     return Named("add", defn, native=lambda m, n: m + n)
@@ -357,13 +383,13 @@ def _mk_add() -> Named:
 def _mk_mul() -> Named:
     add = stdlib("add")
     defn = PrimRec(Zero(1), Compose(add, (Proj(3, 1), Proj(3, 3))))
-    return Named("mul", defn, native=lambda m, n: m * n)
+    return Named("mul", defn, native=_mul)
 
 
 def _mk_exp() -> Named:
     mul = stdlib("mul")
     defn = PrimRec(const(1, 1), Compose(mul, (Proj(3, 1), Proj(3, 3))))
-    return Named("exp", defn, native=lambda m, n: m**n)
+    return Named("exp", defn, native=lambda m, n: _power("exp", m, n))
 
 
 def _mk_pred() -> Named:
@@ -560,12 +586,12 @@ def _mk_extract() -> Named:
 
 def _mk_pow2() -> Named:
     defn = Compose(stdlib("exp"), (const(2, 1), Proj(1, 1)))
-    return Named("pow2", defn, native=lambda n: 2**n)
+    return Named("pow2", defn, native=lambda n: _power("pow2", 2, n))
 
 
 def _mk_pow3() -> Named:
     defn = Compose(stdlib("exp"), (const(3, 1), Proj(1, 1)))
-    return Named("pow3", defn, native=lambda n: 3**n)
+    return Named("pow3", defn, native=lambda n: _power("pow3", 3, n))
 
 
 _BUILDERS = {

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ACCEPT, FUEL_EXHAUSTED, REJECT, NonEncodable, ValidationError, check_fuel
+from .errors import (ACCEPT, FUEL_EXHAUSTED, REJECT, NonEncodable, ValidationError,
+                     check_encoded, check_fuel)
 
 BLANK = "_"
 WILD = "*"
@@ -589,8 +590,7 @@ def numeric_layout(spec: MachineSpec, k: int) -> NumericLayout:
 
 
 def encode_unary(n: int) -> str:
-    if n < 0:
-        raise ValidationError("unary encoding takes naturals")
+    check_encoded(n, "unary word")
     return "0" if n == 0 else "1" * n
 
 

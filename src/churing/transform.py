@@ -86,6 +86,16 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     halts at once.  The state that starts the gather pass of the host's
     initial state is named ENTRY (`single_tape_start` starts there); every
     other state is ``s<N>``, N its place in the breadth-first search.
+
+    A state that steps on every symbol of the one-tape alphabet gets one
+    `*`-read row for its largest class of equal targets: the same next
+    state and move, and the same written symbol, or the scanned one kept,
+    written `*`.  Of equal classes the one whose first symbol sorts first
+    wins, and a class of one row gets none.  A state that halts on some
+    symbol keeps only explicit rows, since a `*` row would step there.
+    Every other row is explicit, so each scan resolves to the step it would
+    take in a table of explicit rows only.
+
     Refused with a ValidationError: a nondeterministic machine, ``#`` in
     the tape alphabet, more tape symbols than dotted glyphs, and a machine
     needing more than MAX_STATES control states."""
@@ -244,9 +254,12 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     order: List[tuple] = [start]
     delta: Dict = {}
     queue = deque([start])
+    symbols = sorted(alphabet)
     while queue:
         st = queue.popleft()
-        for sym in sorted(alphabet):
+        q = names[st]
+        rows = []
+        for sym in symbols:
             res = control(st, sym)
             if res is None:
                 continue
@@ -258,7 +271,22 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 names[nxt] = ENTRY if nxt == entry else f"s{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
-            delta[(names[st], (sym,))] = ((names[nxt], (w,), (mv,)),)
+            rows.append((sym, (names[nxt], WILD if w == sym else w, mv)))
+        # a state with a step on every symbol puts its largest class of equal
+        # targets (of equal ones, the first met) on one `*` row, if not a lone row
+        default = None
+        if len(rows) == len(symbols):
+            size: Dict[tuple, int] = {}
+            for _, target in rows:
+                size[target] = size.get(target, 0) + 1
+            top = max(size, key=size.__getitem__)
+            if size[top] > 1:
+                default = nxt, w, mv = top
+                delta[(q, (WILD,))] = ((nxt, (w,), (mv,)),)
+        for sym, target in rows:
+            if target != default:
+                nxt, w, mv = target
+                delta[(q, (sym,))] = ((nxt, (sym if w == WILD else w,), (mv,)),)
 
     accept = frozenset(names[st] for st in order if st == ("accept",))
     return MachineSpec(

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,11 +14,12 @@ import pytest
 from churing import cli as cli_module, lam as lam_module
 from churing.cli import cli
 from churing.equiv import DEFAULT_FUEL, MAX_GRID_POINTS, equiv_grid, parse_grid
-from churing.errors import NotANumeral, ValidationError
+from churing.errors import MAX_ENCODED, GuardExceeded, NotANumeral, ValidationError
 from churing.formats import parse, print_nat, print_source
 from churing.lam import App, Var, church_encode, lam
-from churing.prf import Succ, arity_check, stdlib, stdlib_names
+from churing.prf import MAX_NATIVE_BITS, Succ, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
+from churing.tm import encode_unary
 
 from conftest import CORPUS
 
@@ -148,6 +150,37 @@ def test_run_prf_prints_a_huge_value_exactly(tmp_path, capsys):
                 "--grid", "20000..20000", "--fuel", "100"]) == 2
     assert f"20000;prf;{print_nat(2 ** 20_000)}" in capsys.readouterr().out.splitlines()
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _refused_at_once(argv):
+    """stderr of ``churing argv`` in a child, which must exit 3 within 1 s
+    with a peak RSS under 200 MB: what a cap refuses is never built."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    began = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "churing.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    seconds = time.perf_counter() - began
+    # the largest peak of every child reaped so far, in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert seconds < 1 and peak_mb < 200, (seconds, peak_mb)
+    return proc.stderr
+
+
+def test_run_prf_refuses_a_native_result_past_its_cap(tmp_path):
+    # 2^(10^10) would be an int of about 1.25 GB, built for one unit of fuel
+    f = tmp_path / "pow2.prf"
+    f.write_text(print_source("prf", stdlib("pow2")))  # main = C exp (const2/1, P 1 1)
+    err = _refused_at_once(["run", "prf", str(f), "--args", "10000000000"])
+    assert "exp: a result of up to 20000000000 bits is past MAX_NATIVE_BITS = " in err
+    assert MAX_NATIVE_BITS == 2 ** 20
+    # the cap is on the bound n * b.bit_length(): pow2 runs to n = 2^19
+    assert stdlib("pow2").native(2 ** 19) == 2 ** 2 ** 19
+    for name, args in [("pow2", (2 ** 19 + 1,)), ("pow3", (2 ** 19 + 1,)),
+                       ("exp", (3, 2 ** 19 + 1)), ("mul", (2 ** 2 ** 19, 2 ** 2 ** 19))]:
+        with pytest.raises(GuardExceeded, match=f"^{name}: a result of up to"):
+            stdlib(name).native(*args)
+    assert stdlib("exp").native(1, 10 ** 100) == 1 and stdlib("exp").native(0, 10 ** 100) == 0
 
 
 # each model refuses the options of the others: `run tm --args` would
@@ -753,6 +786,23 @@ def test_equiv_refuses_a_huge_grid_before_listing_it(tmp_path, capsys):
     assert len(parse_grid("0..99", 2)) == MAX_GRID_POINTS
     with pytest.raises(ValidationError, match="more than MAX_GRID_POINTS"):
         parse_grid("0..100", 2)
+
+
+def test_an_encoded_argument_past_its_cap_is_refused_before_it_is_built(tmp_path):
+    # one point, so MAX_GRID_POINTS lets it through; the tm column would be
+    # a unary word of 10^9 cells, the λ column a numeral of 10^9 nodes
+    err = _refused_at_once(["equiv", "--prf", _c("succ.prf"), "--tm", _c("succ.tm"),
+                            "--lam", _c("combinators.lam"), "--grid", "1000000000..1000000000"])
+    assert "a unary word of more than MAX_ENCODED" in err
+    err = _refused_at_once(["run", "lam", _c("combinators.lam"), "--apply", "#1000000000"])
+    assert "a Church numeral of more than MAX_ENCODED" in err
+    assert MAX_ENCODED == 1_000_000
+    assert len(encode_unary(MAX_ENCODED)) == MAX_ENCODED
+    for encode, what in [(encode_unary, "unary word"), (church_encode, "Church numeral")]:
+        with pytest.raises(ValidationError, match=f"a {what} of more than MAX_ENCODED"):
+            encode(MAX_ENCODED + 1)
+        with pytest.raises(ValidationError, match=f"a {what} encodes naturals only"):
+            encode(-1)
 
 
 # --- what a command loads -----------------------------------------------

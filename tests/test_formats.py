@@ -296,9 +296,15 @@ def test_compiled_machines_read_back_as_themselves():
         except ValidationError:  # needs more tapes than the compiler allows
             pass
     machines["squeezed id"] = to_single_tape(machines["id"])
-    assert len(machines) == 13
-    for m in machines.values():
-        assert parse_tm(print_tm(m)) == m
+    machines["squeezed pred"] = to_single_tape(machines["pred"])
+    machines["squeezed copier"] = to_single_tape(parse_tm((CORPUS / "copier.tm").read_text()))
+    assert len(machines) == 15
+    for name, m in machines.items():
+        text = print_tm(m)
+        if name.startswith("squeezed"):  # its text has `*` reads and `*` writes
+            rows = [line.split() for line in text.splitlines() if " -> " in line]
+            assert any(r[1] == "*" for r in rows) and any(r[4] == "*" for r in rows)
+        assert parse_tm(text) == m
 
 
 def _digits_value(text: str) -> int:

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 import tm_reference as ref
 
 from churing.errors import NotADecider, ValidationError
-from churing.formats import parse
+from churing.formats import parse, print_tm
 from churing.lam_to_tm import SUITE, build_machine
 from churing.prf import Proj, stdlib
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    FUEL_EXHAUSTED, Configuration, MachineSpec, initial_configuration, make_machine,
+    FUEL_EXHAUSTED, WILD, Configuration, MachineSpec, initial_configuration, make_machine,
     numeric_start, run,
 )
 from churing.transform import (
@@ -248,6 +248,44 @@ def test_single_tape_entry_is_where_the_blank_run_first_gathers(name):
 
 def test_single_tape_of_compiled_pred_is_small():
     assert len(to_single_tape(compile_prf_to_tm(stdlib("pred"))[0]).states) <= 3100
+
+
+# (rules, bytes of print_tm) of squeezed compiled functions when every
+# (state, symbol) pair with a step had a row of its own
+DENSE_SIZE = {"pred": (26_590, 556_603), "sg": (40_026, 847_745), "add": (53_967, 1_149_894),
+              "monus": (104_678, 2_282_894)}
+
+
+@pytest.mark.parametrize("fn", sorted(DENSE_SIZE))
+def test_squeezed_star_rows_cut_rules_and_text_by_two_fifths(fn):
+    single = to_single_tape(compile_prf_to_tm(stdlib(fn))[0])
+    rules, size = DENSE_SIZE[fn]
+    assert len(single.delta) <= 0.6 * rules
+    assert len(print_tm(single)) <= 0.6 * size
+
+
+@pytest.mark.parametrize("name", ["copier.tm", "pred"])
+def test_squeezed_star_rows_fold_each_full_state_s_largest_class(name):
+    host = (compile_prf_to_tm(stdlib(name))[0] if name == "pred"
+            else parse("tm", corpus_text(name)))
+    single = to_single_tape(host)
+    classes = {}  # state -> target -> symbols, of the table with no `*` row
+    for (q, (c,)), [(nxt, (w,), mv)] in ref.explicit_rows(single).delta.items():
+        classes.setdefault(q, {}).setdefault((nxt, WILD if w == c else w, mv), []).append(c)
+    folded = 0
+    for q, by_target in classes.items():
+        star = single.delta.get((q, (WILD,)))
+        full = sum(map(len, by_target.values())) == len(single.tape_alphabet)
+        # the largest class; of equal ones, the one whose first symbol sorts first
+        largest = min(by_target.values(), key=lambda cs: (-len(cs), min(cs)))
+        if not full or len(largest) == 1:
+            assert star is None, q
+            continue
+        folded += 1
+        [(nxt, (w,), mv)] = star
+        assert by_target[nxt, w, mv] is largest, q
+        assert all((q, (c,)) not in single.delta for c in largest)
+    assert folded > 0
 
 
 def test_equivalent_states_finds_a_known_duplicate_pair():

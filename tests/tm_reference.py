@@ -20,8 +20,12 @@ tests exercise and no part of the library calls.
 
 ``equivalent_states`` is the oracle for a machine without duplicate states:
 Hopcroft's partition refinement over the machine's steps.
+
+``explicit_rows`` is the oracle for a one-tape table with `*` rows: the
+same machine with one explicit row for every (state, symbol) that steps.
 """
 
+import dataclasses
 import itertools
 from collections import deque
 from typing import List, Optional, Tuple
@@ -245,3 +249,18 @@ def equivalent_states(spec: MachineSpec) -> List[frozenset]:
                 else:
                     waiting.add((y, c) if len(inside) <= len(blocks[x]) else (x, c))
     return [frozenset(states) for states in blocks if len(states) > 1]
+
+
+def explicit_rows(spec: MachineSpec) -> MachineSpec:
+    """The one-tape machine ``spec`` with every `*` read expanded over the
+    symbols its state names no row for, and the scanned symbol written for
+    every `*` write: a table of explicit rows only, with the same steps."""
+    assert spec.tapes == 1, "explicit_rows expands one-tape tables"
+    delta = {}
+    for (q, (read,)), targets in spec.delta.items():
+        syms = [read] if read != WILD else [
+            c for c in sorted(spec.tape_alphabet) if (q, (c,)) not in spec.delta]
+        for c in syms:
+            delta[q, (c,)] = tuple((nxt, (c if w == WILD else w,), moves)
+                                   for nxt, (w,), moves in targets)
+    return dataclasses.replace(spec, delta=delta)
