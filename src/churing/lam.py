@@ -145,7 +145,8 @@ HOLE = Hole()
 
 def _binder_names(avoid: frozenset | set, prefix: str = "x") -> Iterator[str]:
     """prefix1, prefix2, ... skipping ``avoid``: with prefix x, the binder
-    names of `render`, `canonical_binders` and `_read_back`."""
+    names of `render`, `canonical_binders`, `_read_back` and
+    `lam_to_tm._canonical_wire`."""
     return (n for n in (f"{prefix}{i}" for i in itertools.count(1)) if n not in avoid)
 
 
@@ -690,8 +691,9 @@ def canonical_binders(t: Term) -> Term:
     `render` prints these names without building the copy.
 
     Afterwards every binder has its own name and none is a free variable,
-    so substituting a subterm textually captures nothing: the machine BR1
-    (`lam_to_tm.br1_on_tm`, `lam_to_tm.reduce_on_tm`) relies on this."""
+    so substituting a subterm textually captures nothing.  The machine BR1
+    relies on this: `lam_to_tm._canonical_wire` writes the wire of this
+    copy without building it, and must give the same wire and names."""
     return _renamed(t, _binder_names(free_vars(t)))
 
 

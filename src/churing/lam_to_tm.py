@@ -19,18 +19,22 @@ separates list entries, and ``@`` marks a context hole.
          verdict 0/1 on tape 2
     BR1  contract the leftmost redex once (input tape 1, result tape 5)
 
-`reduce_on_tm` drives NF and BR1 in a loop, renaming bound variables apart on
-the host between machine runs so BR1's textual substitution is capture-free.
-`build_machine` builds a new machine on every call; the drivers `reduce_on_tm`,
-`nf_on_tm` and `br1_on_tm` share one NF and one BR1 per process, built on
-first use, so the resolver memo a run fills serves every later run.
+`reduce_on_tm` drives NF and BR1 in a loop on the wire itself.  Between
+machine runs the host renames bound variables apart on the wire string
+(`_canonical_wire`, one pass that builds no term), so BR1's textual
+substitution is capture-free; only the normal form is parsed back into a
+term.  `build_machine` builds a new machine on every call; the drivers
+`reduce_on_tm`, `nf_on_tm` and `br1_on_tm` share one NF and one BR1 per
+process, built on first use, so the resolver memo a run fills serves every
+later run.
 """
 
+import re
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FuelExhausted, ValidationError, WireParseError, check_fuel
-from .lam import Abs, App, Hole, Term, Var, canonical_binders
+from .lam import Abs, App, Hole, Term, Var, _binder_names
 from .tm import ACCEPT, BLANK, FUEL_EXHAUSTED, MachineSpec, Outcome, Rules, run
 
 # Wire glyphs.  MARK is the rewind anchor planted at cell 0 of work tapes,
@@ -150,6 +154,83 @@ def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
     if pos != len(s):
         raise fail("trailing characters after term")
     return t
+
+
+# A binder head, a variable, or any one character: a malformed wire still
+# splits into tokens, and the one that breaks the grammar is refused.
+_WIRE_TOKEN = re.compile(r"\(Lv\|+\.|v\|+|[\s\S]")
+
+
+def _canonical_wire(wire: TermWire, names: Dict[int, str]) -> Tuple[TermWire, Dict[int, str]]:
+    """``render_with_names(canonical_binders(parse_wire(wire, names)))``,
+    read in one pass over the wire's tokens, building no term.
+
+    Wire index i names ``names.get(i, f"x{i}")``, and every lookup is by
+    that name, as in the composition.  The output numbers binders and free
+    names 1, 2, ... by first occurrence; a bound variable takes the number
+    of its innermost binder of that name, kept in ``env``.  The binders'
+    names, from `lam._binder_names` past the free names, are known only
+    once every free name has been read, so they are given at the end.  A
+    malformed wire is handed to `parse_wire`, which refuses it with the
+    column of the fault."""
+    named: Dict[str, str] = {}          # token -> the name its index reads as
+    env: Dict[str, Optional[str]] = {}  # name -> its output variable here
+    free: List[Optional[str]] = []      # per output index: its free name, or None
+    scopes: list = []                   # per open binder: (name, its output outside)
+    # What each open term still reads: an application 2, 1, then 0 terms, an
+    # abstraction "body" then "", and the whole wire "top"; ")" closes a
+    # falsy one.
+    todo: list = ["top"]
+    out: List[str] = []
+    tokens = iter(_WIRE_TOKEN.findall(wire))
+    for tok in tokens:
+        if tok == LP:
+            todo.append(2)
+            out.append(tok)
+            continue
+        if tok == RP:
+            if todo[-1]:
+                break
+            if todo.pop() == "":
+                name, outer = scopes.pop()
+                env[name] = outer
+            out.append(tok)
+        elif tok == HOLE_GLYPH:
+            out.append(tok)
+        else:
+            name = named.get(tok)
+            if name is None:
+                n = tok.count(BAR)
+                if n == 0 or tok[0] not in (VAR, LP):
+                    break
+                name = names.get(n)
+                named[tok] = name = f"x{n}" if name is None else name
+            if tok[0] == LP:  # "(Lv|...|."
+                scopes.append((name, env.get(name)))
+                free.append(None)
+                env[name] = v = VAR + BAR * len(free)
+                todo.append("body")
+                out.append(LP + LAM + v + DOT)
+                continue
+            v = env.get(name)
+            if v is None:
+                free.append(name)
+                env[name] = v = VAR + BAR * len(free)
+            out.append(v)
+        # a whole term: the innermost open one has one less to read
+        left = todo[-1]
+        if left == 2 or left == 1:
+            todo[-1] = left - 1
+        elif left == "body":
+            todo[-1] = ""
+        elif left == "top" and next(tokens, None) is None:
+            supply = _binder_names({n for n in free if n is not None})
+            return "".join(out), {i: next(supply) if n is None else n
+                                  for i, n in enumerate(free, 1)}
+        else:
+            break
+    parse_wire(wire, names)  # refuses the wire, at the column of its fault
+    raise WireParseError("malformed wire", line=1, column=1)  # pragma: no cover
 
 
 def _wire_machine(b: Rules, name: str, initial: str, *extra: str) -> MachineSpec:
@@ -336,7 +417,7 @@ def _br1_machine() -> MachineSpec:
     Tapes: 1 input, 2 function body with holes for the bound variable,
     3 argument, 4 binder bars, 5 result, 6 unary parenthesis-depth counter.
     The input must have all-distinct binders disjoint from its free
-    variables; `canonical_binders`, run on the host first, guarantees that.
+    variables; `_canonical_wire`, run on the host first, guarantees that.
     """
     b = Rules()
     R, L = "R", "L"
@@ -458,11 +539,12 @@ def nf_on_tm(t: Term) -> bool:
 def br1_on_tm(t: Term) -> Term:
     """One leftmost contraction of t, computed by the shared BR1 machine.
 
-    t's binders are renamed apart first (`canonical_binders`); the result
-    is alpha-equal to beta_step(t) when t has a redex, and alpha-equal to t
+    t's wire is canonicalised first (`_canonical_wire`: the wire of its
+    `canonical_binders` copy), so its binders are apart; the result is
+    alpha-equal to beta_step(t) when t has a redex, and alpha-equal to t
     otherwise.
     """
-    wire, names = render_with_names(canonical_binders(t))
+    wire, names = _canonical_wire(*render_with_names(t))
     out = _run_wire(_shared_machine("BR1"), wire)
     return parse_wire(out.final.tapes[4].content(), names)
 
@@ -470,21 +552,20 @@ def br1_on_tm(t: Term) -> Term:
 def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
     """Normalize t by iterating the shared NF and BR1 machines.
 
-    Each round renames the binders apart on the host (`canonical_binders`),
-    asks NF whether the wire is normal, and if not lets BR1 contract the
-    leftmost redex.  fuel bounds the number of contractions; exceeding it
-    raises FuelExhausted.
+    t is rendered once.  Each round canonicalises the wire on the host
+    (`_canonical_wire`), asks NF whether it is normal, and if not lets BR1
+    contract the leftmost redex; BR1's output is the next round's wire.
+    Only the normal form's wire is parsed back, into the term
+    ``canonical_binders`` would give.  fuel bounds the number of
+    contractions; exceeding it raises FuelExhausted.
     """
     check_fuel(fuel)
     nfm = _shared_machine("NF")
     br = _shared_machine("BR1")
-    cur = t
+    wire, names = render_with_names(t)
     for _ in range(fuel + 1):
-        cur = canonical_binders(cur)
-        wire, names = render_with_names(cur)
-        out = _run_wire(nfm, wire)
-        if out.final.tapes[1].content() == "1":
-            return cur
-        out = _run_wire(br, wire)
-        cur = parse_wire(out.final.tapes[4].content(), names)
+        wire, names = _canonical_wire(wire, names)
+        if _run_wire(nfm, wire).final.tapes[1].content() == "1":
+            return parse_wire(wire, names)
+        wire = _run_wire(br, wire).final.tapes[4].content()
     raise FuelExhausted(f"no beta-normal form within {fuel} contractions")

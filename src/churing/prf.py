@@ -13,7 +13,8 @@ its steps in one charge.  A leaf does nothing but spend its unit, so neither
 the value, the total spent nor the budget at which fuel runs out moves; an
 overdrawn charge leaves the budget at -1, as paying unit by unit would, and a
 native runs only after its unit is paid.  A native of a product or a power
-refuses a result that may pass `MAX_NATIVE_BITS` before building it.
+refuses a result that may pass `MAX_NATIVE_BITS` before building it, and the
+native of `prime` an argument from `PRIME_NATIVE_BOUND` on.
 """
 
 from __future__ import annotations
@@ -375,6 +376,42 @@ def _power(name: str, b: int, n: int) -> int:
     return b**n
 
 
+# The native of `prime` is Miller-Rabin with the first 13 prime bases, 2 to
+# 41: some two thousand modular squarings at most, where trial division to
+# the square root takes a second at n = 10^14.  These bases decide every n
+# below this bound, the least strong pseudoprime to all of them (J.
+# Sorenson, J. Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017; the first 12 bases pass 318665857834031151167461 =
+# 399165290221 * 798330580441).  At the bound and past it the native raises
+# GuardExceeded.
+PRIME_NATIVE_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> int:
+    if n >= PRIME_NATIVE_BOUND:
+        raise GuardExceeded(f"prime: an argument of {n.bit_length()} bits is past "
+                            f"PRIME_NATIVE_BOUND = {PRIME_NATIVE_BOUND}")
+    if n < 2:
+        return 0
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return int(n == p)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return 0
+    return 1
+
+
 def _mk_add() -> Named:
     defn = PrimRec(Proj(1, 1), Compose(Succ(), (Proj(3, 3),)))
     return Named("add", defn, native=lambda m, n: m + n)
@@ -536,13 +573,7 @@ def _mk_prime() -> Named:
     )
     all_ok = Compose(forall_le(d_ok), (Proj(1, 1), Proj(1, 1)))
     defn = pand(Compose(lt, (const(1, 1), Proj(1, 1))), all_ok)
-
-    def native(n):
-        if n < 2:
-            return 0
-        return 1 if all(n % d for d in range(2, int(n**0.5) + 1)) else 0
-
-    return Named("prime", defn, native=native)
+    return Named("prime", defn, native=_is_prime)
 
 
 def _mk_div() -> Named:

@@ -152,9 +152,9 @@ def test_run_prf_prints_a_huge_value_exactly(tmp_path, capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-def _refused_at_once(argv):
-    """stderr of ``churing argv`` in a child, which must exit 3 within 1 s
-    with a peak RSS under 200 MB: what a cap refuses is never built."""
+def _in_a_child(argv):
+    """``churing argv`` run in a child, which must finish within 1 s with a
+    peak RSS under 200 MB."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     began = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "churing.cli", *argv], env=env,
@@ -162,8 +162,15 @@ def _refused_at_once(argv):
     seconds = time.perf_counter() - began
     # the largest peak of every child reaped so far, in KiB on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert seconds < 1 and peak_mb < 200, (seconds, peak_mb, proc.stderr)
+    return proc
+
+
+def _refused_at_once(argv):
+    """stderr of ``churing argv`` in a child, which must exit 3 within 1 s
+    with a peak RSS under 200 MB: what a cap refuses is never built."""
+    proc = _in_a_child(argv)
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert seconds < 1 and peak_mb < 200, (seconds, peak_mb)
     return proc.stderr
 
 
@@ -181,6 +188,19 @@ def test_run_prf_refuses_a_native_result_past_its_cap(tmp_path):
         with pytest.raises(GuardExceeded, match=f"^{name}: a result of up to"):
             stdlib(name).native(*args)
     assert stdlib("exp").native(1, 10 ** 100) == 1 and stdlib("exp").native(0, 10 ** 100) == 0
+
+
+def test_run_prf_prime_native_answers_or_refuses_at_once(tmp_path):
+    # stdlib prime as a def of its own, so `run prf` reaches its native;
+    # trial division to the square root would run for minutes at 10^18 + 3
+    # and overflow a float at 10^400
+    f = tmp_path / "prime.prf"
+    text = print_source("prf", stdlib("prime")).replace("def main = ", "def prime = ")
+    f.write_text(text + "def main = C prime (P 1 1)\n")
+    proc = _in_a_child(["run", "prf", str(f), "--args", "1000000000000000003"])
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+    err = _refused_at_once(["run", "prf", str(f), "--args", str(10 ** 400)])
+    assert "prime: an argument of 1329 bits is past PRIME_NATIVE_BOUND = " in err
 
 
 # each model refuses the options of the others: `run tm --args` would

@@ -7,17 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from churing import lam_to_tm
 from churing.errors import FuelExhausted, ValidationError, WireParseError
+from churing.formats import parse
 from churing.lam import (
-    HOLE, Abs, App, Term, Var, alpha_eq, beta_step, canonical_binders, church_decode,
+    HOLE, Abs, App, Term, Var, alpha_eq, app, beta_step, canonical_binders, church_decode,
     church_encode, free_vars, lam, normalize,
 )
 from churing.lam_to_tm import (
-    SUITE, build_machine, br1_on_tm, nf_on_tm, parse_wire, reduce_on_tm,
-    render_term, render_with_names,
+    MACHINE_FUEL, SUITE, _canonical_wire, build_machine, br1_on_tm, nf_on_tm, parse_wire,
+    reduce_on_tm, render_term, render_with_names,
 )
 from churing.tm import initial_configuration, run
 
-from lam_reference import bound_vars, closed_terms, is_normal_form
+from conftest import corpus_text
+from lam_reference import bound_vars, closed_terms, is_normal_form, terms
 from test_rules import PINNED, _digest
 
 
@@ -65,10 +67,102 @@ def test_deep_wires_round_trip():
     assert nf_on_tm(t)
 
 
+_BAD_WIRES = ["v", "(Lv|.v|", "(v|)", "x", "(Lv.v|)", "v|)", "(v|v|))", "v|v|", "(v|v|)@",
+              "", "(", "(Lv|v|)", "(L.v|)", "(Lv|.v|v|)", "((Lv|.v|)", "|", "#", "(v|\n)"]
+
+
 def test_parse_wire_errors_carry_position():
-    for bad in ["v", "(Lv|.v|", "(v|)", "x", "(Lv.v|)"]:
-        with pytest.raises(WireParseError):
+    for bad in _BAD_WIRES:
+        with pytest.raises(WireParseError, match=r" at line 1, column \d+$"):
             parse_wire(bad)
+
+
+def _by_the_term(wire, names):
+    """The canonical wire by way of a term, as reduce_on_tm once took it
+    between rounds: parse, rename the binders apart, render."""
+    return render_with_names(canonical_binders(parse_wire(wire, names)))
+
+
+def _same_as_by_the_term(wire, names):
+    got, want = _canonical_wire(wire, names), _by_the_term(wire, names)
+    assert got == want and list(got[1]) == list(want[1]), (wire, names)
+
+
+def test_canonical_wire_examples():
+    # binders apart from each other and from the free names, numbered with
+    # them by first occurrence; the binders are named past the free x1
+    assert _canonical_wire("((Lv|.(Lv|.v|))(Lv||.v|||))", {1: "x", 2: "y", 3: "x1"}) == \
+        ("((Lv|.(Lv||.v||))(Lv|||.v||||))", {1: "x2", 2: "x3", 3: "x4", 4: "x1"})
+    # a name missing from the table reads as x<i>, so index 2 is x2, the
+    # name of index 1, and both are bound here
+    assert _canonical_wire("(Lv|.(v|v||))", {1: "x2"}) == ("(Lv|.(v|v|))", {1: "x1"})
+    assert _canonical_wire("(@(Lv||.v|))", {}) == ("(@(Lv|.v||))", {1: "x2", 2: "x1"})
+    for wire, names in [("(Lv|.(v|v||))", {1: "x2"}), ("((Lv|.v|)v|)", {}),
+                        ("(Lv|.(Lv|.(v|(Lv|.v|))))", {1: "x3"})]:
+        _same_as_by_the_term(wire, names)
+
+
+@pytest.mark.parametrize("bad", _BAD_WIRES)
+def test_canonical_wire_refuses_what_parse_wire_refuses(bad):
+    with pytest.raises(WireParseError) as want:
+        parse_wire(bad, {})
+    with pytest.raises(WireParseError) as got:
+        _canonical_wire(bad, {})
+    assert str(got.value) == str(want.value) and got.value.column == want.value.column
+
+
+def test_canonical_wire_matches_the_term_route_on_closed_terms():
+    for size in range(6):
+        for t in closed_terms(size):
+            _same_as_by_the_term(*render_with_names(t))
+
+
+# the names include the binder names x1, x2, which the renaming must skip
+# when they are free, and the tables map some indices to a shared name
+_names = st.sampled_from(["x1", "x2", "y", "z"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms(st.one_of(_names.map(Var), st.just(HOLE)), _names, max_leaves=20),
+       st.one_of(st.none(), st.dictionaries(st.integers(1, 8), _names)))
+def test_canonical_wire_matches_the_term_route_on_generated_terms(t, table):
+    wire, names = render_with_names(t)
+    _same_as_by_the_term(wire, names if table is None else table)
+
+
+def _reduce_by_terms(t: Term):
+    """reduce_on_tm with a term between rounds, as it once was: the normal
+    form, and each BR1 output wire with its names."""
+    nfm, br = lam_to_tm._shared_machine("NF"), lam_to_tm._shared_machine("BR1")
+    cur, outputs = t, []
+    while True:
+        cur = canonical_binders(cur)
+        wire, names = render_with_names(cur)
+        if run(nfm, wire, fuel=MACHINE_FUEL).final.tapes[1].content() == "1":
+            return cur, outputs
+        out = run(br, wire, fuel=MACHINE_FUEL).final.tapes[4].content()
+        outputs.append((out, names))
+        cur = parse_wire(out, names)
+
+
+def test_reduce_on_tm_keeps_every_wire_of_the_term_route():
+    # succ, add and mul of the numerals 2-5 from the corpus, as in the
+    # tm-long benchmark: every BR1 output wire canonicalises as by the term,
+    # the normal form is the same term, and the same budget runs out
+    comb = parse("lam", corpus_text("combinators.lam"))
+    pool = [("succ", n) for n in range(2, 6)]
+    pool += [(op, m, n) for op in ("add", "mul") for m in range(2, 6) for n in range(2, 6)]
+    contractions = 0
+    for op, *nums in pool:
+        t = app(comb[op], *map(church_encode, nums))
+        want, outputs = _reduce_by_terms(t)
+        for wire, names in outputs:
+            _same_as_by_the_term(wire, names)
+        assert reduce_on_tm(t, fuel=len(outputs)) == want
+        with pytest.raises(FuelExhausted, match=f"within {len(outputs) - 1} contractions"):
+            reduce_on_tm(t, fuel=len(outputs) - 1)
+        contractions += len(outputs)
+    assert contractions == 268
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,6 +253,23 @@ def test_reduce_on_tm_matches_host_normalizer():
         if not r.normal:
             continue
         assert alpha_eq(reduce_on_tm(t, fuel=250), r.term), t
+
+
+def test_a_driver_machine_that_rejects_names_itself():
+    # "((L" is a redex signature with no binder after it
+    with pytest.raises(ValidationError, match=r"^BR1 machine rejected wire '\(\(L\.'$"):
+        lam_to_tm._run_wire(lam_to_tm._shared_machine("BR1"), "((L.")
+
+
+def test_a_driver_machine_out_of_steps_is_out_of_fuel(monkeypatch):
+    # NF finds the redex of (I I) in 3 steps; BR1 needs many more
+    ii = App(lam(["x"], Var("x")), lam(["y"], Var("y")))
+    monkeypatch.setattr(lam_to_tm, "MACHINE_FUEL", 10)
+    with pytest.raises(FuelExhausted, match="^BR1 machine ran out of fuel$"):
+        reduce_on_tm(ii)
+    monkeypatch.setattr(lam_to_tm, "MACHINE_FUEL", 2)
+    with pytest.raises(FuelExhausted, match="^NF machine ran out of fuel$"):
+        reduce_on_tm(ii)
 
 
 @pytest.fixture

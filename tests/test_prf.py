@@ -1,12 +1,14 @@
 """Recursive-function core: constructors, evaluator, stdlib, Ackermann."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from churing.errors import FuelExhausted, GuardExceeded, ValidationError
 from churing.prf import (
-    Compose, Mu, Named, PrimRec, Proj, Succ, Zero, ackermann, arity_check,
-    bounded_mu, const, evaluate, expand, exists_le, forall_le, pand, pnot,
+    PRIME_NATIVE_BOUND, Compose, Mu, Named, PrimRec, Proj, Succ, Zero, ackermann,
+    arity_check, bounded_mu, const, evaluate, expand, exists_le, forall_le, pand, pnot,
     stdlib, stdlib_names,
 )
 from prf_reference import permute_args
@@ -26,6 +28,19 @@ _ORACLES = {
     "divides": lambda d, m: int(m == 0 or (d != 0 and m % d == 0)),
     "prime": lambda n: int(n > 1 and all(n % d for d in range(2, n))),
 }
+
+
+def test_prime_native_is_miller_rabin_below_its_bound():
+    native = stdlib("prime").native
+    assert [n for n in range(5000) if native(n)] == \
+        [n for n in range(5000) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    # strong pseudoprimes: to bases 2, 3, 5 and 7, and to the first 12 prime
+    # bases (Sorenson and Webster), whose 13th base, 41, is the witness
+    assert native(3215031751) == native(318665857834031151167461) == 0
+    assert native(2 ** 61 - 1) == native(10 ** 9 + 7) == 1
+    assert native((10 ** 9 + 7) * (10 ** 9 + 9)) == native((10 ** 18 + 3) * (10 ** 6 + 3)) == 0
+    with pytest.raises(GuardExceeded, match="^prime: an argument of 82 bits is past"):
+        native(PRIME_NATIVE_BOUND)
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLES))
