@@ -7,8 +7,9 @@ the host only renames the binders of the single-step machine's output wire
 apart, in one pass over the string, and it parses a wire back into a term
 once, at the normal form.  On `succ` of the Church numerals 3-8 and `add`
 and `mul` of 2-5, that host work is about a fifth of the time
-`reduce_on_tm` takes (18% on a 2-core machine with Python 3.11; it was 31%
-when the host parsed, renamed and re-rendered a term every round).
+`reduce_on_tm` takes (21% on a 2-core machine with Python 3.11; it was 31%
+when the host parsed, renamed and re-rendered a term every round, and 19%
+before each resolved machine step carried the entry of its next state).
 """
 
 from churing.lam import App, Var, church_decode, church_encode, lam

@@ -23,17 +23,21 @@ so a deterministic machine resolves each scan to one step or none, and
 Every tape is semi-infinite: its cells are numbered from 0, a `Tape` holds
 them from cell 0, a left move of a head on cell 0 is a stuck halt with
 nothing written, and no head of a configuration lies left of cell 0.  `run`
-goes one state visit at a time: the accept check and the state's memo entry
-once per state entered, then steps until the state changes.  It keeps each
-tape in a list of its cells from cell 0, so a head is the index of its cell;
-a resolved step lists the tapes it moves left, and only those meet the stuck
-rule.  Most steps of the corpus and compiled machines are sweeps, steps that
-keep the state, write nothing and move the head of the one tape the state
-reads (`Rules.rewind` builds them).  `run` takes a sweep as one scan along
-that tape, moving on while the next cell resolves to the very same step
-object (the resolver interns its answers).  It counts one step per cell, so
-the fuel runs out where it would step by step; every other step, and every
-step of a traced run, is taken singly.
+keeps each tape in a list of its cells from cell 0, so a head is the index
+of its cell; a head moves with no bounds test, and a list grows only when a
+read or a write reaches past its end.  The resolver keeps one `Entry` per
+state (its read tapes, its memo of scans, whether it accepts), and each
+resolved step carries its writes, the tapes it moves right and left (only
+the left ones meet the stuck rule), whether it is a sweep, and the entry of
+its next state: threaded code (J. R. Bell, "Threaded code", CACM 16(6),
+1973).  So `run` goes from entry to entry, and entering a state costs no
+lookup and no accept-set test.  Most steps of the corpus and compiled
+machines are sweeps, steps that keep the state, write nothing and move the
+head of the one tape the state reads (`Rules.rewind` builds them).  `run`
+takes a sweep as one scan along that tape, moving on while the next cell
+resolves to the very same step object (the resolver interns its answers).
+It counts one step per cell, so the fuel runs out where it would step by
+step; every other step, and every step of a traced run, is taken singly.
 
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
 from flat rules.
@@ -177,7 +181,8 @@ class MachineSpec:
                 by_state[state] = [reads]
             else:
                 keys.append(reads)
-        index = RuleIndex({state: tuple(keys) for state, keys in by_state.items()}, self.delta)
+        index = RuleIndex({state: tuple(keys) for state, keys in by_state.items()}, self.delta,
+                          self.accept)
         blind = str.maketrans(dict.fromkeys(self.tape_alphabet, "#"))
         # the resolver searches the states that have a key of several
         # targets or two keys that may match one scan at equal rank (with
@@ -190,12 +195,23 @@ class MachineSpec:
         object.__setattr__(self, "deterministic", deterministic)
 
 
-# A resolved transition: (next_state, writes, shifts, lefts).  writes holds
-# the (tape, symbol) pairs that may change a cell; shifts holds the
-# (tape, -1|+1) head moves; stay moves and `*` writes leave no entry.  lefts
-# holds the tapes whose head moves left, the only ones the stuck rule looks
-# at; most steps have none.
-Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[Tuple[int, int], ...], Tuple[int, ...]]
+# A resolved transition: (next_state, writes, rights, lefts, sweep, to).
+# writes holds the (tape, symbol) pairs that may change a cell; `*` writes
+# and writes of the scanned symbol leave no entry.  rights and lefts hold the
+# tapes whose head moves right and left; only lefts meet the stuck rule, and
+# most steps have none.  sweep is +1 or -1 when the step keeps the state,
+# writes nothing and moves only the one tape the state reads, else 0.  to is
+# the `Entry` of next_state, so `run` enters it without a lookup.
+Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[int, ...], Tuple[int, ...], int, "Entry"]
+
+# A state's entry: (state, reads, known, one, accepting).  reads are the
+# tapes some rule of the state reads (not `*`; no rule looks at another
+# tape); known maps the symbols scanned on them, joined into one string
+# (symbols are single characters), to the resolved steps; one is the read
+# tape when there is exactly one, else None; accepting is whether the state
+# accepts.  A state with no rules reads no tape and resolves every scan to
+# no step.
+Entry = Tuple[str, Tuple[int, ...], Dict[str, Tuple[Step, ...]], Optional[int], bool]
 
 
 class RuleIndex:
@@ -204,47 +220,55 @@ class RuleIndex:
     ``states`` maps a state to its read vectors, whose targets are in
     ``delta``: tuples of strings, which the garbage collector stops
     tracking, so indexing a big machine brings on no extra full
-    collections.  ``memo`` fills lazily, for visited states only: it maps a
-    state to ``(reads, known)``, where ``reads`` are the tapes some rule of
-    the state reads (not `*`; no rule looks at another tape) and ``known``
-    maps the symbols scanned on them, joined into one string (symbols are
-    single characters), to the resolved steps, each a `Step` that lists the
-    tapes it moves left.  ``answers`` interns those answers: equal step
-    tuples of one index are one object, so `run` can tell that two scans
-    take the same step by identity, and can take the step of a
-    deterministic scan by unpacking its one-element answer.  Nothing here
-    refers back to the machine, so a dropped machine is freed at once."""
+    collections.  ``memo`` maps a state to its `Entry`, made on first need
+    (`entry`) for any state, accepting and rule-less ones too; its
+    ``known`` fills lazily, one scan at a time.  Each resolved `Step`
+    carries the entry of its next state, so `run` goes from entry to entry.
+    ``answers`` interns the answers: equal answers of one index are one
+    object, so `run` can tell that two scans take the same step by
+    identity, and can take the step of a deterministic scan by unpacking
+    its one-element answer.  Nothing here refers back to the machine, so a
+    dropped machine is freed at once; its memo, whose entries and steps
+    refer to each other, waits for the cyclic garbage collector."""
 
-    __slots__ = ("states", "delta", "memo", "answers")
+    __slots__ = ("states", "delta", "accept", "memo", "answers")
 
     def __init__(self, states: Dict[str, Tuple[Tuple[str, ...], ...]],
-                 delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]):
+                 delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]],
+                 accept: frozenset):
         self.states = states
         self.delta = delta
-        self.memo: Dict[str, Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]] = {}
-        self.answers: Dict[Tuple[Step, ...], Tuple[Step, ...]] = {}
+        self.accept = accept
+        self.memo: Dict[str, Entry] = {}
+        self.answers: Dict[tuple, Tuple[Step, ...]] = {}
 
-    def lookup(self, state: str) -> Optional[Tuple[Tuple[int, ...], Dict[str, Tuple[Step, ...]]]]:
-        """``(reads, known)`` of a state, or None when it has no rules."""
+    def entry(self, state: str) -> Entry:
+        """The `Entry` of ``state``."""
         entry = self.memo.get(state)
-        if entry is None and state in self.states:
-            keys = self.states[state]
-            reads = sorted({t for key in keys for t, r in enumerate(key) if r != WILD})
-            entry = self.memo[state] = (tuple(reads), {})
+        if entry is None:
+            keys = self.states.get(state, ())
+            reads = tuple(sorted({t for key in keys for t, r in enumerate(key) if r != WILD}))
+            entry = self.memo[state] = (state, reads, {}, reads[0] if len(reads) == 1 else None,
+                                        state in self.accept)
         return entry
 
-    def resolve(self, state: str, syms: str) -> Tuple[Step, ...]:
-        """Steps of the most specific rules of ``state`` (which has rules)
-        matching ``syms``."""
-        known = self.lookup(state)[1]
+    def resolve(self, entry: Entry, syms: str) -> Tuple[Step, ...]:
+        """Steps of the most specific rules of ``entry``'s state matching
+        ``syms``, the symbols under its read tapes."""
+        known = entry[2]
         hit = known.get(syms)
         if hit is None:
-            hit = self._match(state, syms)
-            hit = known[syms] = self.answers.setdefault(hit, hit)
+            steps = self._match(entry, syms)
+            hit = self.answers.get(steps)
+            if hit is None:
+                hit = self.answers[steps] = tuple(s + (self.entry(s[0]),) for s in steps)
+            known[syms] = hit
         return hit
 
-    def _match(self, state: str, syms: str) -> Tuple[Step, ...]:
-        reads, keys = self.memo[state][0], self.states[state]
+    def _match(self, entry: Entry, syms: str) -> tuple:
+        """The steps of `resolve`, without their next entries."""
+        state, reads, _, one, _ = entry
+        keys = self.states.get(state, ())
         best: List[Target] = []
         best_rank = -1
         for key in keys:
@@ -262,27 +286,30 @@ class RuleIndex:
                 elif rank == best_rank:
                     best.extend(self.delta[state, key])
         scanned = dict(zip(reads, syms))
-        return tuple(
-            (
-                nxt,
-                tuple((t, w) for t, w in enumerate(writes) if w != WILD and w != scanned.get(t)),
-                tuple((t, -1 if mv == "L" else 1) for t, mv in enumerate(moves) if mv != "S"),
-                tuple(t for t, mv in enumerate(moves) if mv == "L"),
-            )
-            for nxt, writes, moves in best
-        )
+        out = []
+        for nxt, writes, moves in best:
+            writes = tuple((t, w) for t, w in enumerate(writes)
+                           if w != WILD and w != scanned.get(t))
+            rights = tuple(t for t, mv in enumerate(moves) if mv == "R")
+            lefts = tuple(t for t, mv in enumerate(moves) if mv == "L")
+            sweep = 0
+            if nxt == state and not writes and (rights, lefts) in (((one,), ()), ((), (one,))):
+                sweep = 1 if rights else -1
+            out.append((nxt, writes, rights, lefts, sweep))
+        return tuple(out)
 
     def ambiguous(self, state: str, alphabet: frozenset) -> bool:
         """Whether some scan resolves to more than one step in ``state``.
         Scans are tried one per class the resolver cannot tell apart: on
         each tape the state reads, every symbol some key names, and one
         symbol no key names, standing for all the others."""
-        reads, keys = self.lookup(state)[0], self.states[state]
+        entry = self.entry(state)
+        keys = self.states[state]
         choices = []
-        for t in reads:
+        for t in entry[1]:
             named = sorted({key[t] for key in keys} - {WILD})
             choices.append(named + sorted(alphabet.difference(named))[:1])
-        return any(len(self._match(state, "".join(scan))) > 1 for scan in product(*choices))
+        return any(len(self._match(entry, "".join(scan))) > 1 for scan in product(*choices))
 
 
 def make_machine(
@@ -388,10 +415,8 @@ def resolve(spec: MachineSpec, state: str, scanned: Sequence[str]) -> Tuple[Step
     full scan vector ``scanned``; only the tapes the state reads are looked
     at, and the answer is memoized per state."""
     index = spec.index
-    entry = index.lookup(state)
-    if entry is None:
-        return ()
-    return index.resolve(state, "".join([scanned[t] for t in entry[0]]))
+    entry = index.entry(state)
+    return index.resolve(entry, "".join([scanned[t] for t in entry[1]]))
 
 
 def successors(spec: MachineSpec, c: Configuration) -> List[Configuration]:
@@ -400,15 +425,17 @@ def successors(spec: MachineSpec, c: Configuration) -> List[Configuration]:
     `_check_start`."""
     _check_start(spec, c)
     out = []
-    for nxt, writes, shifts, lefts in resolve(spec, c.state, c.scanned()):
-        if any(c.heads[t] == 0 for t in lefts):
+    for nxt, writes, rights, lefts, _, _ in resolve(spec, c.state, c.scanned()):
+        heads = list(c.heads)
+        for t in rights:
+            heads[t] += 1
+        for t in lefts:
+            heads[t] -= 1
+        if -1 in heads:  # a left move off cell 0: stuck
             continue
         tapes = list(c.tapes)
         for t, sym in writes:
             tapes[t] = tapes[t].write(c.heads[t], sym)
-        heads = list(c.heads)
-        for t, d in shifts:
-            heads[t] += d
         out.append(Configuration(nxt, tuple(tapes), tuple(heads), c.steps_taken + 1))
     return out
 
@@ -458,87 +485,92 @@ def run(
     symbol), or from ``start``; Accept as soon as the state is accepting.
     The start passes `_check_start` once.
 
-    The tapes live in mutable buffers, one list of cells per tape, from
-    cell 0 to at least the head's cell, and each head is the index of its
-    cell.  A Configuration is built only at exit, or after every step when
+    The tapes live in mutable buffers, one list of cells per tape from cell
+    0, each as long as the longest tape of the start plus one, and each head
+    is the index of its cell.  A head moves with no bounds test; a buffer
+    grows only when a read or a write reaches past its end.  A
+    Configuration is built only at exit, or after every step when
     ``want_trace`` is set.
 
-    The outer loop runs once per state entered, the inner one once per step
-    while the state stays.  A resolved step lists the tapes it moves left,
-    and only those are checked against cell 0, before anything is written.
-    Without a trace, after the first step of a sweep (same state, no write,
-    one head moved, on the one tape the state reads) the head moves on cell
-    by cell while the cell under it resolves to the same step: at most to
-    the buffer's end, to the fuel, or to cell 0, where the next step meets
-    the stuck rule.  Every other step is taken singly."""
+    The outer loop runs once per state entered, from the state's `Entry`
+    to the one its step carries; the inner one once per step while the
+    state stays.  Only the tapes a step moves left are checked against cell
+    0, before anything is written.  Without a trace, after the first step
+    of a sweep (a step whose ``sweep`` is set) the head moves on cell by
+    cell while the cell under it resolves to the same step: at most to the
+    buffer's end, to the fuel, or to cell 0, where the next step meets the
+    stuck rule.  Every other step is taken singly."""
     check_fuel(fuel)
     if not spec.deterministic:
         raise ValidationError("run requires a deterministic machine; see nd_run")
     index = spec.index
-    memo = index.memo
     c = initial_configuration(spec, [word]) if start is None else _check_start(spec, start)
-    state = c.state
-    # one buffer per tape, from cell 0 to at least the head: a head is its cell's index
-    cells = [list(t.cells.ljust(h + 1, BLANK)) for t, h in zip(c.tapes, c.heads)]
+    # one buffer per tape from cell 0: a head is its cell's index
+    n = max(len(t.cells) for t in c.tapes) + 1
+    cells = [list(t.cells.ljust(n, BLANK)) for t in c.tapes]
     pos = list(c.heads)
-    accept = spec.accept
     trace = [c] if want_trace else None
     steps = 0
     tag = FUEL_EXHAUSTED
+    entry = index.entry(c.state)
     while True:  # one pass per state entered
-        if state in accept:
+        _, reads, known, one, accepting = entry
+        if accepting:
             tag = ACCEPT
             break
         if steps >= fuel:
             break
-        entry = memo.get(state)
-        if entry is None:
-            entry = index.lookup(state)
-            if entry is None:
-                tag = REJECT
-                break
-        reads, known = entry
-        one = reads[0] if len(reads) == 1 else None
         while True:  # one pass per step, or per sweep, while the state stays
-            if one is not None:
-                key = cells[one][pos[one]]
-            else:
-                key = "".join([cells[t][pos[t]] for t in reads])
+            try:
+                if one is not None:
+                    key = cells[one][pos[one]]
+                else:
+                    key = "".join([cells[t][pos[t]] for t in reads])
+            except IndexError:  # a head past its buffer's end
+                _grow(cells, pos)
+                continue
             todo = known.get(key)
             if todo is None:
-                todo = index.resolve(state, key)
+                todo = index.resolve(entry, key)
             try:  # one step, or none (Reject)
-                [(nxt, writes, shifts, lefts)] = todo
+                [(_, writes, rights, lefts, sweep, to)] = todo
             except ValueError:
-                nxt = None
+                to = None
                 break
             if lefts:
                 for t in lefts:
                     if not pos[t]:
-                        nxt = None  # cell 0 is protected
-                if nxt is None:
+                        to = None  # cell 0 is protected
+                if to is None:
                     break
-            for t, sym in writes:
-                cells[t][pos[t]] = sym
-            for t, d in shifts:
-                i = pos[t] + d
-                if i == len(cells[t]):
-                    cells[t].extend(BLANK * i)  # amortize a long walk right
-                pos[t] = i
+            if writes:  # most steps write nothing or move one way: skip empty loops
+                for t, sym in writes:
+                    try:
+                        cells[t][pos[t]] = sym
+                    except IndexError:  # grow the buffer and redo this write only
+                        _grow(cells, pos)
+                        cells[t][pos[t]] = sym
+            if rights:
+                for t in rights:
+                    pos[t] += 1
+            if lefts:
+                for t in lefts:
+                    pos[t] -= 1
             steps += 1
             if trace is not None:
-                trace.append(_snapshot(nxt, cells, pos, c.steps_taken + steps))
-            if nxt != state:
+                trace.append(_snapshot(to[0], cells, pos, c.steps_taken + steps))
+            if to is not entry:
                 break
-            if not writes and len(shifts) == 1 and shifts[0][0] == one and trace is None:
+            if sweep and trace is None:
                 # a sweep on the one tape the state reads: move on while the
                 # cell under the head resolves to the same step, within the
                 # buffer and the fuel
-                t, d = shifts[0]
-                buf = cells[t]
-                i = start_i = pos[t]
-                if d > 0:
+                buf = cells[one]
+                i = start_i = pos[one]
+                if sweep > 0:
                     stop = len(buf) - 1
+                    if stop < i:  # the head is past the buffer's end
+                        stop = i
                     if stop - i > fuel - steps:
                         stop = i + fuel - steps
                 else:  # not past cell 0
@@ -546,17 +578,25 @@ def run(
                     if i > fuel - steps:
                         stop = i - fuel + steps
                 while i != stop and known.get(buf[i]) is todo:
-                    i += d
-                pos[t] = i
-                steps += (i - start_i) * d
+                    i += sweep
+                pos[one] = i
+                steps += (i - start_i) * sweep
             if steps >= fuel:
                 break
-        if nxt is None:
+        if to is None:
             tag = REJECT
             break
-        state = nxt
-    final = _snapshot(state, cells, pos, c.steps_taken + steps)
+        entry = to
+    final = _snapshot(entry[0], cells, pos, c.steps_taken + steps)
     return Outcome(tag, final, tuple(trace) if trace else None)
+
+
+def _grow(cells: List[List[str]], pos: List[int]) -> None:
+    """Lengthen every buffer whose head lies past its end by as many cells
+    as the head's index plus one, so a long walk right grows it seldom."""
+    for buf, i in zip(cells, pos):
+        if i >= len(buf):
+            buf.extend(BLANK * (i + 1))
 
 
 def _snapshot(state, cells, pos, steps_taken) -> Configuration:

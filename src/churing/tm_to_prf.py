@@ -138,9 +138,9 @@ def machine_tables(m: MachineSpec) -> Dict[str, PrfExpr]:
         if state in m.accept:
             continue  # halted: defaults apply
         for sym, si in _DIGIT.items():
-            for nxt, writes, shifts, _ in resolve(m, state, (sym,)):  # one step or none
+            for nxt, writes, rights, lefts, _, _ in resolve(m, state, (sym,)):  # one or none
                 wd = _DIGIT[writes[0][1] if writes else sym]
-                av = 2 if not shifts else 0 if shifts[0][1] < 0 else 1  # L, R, S
+                av = 0 if lefts else 1 if rights else 2  # L, R, S
                 entries.append((idx[state], si, av, wd, idx[nxt]))
 
     q_, s_ = Proj(2, 1), Proj(2, 2)

@@ -108,7 +108,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     undot = {v: k for k, v in dot.items()}
     alphabet = set(dot) | set(dot.values()) | {HASH}
     k = m.tapes
-    reads = {q: m.index.lookup(q)[0] for q in m.index.states}
+    reads = {q: m.index.entry(q)[1] for q in m.index.states}
     lefts = {q: {t for key in keys for _, _, moves in m.delta[q, key]
                  for t, mv in enumerate(moves) if mv == "L"}
              for q, keys in m.index.states.items()}
@@ -137,7 +137,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
             key = (k, None)  # no rule, or stuck at cell 0
             for s in resolve(m, q, vec):  # one step at most: m is deterministic
                 if not any(u in edges for u in s[3]):
-                    w, d = dict(s[1]), dict(s[2])
+                    w, d = dict(s[1]), {**dict.fromkeys(s[2], 1), **dict.fromkeys(s[3], -1)}
                     edits = tuple((u + 1, w.get(u), d.get(u, 0)) for u in sorted({*w, *d}))
                     key = (k, (same[s[0]], edits))
         else:

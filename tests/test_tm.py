@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from churing.errors import ValidationError
 from churing.formats import parse
+from churing.prf import stdlib
+from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
     Configuration, Tape, decode_unary, encode_unary,
-    initial_configuration, make_machine, run, run_numeric, successors,
+    initial_configuration, make_machine, numeric_layout, run, run_numeric, successors,
 )
 from conftest import corpus_text
 
@@ -116,6 +118,19 @@ def test_run_numeric_wants_no_more_arguments_than_tapes():
     copier = parse("tm", corpus_text("copier.tm"))  # two tapes
     with pytest.raises(ValidationError, match="3 input words for 2 tapes"):
         run_numeric(copier, [1, 2, 3], fuel=100)
+
+
+def test_run_numeric_reads_the_output_tape_numeric_layout_names():
+    """The default output tape is the layout's; an explicit one must be a
+    tape of the machine, and is read as given."""
+    m, layout = compile_prf_to_tm(stdlib("add"))
+    assert numeric_layout(m, 2).output_tape == layout.output_tape == 3
+    assert run_numeric(m, [2, 3], fuel=10_000) == 5
+    assert run_numeric(m, [2, 3], fuel=10_000, output_tape=layout.output_tape) == 5
+    assert run_numeric(m, [2, 3], fuel=10_000, output_tape=1) == 2  # the first argument
+    for bad in (0, m.tapes + 1):
+        with pytest.raises(ValidationError, match=f"no tape {bad} on a {m.tapes}-tape machine"):
+            run_numeric(m, [2, 3], fuel=10_000, output_tape=bad)
 
 
 def test_tape_content_strips_blanks():

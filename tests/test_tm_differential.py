@@ -299,3 +299,44 @@ def test_sweeps_agree(data):
     m = data.draw(_sweep_machines())
     assert m.deterministic
     _fuel_sweep(m, start=data.draw(_sweep_starts(m)), cap=90)
+
+
+def _rewrite_and_write_past_the_end():
+    """Two tapes; the states read tape 1 only.  Two steps move head 2 right
+    past every cell seen so far; then one step rewrites the cell it reads on
+    tape 1 ("1" to "0") and writes "x" under head 2.  From "0" in that state
+    there is no rule, so retaking the step after the first write rejects."""
+    rules = [("a", ("1", WILD), "b", (WILD, WILD), ("S", "R")),
+             ("b", ("1", WILD), "c", (WILD, WILD), ("S", "R")),
+             ("c", ("1", WILD), "d", ("0", "x"), ("S", "S")),
+             ("d", ("0", WILD), "e", (WILD, WILD), ("S", "S"))]
+    return make_machine(name="rewrite", states="abcde", initial="a", accept="e",
+                        input_alphabet="01", tape_alphabet=[BLANK, "0", "1", "x"], tapes=2,
+                        rules=rules)
+
+
+def _walk_then_write_far_right():
+    """Two tapes, only tape 1 read: head 2 moves right twice per letter of
+    the word of 1s on tape 1, then, past the word, "x" is written under it."""
+    rules = [("a", ("1", WILD), "m", (WILD, WILD), ("S", "R")),
+             ("m", (WILD, WILD), "a", (WILD, WILD), ("R", "R")),
+             ("a", (BLANK, WILD), "w", (WILD, "x"), ("S", "R")),
+             ("w", (WILD, WILD), "z", (WILD, WILD), ("S", "S"))]
+    return make_machine(name="walk", states="amwz", initial="a", accept="z",
+                        input_alphabet="1", tape_alphabet=[BLANK, "1", "x"], tapes=2,
+                        rules=rules)
+
+
+def test_a_write_past_its_buffer_grows_it_and_redoes_that_write_only():
+    """`run` grows a buffer when a write reaches past its end and redoes
+    that write alone: the step is not read or taken again, since an earlier
+    write of it may have changed the scanned cell."""
+    m = _rewrite_and_write_past_the_end()
+    assert _agree(m, "1").tag == "Accept"
+    _fuel_sweep(m, "1")
+    final = run(m, "1", 10).final
+    assert (final.state, final.tapes, final.heads) == ("e", (Tape("0"), Tape("__x")), (0, 2))
+    walk = _walk_then_write_far_right()
+    for n in (0, 1, 5, 40):
+        assert _agree(walk, "1" * n).final.tapes[1] == Tape(BLANK * 2 * n + "x")
+    _fuel_sweep(walk, "1" * 7)
