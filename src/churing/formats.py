@@ -17,6 +17,7 @@ Three kinds of source text:
          with ``alphabet:`` and lines ``q a -> p`` (an NFA may repeat a
          left-hand side).  Every tape is semi-infinite; the printer writes
          ``mode: semi``, the only value the optional ``mode:`` header takes.
+         A header given twice is a ParseError at its second line.
 
 ``prf``  prefix expressions: ``Z k``, ``S``, ``P k i``, ``C f (g1, ..., gl)``,
          ``R (g, h)``, ``Mu g``, and ``def name = term`` bindings; a defined
@@ -106,6 +107,8 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         if key == "delta":
             in_delta = True
             continue
+        if key in headers:
+            raise ParseError(f"repeated header {key + ':'!r}", line=no, column=1)
         headers[key] = (no, val.strip())
 
     def need(key: str) -> str:

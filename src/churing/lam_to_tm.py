@@ -19,14 +19,18 @@ separates list entries, and ``@`` marks a context hole.
          verdict 0/1 on tape 2
     BR1  contract the leftmost redex once (input tape 1, result tape 5)
 
+The wire grammar has one reader, `_canonical_wire`, which renames bound
+variables apart in one pass over the wire's tokens and builds no term; a
+malformed wire is refused there, at the column of its fault.  `parse_wire`
+checks a wire with it and then builds the term without checking again.
+
 `reduce_on_tm` drives NF and BR1 in a loop on the wire itself.  Between
-machine runs the host renames bound variables apart on the wire string
-(`_canonical_wire`, one pass that builds no term), so BR1's textual
-substitution is capture-free; only the normal form is parsed back into a
-term.  `build_machine` builds a new machine on every call; the drivers
-`reduce_on_tm`, `nf_on_tm` and `br1_on_tm` share one NF and one BR1 per
-process, built on first use, so the resolver memo a run fills serves every
-later run.
+machine runs the host canonicalises the wire with `_canonical_wire`, so
+BR1's textual substitution is capture-free; only the normal form is built
+back into a term.  `build_machine` builds a new machine on every call;
+the drivers `reduce_on_tm`, `nf_on_tm` and `br1_on_tm` share one NF and one
+BR1 per process, built on first use, so the resolver memo a run fills
+serves every later run.
 """
 
 import re
@@ -95,65 +99,13 @@ def render_with_names(t: Term) -> Tuple[TermWire, Dict[int, str]]:
 def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
     """Parse a wire string back into a term.
 
-    Variable index i becomes ``names[i]`` when given, else ``x{i}``.
-    Iterative: an open ``(`` waits on a stack as the binder name of an
-    abstraction, as None for an application still reading its function, or
-    as that function while it reads its argument.
-    """
+    Variable index i becomes ``names[i]`` when given, else ``x{i}``.  The
+    wire grammar has one reader, `_canonical_wire`: it checks the wire,
+    refusing a malformed one at the column of its fault, and `_build_wire`
+    then builds the term."""
     names = names or {}
-    pos = 0
-
-    def fail(msg: str) -> WireParseError:
-        return WireParseError(msg, line=1, column=pos + 1)
-
-    def var_name() -> str:
-        nonlocal pos
-        pos += 1  # past 'v'
-        n = 0
-        while s[pos:pos + 1] == BAR:
-            n += 1
-            pos += 1
-        if n == 0:
-            raise fail("variable needs at least one bar")
-        return names.get(n, f"x{n}")
-
-    open_: list = []
-    while True:
-        c = s[pos:pos + 1]
-        if c == LP:
-            pos += 1
-            if s[pos:pos + 1] == LAM:
-                pos += 1
-                if s[pos:pos + 1] != VAR:
-                    raise fail("expected binder after L")
-                param = var_name()
-                if s[pos:pos + 1] != DOT:
-                    raise fail("expected '.' after binder")
-                pos += 1
-                open_.append(param)
-            else:
-                open_.append(None)
-            continue
-        if c == VAR:
-            t = Var(var_name())
-        elif c == HOLE_GLYPH:
-            pos += 1
-            t = Hole()
-        else:
-            raise fail(f"expected term, saw {c!r}" if c else "unexpected end of wire")
-        while open_ and open_[-1] is not None:  # t completes the innermost open term
-            top = open_.pop()
-            is_abs = type(top) is str
-            if s[pos:pos + 1] != RP:
-                raise fail("unclosed abstraction" if is_abs else "unclosed application")
-            pos += 1
-            t = Abs(top, t) if is_abs else App(top, t)
-        if not open_:
-            break
-        open_[-1] = t  # an application's function: its argument follows
-    if pos != len(s):
-        raise fail("trailing characters after term")
-    return t
+    _canonical_wire(s, names)
+    return _build_wire(s, names)
 
 
 # A binder head, a variable, or any one character: a malformed wire still
@@ -161,25 +113,54 @@ def parse_wire(s: TermWire, names: Optional[Dict[int, str]] = None) -> Term:
 _WIRE_TOKEN = re.compile(r"\(Lv\|+\.|v\|+|[\s\S]")
 
 
+def _build_wire(wire: TermWire, names: Dict[int, str]) -> Term:
+    """The term of a wire that `_canonical_wire` has read, which it does not
+    check again.  Iterative: an open ``(`` waits on a stack as itself, or as
+    its binder's name, below the terms read inside it."""
+    leaf: Dict[str, object] = {}  # token -> its variable, or its binder's name
+    stack: list = []
+    for tok in _WIRE_TOKEN.findall(wire):
+        if tok == RP:
+            t = stack.pop()
+            top = stack.pop()
+            if type(top) is str:
+                stack.append(Abs(top, t))
+            else:
+                stack[-1] = App(top, t)  # in place of its "("
+        elif tok == LP:
+            stack.append(tok)
+        elif tok == HOLE_GLYPH:
+            stack.append(Hole())
+        else:
+            t = leaf.get(tok)
+            if t is None:
+                n = tok.count(BAR)
+                name = names.get(n)
+                name = f"x{n}" if name is None else name
+                leaf[tok] = t = name if tok[0] == LP else Var(name)
+            stack.append(t)
+    return stack[0]
+
+
 def _canonical_wire(wire: TermWire, names: Dict[int, str]) -> Tuple[TermWire, Dict[int, str]]:
     """``render_with_names(canonical_binders(parse_wire(wire, names)))``,
-    read in one pass over the wire's tokens, building no term.
+    read in one pass over the wire's tokens, building no term.  This is the
+    one reader of the wire grammar: a malformed wire raises WireParseError
+    at the column of the token that breaks it, or past the wire's end.
 
     Wire index i names ``names.get(i, f"x{i}")``, and every lookup is by
     that name, as in the composition.  The output numbers binders and free
     names 1, 2, ... by first occurrence; a bound variable takes the number
     of its innermost binder of that name, kept in ``env``.  The binders'
     names, from `lam._binder_names` past the free names, are known only
-    once every free name has been read, so they are given at the end.  A
-    malformed wire is handed to `parse_wire`, which refuses it with the
-    column of the fault."""
+    once every free name has been read, so they are given at the end."""
     named: Dict[str, str] = {}          # token -> the name its index reads as
     env: Dict[str, Optional[str]] = {}  # name -> its output variable here
     free: List[Optional[str]] = []      # per output index: its free name, or None
     scopes: list = []                   # per open binder: (name, its output outside)
     # What each open term still reads: an application 2, 1, then 0 terms, an
-    # abstraction "body" then "", and the whole wire "top"; ")" closes a
-    # falsy one.
+    # abstraction "body" then "", and the whole wire "top", then None; ")"
+    # closes a falsy one.
     todo: list = ["top"]
     out: List[str] = []
     tokens = iter(_WIRE_TOKEN.findall(wire))
@@ -223,14 +204,31 @@ def _canonical_wire(wire: TermWire, names: Dict[int, str]) -> Tuple[TermWire, Di
             todo[-1] = left - 1
         elif left == "body":
             todo[-1] = ""
-        elif left == "top" and next(tokens, None) is None:
-            supply = _binder_names({n for n in free if n is not None})
-            return "".join(out), {i: next(supply) if n is None else n
-                                  for i, n in enumerate(free, 1)}
+        elif left == "top":
+            tok = next(tokens, None)
+            if tok is None:
+                supply = _binder_names({n for n in free if n is not None})
+                return "".join(out), {i: next(supply) if n is None else n
+                                      for i, n in enumerate(free, 1)}
+            todo[-1] = None
+            break
         else:
             break
-    parse_wire(wire, names)  # refuses the wire, at the column of its fault
-    raise WireParseError("malformed wire", line=1, column=1)  # pragma: no cover
+    else:
+        tok = ""  # the wire ended inside a term
+    # The grammar broke at tok, where the innermost open term reads ``left``:
+    # ")" for "" or 0, nothing more for None, else a term.
+    left = todo[-1]
+    at = len(wire) - len("".join(tokens)) - len(tok)
+    if tok == RP and left in ("", 0):  # a term in brackets where ")" belonged
+        depth = 1
+        while depth:
+            at -= 1
+            depth += (wire[at] == RP) - (wire[at] == LP)
+    msg = ({"": "unclosed abstraction", 0: "unclosed application",
+            None: "trailing characters after term"}.get(left)
+           or (f"expected term, saw {tok!r}" if tok else "unexpected end of wire"))
+    raise WireParseError(msg, line=1, column=at + 1)
 
 
 def _wire_machine(b: Rules, name: str, initial: str, *extra: str) -> MachineSpec:
@@ -566,6 +564,6 @@ def reduce_on_tm(t: Term, fuel: int = 200) -> Term:
     for _ in range(fuel + 1):
         wire, names = _canonical_wire(wire, names)
         if _run_wire(nfm, wire).final.tapes[1].content() == "1":
-            return parse_wire(wire, names)
+            return _build_wire(wire, names)
         wire = _run_wire(br, wire).final.tapes[4].content()
     raise FuelExhausted(f"no beta-normal form within {fuel} contractions")

@@ -16,8 +16,8 @@ combinators R, S, P, I and the numeral 0 is built once per call, on first
 use, and every use in that call is that one object; nothing outlives the
 call.  Binders are therefore not all distinct: a shared subterm, G used
 twice in a mu, and the combinators and numerals keep their own names.  The
-printer and the term-on-tape machinery rename binders apart themselves
-(`lam.render`, `lam.canonical_binders`).
+printer and the term-on-tape machinery rename binders apart themselves:
+`lam.render` as it prints, and `lam_to_tm._canonical_wire` on the wire.
 """
 
 from __future__ import annotations

@@ -57,6 +57,12 @@ WILD = "*"
 MOVES = ("L", "R", "S")
 _MOVE_SET = frozenset(MOVES)
 
+# The most tapes a machine may declare (`prf_to_tm.MAX_TAPES` is the lower
+# cap of the compiler).  A tape costs a buffer in `run` and a level of
+# recursion in `transform.to_single_tape`'s squeeze, which passes Python's
+# recursion limit past about 300 tapes; compiled `extract` needs 68.
+MAX_MACHINE_TAPES = 128
+
 # (next_state, writes, moves)
 Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
 
@@ -137,6 +143,9 @@ class MachineSpec:
             object.__setattr__(self, attr, frozenset(getattr(self, attr)))
         if self.tapes < 1:
             raise ValidationError("machine needs at least one tape")
+        if self.tapes > MAX_MACHINE_TAPES:
+            raise ValidationError(f"{self.tapes} tapes are more than "
+                                  f"MAX_MACHINE_TAPES = {MAX_MACHINE_TAPES}")
         if not self.input_alphabet <= self.tape_alphabet:
             raise ValidationError("input alphabet must be a subset of the tape alphabet")
         if BLANK not in self.tape_alphabet:

@@ -410,6 +410,31 @@ def decide_combine(
 # DFA / NFA acceptance
 
 
+def _check_automaton(a: Dfa | Nfa, targets: set) -> None:
+    """Freeze the sets of the DFA or NFA ``a``, and refuse it unless its
+    initial and accept states, and the sources and ``targets`` of its
+    transitions, are declared, and its transition symbols are in its
+    alphabet of single characters (input is read one character at a time)."""
+    kind = type(a).__name__.upper()
+    for attr in ("states", "accept", "alphabet"):
+        object.__setattr__(a, attr, frozenset(getattr(a, attr)))
+    for s in sorted(a.alphabet):
+        if len(s) != 1:
+            raise ValidationError(f"{kind} alphabet symbols are single characters, got {s!r}")
+    if a.initial not in a.states:
+        raise ValidationError(f"{kind} initial state {a.initial!r} not declared")
+    if not a.accept <= a.states:
+        raise ValidationError(f"{kind} accept state {min(a.accept - a.states)!r} not declared")
+    for q, c in a.trans:
+        if q not in a.states:
+            raise ValidationError(f"{kind} transition from undeclared state {q!r}")
+        if c not in a.alphabet:
+            raise ValidationError(f"{kind} transition symbol {c!r} outside the alphabet")
+    if not targets <= a.states:
+        raise ValidationError(f"{kind} transition into undeclared state "
+                              f"{min(targets - a.states)!r}")
+
+
 @dataclass(frozen=True)
 class Dfa:
     states: FrozenSet[str]
@@ -419,9 +444,7 @@ class Dfa:
     trans: Dict[Tuple[str, str], str]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "accept", frozenset(self.accept))
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
+        _check_automaton(self, set(self.trans.values()))
         for s in self.states:
             for a in self.alphabet:
                 if (s, a) not in self.trans:
@@ -437,9 +460,7 @@ class Nfa:
     trans: Dict[Tuple[str, str], FrozenSet[str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "accept", frozenset(self.accept))
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
+        _check_automaton(self, set().union(*self.trans.values()))
 
 
 def dfa_accepts(d: Dfa, w: str) -> bool:

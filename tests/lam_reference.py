@@ -25,10 +25,14 @@ term (``one_step_results``), iterated ``beta_step`` with a size cap
 (``node_objects``), the subterm walk and what it gives (``bound_vars``,
 ``is_normal_form``), and the hypothesis strategy of
 generated terms (``terms``).
+
+``read_wire`` reads a wire of ``churing.lam_to_tm`` by recursive descent
+over its grammar, character by character: ``_canonical_wire`` must refuse
+the wires it refuses, and ``parse_wire`` must build the terms it builds.
 """
 
 import itertools
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from hypothesis import strategies as st
 
@@ -273,3 +277,48 @@ def terms(atoms, binders, max_leaves: int):
         lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, binders, sub)),
         max_leaves=max_leaves,
     )
+
+
+def read_wire(wire: str, names: Dict[int, str]) -> Optional[Term]:
+    """The term of a wire under the grammar ``T ::= v|...| | @ | (Lv|...|.T)
+    | (TT)``, index i named ``names.get(i, f"x{i}")``; None when the
+    grammar refuses the wire."""
+    pos = 0
+
+    def index() -> int:  # the bars of a variable, from pos
+        nonlocal pos
+        start = pos
+        while wire.startswith("|", pos):
+            pos += 1
+        return pos - start
+
+    def term() -> Optional[Term]:
+        nonlocal pos
+        c = wire[pos:pos + 1]
+        pos += 1
+        if c == "@":
+            return Hole()
+        if c == "v":
+            n = index()
+            return Var(names.get(n, f"x{n}")) if n else None
+        if c != "(":
+            return None
+        if wire.startswith("Lv", pos):
+            pos += 2
+            n = index()
+            if not n or not wire.startswith(".", pos):
+                return None
+            pos += 1
+            body = term()
+            t = None if body is None else Abs(names.get(n, f"x{n}"), body)
+        else:
+            fn = term()
+            arg = None if fn is None else term()
+            t = None if arg is None else App(fn, arg)
+        if t is None or not wire.startswith(")", pos):
+            return None
+        pos += 1
+        return t
+
+    t = term()
+    return t if pos == len(wire) else None

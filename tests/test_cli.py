@@ -19,7 +19,7 @@ from churing.formats import parse, print_nat, print_source
 from churing.lam import App, Var, church_encode, lam
 from churing.prf import MAX_NATIVE_BITS, Succ, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
-from churing.tm import encode_unary
+from churing.tm import MAX_MACHINE_TAPES, encode_unary, make_machine
 
 from conftest import CORPUS
 
@@ -554,6 +554,64 @@ def test_check_refuses_a_mode_header_other_than_semi(tmp_path, capsys):
     f.write_text(Path(_c("succ.tm")).read_text().replace("mode: semi", "mode: two-way"))
     assert cli(["check", str(f)]) == 3
     assert "mode must be semi" in capsys.readouterr().err
+
+
+def _automaton(kind, states="a", initial="a", accept="a", alphabet="0", delta="a 0 -> a"):
+    return (f"kind: {kind}\nstates: {states}\ninitial: {initial}\naccept: {accept}\n"
+            f"alphabet: {alphabet}\ndelta:\n{delta}\n")
+
+
+# each automaton was once accepted by `check`; run, a DFA answered with a
+# KeyError traceback (exit 4) and an NFA with Reject, and a symbol of two
+# characters could never be read
+@pytest.mark.parametrize("text, error", [
+    (_automaton("dfa", initial="b"), "DFA initial state 'b' not declared"),
+    (_automaton("dfa", delta="a 0 -> zz"), "DFA transition into undeclared state 'zz'"),
+    (_automaton("dfa", accept="a b"), "DFA accept state 'b' not declared"),
+    (_automaton("nfa", initial="b"), "NFA initial state 'b' not declared"),
+    (_automaton("nfa", delta="a 0 -> zz"), "NFA transition into undeclared state 'zz'"),
+    (_automaton("nfa", delta="b 0 -> a"), "NFA transition from undeclared state 'b'"),
+    (_automaton("nfa", delta="a 9 -> a"), "NFA transition symbol '9' outside the alphabet"),
+    (_automaton("dfa", alphabet="0 00", delta="a 0 -> a\na 00 -> a"),
+     "DFA alphabet symbols are single characters, got '00'"),
+], ids=["dfa-initial", "dfa-target", "dfa-accept", "nfa-initial", "nfa-target", "nfa-source",
+        "nfa-symbol", "dfa-two-characters"])
+def test_an_automaton_is_checked_where_it_is_built(tmp_path, capsys, text, error):
+    f = tmp_path / "fa.tm"
+    f.write_text(text)
+    for argv in (["check", str(f)], ["run", "tm", str(f), "--input", "00"]):
+        assert cli(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+# a later header once silently won: `accept: a` made this start rejecting
+@pytest.mark.parametrize("text, line", [
+    ("name: m\ninitial: q\naccept: q\nstates: q a\ninput_alphabet: 0\n"
+     "tape_alphabet: 0 _\naccept: a\ndelta:\n", 7),
+    (_automaton("dfa").replace("delta:", "accept: \ndelta:"), 6),
+], ids=["tm", "dfa"])
+def test_a_repeated_tm_header_is_refused_at_its_line(tmp_path, capsys, text, line):
+    f = tmp_path / "twice.tm"
+    f.write_text(text)
+    for argv in (["check", str(f)], ["run", "tm", str(f), "--input", ""]):
+        assert cli(argv) == 3
+        assert capsys.readouterr() == ("", f"error: repeated header 'accept:' "
+                                           f"at line {line}, column 1\n")
+
+
+def test_a_machine_of_more_than_max_tapes_is_refused_at_once(tmp_path):
+    # 30,000,000 tapes once passed `check`; `run tm` then ran out of memory
+    f = tmp_path / "wide.tm"
+    f.write_text("tapes: 30000000\nstates: q\ninitial: q\naccept: q\n"
+                 "input_alphabet: 0\ntape_alphabet: 0 _\ndelta:\n")
+    error = "error: 30000000 tapes are more than MAX_MACHINE_TAPES = 128"
+    assert error in _refused_at_once(["run", "tm", str(f), "--input", "0"])
+    assert error in _refused_at_once(["equiv", "--prf", _c("succ.prf"), "--tm", str(f),
+                                      "--lam", _c("combinators.lam"), "--grid", "0..1"])
+    # compiled `extract` needs 68 tapes, and the squeeze nests once per tape
+    assert MAX_MACHINE_TAPES == 128
+    spec = make_machine("m", ["q"], "q", ["q"], ["0"], ["0", "_"], MAX_MACHINE_TAPES, [])
+    assert spec.tapes == MAX_MACHINE_TAPES
 
 
 @pytest.mark.parametrize("n", ["100000000000", "1" * 5000])

@@ -19,7 +19,7 @@ from churing.lam_to_tm import (
 from churing.tm import initial_configuration, run
 
 from conftest import corpus_text
-from lam_reference import bound_vars, closed_terms, is_normal_form, terms
+from lam_reference import bound_vars, closed_terms, is_normal_form, read_wire, terms
 from test_rules import PINNED, _digest
 
 
@@ -77,6 +77,30 @@ def test_parse_wire_errors_carry_position():
             parse_wire(bad)
 
 
+_TERM_SAW = "expected term, saw {!r}".format
+_UNCLOSED_ABS, _TRAILING = "unclosed abstraction", "trailing characters after term"
+# the message and column of each bad wire's fault; the last two put a term
+# in brackets where ")" belongs, which the reader finds only at its ")"
+_WIRE_FAULTS = list(zip(_BAD_WIRES, [
+    (_TERM_SAW("v"), 1), (_UNCLOSED_ABS, 8), (_TERM_SAW(")"), 4), (_TERM_SAW("x"), 1),
+    (_TERM_SAW("L"), 2), (_TRAILING, 3), (_TRAILING, 7), (_TRAILING, 3), (_TRAILING, 7),
+    ("unexpected end of wire", 1), ("unexpected end of wire", 2), (_TERM_SAW("L"), 2),
+    (_TERM_SAW("L"), 2), (_UNCLOSED_ABS, 8), ("unexpected end of wire", 10),
+    (_TERM_SAW("|"), 1), (_TERM_SAW("#"), 1), (_TERM_SAW("\n"), 4),
+], strict=True)) + [
+    ("(Lv|.v|(v|v|))", (_UNCLOSED_ABS, 8)), ("(v|v|(Lv|.v|))", ("unclosed application", 6)),
+]
+
+
+@pytest.mark.parametrize("bad, fault", _WIRE_FAULTS)
+@pytest.mark.parametrize("reader", [parse_wire, _canonical_wire])
+def test_the_wire_reader_names_each_fault_where_it_is(reader, bad, fault):
+    with pytest.raises(WireParseError) as got:
+        reader(bad, {})
+    msg, column = fault
+    assert (str(got.value), got.value.column) == (f"{msg} at line 1, column {column}", column)
+
+
 def _by_the_term(wire, names):
     """The canonical wire by way of a term, as reduce_on_tm once took it
     between rounds: parse, rename the binders apart, render."""
@@ -128,6 +152,36 @@ _names = st.sampled_from(["x1", "x2", "y", "z"])
 def test_canonical_wire_matches_the_term_route_on_generated_terms(t, table):
     wire, names = render_with_names(t)
     _same_as_by_the_term(wire, names if table is None else table)
+
+
+@st.composite
+def _edited_wires(draw):
+    """The wire and names of a generated term, after 0-2 one-character
+    inserts, deletes or replaces drawn from the wire glyphs, ``x`` and a
+    newline."""
+    t = draw(terms(st.one_of(_names.map(Var), st.just(HOLE)), _names, max_leaves=8))
+    wire, names = render_with_names(t)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from("idr"))
+        i = draw(st.integers(0, len(wire)))
+        c = draw(st.sampled_from("v|L.()#@x\n"))
+        wire = wire[:i] + (c if edit != "d" else "") + wire[i + (edit != "i"):]
+    return wire, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_wires())
+def test_the_wire_reader_refuses_exactly_what_the_grammar_refuses(case):
+    wire, names = case
+    want = read_wire(wire, names)
+    if want is None:
+        with pytest.raises(WireParseError):
+            parse_wire(wire, names)
+        with pytest.raises(WireParseError):
+            _canonical_wire(wire, names)
+    else:
+        assert parse_wire(wire, names) == want
+        _canonical_wire(wire, names)
 
 
 def _reduce_by_terms(t: Term):
