@@ -99,8 +99,6 @@ def _load(path: str, kind: Optional[str] = None):
     kind = kind or _kind_of(path)
     obj = parse(kind, _read(path))
     if isinstance(obj, dict):
-        if not obj:
-            raise ParseError(f"{path} defines nothing", line=1, column=1)
         return next(reversed(obj.values()))  # last definition is the main one
     return obj
 

@@ -243,7 +243,7 @@ def _wire_machine(b: Rules, name: str, initial: str, *extra: str) -> MachineSpec
 
 def _v_machine() -> MachineSpec:
     b = Rules()
-    R, L = "R", "L"
+    R = "R"
     # init: anchor tape 2.
     b.rule("init", {}, "scan", writes={2: MARK}, moves={2: R})
     # scan tape 1 left to right; on a variable, mark it and compare with the
@@ -266,18 +266,14 @@ def _v_machine() -> MachineSpec:
     b.rule("sk_next", {2: SEP}, "entry", moves={2: R})
     b.rule("sk_next", {}, "sk_next", moves={2: R})
     # append: rewind tape 1, copy v + bars to the list, close with '#'.
-    b.rule("ap_rewind", {1: DOT_V}, "ap_bars", writes={2: VAR}, moves={1: R, 2: R})
-    b.rule("ap_rewind", {}, "ap_rewind", moves={1: L})
+    b.rewind(1, DOT_V, "ap_rewind", "ap_bars", writes={2: VAR}, moves={1: R, 2: R})
     b.rule("ap_bars", {1: BAR}, "ap_bars", writes={2: BAR}, moves={1: R, 2: R})
     b.rule("ap_bars", {}, "ap_close", writes={2: SEP}, moves={2: R})
-    b.rule("ap_close", {1: DOT_V}, "scan", writes={1: VAR}, moves={1: R})
-    b.rule("ap_close", {}, "ap_close", moves={1: L})
+    b.rewind(1, DOT_V, "ap_close", "scan", writes={1: VAR})
     # found: unmark and resume the scan.
-    b.rule("found", {1: DOT_V}, "scan", writes={1: VAR}, moves={1: R})
-    b.rule("found", {}, "found", moves={1: L})
+    b.rewind(1, DOT_V, "found", "scan", writes={1: VAR})
     # finish: blank out the anchor so tape 2 holds exactly the list.
-    b.rule("fin", {2: MARK}, "acc", writes={2: BLANK})
-    b.rule("fin", {}, "fin", moves={2: L})
+    b.rewind(2, MARK, "fin", "acc", writes={2: BLANK}, moves={})
     return _wire_machine(b, "V", "init", MARK, DOT_V)
 
 
@@ -287,7 +283,7 @@ def _v_machine() -> MachineSpec:
 
 def _cf_machine() -> MachineSpec:
     b = Rules()
-    R, L = "R", "L"
+    R = "R"
     # init: dot the filler's first cell so it can be rewound (a term starts
     # with '(' or 'v').
     b.rule("init", {2: LP}, "scan", writes={2: DOT_P})
@@ -304,14 +300,12 @@ def _cf_machine() -> MachineSpec:
     b.rule("fill", {2: BLANK}, "fill_rw")
     for s in WIRE_SYMBOLS:
         b.rule("fill", {2: s}, "fill", writes={3: s}, moves={2: R, 3: R})
-    b.rule("fill_rw", {2: DOT_P}, "fill_done")
+    b.rewind(2, DOT_P, "fill_rw", "fill_done", moves={})
     b.rule("fill_rw", {2: DOT_V}, "fill_done")
-    b.rule("fill_rw", {}, "fill_rw", moves={2: L})
     b.rule("fill_done", {}, "scan", moves={1: R})
     # finish: restore the filler's dotted first cell.
-    b.rule("fin", {2: DOT_P}, "acc", writes={2: LP})
+    b.rewind(2, DOT_P, "fin", "acc", writes={2: LP}, moves={})
     b.rule("fin", {2: DOT_V}, "acc", writes={2: VAR})
-    b.rule("fin", {}, "fin", moves={2: L})
     return _wire_machine(b, "CF", "init", DOT_P, DOT_V)
 
 
@@ -321,7 +315,7 @@ def _cf_machine() -> MachineSpec:
 
 def _cbv_machine() -> MachineSpec:
     b = Rules()
-    R, L = "R", "L"
+    R = "R"
     # init: dot the first cell of x and y (both are single variables).
     b.rule("i1", {1: VAR}, "i2", writes={1: DOT_V})
     b.rule("i2", {2: VAR}, "ctx", writes={2: DOT_V})
@@ -333,8 +327,7 @@ def _cbv_machine() -> MachineSpec:
             b.rule("ctx", {3: s}, "ctx", writes={5: s}, moves={3: R, 5: R})
     b.rule("e_lam", {}, "y_rw", writes={5: LAM}, moves={5: R})
     # emit y as the new binder.
-    b.rule("y_rw", {2: DOT_V}, "y_bars", writes={5: VAR}, moves={2: R, 5: R})
-    b.rule("y_rw", {}, "y_rw", moves={2: L})
+    b.rewind(2, DOT_V, "y_rw", "y_bars", writes={5: VAR}, moves={2: R, 5: R})
     b.rule("y_bars", {2: BAR}, "y_bars", writes={5: BAR}, moves={2: R, 5: R})
     b.rule("y_bars", {2: BLANK}, "body", writes={5: DOT}, moves={5: R})
     # copy the body, replacing occurrences of x by y.
@@ -350,26 +343,21 @@ def _cbv_machine() -> MachineSpec:
     b.rule("x_cmp", {4: BAR}, "mm_rw")      # x shorter: mismatch
     b.rule("x_cmp", {}, "sub_rw")           # both ended: substitute
     # substitute: emit y, then restore the body marker and skip its bars.
-    b.rule("sub_rw", {2: DOT_V}, "sub_bars", writes={5: VAR}, moves={2: R, 5: R})
-    b.rule("sub_rw", {}, "sub_rw", moves={2: L})
+    b.rewind(2, DOT_V, "sub_rw", "sub_bars", writes={5: VAR}, moves={2: R, 5: R})
     b.rule("sub_bars", {2: BAR}, "sub_bars", writes={5: BAR}, moves={2: R, 5: R})
     b.rule("sub_bars", {2: BLANK}, "m_restore")
-    b.rule("m_restore", {4: DOT_V}, "m_skip", writes={4: VAR}, moves={4: R})
-    b.rule("m_restore", {}, "m_restore", moves={4: L})
+    b.rewind(4, DOT_V, "m_restore", "m_skip", writes={4: VAR})
     b.rule("m_skip", {4: BAR}, "m_skip", moves={4: R})
     b.rule("m_skip", {}, "body")
     # mismatch: copy the body variable through unchanged.
-    b.rule("mm_rw", {4: DOT_V}, "mm_bars", writes={4: VAR, 5: VAR}, moves={4: R, 5: R})
-    b.rule("mm_rw", {}, "mm_rw", moves={4: L})
+    b.rewind(4, DOT_V, "mm_rw", "mm_bars", writes={4: VAR, 5: VAR}, moves={4: R, 5: R})
     b.rule("mm_bars", {4: BAR}, "mm_bars", writes={5: BAR}, moves={4: R, 5: R})
     b.rule("mm_bars", {}, "body")
     # after the body: ')' was emitted by "close"; resume the context.
     b.rule("close", {}, "ctx", moves={3: R})
     # finish: restore the dots on x and y.
-    b.rule("fin1", {1: DOT_V}, "fin2", writes={1: VAR})
-    b.rule("fin1", {}, "fin1", moves={1: L})
-    b.rule("fin2", {2: DOT_V}, "acc", writes={2: VAR})
-    b.rule("fin2", {}, "fin2", moves={2: L})
+    b.rewind(1, DOT_V, "fin1", "fin2", writes={1: VAR}, moves={})
+    b.rewind(2, DOT_V, "fin2", "acc", writes={2: VAR}, moves={})
     return _wire_machine(b, "CBV", "i1", DOT_V)
 
 
@@ -452,8 +440,7 @@ def _br1_machine() -> MachineSpec:
     b.rule("v_cmp", {1: BAR}, "v_mm")
     b.rule("v_cmp", {4: BAR}, "v_mm")
     b.rule("v_cmp", {}, "mcopy", writes={2: HOLE_GLYPH}, moves={2: R})
-    b.rule("v_mm", {1: DOT_V}, "v_mmb", writes={1: VAR, 2: VAR}, moves={1: R, 2: R})
-    b.rule("v_mm", {}, "v_mm", moves={1: L})
+    b.rewind(1, DOT_V, "v_mm", "v_mmb", writes={1: VAR, 2: VAR}, moves={1: R, 2: R})
     b.rule("v_mmb", {1: BAR}, "v_mmb", writes={2: BAR}, moves={1: R, 2: R})
     b.rule("v_mmb", {}, "mcopy")
     # -- copy the argument N to tape 3 --
@@ -488,8 +475,7 @@ def _br1_machine() -> MachineSpec:
     b.rule("sfx", {1: BLANK}, "fin")
     for s in WIRE_SYMBOLS:
         b.rule("sfx", {1: s}, "sfx", writes={5: s}, moves={1: R, 5: R})
-    b.rule("fin", {5: MARK}, "acc", writes={5: BLANK})
-    b.rule("fin", {}, "fin", moves={5: L})
+    b.rewind(5, MARK, "fin", "acc", writes={5: BLANK}, moves={})
     return _wire_machine(b, "BR1", "init", MARK, DOT_V)
 
 

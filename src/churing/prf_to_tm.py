@@ -2,7 +2,8 @@
 
 A compiled machine follows the unary numeric convention stated once in
 `tm` ("Unary numeric convention"): `compile_prf_to_tm` returns the layout
-`tm.numeric_layout` gives it.  Accepting runs leave every head on cell 1.
+`tm.numeric_layout` gives it, and an accepting run ends with every head
+on cell 1, where `_Builder`'s head invariant keeps them between gadgets.
 
 Machines mark cell 0 of every tape with `^` at startup so heads can rewind
 by scanning left for the marker; the markers are erased again just before
@@ -29,7 +30,11 @@ MAX_TAPES = 16
 
 
 class _Builder(Rules):
-    """Gadgets; each wires entry -> exit and keeps heads at cell 1."""
+    """The unary gadgets.  Each wires its entry state to its exit states and
+    keeps the head invariant: every head is on cell 1 at every gadget's
+    entry and at each of its exits.  A gadget rewinds a tape to the `^` on
+    cell 0 before it reads it, which the invariant makes idle, and again
+    before an exit if it has moved that head."""
 
     def erase(self, t: int, entry: str, exit_: str):
         sweep, back = self.fresh(), self.fresh()
@@ -88,34 +93,21 @@ class _Builder(Rules):
         self.rule(look, {t: "1"}, nonzero_exit, {}, {})
 
 
-class _Alloc:
-    """Stack-discipline scratch tape allocator."""
-
-    def __init__(self, first: int):
-        self.next = first
-        self.high = first - 1
-
-    def take(self, n: int) -> List[int]:
-        out = list(range(self.next, self.next + n))
-        self.next += n
-        self.high = max(self.high, self.next - 1)
-        if self.high > MAX_TAPES:
-            raise ValidationError(
-                f"expression needs more than {MAX_TAPES} tapes; too deep to compile"
-            )
-        return out
-
-    def release(self, n: int):
-        self.next -= n
+def _tapes(free: int, n: int) -> List[int]:
+    """Scratch tapes ``free`` .. ``free + n - 1``, refused past `MAX_TAPES`."""
+    if free + n - 1 > MAX_TAPES:
+        raise ValidationError(f"expression needs more than {MAX_TAPES} tapes; too deep to compile")
+    return list(range(free, free + n))
 
 
 # ---------------------------------------------------------------------------
 
 
-def _emit(b: _Builder, alloc: _Alloc, e: PrfExpr, args: Sequence[int], out: int,
+def _emit(b: _Builder, e: PrfExpr, args: Sequence[int], out: int, free: int,
           entry: str, exit_: str):
-    """States computing e(args) onto tape `out`; argument tapes are read-only;
-    all touched heads are back on cell 1 at `exit_`."""
+    """States from ``entry`` to ``exit_`` computing e(args) onto tape ``out``;
+    argument tapes are read-only, and scratch tapes are taken from ``free``
+    up, each node's own below its children's."""
     if isinstance(e, Zero):
         b.write_zero(out, entry, exit_)
         return
@@ -128,43 +120,40 @@ def _emit(b: _Builder, alloc: _Alloc, e: PrfExpr, args: Sequence[int], out: int,
         b.copy(args[e.i - 1], out, entry, exit_)
         return
     if isinstance(e, Compose):
-        l = len(e.hs)
-        stage = alloc.take(l)
+        stage = _tapes(free, len(e.hs))
+        free += len(e.hs)
         cur = entry
         for h, t in zip(e.hs, stage):
             nxt = b.fresh()
-            _emit(b, alloc, h, args, t, cur, nxt)
+            _emit(b, h, args, t, free, cur, nxt)
             cur = nxt
-        _emit(b, alloc, e.g, stage, out, cur, exit_)
-        alloc.release(l)
+        _emit(b, e.g, stage, out, free, cur, exit_)
         return
     if isinstance(e, PrimRec):
         xs, m = list(args[:-1]), args[-1]
-        c, a = alloc.take(2)
+        c, a = _tapes(free, 2)
         s1 = b.fresh()
-        _emit(b, alloc, e.g, xs, a, entry, s1)  # acc := g(x)
+        _emit(b, e.g, xs, a, free + 2, entry, s1)  # acc := g(x)
         top = b.fresh()
         b.write_zero(c, s1, top)  # counter := 0
         # loop: counter == m ? finish : acc := h(x, counter, acc); counter++
         body, done = b.fresh(), b.fresh()
         b.equal(c, m, top, done, body)
         s2, s3 = b.fresh(), b.fresh()
-        _emit(b, alloc, e.h, xs + [c, a], out, body, s2)  # out used as staging
+        _emit(b, e.h, xs + [c, a], out, free + 2, body, s2)  # out used as staging
         b.copy(out, a, s2, s3)
         b.append_one(c, s3, top)
         b.copy(a, out, done, exit_)
-        alloc.release(2)
         return
     if isinstance(e, Mu):
-        (y,) = alloc.take(1)
+        (y,) = _tapes(free, 1)
         top = b.fresh()
         b.write_zero(y, entry, top)
         check, bump, found = b.fresh(), b.fresh(), b.fresh()
-        _emit(b, alloc, e.g, list(args) + [y], out, top, check)
+        _emit(b, e.g, list(args) + [y], out, free + 1, top, check)
         b.is_zero(out, check, found, bump)
         b.append_one(y, bump, top)
         b.copy(y, out, found, exit_)
-        alloc.release(1)
         return
     raise ValidationError(f"cannot compile node {e!r}")
 
@@ -183,15 +172,11 @@ def compile_prf_to_tm(e: PrfExpr) -> Tuple[MachineSpec, NumericLayout]:
 
 def _compile(e: PrfExpr, k: int) -> MachineSpec:
     b = _Builder()
-    out = k + 1
-    alloc = _Alloc(k + 2)
-    _emit(b, alloc, e, list(range(1, k + 1)), out, "g_body", "g_done")
-    body, b.rules = b.rules, []
-    every = range(1, alloc.high + 1)  # the highest tape the body names
+    _emit(b, e, list(range(1, k + 1)), k + 1, k + 2, "g_body", "g_done")
+    every = range(1, b.tapes() + 1)
     # init: step every head to cell 0, plant markers, step back
     b.rule("i0", {}, "i1", None, dict.fromkeys(every, "L"))
     b.rule("i1", {}, "g_body", dict.fromkeys(every, MARK), dict.fromkeys(every, "R"))
-    b.rules += body
     # finish: rewind everything, erase the markers, accept
     cur = "g_done"
     for t in every:

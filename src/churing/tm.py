@@ -375,19 +375,24 @@ class Rules:
         self.n += 1
         return f"g{self.n}"
 
-    def rewind(self, t: int, mark: str, entry: str, exit_: str) -> None:
-        """From ``entry``, move tape ``t`` left to ``mark``, then one cell
-        right, into ``exit_``."""
-        self.rule(entry, {t: mark}, exit_, None, {t: "R"})
+    def rewind(self, t: int, mark: str, entry: str, exit_: str,
+               writes: Optional[dict] = None, moves: Optional[dict] = None) -> None:
+        """From ``entry``, move tape ``t`` left to ``mark``; there make
+        ``writes`` and ``moves`` (by default one cell right on tape ``t``)
+        into ``exit_``."""
+        self.rule(entry, {t: mark}, exit_, writes, {t: "R"} if moves is None else moves)
         self.rule(entry, {}, entry, None, {t: "L"})
+
+    def tapes(self) -> int:
+        """The highest tape a rule names (1 when none does)."""
+        return max([t for r in self.rules for part in (r[1], r[3], r[4]) for t in part] or [1])
 
     def machine(self, name: str, initial: str, accept: Iterable[str],
                 input_alphabet: Iterable[str], tape_alphabet: Iterable[str]) -> MachineSpec:
-        """The validated machine.  It has as many tapes as the highest tape
-        a rule names, and its states are ``initial``, ``accept`` and every
-        state a rule names."""
+        """The validated machine.  It has `tapes` tapes, and its states are
+        ``initial``, ``accept`` and every state a rule names."""
         rules = self.rules
-        tapes = max([t for r in rules for part in (r[1], r[3], r[4]) for t in part] or [1])
+        tapes = self.tapes()
         wild, stay = (WILD,) * tapes, ("S",) * tapes
 
         def full(d: dict, base: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -478,6 +478,4 @@ def nfa_accepts(n: Nfa, w: str) -> bool:
         if ch not in n.alphabet:
             raise ValidationError(f"symbol {ch!r} outside the NFA alphabet")
         cur = {t for s in cur for t in n.trans.get((s, ch), frozenset())}
-        if not cur:
-            return False
     return bool(cur & n.accept)

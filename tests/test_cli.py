@@ -584,6 +584,51 @@ def test_an_automaton_is_checked_where_it_is_built(tmp_path, capsys, text, error
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_an_nfa_reads_every_symbol_of_its_input(tmp_path, capsys):
+    # once no state was live after the `1`, the NFA answered Reject
+    # without reading the `z`
+    f = tmp_path / "fa.tm"
+    f.write_text(_automaton("nfa", states="a b", accept="b", alphabet="0 1", delta="a 0 -> b"))
+    assert cli(["run", "tm", str(f), "--input", "1z"]) == 3
+    assert capsys.readouterr() == ("", "error: symbol 'z' outside the NFA alphabet\n")
+
+
+def _tm(head="", tapes="1", accept="a", input_alphabet="0", tape_alphabet="0 _",
+        delta="a 0 -> a 0 R"):
+    return (f"{head}tapes: {tapes}\nstates: a\ninitial: a\naccept: {accept}\n"
+            f"input_alphabet: {input_alphabet}\ntape_alphabet: {tape_alphabet}\n"
+            f"delta:\n{delta}\n")
+
+
+# every refusal of `.tm` text that a file can reach
+@pytest.mark.parametrize("text, error", [
+    (_tm(input_alphabet="0 1"), "input alphabet must be a subset of the tape alphabet"),
+    (_tm(tape_alphabet="0"), "blank symbol missing from tape alphabet"),
+    (_tm(input_alphabet="0 _"), "blank symbol may not appear in the input alphabet"),
+    (_tm(tape_alphabet="0 _ *"), "'*' is reserved and may not be a tape symbol"),
+    (_tm(tape_alphabet="0 _ ab"), "symbols are single characters, got 'ab'"),
+    (_tm(accept="a b"), "accept states must be declared states"),
+    (_tm(delta="b 0 -> a 0 R"), "transition from undeclared state 'b'"),
+    (_tm(delta="a 0 -> b 0 R"), "transition into undeclared state 'b'"),
+    (_tm(delta="a 0 -> a 1 R"), "write symbol '1' outside tape alphabet"),
+    (_tm(head="kind: pda\n"), "unknown kind 'pda' at line 1, column 1"),
+    (_tm(tapes="two"), "tapes: wants an integer, got 'two' at line 1, column 1"),
+    (_tm(delta="a 0 a 0 R"), "transition line needs '->' at line 8, column 1"),
+    (_automaton("dfa", delta="a 0 -> a 0"),
+     "automaton transition format is 'q a -> p' at line 7, column 1"),
+    (_automaton("dfa", delta="a 0 -> a\na 0 -> a"),
+     "duplicate DFA transition for (a,0) at line 8, column 1"),
+], ids=["input-alphabet", "no-blank", "blank-input", "wild-symbol", "two-characters",
+        "accept", "source", "target", "write", "kind", "tapes", "no-arrow",
+        "automaton-line", "dfa-duplicate"])
+def test_every_refusal_of_tm_text_exits_three(tmp_path, capsys, text, error):
+    f = tmp_path / "m.tm"
+    f.write_text(text)
+    for argv in (["check", str(f)], ["run", "tm", str(f), "--input", "0"]):
+        assert cli(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 # a later header once silently won: `accept: a` made this start rejecting
 @pytest.mark.parametrize("text, line", [
     ("name: m\ninitial: q\naccept: q\nstates: q a\ninput_alphabet: 0\n"

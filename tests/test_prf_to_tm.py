@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from churing.errors import ValidationError
-from churing.prf import (
-    Compose, Mu, Proj, Succ, Zero, arity_check, const, evaluate, stdlib, stdlib_names,
-)
-from churing.prf_to_tm import compile_prf_to_tm, layout_report, succ_machine
-from churing.tm import numeric_layout, run, run_numeric
+from churing.prf import Compose, Mu, Proj, Succ, Zero, arity_check, const, evaluate, stdlib
+from churing.prf_to_tm import _Builder, compile_prf_to_tm, layout_report, succ_machine
+from churing.tm import numeric_layout, numeric_start, run, run_numeric
+
+import tm_reference as ref
+from tm_reference import compiled_stdlib
 
 FUEL = 10 ** 6
 
@@ -82,12 +83,44 @@ def test_compiled_mu_divergence_runs_out_of_fuel():
 
 def test_accepting_heads_park_at_cell_one():
     m, _ = compile_prf_to_tm(stdlib("add"))
-    from churing.tm import numeric_start
     out = run(m, "", fuel=FUEL, start=numeric_start(m, [2, 2]))
     assert out.tag == "Accept"
     assert all(h == 1 for h in out.final.heads)
     # the cell-0 markers are erased before accepting
     assert all("^" not in t.content() for t in out.final.tapes)
+
+
+def test_every_head_is_on_cell_one_at_each_gadget_boundary(monkeypatch):
+    # `_Builder`'s head invariant, checked on the reference step loop: each
+    # of the six gadgets records its entry and exit states, and every run
+    # of a compiled stdlib function at points 0..1 must have every head on
+    # cell 1 whenever it enters one of them
+    boundaries = {}  # builder -> the entry and exit states of its gadgets
+    for name in ("erase", "write_zero", "append_one", "copy", "equal", "is_zero"):
+        def gadget(self, *args, _wrapped=getattr(_Builder, name)):
+            boundaries.setdefault(self, set()).update(a for a in args if isinstance(a, str))
+            return _wrapped(self, *args)
+        monkeypatch.setattr(_Builder, name, gadget)
+    states_of = {}  # id of a built machine -> its builder's boundary states
+    build = _Builder.machine
+
+    def machine(self, *args):
+        m = build(self, *args)
+        states_of[id(m)] = boundaries[self]
+        return m
+    monkeypatch.setattr(_Builder, "machine", machine)
+    visits = 0
+    for name, (_, m, layout) in compiled_stdlib().items():
+        states = states_of[id(m)]
+        for args in itertools.product(range(2), repeat=layout.arity):
+            out = ref.run(m, "", FUEL, want_trace=True, start=numeric_start(m, args))
+            assert out.tag == "Accept", (name, args)
+            for before, c in zip((None,) + out.trace, out.trace):
+                # a rewind loops in its entry state: only an entry counts
+                if c.state in states and (before is None or before.state != c.state):
+                    assert set(c.heads) == {1}, (name, args, c.state, c.steps_taken)
+                    visits += 1
+    assert visits > 1000  # 1,086 when the invariant was first stated
 
 
 def test_tape_budget_guard():
@@ -107,19 +140,13 @@ def test_layout_report_mentions_the_tapes():
 
 def test_every_compiled_layout_is_the_numeric_layout():
     exprs = {"S": Succ(), "P 1 1": Proj(1, 1), **{f"Z {k}": Zero(k) for k in range(4)}}
-    for name in stdlib_names():
-        exprs[name] = stdlib(name)
-    checked = 0
-    for name, e in sorted(exprs.items()):
-        try:
-            m, layout = compile_prf_to_tm(e)
-        except ValidationError:  # needs more tapes than the compiler allows
-            continue
+    compiled = {name: (e, *compile_prf_to_tm(e)) for name, e in exprs.items()}
+    compiled.update(compiled_stdlib())
+    for name, (e, m, layout) in sorted(compiled.items()):
         k = arity_check(e)
         assert layout == numeric_layout(m, k), name
         assert layout.output_tape == (1 if name == "S" else k + 1), name
-        checked += 1
-    assert checked == 18
+    assert len(compiled) == 18
 
 
 def test_compiled_matches_evaluator_on_random_exprs():

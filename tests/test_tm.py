@@ -257,6 +257,20 @@ def test_machine_is_validated_when_built():
         MachineSpec(**fields, deterministic=False)
 
 
+@pytest.mark.parametrize("writes, moves, error", [
+    (("0",), ("R", "S"), "write/move vectors must match tape count"),
+    (("0", "0"), ("R",), "write/move vectors must match tape count"),
+    (("0", "0"), ("R", "U"), "move 'U' is not one of ('L', 'R', 'S')"),
+], ids=["short-writes", "short-moves", "move"])
+def test_make_machine_refuses_what_no_tm_file_reaches(writes, moves, error):
+    # `parse_tm` refuses both first, at the line of the vector
+    with pytest.raises(ValidationError) as info:
+        make_machine(name="t", states=["a"], initial="a", accept=[], input_alphabet=["0"],
+                     tape_alphabet=["0", "_"], tapes=2,
+                     rules=[("a", ("0", "0"), "a", writes, moves)])
+    assert str(info.value) == error
+
+
 def test_derived_fields_cannot_be_forged():
     # the flag and the index come from the rules, never from the caller
     overlap = _two_tape_overlap()

@@ -19,8 +19,7 @@ from churing.errors import ValidationError
 from churing.formats import parse
 from churing.lam import Abs, App, Var, canonical_binders, lam
 from churing.lam_to_tm import build_machine, render_with_names
-from churing.prf import arity_check, stdlib, stdlib_names
-from churing.prf_to_tm import compile_prf_to_tm
+from churing.prf import arity_check
 from churing.tm import (
     BLANK, MOVES, WILD, Configuration, MachineSpec, Tape,
     initial_configuration, make_machine, numeric_start, run, successors,
@@ -79,19 +78,8 @@ def test_corpus_machines_agree(m):
     _fuel_sweep(m, words[-1])
 
 
-def _compiled_stdlib():
-    out = []
-    for name in stdlib_names():
-        e = stdlib(name)
-        try:
-            m, _ = compile_prf_to_tm(e)
-        except ValidationError:
-            continue  # needs more tapes than the compiler allows
-        out.append(pytest.param(m, arity_check(e), id=name))
-    return out
-
-
-@pytest.mark.parametrize("m, arity", _compiled_stdlib())
+@pytest.mark.parametrize("m, arity", [pytest.param(m, arity_check(e), id=name)
+                                      for name, (e, m, _) in ref.compiled_stdlib().items()])
 def test_compiled_stdlib_agrees(m, arity):
     for args in itertools.product(range(3), repeat=arity):
         _agree(m, start=numeric_start(m, args), fuel=200_000)

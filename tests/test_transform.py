@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import tm_reference as ref
 
+from churing import transform
+from churing.cli import cli
 from churing.errors import NotADecider, ValidationError
 from churing.formats import parse, print_tm
 from churing.lam_to_tm import SUITE, build_machine
@@ -335,6 +337,21 @@ def test_single_tape_refuses_what_the_layout_cannot_hold():
     with pytest.raises(ValidationError, match="dotted glyphs"):
         to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
     assert to_single_tape(machine("_a" + "ABCDEFGHIJKLMNOPQRS")).tapes == 1  # 21 of 21
+
+
+# copier squeezes to 83 states: under a cap of 10 the residual nodes of its
+# steps pass it first, under 40 the control states do
+@pytest.mark.parametrize("cap, where", [(10, "residual"), (40, "to_single_tape")])
+def test_single_tape_refuses_past_max_states(monkeypatch, capsys, cap, where):
+    assert len(to_single_tape(_copier()).states) == 83
+    monkeypatch.setattr(transform, "MAX_STATES", cap)
+    with pytest.raises(ValidationError) as info:
+        to_single_tape(_copier())
+    assert str(info.value) == (f"single-tape compilation of 'copier' needs more than "
+                               f"MAX_STATES = {cap} states")
+    assert info.traceback[-1].name == where
+    assert cli(["transform", "--single-tape", str(CORPUS / "copier.tm")]) == 3
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,17 +23,22 @@ Hopcroft's partition refinement over the machine's steps.
 
 ``explicit_rows`` is the oracle for a one-tape table with `*` rows: the
 same machine with one explicit row for every (state, symbol) that steps.
+
+``compiled_stdlib`` gives every stdlib function the p.r.f.→TM compiler
+compiles, for the tests that take all of them.
 """
 
 import dataclasses
 import itertools
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from churing.errors import ValidationError, check_fuel
+from churing.prf import PrfExpr, stdlib, stdlib_names
+from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
     ACCEPT, FUEL_EXHAUSTED, REJECT, WILD, Configuration,
-    MachineSpec, Outcome, Target, Tape, initial_configuration,
+    MachineSpec, NumericLayout, Outcome, Target, Tape, initial_configuration,
 )
 
 
@@ -264,3 +269,17 @@ def explicit_rows(spec: MachineSpec) -> MachineSpec:
             delta[q, (c,)] = tuple((nxt, (c if w == WILD else w,), moves)
                                    for nxt, (w,), moves in targets)
     return dataclasses.replace(spec, delta=delta)
+
+
+def compiled_stdlib() -> Dict[str, Tuple[PrfExpr, MachineSpec, NumericLayout]]:
+    """Every stdlib function that `compile_prf_to_tm` compiles, by name in
+    `stdlib_names` order: its expression, machine and layout.  The others
+    need more tapes than the compiler allows."""
+    out = {}
+    for name in stdlib_names():
+        e = stdlib(name)
+        try:
+            out[name] = (e, *compile_prf_to_tm(e))
+        except ValidationError:
+            continue
+    return out
