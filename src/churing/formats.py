@@ -185,11 +185,12 @@ def _parse_automaton(kind, headers, delta_lines, need):
     from .transform import Dfa, Nfa
     trans: Dict[Tuple[str, str], object] = {}
     for no, s in delta_lines:
-        parts = s.replace("->", " ").split()
-        if len(parts) != 3:
+        lhs, _, rhs = s.partition("->")
+        lf, rf = lhs.split(), rhs.split()
+        if len(lf) != 2 or len(rf) != 1 or "->" in rhs:
             raise ParseError("automaton transition format is 'q a -> p'",
                              line=no, column=1)
-        q, a, p = parts
+        (q, a), (p,) = lf, rf
         if kind == "dfa":
             if (q, a) in trans:
                 raise ParseError(f"duplicate DFA transition for ({q},{a})",
@@ -581,8 +582,8 @@ def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
     A free name that `parse_lam` would not read back as that one name is
     refused with ValidationError, and so is an entry with a free name that
     an earlier entry defines: read back, that name would be the earlier
-    definition.  A hole is refused too: read back, its ``[]`` would be a
-    free name."""
+    definition.  A hole is refused too, by the term's ``holed`` field: read
+    back, its ``[]`` would be a free name."""
     from .lam import _render, free_vars
     if isinstance(obj, dict):
         earlier: Dict[str, str] = {}  # each def name to its printed term
@@ -594,12 +595,16 @@ def print_lam(obj: Union[Term, Dict[str, Term]]) -> str:
             if clash:
                 raise ValidationError(f"def {name} has the free name {min(clash)!r}, "
                                       "which an earlier def defines")
-            earlier[_def_name(name, _NOT_NAME)] = _render(t, {}, free, holes=False)
+            if t.holed:
+                raise ValidationError("cannot print a hole as source text")
+            earlier[_def_name(name, _NOT_NAME)] = _render(t, {}, free)
         return "".join(f"def {name} = {text}\n" for name, text in earlier.items())
     free, defs, refs = _factor(obj)
     for x in sorted(free):
         _def_name(x, _NOT_NAME, "a free name")
-    main = _render(obj, refs, free, holes=False)
+    if obj.holed:
+        raise ValidationError("cannot print a hole as source text")
+    main = _render(obj, refs, free)
     if not defs:
         return main + "\n"
     lines = [f"def {name} = {_render(t, refs, frozenset())}\n" for name, t in defs.items()]

@@ -20,9 +20,10 @@ of the Krivine abstract machine", HOSC 2007):
   closure is (term, environment), the environment a linked list of frames
   (name, value), one per binder around the term, innermost first.  A
   variable's value is in the first frame of its name, the frame its de
-  Bruijn index would count to; a name no frame holds is free.  One walk
-  over the node types refuses a term with a hole anywhere before any fuel
-  is spent;
+  Bruijn index would count to; a name no frame holds is free.  A term with
+  a hole anywhere is refused before any fuel is spent, by reading its
+  ``holed`` field, which each node sets from its children when it is
+  built;
 - closures run against an explicit argument stack.  An abstraction that
   meets an argument is one contraction and binds it; an abstraction with no
   argument is entered under a fresh neutral level;
@@ -73,7 +74,7 @@ class Term:
         raise AttributeError(f"cannot delete {name!r}: terms are immutable")
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "holed")
         return f"{type(self).__name__}({fields})"
 
     def _preorder(self) -> list:
@@ -107,31 +108,37 @@ class Term:
 
 class Var(Term):
     __slots__ = ("name",)
+    holed = False
 
     def __init__(self, name: str):
         _set_name(self, name)
 
 
 class Abs(Term):
-    __slots__ = ("param", "body")
+    __slots__ = ("param", "body", "holed")
 
     def __init__(self, param: str, body: Term):
         _set_param(self, param)
         _set_body(self, body)
+        _set_abs_holed(self, body.holed)
 
 
 class App(Term):
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "holed")
 
     def __init__(self, fn: Term, arg: Term):
         _set_fn(self, fn)
         _set_arg(self, arg)
+        _set_app_holed(self, fn.holed or arg.holed)
 
 
 class Hole(Term):
-    """Context hole.  Only legal inside contexts, never in reducible terms."""
+    """Context hole.  Only legal inside contexts, never in reducible terms.
+    Every node's ``holed`` says whether a hole is in it, set from the
+    children when the node is built, so no walk looks for one."""
 
     __slots__ = ()
+    holed = True
 
 
 # The constructors set fields through the slot descriptors, which
@@ -139,6 +146,7 @@ class Hole(Term):
 _set_name = Var.name.__set__
 _set_param, _set_body = Abs.param.__set__, Abs.body.__set__
 _set_fn, _set_arg = App.fn.__set__, App.arg.__set__
+_set_abs_holed, _set_app_holed = Abs.holed.__set__, App.holed.__set__
 
 HOLE = Hole()
 
@@ -329,27 +337,6 @@ class NormalizeResult:
     contractions: int = 0  # contractions performed; the fuel when not normal
 
 
-def _refuse_holes(t: Term) -> None:
-    """Raise ValidationError when t holds a hole anywhere, even in an
-    argument its reduction would discard.  A spine is walked in place and
-    only an argument that is not a variable waits on the stack."""
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        while True:
-            cls = type(t)
-            if cls is App:
-                if type(t.arg) is not Var:
-                    todo.append(t.arg)
-                t = t.fn
-            elif cls is Abs:
-                t = t.body
-            elif cls is Var:
-                break
-            else:
-                raise ValidationError("normalize expects a hole-free term")
-
-
 def _run_machine(t: Term, fuel: int):
     """Normal form of the hole-free term t and the fuel left; raises
     FuelExhausted when a contraction is due and no fuel is left.
@@ -426,9 +413,12 @@ def _run_machine(t: Term, fuel: int):
 
 def _normal_code(t: Term, fuel: int):
     """The normal-form code of t and the fuel left; the code is None when t
-    needs more than ``fuel`` contractions."""
+    needs more than ``fuel`` contractions.  A term that holds a hole, even
+    in an argument its reduction would discard, is refused before any fuel
+    is spent: its ``holed`` field says so, with no walk."""
     check_fuel(fuel)
-    _refuse_holes(t)
+    if t.holed:
+        raise ValidationError("normalize expects a hole-free term")
     try:
         return _run_machine(t, fuel)
     except FuelExhausted:
@@ -620,13 +610,13 @@ def render(t: Term) -> str:
     return _render(t, {}, free_vars(t))
 
 
-def _render(top: Term, refs: dict, avoid: frozenset | set, holes: bool = True) -> str:
+def _render(top: Term, refs: dict, avoid: frozenset | set) -> str:
     """The text of `render`, binders named from `_binder_names` over
     ``avoid``, and each node but top whose id ``refs`` maps to a name
     written as that name, as a variable would be: the def lines of
-    `churing.formats`.  A hole is ``[]``, or a ValidationError unless
-    ``holes``.  Iterative: each term is printed in place, and what follows
-    it waits on a stack of terms, literal text and binder scopes to close."""
+    `churing.formats`.  A hole is ``[]``.  Iterative: each term is printed
+    in place, and what follows it waits on a stack of terms, literal text
+    and binder scopes to close."""
     supply = _binder_names(avoid)
     env: dict = {}  # name -> new name of its innermost binder
     out: list = []
@@ -676,8 +666,6 @@ def _render(top: Term, refs: dict, avoid: frozenset | set, holes: bool = True) -
                 for name, outer in reversed(t):
                     env[name] = outer
             elif cls is Hole:
-                if not holes:
-                    raise ValidationError("cannot print a hole as source text")
                 out.append("[]")
             else:
                 raise ValidationError(f"cannot print {t!r}")

@@ -23,8 +23,8 @@ closed term of a size (``closed_terms``), every single contraction of a
 term (``one_step_results``), iterated ``beta_step`` with a size cap
 (``bounded_nf``), a node count, the distinct node objects
 (``node_objects``), the subterm walk and what it gives (``bound_vars``,
-``is_normal_form``), and the hypothesis strategy of
-generated terms (``terms``).
+``is_normal_form``, ``has_hole``: what each node's ``holed`` field must
+say), and the hypothesis strategy of generated terms (``terms``).
 
 ``read_wire`` reads a wire of ``churing.lam_to_tm`` by recursive descent
 over its grammar, character by character: ``_canonical_wire`` must refuse
@@ -254,6 +254,10 @@ def bound_vars(t: Term) -> frozenset:
 
 def is_normal_form(t: Term) -> bool:
     return all(not is_redex(s) for s in subterms(t))
+
+
+def has_hole(t: Term) -> bool:
+    return any(isinstance(s, Hole) for s in subterms(t))
 
 
 def bounded_nf(t: Term, fuel: int = 1000, max_nodes: int = 20_000) -> Optional[Term]:

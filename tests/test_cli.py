@@ -593,6 +593,22 @@ def test_an_nfa_reads_every_symbol_of_its_input(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: symbol 'z' outside the NFA alphabet\n")
 
 
+# each line was once read as `a 0 -> a`, wherever its arrow stood or with
+# none: `check` passed it and `run tm --input 00` answered Accept
+@pytest.mark.parametrize("line", ["a 0 a", "-> a 0 a", "a -> 0 a", "a 0 -> a -> a", "a 0 -> a->"])
+@pytest.mark.parametrize("kind", ["dfa", "nfa"])
+def test_an_automaton_line_is_two_tokens_one_arrow_and_one_token(tmp_path, capsys, kind, line):
+    f = tmp_path / "fa.tm"
+    f.write_text(_automaton(kind, delta=line))
+    for argv in (["check", str(f)], ["run", "tm", str(f), "--input", "00"]):
+        assert cli(argv) == 3
+        assert capsys.readouterr() == (
+            "", "error: automaton transition format is 'q a -> p' at line 7, column 1\n")
+    # the arrow needs no spaces around it
+    f.write_text(_automaton(kind, delta="a 0->a"))
+    assert cli(["run", "tm", str(f), "--input", "00"]) == 0
+
+
 def _tm(head="", tapes="1", accept="a", input_alphabet="0", tape_alphabet="0 _",
         delta="a 0 -> a 0 R"):
     return (f"{head}tapes: {tapes}\nstates: a\ninitial: a\naccept: {accept}\n"

@@ -1,8 +1,9 @@
 """normalize against the reference reducer, iterated beta_step: the same
 contraction count and an alpha-equal normal form on generated terms, the
 lambda corpus and the compiled stdlib; fuel semantics; holes refused before
-any fuel; shadowed and free names through normalize, beta_eq and
-church_decode; a flat cost per contraction."""
+any fuel, by a field that says what a walk would; shadowed and free names
+through normalize, beta_eq and church_decode; a flat cost per contraction,
+and no cost at all for a shared argument that reduction discards."""
 
 import itertools
 import time
@@ -10,8 +11,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from churing.errors import NotANumeral, ValidationError
-from churing.formats import parse_lam
+from churing.errors import FuelExhausted, NotANumeral, ValidationError
+from churing.formats import parse_lam, print_lam
 from churing.lam import (
     DISTINCT, EQUAL, HOLE, UNKNOWN, Abs, App, NormalizeResult, Term, Var, alpha_eq, app,
     beta_eq, beta_step, church_decode, church_encode, combinator, lam, normalize,
@@ -19,7 +20,7 @@ from churing.lam import (
 from churing.prf import Compose, Mu, Succ, Zero, arity_check, stdlib, stdlib_names
 from churing.prf_to_lam import compile_prf_to_lambda
 
-from lam_reference import nodes, terms
+from lam_reference import has_hole, nodes, terms
 
 
 def check_against_reference(t: Term, cap: int = 2000, max_nodes: int = 20_000) -> int:
@@ -124,6 +125,64 @@ def test_a_hole_anywhere_is_refused_before_any_fuel(name, fuel):
                 lambda: beta_eq(t, z, fuel), lambda: beta_eq(z, t, fuel)):
         with pytest.raises(ValidationError, match="hole-free"):
             run()
+
+
+_atoms = st.one_of(_names.map(Var), st.just(HOLE))
+
+
+@st.composite
+def _shared_terms(draw):
+    """Generated terms joined node by node, each new node's children drawn
+    from the terms so far: one object can sit in many places."""
+    made = draw(st.lists(terms(_atoms, _names, max_leaves=6), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        earlier = st.sampled_from(made)
+        made.append(draw(st.one_of(st.builds(App, earlier, earlier),
+                                   st.builds(Abs, _names, earlier))))
+    return made[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_terms())
+def test_the_hole_flag_is_the_walk(t):
+    holed = has_hole(t)
+    assert t.holed is holed
+    z = Var("z")
+    for run, refusal in ((lambda: normalize(t, 50), "hole-free"),
+                         (lambda: church_decode(t, 50), "hole-free"),
+                         (lambda: beta_eq(t, z, 50), "hole-free"),
+                         (lambda: beta_eq(z, t, 50), "hole-free"),
+                         (lambda: print_lam(t), "cannot print a hole"),
+                         (lambda: print_lam({"g": t}), "cannot print a hole")):
+        if holed:
+            with pytest.raises(ValidationError, match=refusal):
+                run()
+        else:
+            try:
+                run()
+            except (FuelExhausted, NotANumeral):
+                pass
+
+
+def test_fuel_bounded_calls_are_bounded_on_shared_input():
+    # 40 doublings of one node: 41 objects and 2**40 leaves, which no walk
+    # of the tree gets through; each call discards it, or spends no fuel
+    b = Var("x")
+    for _ in range(40):
+        b = App(b, b)
+    i = combinator("I")
+    start = time.perf_counter()
+    assert church_decode(app(Abs("y", church_encode(3)), b), 10) == 3
+    assert beta_eq(App(Abs("y", i), b), i) == EQUAL
+    t = App(Abs("y", Var("z")), b)
+    r = normalize(t, 0)
+    assert not r.normal and r.term is t  # no read-back
+    assert time.perf_counter() - start < 0.5
+    h = HOLE
+    for _ in range(40):
+        h = App(h, h)
+    with pytest.raises(ValidationError, match="hole-free"):
+        normalize(App(Abs("y", Var("z")), h), 0)
 
 
 # --- the machine's named environment ---------------------------------------
