@@ -49,8 +49,8 @@ Comments run to the end of the line.  In ``prf`` they start at ``#``; in
 a tape symbol, only a line whose first non-blank character is ``#`` is a
 comment.
 
-The ``tm`` parser splits each distinct vector text once, and checks each
-distinct move text once, in a table of its own.
+The ``tm`` parser makes each distinct vector text sparse, and checks each
+distinct move text, once; the printer makes each stored tuple a text once.
 
 `parse` returns the single object for a bare text, or a name -> object dict
 when the text consists of ``def`` bindings.  `print_source` inverts it, and
@@ -92,7 +92,7 @@ def _tm_lines(text: str):
 
 
 def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
-    from .tm import make_machine
+    from .tm import WILD, MachineSpec, _sparse
     headers: Dict[str, Tuple[int, str]] = {}
     delta_lines: List[Tuple[int, str]] = []
     in_delta = False
@@ -133,11 +133,11 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
     if mode_s != "semi":
         raise ParseError(f"mode must be semi, got {mode_s!r}", line=mode_no, column=1)
 
-    # Each distinct vector text is split once, and each distinct move text
-    # checked once, in a table of its own: a read or write text is no move.
-    symbols: Dict[str, Tuple[str, ...]] = {}
-    moved: Dict[str, Tuple[str, ...]] = {}
-    rules = []
+    # (length, stored pairs) of each distinct vector text, and of each move
+    # text in a table of its own: a read or write text is no move.
+    symbols: Dict[str, Tuple[int, tuple]] = {}
+    moved: Dict[str, Tuple[int, tuple]] = {}
+    delta: Dict[tuple, list] = {}
     for no, s in delta_lines:
         if "->" not in s:
             raise ParseError("transition line needs '->'", line=no, column=1)
@@ -149,27 +149,27 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
                              line=no, column=1)
         state, reads = lf
         nxt, writes, moves = rf
-        reads_t = symbols.get(reads)
-        if reads_t is None:
-            reads_t = symbols[reads] = tuple(reads.split(","))
-        writes_t = symbols.get(writes)
-        if writes_t is None:
-            writes_t = symbols[writes] = tuple(writes.split(","))
-        moves_t = moved.get(moves)
-        if moves_t is None:
-            moves_t = tuple(moves.split(","))
-            for i, m in enumerate(moves_t):
+        r = symbols.get(reads)
+        if r is None:
+            r = symbols[reads] = reads.count(",") + 1, _sparse(reads.split(","), WILD)
+        w = symbols.get(writes)
+        if w is None:
+            w = symbols[writes] = writes.count(",") + 1, _sparse(writes.split(","), WILD)
+        mv = moved.get(moves)
+        if mv is None:
+            vec = moves.split(",")
+            for i, m in enumerate(vec):
                 if m not in ("L", "R", "S"):
                     # the move text ends the line; count its moves before m
                     col = len(text.splitlines()[no - 1].rstrip()) - len(moves) + 1
-                    col += sum(len(x) + 1 for x in moves_t[:i])
+                    col += sum(len(x) + 1 for x in vec[:i])
                     raise ParseError(f"move must be L, R or S, got {m!r}", line=no, column=col)
-            moved[moves] = moves_t
-        if not len(reads_t) == len(writes_t) == len(moves_t) == tapes:
+            mv = moved[moves] = len(vec), _sparse(vec, "S")
+        if not r[0] == w[0] == mv[0] == tapes:
             raise ParseError(f"expected {tapes} symbols per vector", line=no, column=1)
-        rules.append((state, reads_t, nxt, writes_t, moves_t))
+        delta.setdefault((state, r[1]), []).append((nxt, w[1], mv[1]))
 
-    return make_machine(
+    return MachineSpec(
         name=headers.get("name", (0, "machine"))[1],
         states=need("states").split(),
         initial=need("initial"),
@@ -177,7 +177,7 @@ def parse_tm(text: str) -> Union[MachineSpec, Dfa, Nfa]:
         input_alphabet=need("input_alphabet").split(),
         tape_alphabet=need("tape_alphabet").split(),
         tapes=tapes,
-        rules=rules,
+        delta={key: tuple(targets) for key, targets in delta.items()},
     )
 
 
@@ -210,6 +210,7 @@ def _parse_automaton(kind, headers, delta_lines, need):
 
 
 def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
+    from .tm import WILD
     from .transform import Dfa, Nfa
     if isinstance(obj, (Dfa, Nfa)):
         return _print_automaton(obj, "dfa" if isinstance(obj, Dfa) else "nfa")
@@ -222,14 +223,23 @@ def print_tm(obj: Union[MachineSpec, Dfa, Nfa]) -> str:
     lines.append("input_alphabet: " + " ".join(sorted(obj.input_alphabet)))
     lines.append("tape_alphabet: " + " ".join(sorted(obj.tape_alphabet)))
     lines.append("delta:")
-    entries = []
-    for (state, reads), targets in obj.delta.items():
-        for (nxt, writes, moves) in targets:
-            entries.append((state, reads, nxt, writes, moves))
-    entries.sort()
-    for state, reads, nxt, writes, moves in entries:
-        lines.append(f"{state} {','.join(reads)} -> {nxt} "
-                     f"{','.join(writes)} {','.join(moves)}")
+    texts, moved = {}, {}  # stored reads or writes, and stored moves -> vector text
+
+    def vector(pairs: tuple, absent: str, known: Dict[tuple, str]) -> str:
+        vec = [absent] * obj.tapes
+        for t, x in pairs:
+            vec[t] = x
+        text = known[pairs] = ",".join(vec)
+        return text
+
+    # one line per target; vector entries are single characters, so texts sort as vectors do
+    entries = sorted((state, texts.get(reads) or vector(reads, WILD, texts), nxt,
+                      texts.get(writes) or vector(writes, WILD, texts),
+                      moved.get(moves) or vector(moves, "S", moved))
+                     for (state, reads), targets in obj.delta.items()
+                     for nxt, writes, moves in targets)
+    lines.extend(f"{state} {reads} -> {nxt} {writes} {moves}"
+                 for state, reads, nxt, writes, moves in entries)
     return "\n".join(lines) + "\n"
 
 

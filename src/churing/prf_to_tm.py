@@ -173,7 +173,7 @@ def compile_prf_to_tm(e: PrfExpr) -> Tuple[MachineSpec, NumericLayout]:
 def _compile(e: PrfExpr, k: int) -> MachineSpec:
     b = _Builder()
     _emit(b, e, list(range(1, k + 1)), k + 1, k + 2, "g_body", "g_done")
-    every = range(1, b.tapes() + 1)
+    every = range(1, b.tapes + 1)
     # init: step every head to cell 0, plant markers, step back
     b.rule("i0", {}, "i1", None, dict.fromkeys(every, "L"))
     b.rule("i1", {}, "g_body", dict.fromkeys(every, MARK), dict.fromkeys(every, "R"))

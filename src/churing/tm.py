@@ -1,10 +1,10 @@
 """Turing machines: multitape specs, fuel-bounded execution, traces.
 
-Symbols are single printable characters; `_` is the blank.  Transition
-tables are sparse: a read position may be the wildcard `*` (matches any
-symbol), a write position may be `*` (leave the scanned symbol alone),
-and moves are L, R or S (stay).  When several entries match a scanned
-vector the most specific one (fewest wildcards) wins.
+Symbols are single printable characters; `_` is the blank.  A machine
+stores its sparse rules as built: a rule names only the tapes it reads,
+writes or moves.  A tape it does not name reads any symbol, keeps it and
+stays (`*`, `*` and S in the dense vectors of `.tm` text and
+`make_machine`).  The most specific matching rule (most tapes read) wins.
 
 A `MachineSpec` is validated when it is built, whether directly, by
 `make_machine`, by `Rules.machine` or by `dataclasses.replace`; the build
@@ -40,7 +40,7 @@ It counts one step per cell, so the fuel runs out where it would step by
 step; every other step, and every step of a traced run, is taken singly.
 
 `Rules` builds a sparse table rule by rule; `make_machine` builds a machine
-from flat rules.
+from dense rules.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .errors import (ACCEPT, FUEL_EXHAUSTED, REJECT, NonEncodable, ValidationErr
 BLANK = "_"
 WILD = "*"
 MOVES = ("L", "R", "S")
-_MOVE_SET = frozenset(MOVES)
+_STORED_MOVES = frozenset("LR")
 
 # The most tapes a machine may declare (`prf_to_tm.MAX_TAPES` is the lower
 # cap of the compiler).  A tape costs a buffer in `run` and a level of
@@ -63,8 +63,11 @@ _MOVE_SET = frozenset(MOVES)
 # recursion limit past about 300 tapes; compiled `extract` needs 68.
 MAX_MACHINE_TAPES = 128
 
-# (next_state, writes, moves)
-Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
+# A rule's key (state, reads) and target (next_state, writes, moves): reads,
+# writes and moves are (tape, symbol or L or R) pairs, tapes 0-based, in order
+Pairs = Tuple[Tuple[int, str], ...]
+Key = Tuple[str, Pairs]
+Target = Tuple[str, Pairs, Pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,8 @@ class Outcome:
 @dataclass(frozen=True)
 class MachineSpec:
     """A validated machine: building one checks every invariant and derives
-    ``deterministic`` and the rule ``index``, which cannot be given."""
+    ``deterministic`` and the rule ``index``, which cannot be given.
+    ``delta`` maps each `Key` to its targets, in order, as `Rules` builds."""
 
     name: str
     states: frozenset
@@ -134,7 +138,7 @@ class MachineSpec:
     input_alphabet: frozenset
     tape_alphabet: frozenset
     tapes: int
-    delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]
+    delta: Dict[Key, Tuple[Target, ...]]
     deterministic: bool = field(init=False)
     index: "RuleIndex" = field(init=False, compare=False, repr=False)
 
@@ -161,74 +165,75 @@ class MachineSpec:
             raise ValidationError(f"initial state {self.initial!r} not declared")
         if not self.accept <= self.states:
             raise ValidationError("accept states must be declared states")
-        symbols = self.tape_alphabet | {WILD}
-        by_state: Dict[str, List[Tuple[str, ...]]] = {}  # state -> its read vectors
+        by_state: Dict[str, List[Pairs]] = {}  # state -> its reads
         multi = set()  # states with a key of several targets
         for (state, reads), targets in self.delta.items():
             if state not in self.states:
                 raise ValidationError(f"transition from undeclared state {state!r}")
-            if len(reads) != self.tapes:
-                raise ValidationError(f"read vector {reads!r} does not match tape count")
-            if not symbols.issuperset(reads):
-                bad = next(r for r in reads if r not in symbols)
-                raise ValidationError(f"read symbol {bad!r} outside tape alphabet")
+            _check_pairs(reads, self.tapes, self.tape_alphabet, "read")
             if len(targets) > 1:
                 multi.add(state)
             for nxt, writes, moves in targets:
                 if nxt not in self.states:
                     raise ValidationError(f"transition into undeclared state {nxt!r}")
-                if len(writes) != self.tapes or len(moves) != self.tapes:
-                    raise ValidationError("write/move vectors must match tape count")
-                if not symbols.issuperset(writes):
-                    bad = next(w for w in writes if w not in symbols)
-                    raise ValidationError(f"write symbol {bad!r} outside tape alphabet")
-                if not _MOVE_SET.issuperset(moves):
-                    bad = next(mv for mv in moves if mv not in MOVES)
-                    raise ValidationError(f"move {bad!r} is not one of {MOVES}")
-            keys = by_state.get(state)
-            if keys is None:
-                by_state[state] = [reads]
-            else:
-                keys.append(reads)
+                _check_pairs(writes, self.tapes, self.tape_alphabet, "write")
+                _check_pairs(moves, self.tapes, _STORED_MOVES, "move")
+            by_state.setdefault(state, []).append(reads)
         index = RuleIndex({state: tuple(keys) for state, keys in by_state.items()}, self.delta,
                           self.accept)
-        blind = str.maketrans(dict.fromkeys(self.tape_alphabet, "#"))
         # the resolver searches the states that have a key of several
         # targets or two keys that may match one scan at equal rank (with
         # one tape, distinct keys of equal rank never do)
         deterministic = not any(
             index.ambiguous(state, self.tape_alphabet)
             for state, keys in index.states.items()
-            if state in multi or (self.tapes > 1 and _may_overlap(keys, blind)))
+            if state in multi or (self.tapes > 1 and _may_overlap(keys)))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "deterministic", deterministic)
 
 
+def _check_pairs(pairs: Pairs, tapes: int, allowed: frozenset, what: str) -> None:
+    """Refuse a rule's ``what`` pairs unless their tapes increase within
+    0..tapes-1 and each names a member of ``allowed``."""
+    last = -1
+    for t, x in pairs:
+        if type(t) is not int or not 0 <= t < tapes:
+            raise ValidationError(f"{what} on tape {t!r}, not one of 0..{tapes - 1}")
+        if t <= last:
+            raise ValidationError(f"{what} tapes repeated or out of order in {pairs!r}")
+        if x not in allowed:
+            if x == ("S" if what == "move" else WILD):
+                raise ValidationError(f"{what} {x!r} on tape {t} is stored: a rule leaves "
+                                      f"out the tapes it does not {what}")
+            raise ValidationError(f"move {x!r} is not one of {MOVES}" if what == "move"
+                                  else f"{what} symbol {x!r} outside tape alphabet")
+        last = t
+
+
 # A resolved transition: (next_state, writes, rights, lefts, sweep, to).
-# writes holds the (tape, symbol) pairs that may change a cell; `*` writes
-# and writes of the scanned symbol leave no entry.  rights and lefts hold the
-# tapes whose head moves right and left; only lefts meet the stuck rule, and
-# most steps have none.  sweep is +1 or -1 when the step keeps the state,
-# writes nothing and moves only the one tape the state reads, else 0.  to is
-# the `Entry` of next_state, so `run` enters it without a lookup.
-Step = Tuple[str, Tuple[Tuple[int, str], ...], Tuple[int, ...], Tuple[int, ...], int, "Entry"]
+# writes holds the target's writes less those of the scanned symbol, so each
+# may change a cell.  rights and lefts hold the tapes whose head moves right
+# and left; only lefts meet the stuck rule, and most steps have none.  sweep
+# is +1 or -1 when the step keeps the state, writes nothing and moves only
+# the one tape the state reads, else 0.  to is the `Entry` of next_state, so
+# `run` enters it without a lookup.
+Step = Tuple[str, Pairs, Tuple[int, ...], Tuple[int, ...], int, "Entry"]
 
 # A state's entry: (state, reads, known, one, accepting).  reads are the
-# tapes some rule of the state reads (not `*`; no rule looks at another
-# tape); known maps the symbols scanned on them, joined into one string
-# (symbols are single characters), to the resolved steps; one is the read
-# tape when there is exactly one, else None; accepting is whether the state
-# accepts.  A state with no rules reads no tape and resolves every scan to
-# no step.
+# tapes some key of the state reads (no rule looks at another tape); known
+# maps the symbols scanned on them, joined into one string (symbols are
+# single characters), to the resolved steps; one is the read tape when
+# there is exactly one, else None; accepting is whether the state accepts.
+# A state with no rules reads no tape and resolves every scan to no step.
 Entry = Tuple[str, Tuple[int, ...], Dict[str, Tuple[Step, ...]], Optional[int], bool]
 
 
 class RuleIndex:
     """A machine's rules grouped by state, and the resolver's memo.
 
-    ``states`` maps a state to its read vectors, whose targets are in
-    ``delta``: tuples of strings, which the garbage collector stops
-    tracking, so indexing a big machine brings on no extra full
+    ``states`` maps a state to the reads of its keys, whose targets are in
+    ``delta``: tuples of ints and strings, which the garbage collector
+    stops tracking, so indexing a big machine brings on no extra full
     collections.  ``memo`` maps a state to its `Entry`, made on first need
     (`entry`) for any state, accepting and rule-less ones too; its
     ``known`` fills lazily, one scan at a time.  Each resolved `Step`
@@ -242,9 +247,8 @@ class RuleIndex:
 
     __slots__ = ("states", "delta", "accept", "memo", "answers")
 
-    def __init__(self, states: Dict[str, Tuple[Tuple[str, ...], ...]],
-                 delta: Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]],
-                 accept: frozenset):
+    def __init__(self, states: Dict[str, Tuple[Pairs, ...]],
+                 delta: Dict[Key, Tuple[Target, ...]], accept: frozenset):
         self.states = states
         self.delta = delta
         self.accept = accept
@@ -256,7 +260,7 @@ class RuleIndex:
         entry = self.memo.get(state)
         if entry is None:
             keys = self.states.get(state, ())
-            reads = tuple(sorted({t for key in keys for t, r in enumerate(key) if r != WILD}))
+            reads = tuple(sorted({t for key in keys for t, _ in key}))
             entry = self.memo[state] = (state, reads, {}, reads[0] if len(reads) == 1 else None,
                                         state in self.accept)
         return entry
@@ -277,30 +281,23 @@ class RuleIndex:
     def _match(self, entry: Entry, syms: str) -> tuple:
         """The steps of `resolve`, without their next entries."""
         state, reads, _, one, _ = entry
-        keys = self.states.get(state, ())
+        scanned = dict(zip(reads, syms))
         best: List[Target] = []
         best_rank = -1
-        for key in keys:
-            rank = 0
-            for t, c in zip(reads, syms):
-                r = key[t]
-                if r == WILD:
-                    continue
-                if r != c:
+        for key in self.states.get(state, ()):
+            for t, r in key:
+                if scanned[t] != r:
                     break
-                rank += 1
             else:
-                if rank > best_rank:
-                    best_rank, best = rank, list(self.delta[state, key])
-                elif rank == best_rank:
+                if len(key) > best_rank:
+                    best_rank, best = len(key), list(self.delta[state, key])
+                elif len(key) == best_rank:
                     best.extend(self.delta[state, key])
-        scanned = dict(zip(reads, syms))
         out = []
         for nxt, writes, moves in best:
-            writes = tuple((t, w) for t, w in enumerate(writes)
-                           if w != WILD and w != scanned.get(t))
-            rights = tuple(t for t, mv in enumerate(moves) if mv == "R")
-            lefts = tuple(t for t, mv in enumerate(moves) if mv == "L")
+            writes = tuple((t, w) for t, w in writes if w != scanned.get(t))
+            rights = tuple(t for t, mv in moves if mv == "R")
+            lefts = tuple(t for t, mv in moves if mv == "L")
             sweep = 0
             if nxt == state and not writes and (rights, lefts) in (((one,), ()), ((), (one,))):
                 sweep = 1 if rights else -1
@@ -316,7 +313,7 @@ class RuleIndex:
         keys = self.states[state]
         choices = []
         for t in entry[1]:
-            named = sorted({key[t] for key in keys} - {WILD})
+            named = sorted({r for key in keys for u, r in key if u == t})
             choices.append(named + sorted(alphabet.difference(named))[:1])
         return any(len(self._match(entry, "".join(scan))) > 1 for scan in product(*choices))
 
@@ -331,25 +328,24 @@ def make_machine(
     tapes: int,
     rules: Iterable[tuple],
 ) -> MachineSpec:
-    """Build and validate a machine from flat rules.
-
-    Each rule is (state, reads, next_state, writes, moves); for a 1-tape
-    machine the vectors may be given as plain strings of length 1.
-    The machine checks the vector lengths when it is built.
-    """
-    delta: Dict[Tuple[str, Tuple[str, ...]], List[Target]] = {}
+    """Build and validate a machine from dense rules, stored sparse: each
+    is (state, reads, next_state, writes, moves), each vector one entry per
+    tape; for a 1-tape machine the vectors may be strings of length 1."""
+    delta: Dict[Key, List[Target]] = {}
     for state, reads, nxt, writes, moves in rules:
-        delta.setdefault((state, tuple(reads)), []).append((nxt, tuple(writes), tuple(moves)))
-    return MachineSpec(
-        name=name,
-        states=frozenset(states),
-        initial=initial,
-        accept=frozenset(accept),
-        input_alphabet=frozenset(input_alphabet),
-        tape_alphabet=frozenset(tape_alphabet),
-        tapes=tapes,
-        delta={k: tuple(v) for k, v in delta.items()},
-    )
+        if len(reads) != tapes:
+            raise ValidationError(f"read vector {tuple(reads)!r} does not match tape count")
+        if len(writes) != tapes or len(moves) != tapes:
+            raise ValidationError("write/move vectors must match tape count")
+        delta.setdefault((state, _sparse(reads, WILD)), []).append(
+            (nxt, _sparse(writes, WILD), _sparse(moves, "S")))
+    return MachineSpec(name, states, initial, accept, input_alphabet, tape_alphabet, tapes,
+                       {key: tuple(targets) for key, targets in delta.items()})
+
+
+def _sparse(vec: Sequence[str], absent: str) -> Pairs:
+    """The (tape, entry) pairs of a dense vector, less its ``absent`` ones."""
+    return tuple((t, x) for t, x in enumerate(vec) if x != absent)
 
 
 class Rules:
@@ -362,13 +358,21 @@ class Rules:
     in the order given."""
 
     def __init__(self):
-        # (state, reads, next_state, writes, moves); reads, writes, moves are dicts
-        self.rules: List[tuple] = []
+        self.delta: Dict[Key, List[Target]] = {}  # each key's targets, stored as built
+        self.tapes = 1  # the highest tape a rule names
         self.n = 0
 
     def rule(self, state: str, reads: dict, nxt: str,
              writes: Optional[dict] = None, moves: Optional[dict] = None) -> None:
-        self.rules.append((state, reads, nxt, writes or {}, moves or {}))
+        self.delta.setdefault((state, self._pairs(reads, WILD)), []).append(
+            (nxt, self._pairs(writes, WILD), self._pairs(moves, "S")))
+
+    def _pairs(self, d: Optional[dict], absent: str) -> Pairs:
+        """The stored pairs of a rule's dict of 1-based tapes."""
+        if not d:
+            return ()
+        self.tapes = max(self.tapes, max(d))
+        return tuple(sorted([(t - 1, x) for t, x in d.items() if x != absent]))
 
     def fresh(self) -> str:
         """A new state name: g1, g2, ..."""
@@ -383,41 +387,24 @@ class Rules:
         self.rule(entry, {t: mark}, exit_, writes, {t: "R"} if moves is None else moves)
         self.rule(entry, {}, entry, None, {t: "L"})
 
-    def tapes(self) -> int:
-        """The highest tape a rule names (1 when none does)."""
-        return max([t for r in self.rules for part in (r[1], r[3], r[4]) for t in part] or [1])
-
     def machine(self, name: str, initial: str, accept: Iterable[str],
                 input_alphabet: Iterable[str], tape_alphabet: Iterable[str]) -> MachineSpec:
-        """The validated machine.  It has `tapes` tapes, and its states are
-        ``initial``, ``accept`` and every state a rule names."""
-        rules = self.rules
-        tapes = self.tapes()
-        wild, stay = (WILD,) * tapes, ("S",) * tapes
-
-        def full(d: dict, base: Tuple[str, ...]) -> Tuple[str, ...]:
-            if not d:
-                return base
-            vec = list(base)
-            for t, s in d.items():
-                vec[t - 1] = s
-            return tuple(vec)
-
-        flat = [(state, full(reads, wild), nxt, full(writes, wild), full(moves, stay))
-                for state, reads, nxt, writes, moves in rules]
-        states = {initial, *accept, *(r[0] for r in rules), *(r[2] for r in rules)}
-        return make_machine(name, states, initial, accept, input_alphabet, tape_alphabet,
-                            tapes, flat)
+        """The validated machine of the rules as stored: `tapes` tapes, and
+        the states ``initial``, ``accept`` and every state a rule names."""
+        delta = {key: tuple(targets) for key, targets in self.delta.items()}
+        states = {initial, *accept, *(q for q, _ in delta),
+                  *(nxt for targets in delta.values() for nxt, _, _ in targets)}
+        return MachineSpec(name, states, initial, accept, input_alphabet, tape_alphabet,
+                           self.tapes, delta)
 
 
-def _may_overlap(keys: Tuple[Tuple[str, ...], ...], blind: dict) -> bool:
+def _may_overlap(keys: Tuple[Pairs, ...]) -> bool:
     """A quick test, false when no two ``keys`` can match one scan at equal
-    rank: that takes two keys of equal rank that read different tapes.
-    ``blind`` translates every tape symbol to "#"."""
-    if len({key.count(WILD) for key in keys}) == len(keys):
+    rank: that takes two keys of equal rank that read different tapes."""
+    if len({len(key) for key in keys}) == len(keys):
         return False
-    shapes = {"".join(key).translate(blind) for key in keys}
-    return len({shape.count("#") for shape in shapes}) < len(shapes)
+    shapes = {tuple(t for t, _ in key) for key in keys}
+    return len({len(shape) for shape in shapes}) < len(shapes)
 
 
 # ---------------------------------------------------------------------------

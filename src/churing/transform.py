@@ -88,13 +88,13 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     other state is ``s<N>``, N its place in the breadth-first search.
 
     A state that steps on every symbol of the one-tape alphabet gets one
-    `*`-read row for its largest class of equal targets: the same next
-    state and move, and the same written symbol, or the scanned one kept,
-    written `*`.  Of equal classes the one whose first symbol sorts first
-    wins, and a class of one row gets none.  A state that halts on some
-    symbol keeps only explicit rows, since a `*` row would step there.
-    Every other row is explicit, so each scan resolves to the step it would
-    take in a table of explicit rows only.
+    row that reads no tape (`*` in text) for its largest class of equal
+    targets: the same next state and move, and the same written symbol or
+    none, the scanned one kept.  Of equal classes the one whose first
+    symbol sorts first wins, and a class of one row gets none.  A state
+    that halts on some symbol keeps only explicit rows, since a row reading
+    no tape would step there.  Every other row reads its symbol and writes
+    one, so each scan resolves to the step of a table of explicit rows.
 
     Refused with a ValidationError: a nondeterministic machine, ``#`` in
     the tape alphabet, more tape symbols than dotted glyphs, and a machine
@@ -110,7 +110,7 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     k = m.tapes
     reads = {q: m.index.entry(q)[1] for q in m.index.states}
     lefts = {q: {t for key in keys for _, _, moves in m.delta[q, key]
-                 for t, mv in enumerate(moves) if mv == "L"}
+                 for t, mv in moves if mv == "L"}
              for q, keys in m.index.states.items()}
     # one name stands for every accepting state, one for every state with no rule
     idle = sorted(m.states - m.accept - set(reads))
@@ -255,6 +255,8 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
     delta: Dict = {}
     queue = deque([start])
     symbols = sorted(alphabet)
+    pair = {s: ((0, s),) for s in symbols}  # the pairs that read or write s
+    moved = {"L": ((0, "L"),), "R": ((0, "R"),), "S": ()}
     while queue:
         st = queue.popleft()
         q = names[st]
@@ -271,9 +273,9 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 names[nxt] = ENTRY if nxt == entry else f"s{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
-            rows.append((sym, (names[nxt], WILD if w == sym else w, mv)))
-        # a state with a step on every symbol puts its largest class of equal
-        # targets (of equal ones, the first met) on one `*` row, if not a lone row
+            rows.append((sym, (names[nxt], () if w == sym else pair[w], moved[mv])))
+        # a state stepping on every symbol puts its largest class of equal targets
+        # (of equal ones, the first met) on one row reading no tape, if not a lone row
         default = None
         if len(rows) == len(symbols):
             size: Dict[tuple, int] = {}
@@ -281,12 +283,11 @@ def to_single_tape(m: MachineSpec) -> MachineSpec:
                 size[target] = size.get(target, 0) + 1
             top = max(size, key=size.__getitem__)
             if size[top] > 1:
-                default = nxt, w, mv = top
-                delta[(q, (WILD,))] = ((nxt, (w,), (mv,)),)
-        for sym, target in rows:
-            if target != default:
-                nxt, w, mv = target
-                delta[(q, (sym,))] = ((nxt, (sym if w == WILD else w,), (mv,)),)
+                default = top
+                delta[q, ()] = (top,)
+        for sym, (nxt, w, mv) in rows:
+            if (nxt, w, mv) != default:
+                delta[q, pair[sym]] = ((nxt, w or pair[sym], mv),)
 
     accept = frozenset(names[st] for st in order if st == ("accept",))
     return MachineSpec(

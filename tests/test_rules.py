@@ -13,14 +13,14 @@ from churing.tm import BLANK, WILD, MachineSpec, Rules
 from churing.transform import to_single_tape
 
 from conftest import CORPUS
-from tm_reference import compiled_stdlib, explicit_rows
+from tm_reference import compiled_stdlib, dense, explicit_rows
 
 
 def test_unnamed_tapes_read_and_write_wildcards_and_stay():
     b = Rules()
     b.rule("q", {2: "a"}, "r", {3: "b"}, {1: "R"})
     m = b.machine("m", "q", ["r"], ["a"], ["a", "b", BLANK])
-    assert m.delta == {("q", (WILD, "a", WILD)): (("r", (WILD, WILD, "b"), ("R", "S", "S")),)}
+    assert dense(m) == {("q", (WILD, "a", WILD)): (("r", (WILD, WILD, "b"), ("R", "S", "S")),)}
 
 
 def test_tape_count_and_states_are_inferred():
@@ -30,8 +30,8 @@ def test_tape_count_and_states_are_inferred():
     m = b.machine("m", "q", ["acc"], ["a"], ["a", "^", BLANK])
     assert m.tapes == 4
     assert m.states == {"q", "g1", "done", "acc"}
-    assert list(m.delta) == [("q", (WILD,) * 4), ("g1", (WILD, "^", WILD, WILD)),
-                             ("g1", (WILD,) * 4)]
+    assert list(dense(m)) == [("q", (WILD,) * 4), ("g1", (WILD, "^", WILD, WILD)),
+                              ("g1", (WILD,) * 4)]
     assert m.deterministic
 
 
@@ -40,7 +40,7 @@ def test_repeated_key_makes_a_nondeterministic_machine():
     b.rule("q", {1: "a"}, "r", moves={1: "R"})
     b.rule("q", {1: "a"}, "s", moves={1: "R"})
     m = b.machine("m", "q", ["r"], ["a"], ["a", BLANK])
-    assert m.delta[("q", ("a",))] == (("r", (WILD,), ("R",)), ("s", (WILD,), ("R",)))
+    assert dense(m)[("q", ("a",))] == (("r", (WILD,), ("R",)), ("s", (WILD,), ("R",)))
     assert not m.deterministic
 
 
@@ -71,8 +71,8 @@ def test_expansion_matches_a_tape_by_tape_reference(rules, tapes):
     m = b.machine("m", "q", ["r"], ["a", "b"], ["a", "b", BLANK])
     want = _reference_delta(rules, tapes)
     assert m.tapes == tapes
-    assert m.delta == want  # targets compare in order
-    assert list(m.delta) == list(want)
+    assert dense(m) == want  # targets compare in order
+    assert list(dense(m)) == list(want)
     assert m.states == {"q", "r", *(r[2] for r in rules)}
 
 

@@ -10,7 +10,7 @@ from churing.formats import parse
 from churing.prf import stdlib
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    Configuration, Tape, decode_unary, encode_unary,
+    Configuration, MachineSpec, Tape, decode_unary, encode_unary,
     initial_configuration, make_machine, numeric_layout, run, run_numeric, successors,
 )
 from conftest import corpus_text
@@ -249,12 +249,43 @@ def test_machine_is_validated_when_built():
     assert run(built, "01", fuel=100).tag == "Accept"
     with pytest.raises(ValidationError, match="initial state 'nope' not declared"):
         MachineSpec(**{**fields, "initial": "nope"})
-    with pytest.raises(ValidationError, match="does not match tape count"):
-        replace(m, tapes=2)
+    with pytest.raises(ValidationError, match=r"read on tape 1, not one of 0\.\.0"):
+        replace(_two_tape_overlap(), tapes=1)
     renamed = replace(m, name="again")
     assert renamed.deterministic and renamed.index is not m.index
     with pytest.raises(TypeError):
         MachineSpec(**fields, deterministic=False)
+
+
+def _sparse_pair(delta):
+    """A two-tape machine over {0, _} with the stored rules ``delta``."""
+    return MachineSpec(name="t", states=frozenset("ab"), initial="a", accept=frozenset(),
+                       input_alphabet=frozenset("0"), tape_alphabet=frozenset("0_"), tapes=2,
+                       delta=delta)
+
+
+@pytest.mark.parametrize("key, target, error", [
+    (((2, "0"),), ((), ()), "read on tape 2, not one of 0..1"),
+    ((), (((-1, "0"),), ()), "write on tape -1, not one of 0..1"),
+    ((), ((), (("1", "R"),)), "move on tape '1', not one of 0..1"),
+    (((1, "0"), (0, "0")), ((), ()), "read tapes repeated or out of order in ((1, '0'), (0, '0'))"),
+    ((), (((0, "0"), (0, "_")), ()), "write tapes repeated or out of order in ((0, '0'), (0, '_'))"),
+    ((), ((), ((1, "L"), (0, "R"))), "move tapes repeated or out of order in ((1, 'L'), (0, 'R'))"),
+    (((0, "*"),), ((), ()),
+     "read '*' on tape 0 is stored: a rule leaves out the tapes it does not read"),
+    ((), (((1, "*"),), ()),
+     "write '*' on tape 1 is stored: a rule leaves out the tapes it does not write"),
+    ((), ((), ((0, "S"),)),
+     "move 'S' on tape 0 is stored: a rule leaves out the tapes it does not move"),
+    (((0, "1"),), ((), ()), "read symbol '1' outside tape alphabet"),
+    ((), ((), ((0, "U"),)), "move 'U' is not one of ('L', 'R', 'S')"),
+], ids=["read-tape", "write-tape", "move-tape", "read-order", "write-repeat", "move-order",
+        "star-read", "star-write", "stay", "read-symbol", "move"])
+def test_a_stored_rule_names_each_tape_once_in_order(key, target, error):
+    assert _sparse_pair({("a", ((0, "0"),)): (("b", ((1, "0"),), ((0, "R"),)),)}).deterministic
+    with pytest.raises(ValidationError) as info:
+        _sparse_pair({("a", key): (("b", *target),)})
+    assert str(info.value) == error
 
 
 @pytest.mark.parametrize("writes, moves, error", [

@@ -6,23 +6,26 @@ tag, the final configuration, `steps_taken` and the trace, on the corpus,
 the compiled stdlib, the lambda machine suite, generated machines (also
 from start configurations built directly) and machines built to sweep,
 and a built machine must be deterministic exactly when no scan vector is
-ambiguous under the reference matcher.
+ambiguous under the reference matcher.  A machine built from dense rules
+stores them sparse: its dense view, its text and its resolved steps are
+checked against the rules and the reference matcher.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tm_reference as ref
 from churing.errors import ValidationError
-from churing.formats import parse
+from churing.formats import parse, parse_tm, print_tm
 from churing.lam import Abs, App, Var, canonical_binders, lam
 from churing.lam_to_tm import build_machine, render_with_names
 from churing.prf import arity_check
 from churing.tm import (
     BLANK, MOVES, WILD, Configuration, MachineSpec, Tape,
-    initial_configuration, make_machine, numeric_start, run, successors,
+    initial_configuration, make_machine, numeric_start, resolve, run, successors,
 )
 
 from conftest import CORPUS
@@ -111,25 +114,54 @@ def test_lambda_suite_agrees(name):
 # Generated machines
 
 
-STATES = ["q0", "q1", "q2", "q3"]
-
-
-def _vec(k, pool):
-    return st.tuples(*[st.sampled_from(pool)] * k)
+STATES = ref.STATES
+_vec = ref.vectors
 
 
 @st.composite
 def _machines(draw):
-    """Arbitrary rules: wildcard reads, `*` writes, stay and left moves;
-    mostly nondeterministic."""
-    k = draw(st.integers(1, 3))
-    syms = draw(st.sampled_from(["ab", "abc"]))
-    gamma = [BLANK, *syms]
-    rules = draw(st.lists(st.tuples(
-        st.sampled_from(STATES[:3]), _vec(k, gamma + [WILD]), st.sampled_from(STATES),
-        _vec(k, gamma + [WILD]), _vec(k, list(MOVES))), max_size=8))
+    """Arbitrary rules (`tm_reference.dense_rules`): wildcard reads, `*`
+    writes, stay and left moves; mostly nondeterministic."""
+    k, syms, gamma, rules = draw(ref.dense_rules())
     return make_machine(name="gen", states=STATES, initial="q0", accept=["q3"],
                         input_alphabet=syms, tape_alphabet=gamma, tapes=k, rules=rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref.dense_rules())
+def test_dense_rules_are_stored_sparse(drawn):
+    """The dense view gives the rules back grouped by key, targets in the
+    order given; the text reads back as the same machine, but for the
+    order of a key's targets; and on every scan over the alphabet, in
+    every state, the resolver takes the steps the reference matcher finds
+    in the dense rules."""
+    k, syms, gamma, rules = drawn
+    m = make_machine("gen", STATES, "q0", ["q3"], syms, gamma, k, rules)
+    grouped = {}
+    for q, reads, nxt, writes, moves in rules:
+        grouped.setdefault((q, reads), []).append((nxt, writes, moves))
+    assert list(ref.dense(m).items()) == [(key, tuple(ts)) for key, ts in grouped.items()]
+    back = parse_tm(print_tm(m))
+    # the text lists a key's targets sorted: only their order may change
+    assert ref.dense(back) == {key: tuple(sorted(ts)) for key, ts in ref.dense(m).items()}
+    assert replace(back, delta=m.delta) == m
+    by_state = ref._by_state(m)
+    for q in STATES:
+        read = tuple(sorted({t for p, key in grouped if p == q
+                             for t, r in enumerate(key) if r != WILD}))
+        for scan in itertools.product(gamma, repeat=k):
+            want = []
+            for nxt, writes, moves in ref._match(by_state, q, scan):
+                # a write of the scanned symbol on a tape the state reads is no write
+                writes = tuple((t, w) for t, w in enumerate(writes)
+                               if w != WILD and (t not in read or w != scan[t]))
+                rights = tuple(t for t, mv in enumerate(moves) if mv == "R")
+                lefts = tuple(t for t, mv in enumerate(moves) if mv == "L")
+                sweep = 0
+                if nxt == q and not writes and len(read) == 1 and rights + lefts == read:
+                    sweep = 1 if rights else -1
+                want.append((nxt, writes, rights, lefts, sweep))
+            assert [step[:5] for step in resolve(m, q, scan)] == want
 
 
 @st.composite

@@ -272,11 +272,12 @@ def test_squeezed_star_rows_fold_each_full_state_s_largest_class(name):
             else parse("tm", corpus_text(name)))
     single = to_single_tape(host)
     classes = {}  # state -> target -> symbols, of the table with no `*` row
-    for (q, (c,)), [(nxt, (w,), mv)] in ref.explicit_rows(single).delta.items():
+    for (q, (c,)), [(nxt, (w,), mv)] in ref.dense(ref.explicit_rows(single)).items():
         classes.setdefault(q, {}).setdefault((nxt, WILD if w == c else w, mv), []).append(c)
+    table = ref.dense(single)
     folded = 0
     for q, by_target in classes.items():
-        star = single.delta.get((q, (WILD,)))
+        star = table.get((q, (WILD,)))
         full = sum(map(len, by_target.values())) == len(single.tape_alphabet)
         # the largest class; of equal ones, the one whose first symbol sorts first
         largest = min(by_target.values(), key=lambda cs: (-len(cs), min(cs)))
@@ -286,7 +287,7 @@ def test_squeezed_star_rows_fold_each_full_state_s_largest_class(name):
         folded += 1
         [(nxt, (w,), mv)] = star
         assert by_target[nxt, w, mv] is largest, q
-        assert all((q, (c,)) not in single.delta for c in largest)
+        assert all((q, (c,)) not in table for c in largest)
     assert folded > 0
 
 

@@ -2,8 +2,9 @@
 
 This is the original step loop of ``churing.tm``, kept as it was: every step
 rescans all the rules of the current state for the most specific match,
-reads all k tapes, and rebuilds a written tape through ``Tape.write``.  Two
-things differ: the per-state grouping is passed in rather than cached on
+reads all k tapes, and rebuilds a written tape through ``Tape.write``.  It
+reads the dense table, every vector naming every tape, that ``dense``
+gives.  Two things differ: the per-state grouping is passed in rather than cached on
 the frozen spec, and ``run`` does not refuse machines classified
 nondeterministic, since that classification is itself under test.
 ``churing.tm.run`` must agree with ``run`` here on the tag, the final
@@ -21,31 +22,54 @@ tests exercise and no part of the library calls.
 ``equivalent_states`` is the oracle for a machine without duplicate states:
 Hopcroft's partition refinement over the machine's steps.
 
+``dense`` is the table a machine stores, expanded as `.tm` text spells it:
+a tape a rule leaves out reads `*`, writes `*` and stays (S).
+
 ``explicit_rows`` is the oracle for a one-tape table with `*` rows: the
 same machine with one explicit row for every (state, symbol) that steps.
+
+``dense_rules`` draws dense rule lists for `make_machine`.
 
 ``compiled_stdlib`` gives every stdlib function the p.r.f.→TM compiler
 compiles, for the tests that take all of them.
 """
 
-import dataclasses
 import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
+
+from hypothesis import strategies as st
 
 from churing.errors import ValidationError, check_fuel
 from churing.prf import PrfExpr, stdlib, stdlib_names
 from churing.prf_to_tm import compile_prf_to_tm
 from churing.tm import (
-    ACCEPT, FUEL_EXHAUSTED, REJECT, WILD, Configuration,
-    MachineSpec, NumericLayout, Outcome, Target, Tape, initial_configuration,
+    ACCEPT, BLANK, FUEL_EXHAUSTED, MOVES, REJECT, WILD, Configuration,
+    MachineSpec, NumericLayout, Outcome, Tape, initial_configuration, make_machine,
 )
+
+# (next_state, writes, moves), one entry of each vector per tape
+Target = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
+
+
+def dense(spec: MachineSpec) -> Dict[Tuple[str, Tuple[str, ...]], Tuple[Target, ...]]:
+    """The delta of ``spec`` with every read, write and move vector naming
+    every tape, in the key order of ``spec.delta``."""
+    def vector(pairs, absent):
+        vec = [absent] * spec.tapes
+        for t, x in pairs:
+            vec[t] = x
+        return tuple(vec)
+
+    return {(q, vector(reads, WILD)): tuple((nxt, vector(writes, WILD), vector(moves, "S"))
+                                            for nxt, writes, moves in targets)
+            for (q, reads), targets in spec.delta.items()}
 
 
 def _by_state(spec: MachineSpec):
-    """Delta entries grouped by source state."""
+    """Dense delta entries grouped by source state."""
     index = {}
-    for (s, reads), targets in spec.delta.items():
+    for (s, reads), targets in dense(spec).items():
         index.setdefault(s, []).append((reads, targets))
     return index
 
@@ -261,14 +285,36 @@ def explicit_rows(spec: MachineSpec) -> MachineSpec:
     symbols its state names no row for, and the scanned symbol written for
     every `*` write: a table of explicit rows only, with the same steps."""
     assert spec.tapes == 1, "explicit_rows expands one-tape tables"
-    delta = {}
-    for (q, (read,)), targets in spec.delta.items():
+    table = dense(spec)
+    rules = []
+    for (q, (read,)), targets in table.items():
         syms = [read] if read != WILD else [
-            c for c in sorted(spec.tape_alphabet) if (q, (c,)) not in spec.delta]
-        for c in syms:
-            delta[q, (c,)] = tuple((nxt, (c if w == WILD else w,), moves)
-                                   for nxt, (w,), moves in targets)
-    return dataclasses.replace(spec, delta=delta)
+            c for c in sorted(spec.tape_alphabet) if (q, (c,)) not in table]
+        rules += [(q, c, nxt, c if w == WILD else w, moves)
+                  for c in syms for nxt, (w,), moves in targets]
+    return make_machine(spec.name, spec.states, spec.initial, spec.accept,
+                        spec.input_alphabet, spec.tape_alphabet, 1, rules)
+
+
+STATES = ["q0", "q1", "q2", "q3"]
+
+
+def vectors(k, pool):
+    return st.tuples(*[st.sampled_from(pool)] * k)
+
+
+@st.composite
+def dense_rules(draw):
+    """(tapes, input symbols, tape alphabet, rules): arbitrary dense rules
+    from states q0..q2 to q0..q3, with wildcard reads, `*` writes, stay
+    and left moves; mostly nondeterministic."""
+    k = draw(st.integers(1, 3))
+    syms = draw(st.sampled_from(["ab", "abc"]))
+    gamma = [BLANK, *syms]
+    rules = draw(st.lists(st.tuples(
+        st.sampled_from(STATES[:3]), vectors(k, gamma + [WILD]), st.sampled_from(STATES),
+        vectors(k, gamma + [WILD]), vectors(k, list(MOVES))), max_size=8))
+    return k, syms, gamma, rules
 
 
 def compiled_stdlib() -> Dict[str, Tuple[PrfExpr, MachineSpec, NumericLayout]]:
